@@ -584,16 +584,16 @@ let bench_vm_compile ?(best = 3) ?(cases = 8) () =
   record ~scenario:"vm-oracle" ~wall:ot_comp ~speedup:oracle_speedup;
   e2_speedup
 
-(* vm-super: in-process ablation of the profile-guided optimizer.
+(* vm-super: in-process ablation of the compiled VM's optimizer.
    Same program, same E2 schedule, same process — the baseline arm
    compiles with Compile.set_opt false (the PR 5 one-closure-per-
-   opcode pipeline), the optimized arm with superinstruction fusion,
+   opcode pipeline), the optimized arm with micro-ops, block fusion,
    peephole passes and specialized codegen on. Back-to-back timing in
    one process factors out host drift that plagues cross-run
    comparisons, and the cycle counters of both arms must agree
    (the optimizer's observational-equivalence contract, live). *)
 let bench_vm_super ?(best = 11) () =
-  section "VM: profile-guided superinstructions (vm-super)";
+  section "VM: optimizer on vs off (vm-super)";
   let prog = Kernel.Workloads.load ~fresh:true () in
   ignore (Deputy.Dreport.deputize ~optimize:true prog);
   let saved = Vm.Compile.opt_enabled () in

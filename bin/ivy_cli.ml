@@ -125,8 +125,8 @@ let run_cmd =
       & flag
       & info [ "stats" ]
           ~doc:
-            "Show compiled-VM optimizer statistics (superinstruction fusion and peephole site \
-             counts) and, when IVY_VM_PROFILE=1, the opcode execution profile.")
+            "Show compiled-VM optimizer statistics (block fusion, micro-op, specialization and \
+             peephole site counts) and, when IVY_VM_PROFILE=1, the opcode execution profile.")
   in
   let run mode entry iters vm_stats =
     handle_frontend_errors (fun () ->

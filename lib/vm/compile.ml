@@ -8,17 +8,20 @@
      lists of mid-level items (IR instructions plus pseudo-ops for
      fuel burns, scope enter/exit and return-value sets) with
      structured terminators that still carry their IR condition;
-   - phase B (peephole + superinstructions, [IVY_VM_OPT], default on):
-     unconditional-jump chains collapse, single-predecessor blocks
-     merge, constants propagate through register slots, dead register
-     moves drop to bare fuel burns, and adjacent hot opcode pairs —
-     selected from the [IVY_VM_PROFILE] counter table, with a default
-     table measured on the E2 workloads — fuse into superinstructions;
-   - phase C (codegen): each item becomes one closure. Hot shapes get
-     specialized closures: register/constant operands are fetched
-     inline instead of through operand closures, compare+branch fuses
-     into the terminator, load/binop/store collapse around register
-     slots, and Deputy residue checks read classified operands.
+   - phase B (peephole, [IVY_VM_OPT], default on): unconditional-jump
+     chains collapse, single-predecessor blocks merge, compare
+     terminators copy onto back edges, constants propagate through
+     register slots, and dead register moves drop to bare fuel burns;
+   - phase C (codegen): with the optimizer on, every instruction that
+     has a micro-op form ([uop]: sets, bounds and null checks) is
+     described once as a flat datum. A block whose items all describe
+     and whose terminator is a goto, return or classified compare
+     compiles to ONE closure (a self-targeting compare becomes an
+     in-closure spin loop); any other block runs each described
+     instruction as [burn; run_uop] and everything else as its
+     generic closure. Compare+branch fuses into the terminator and
+     ALU/address expressions read classified operands. With the
+     optimizer off, every item is its generic closure.
 
    The contract is strict observational equivalence with {!Treewalk}:
    identical traps (kind and message), identical results, identical
@@ -36,9 +39,9 @@
    generation (profiling flag, optimizer flag), so instrumentation
    passes that rewrite bodies and runtime toggles of
    [set_profiling]/[set_opt] transparently invalidate stale code.
-   While profiling is on, phases B and the codegen specializations are
-   disabled so the counters reflect the raw opcode stream that guides
-   fusion selection. *)
+   While profiling is on, phase B and the micro-op codegen are
+   disabled so the counters reflect the raw opcode stream. Nothing the
+   optimizer emits depends on a collected profile. *)
 
 module I = Kc.Ir
 
@@ -147,10 +150,11 @@ let prof_term name (f : env -> int) : env -> int =
 (* ------------------------------------------------------------------ *)
 
 (* [IVY_VM_OPT=0] (or [set_opt false]) disables phase B and the
-   codegen specializations, leaving the PR 5 one-closure-per-opcode
+   codegen specializations, leaving the one-closure-per-opcode
    pipeline — the ablation arm of the vm-super benchmark. The stats
-   table counts compile-time sites: how many superinstructions were
-   formed per fused pair, and how many peephole rewrites fired. *)
+   table counts compile-time sites: blocks fused whole, instructions
+   run as standalone micro-ops, specialized expressions, and peephole
+   rewrites. *)
 
 let opt_on = ref (Sys.getenv_opt "IVY_VM_OPT" <> Some "0")
 let opt_counters = Vmcounters.create ()
@@ -169,7 +173,7 @@ let ostat_n name n = if n > 0 then Vmcounters.add opt_counters name n
    state transitions as Machine.burn_fuel and the Cost hooks — the
    cost constants come from Cost so the model stays in one place —
    but with the cold trap arm out of line, the hot path inlines into
-   each superinstruction instead of paying a cross-module call per
+   each specialized closure instead of paying a cross-module call per
    charge. The generic (opt-off) pipeline keeps calling the Machine
    and Cost entry points: that arm is the PR 5 baseline. *)
 let fuel_exhausted () = Trap.trap Trap.Out_of_fuel "interpreter fuel exhausted"
@@ -441,9 +445,7 @@ let lval_type_c ((host, offs) : I.lval) : I.ty =
 (* Mid-level items keep the IR instruction (so the peephole can still
    pattern-match and rewrite expressions) plus the pseudo-ops the
    lowering introduces. [Mdeadmove] is an eliminated register move:
-   the write is gone but the instruction's fuel burn remains.
-   [Mfused] is a superinstruction: a run of instructions compiled into
-   one composed closure. *)
+   the write is gone but the instruction's fuel burn remains. *)
 type mi =
   | Mi of I.instr
   | Mfuel
@@ -451,7 +453,6 @@ type mi =
   | Mscope_exit of string
   | Mretval of I.exp option
   | Mdeadmove
-  | Mfused of I.instr list * string
 
 (* Terminators stay structured through phase B so conditions can be
    rewritten and fused; block targets are ids, -1 = return. *)
@@ -988,98 +989,6 @@ let peep_deadmoves ~slots ~nregs (b : mblock) : int =
       [] (List.rev b.mis);
   !kills
 
-(* ------------------------------------------------------------------ *)
-(* Superinstruction selection.                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The opcode name an instruction is counted under, matching the
-   [prof] labels codegen uses. *)
-let opname (i : I.instr) : string =
-  match i with
-  | I.Iset (lv, _) -> (
-      match lval_type_c lv with
-      | I.Tcomp _ -> "set-struct"
-      | _ -> "set"
-      | exception Trap.Trap _ -> "set")
-  | I.Icall (_, I.Direct _, _) -> "call"
-  | I.Icall (_, I.Indirect _, _) -> "call-indirect"
-  | I.Icheck (ck, _) -> (
-      match ck with
-      | I.Ck_nonnull _ -> "check-nonnull"
-      | I.Ck_le _ -> "check-le"
-      | I.Ck_lt _ -> "check-lt"
-      | I.Ck_nt_next _ -> "check-ntnext"
-      | I.Ck_not_atomic -> "check-notatomic")
-  | I.Irc_inc _ -> "rc-inc"
-  | I.Irc_dec _ -> "rc-dec"
-  | I.Irc_update _ -> "rc-update"
-
-(* Straight-line ops whose closures neither call back into the VM nor
-   change control flow — safe and profitable to chain. *)
-let fusable = function
-  | "set" | "check-nonnull" | "check-le" | "check-lt" | "check-ntnext" | "check-notatomic"
-  | "rc-inc" | "rc-dec" | "rc-update" ->
-      true
-  | _ -> false
-
-(* The baked-in table, measured on the E2 workloads (bw_mem_cp /
-   lat_syscall with Deputy residue): dense set runs dominate, followed
-   by bounds-check-then-access and refcount-update pairs. *)
-let default_hot_pairs =
-  [
-    ("set", "set");
-    ("check-lt", "set");
-    ("check-le", "set");
-    ("check-nonnull", "set");
-    ("check-nonnull", "check-lt");
-    ("check-nonnull", "check-le");
-    ("check-le", "check-lt");
-    ("rc-update", "set");
-    ("set", "rc-update");
-  ]
-
-(* Fusion candidates: the defaults plus every ordered pair of the
-   hottest fusable opcodes in the live profile (when one was
-   collected this run). *)
-let selected_pairs () : (string * string, unit) Hashtbl.t =
-  let h = Hashtbl.create 32 in
-  List.iter (fun p -> Hashtbl.replace h p ()) default_hot_pairs;
-  let hot =
-    profile_table ()
-    |> List.filter (fun (n, _) -> fusable n)
-    |> List.filteri (fun i _ -> i < 6)
-    |> List.map fst
-  in
-  List.iter (fun a -> List.iter (fun b -> Hashtbl.replace h (a, b) ()) hot) hot;
-  h
-
-(* Greedy left-to-right run formation, capped at 4 ops per
-   superinstruction (diminishing returns past that, and the composed
-   closure stays a flat arity-k apply). *)
-let peep_fuse pairs (b : mblock) : int =
-  let fused = ref 0 in
-  let flush run acc =
-    match run with
-    | [] -> acc
-    | [ (i, _) ] -> Mi i :: acc
-    | _ ->
-        incr fused;
-        Mfused (List.rev_map fst run, String.concat "+" (List.rev_map snd run)) :: acc
-  in
-  let rec go acc run items =
-    match items with
-    | [] -> List.rev (flush run acc)
-    | Mi i :: rest when fusable (opname i) -> (
-        let n = opname i in
-        match run with
-        | (_, last) :: _ when List.length run < 4 && Hashtbl.mem pairs (last, n) ->
-            go acc ((i, n) :: run) rest
-        | _ -> go (flush run acc) [ (i, n) ] rest)
-    | item :: rest -> go (item :: flush run acc) [] rest
-  in
-  b.mis <- go [] [] b.mis;
-  !fused
-
 let peephole ~slots ~nregs (bs : mblock array) : mblock array =
   let th1 = peep_thread bs in
   let mg = peep_merge bs in
@@ -1089,17 +998,14 @@ let peephole ~slots ~nregs (bs : mblock array) : mblock array =
   ostat_n "peep:jump-thread" (th1 + th2);
   ostat_n "peep:block-merge" mg;
   ostat_n "peep:term-copy" tc;
-  let pairs = selected_pairs () in
-  let cp = ref 0 and dm = ref 0 and fu = ref 0 in
+  let cp = ref 0 and dm = ref 0 in
   Array.iter
     (fun b ->
       cp := !cp + peep_constprop ~slots ~nregs b;
-      dm := !dm + peep_deadmoves ~slots ~nregs b;
-      fu := !fu + peep_fuse pairs b)
+      dm := !dm + peep_deadmoves ~slots ~nregs b)
     bs;
   ostat_n "peep:const-prop" !cp;
   ostat_n "peep:dead-move" !dm;
-  ostat_n "peep:fuse-runs" !fu;
   bs
 
 (* ------------------------------------------------------------------ *)
@@ -1616,91 +1522,11 @@ and caddr_of ctx (lv : I.lval) : env -> int =
   | CPmem (a, _) -> force a
   | CPreg _ -> Trap.trap Trap.Panic "address of register slot"
 
-(* A branch condition as an unboxed bool closure, when the shape
-   allows: a compare fuses into the terminator (operand fetches, then
-   the op_alu charge, then the predicate — no 1L/0L box), a register
-   or constant tests directly. None falls back to the generic int64
-   path. Pointer-typed compares take the same generic arm as cbinop's,
-   so classifying them here is exactly faithful. *)
-and ccond_opt ctx (e : I.exp) : (env -> bool) option =
-  if not ctx.fopt then None
-  else
-    match e.I.e with
-    | I.Ebinop (op, ea, eb) -> (
-        match cmpk_of op ~signed:(Vmstate.is_signed ea.I.ety) with
-        | None -> ccond_simple ctx e
-        | Some ck ->
-            ostat "spec:cmp-branch";
-            let oa = classify ctx ea in
-            let ob = classify ctx eb in
-            Some
-              (match (oa, ob) with
-              | Oc x, Oc y ->
-                  let b = cmp_eval ck x y in
-                  fun env ->
-                    c_alu env;
-                    b
-              | Oreg i, Oc y ->
-                  fun env ->
-                    let x = rget env.regs i in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Oc x, Oreg j ->
-                  fun env ->
-                    let y = rget env.regs j in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Oreg i, Oreg j ->
-                  fun env ->
-                    let x = rget env.regs i in
-                    let y = rget env.regs j in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Odyn fa, Oc y ->
-                  fun env ->
-                    let x = fa env in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Odyn fa, Oreg j ->
-                  fun env ->
-                    let x = fa env in
-                    let y = rget env.regs j in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Oc x, Odyn fb ->
-                  fun env ->
-                    let y = fb env in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Oreg i, Odyn fb ->
-                  fun env ->
-                    let x = rget env.regs i in
-                    let y = fb env in
-                    c_alu env;
-                    cmp_eval ck x y
-              | Odyn fa, Odyn fb ->
-                  fun env ->
-                    let x = fa env in
-                    let y = fb env in
-                    c_alu env;
-                    cmp_eval ck x y))
-    | I.Econst _ | I.Elval _ | I.Ecast _ -> ccond_simple ctx e
-    | _ -> None
-
-and ccond_simple ctx (e : I.exp) : (env -> bool) option =
-  match e.I.e with
-  | I.Econst _ | I.Elval (I.Lvar _, []) -> (
-      match classify ctx e with
-      | Oc v ->
-          let b = v <> 0L in
-          Some (fun _ -> b)
-      | Oreg i -> Some (fun env -> rget env.regs i <> 0L)
-      | Odyn _ -> None)
-  | _ -> None
-
 (* A compare condition split into its parts so terminator codegen can
    inline the whole test — fetches, ALU charge, predicate — into the
-   terminator closure with no intermediate bool closure. *)
+   terminator closure with no intermediate bool closure. Pointer-typed
+   compares take the same generic arm as cbinop's, so classifying them
+   here is exactly faithful. *)
 and ccond_cmp_parts ctx (e : I.exp) : (cmpk * operand * operand) option =
   if not ctx.fopt then None
   else
@@ -1709,8 +1535,26 @@ and ccond_cmp_parts ctx (e : I.exp) : (cmpk * operand * operand) option =
         match cmpk_of op ~signed:(Vmstate.is_signed ea.I.ety) with
         | None -> None
         | Some ck ->
+            let oa = classify ctx ea in
+            let ob = classify ctx eb in
             ostat "spec:cmp-branch";
-            Some (ck, classify ctx ea, classify ctx eb))
+            Some (ck, oa, ob))
+    | _ -> None
+
+(* A register or constant branch condition as a direct test, with no
+   1L/0L box. [None] falls back to the generic int64 path, which also
+   defers any compile-time trap past the same branch charge. *)
+let ccond_simple ctx (e : I.exp) : (env -> bool) option =
+  if not ctx.fopt then None
+  else
+    match e.I.e with
+    | I.Econst v ->
+        let b = v <> 0L in
+        Some (fun _ -> b)
+    | I.Elval (I.Lvar v, []) when not v.I.vglob -> (
+        match Hashtbl.find_opt ctx.slots v.I.vid with
+        | Some (Sreg i) -> Some (fun env -> rget env.regs i <> 0L)
+        | _ -> None)
     | _ -> None
 
 (* Guards for terminator/return positions: compile-time traps on
@@ -1719,11 +1563,6 @@ let cexp_safe ctx (e : I.exp) : env -> int64 =
   match cexp ctx e with
   | f -> f
   | exception Trap.Trap (k, m) -> fun _ -> raise (Trap.Trap (k, m))
-
-let ccond_safe ctx (e : I.exp) : (env -> bool) option =
-  match ccond_opt ctx e with
-  | r -> r
-  | exception Trap.Trap (k, m) -> Some (fun _ -> raise (Trap.Trap (k, m)))
 
 let classify_safe ctx (e : I.exp) : operand =
   match classify ctx e with
@@ -1805,13 +1644,15 @@ let cmp_term ~name ~burns ck oa ob (tid : int) (fid : int) : env -> int =
           if cmp_eval ck x y then tid else fid)
 
 (* ------------------------------------------------------------------ *)
-(* Micro-ops: flat superinstruction bodies.                           *)
+(* Micro-ops: the one specialized instruction form.                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The describable subset of instruction shapes, operands and
-   addresses resolved at compile time. A fused run whose members all
+   addresses resolved at compile time. A block whose items all
    describe compiles to ONE closure stepping through descriptors —
-   immediate-tag dispatch instead of a closure call per opcode. *)
+   immediate-tag dispatch instead of a closure call per opcode; in
+   any other block each described instruction is one closure running
+   its descriptor. *)
 type uop =
   | Ustore of caddr * int * operand (* dst addr, width, value *)
   | Ucopy of caddr * int * bool * caddr * int (* src addr/width/signed, dst addr/width *)
@@ -1847,9 +1688,9 @@ let[@inline] afetch (env : env) (a : caddr) : int =
   | Adyn f -> f env
 
 (* One micro-op, fuel already burnt by the caller. Effect orders match
-   the specialized single-instruction closures exactly: value before
-   address for stores, check charge before operand fetches, the same
-   trap messages. *)
+   the generic instruction closures (and so the tree-walker) exactly:
+   value before address for stores, check charge before operand
+   fetches, the same trap messages. *)
 let run_uop (env : env) (u : uop) : unit =
   match u with
   | Ustore (a, w, o) ->
@@ -2046,14 +1887,12 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
                   Machine.burn_fuel env.m;
                   Trap.trap Trap.Panic "struct assignment from non-lvalue"))
       | _ ->
-          if ctx.fopt then compile_set_opt ctx lv e
-          else
-            let ce = cexp ctx e in
-            let cw = cwrite ctx lv in
-            prof "set" (fun env ->
-                Machine.burn_fuel env.m;
-                let v = ce env in
-                cw env v))
+          let ce = cexp ctx e in
+          let cw = cwrite ctx lv in
+          prof "set" (fun env ->
+              Machine.burn_fuel env.m;
+              let v = ce env in
+              cw env v))
   | I.Icall (ret, target, args) -> (
       let cargs = Array.of_list (List.map (cexp ctx) args) in
       let nargs = Array.length cargs in
@@ -2103,36 +1942,6 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
                 | None -> Trap.trap Trap.Unknown_function "call through non-function value %Ld" fv
               in
               cret env r))
-  | I.Icheck (ck, reason) when ctx.fopt -> (
-      match ck with
-      | I.Ck_nonnull e -> (
-          match classify ctx e with
-          | Oc v ->
-              ostat "spec:check";
-              if v = 0L then
-                prof "check-nonnull" (fun env ->
-                    burn env;
-                    c_check env;
-                    Trap.trap Trap.Check_failed "null pointer: %s" reason)
-              else
-                prof "check-nonnull" (fun env ->
-                    burn env;
-                    c_check env)
-          | Oreg i ->
-              ostat "spec:check";
-              prof "check-nonnull" (fun env ->
-                  burn env;
-                  c_check env;
-                  if rget env.regs i = 0L then
-                    Trap.trap Trap.Check_failed "null pointer: %s" reason)
-          | Odyn ce ->
-              prof "check-nonnull" (fun env ->
-                  burn env;
-                  c_check env;
-                  if ce env = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason))
-      | I.Ck_le (a, b) -> compile_check2 ctx ~strict:false reason a b
-      | I.Ck_lt (a, b) -> compile_check2 ctx ~strict:true reason a b
-      | I.Ck_nt_next _ | I.Ck_not_atomic -> compile_check_generic ctx ck reason)
   | I.Icheck (ck, reason) -> compile_check_generic ctx ck reason
   | I.Irc_inc e ->
       let ce = cexp ctx e in
@@ -2178,267 +1987,15 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
                 end
               end))
 
-(* Specialized non-struct [Iset]: one flat closure per hot shape
-   (load-into-register, register move, memory-to-memory copy,
-   constant/ALU result into register, classified value into memory).
-   Every variant reproduces the generic closure's effect order — fuel,
-   value, address, store charge — with register reads/writes staying
-   charge-free. The source side compiles before the destination: a
-   compile-time trap raised while resolving a malformed source must
-   win over one from the destination, matching the generic
+(* [describe_set] classifies a non-struct [Iset] into a flat [uop]
+   descriptor: load into a register, register move or constant, ALU
+   into a register (with a memory operand folded in), copy between
+   memory places, or a store of a classified value. [run_uop] replays
+   the generic closure's effect order — fuel, value, address, store
+   charge — and normalizes register writes through the destination
+   type. The source side is resolved before the destination, so a
+   compile-time trap from a malformed source wins, as in the generic
    cexp-then-cwrite order. *)
-and compile_set_opt ctx (lv : I.lval) (e : I.exp) : env -> unit =
-  let src =
-    match e.I.e with
-    | I.Elval src_lv -> `Place (cplace ctx src_lv)
-    | I.Ebinop (op2, ea, eb)
-      when (match (op2, ea.I.ety) with
-           | (Kc.Ast.Add | Kc.Ast.Sub), I.Tptr _ -> false (* scaled ptr arithmetic: generic arm *)
-           | _ -> true) ->
-        let ak = aluk_of op2 ~signed:(Vmstate.is_signed ea.I.ety) in
-        let nsr = if alu_is_bool ak then Nid else nspec_of e.I.ety in
-        `Alu (ak, nsr, classify ctx ea, classify ctx eb)
-    | _ -> `Op (classify ctx e)
-  in
-  match cplace ctx lv with
-  | CPreg (k, vty) -> (
-      let ns = nspec_of vty in
-      let set_reg j =
-        ostat "spec:set-reg";
-        match ns with
-        | Nid ->
-            prof "set" (fun env ->
-                burn env;
-                rset env.regs k (rget env.regs j))
-        | _ ->
-            prof "set" (fun env ->
-                burn env;
-                rset env.regs k (napply ns (rget env.regs j)))
-      in
-      match src with
-      | `Place (CPmem (a, sty)) -> (
-          let width = Vmstate.width_of ctx.cc.prog sty in
-          let signed = Vmstate.is_signed sty in
-          ostat "spec:load-reg";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  c_load env;
-                  rset env.regs k
-                    (napply ns (Mem.load env.mem ~addr ~width ~signed)))
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = env.base + o in
-                  c_load env;
-                  rset env.regs k
-                    (napply ns (Mem.load env.mem ~addr ~width ~signed)))
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = fa env in
-                  c_load env;
-                  rset env.regs k
-                    (napply ns (Mem.load env.mem ~addr ~width ~signed))))
-      | `Place (CPreg (j, _)) -> set_reg j
-      | `Op (Oreg j) -> set_reg j
-      | `Op (Oc v) ->
-          ostat "spec:set-reg";
-          let v = napply ns v in
-          prof "set" (fun env ->
-              burn env;
-              rset env.regs k v)
-      | `Op (Odyn f) -> (
-          ostat "spec:set-reg";
-          match ns with
-          | Nid ->
-              prof "set" (fun env ->
-                  burn env;
-                  rset env.regs k (f env))
-          | _ ->
-              prof "set" (fun env ->
-                  burn env;
-                  rset env.regs k (napply ns (f env))))
-      | `Alu (ak, nsr, oa, ob) -> (
-          (* The ALU folds into the set closure: fuel, operand
-             fetches, ALU charge, compute (traps included), normalize
-             through the result type then the register's — exactly the
-             generic set-wrapping-binop order, minus a closure hop. *)
-          ostat "spec:set-alu";
-          match (ns, nsr, oa, ob) with
-          | _, _, Oc x, Oc y ->
-              if alu_can_trap ak then
-                prof "set" (fun env ->
-                    burn env;
-                    c_alu env;
-                    rset env.regs k (napply ns (napply nsr (alu_eval ak x y))))
-              else
-                let v = napply ns (napply nsr (alu_eval ak x y)) in
-                prof "set" (fun env ->
-                    burn env;
-                    c_alu env;
-                    rset env.regs k v)
-          | Nid, Nid, Oreg i, Oc y ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = rget env.regs i in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oc x, Oreg j ->
-              prof "set" (fun env ->
-                  burn env;
-                  let y = rget env.regs j in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oreg i, Oreg j ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = rget env.regs i in
-                  let y = rget env.regs j in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Odyn fa, Oc y ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = fa env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Odyn fa, Oreg j ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = fa env in
-                  let y = rget env.regs j in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oc x, Odyn fb ->
-              prof "set" (fun env ->
-                  burn env;
-                  let y = fb env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Oreg i, Odyn fb ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = rget env.regs i in
-                  let y = fb env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | Nid, Nid, Odyn fa, Odyn fb ->
-              prof "set" (fun env ->
-                  burn env;
-                  let x = fa env in
-                  let y = fb env in
-                  c_alu env;
-                  rset env.regs k (alu_eval ak x y))
-          | _ ->
-              (* Narrow destination or result type: keep the compact
-                 two-closure form rather than 9 more normalize arms. *)
-              let f = cbinop_ops ak nsr oa ob in
-              prof "set" (fun env ->
-                  burn env;
-                  rset env.regs k (napply ns (f env)))))
-  | CPmem (a, mty) -> (
-      let width = Vmstate.width_of ctx.cc.prog mty in
-      match src with
-      | `Place (CPmem (sa, sty)) ->
-          (* Memory-to-memory copy in one closure: source load then
-             destination store, exactly the order the generic pipeline
-             produces (value fully evaluated before the address). *)
-          let swidth = Vmstate.width_of ctx.cc.prog sty in
-          let ssigned = Vmstate.is_signed sty in
-          let fs = force sa in
-          let fd = force a in
-          ostat "spec:copy-mem";
-          prof "set" (fun env ->
-              burn env;
-              let saddr = fs env in
-              c_load env;
-              let v = Mem.load env.mem ~addr:saddr ~width:swidth ~signed:ssigned in
-              let daddr = fd env in
-              c_store env;
-              Mem.store env.mem ~addr:daddr ~width v)
-      | `Place (CPreg (j, _)) | `Op (Oreg j) -> (
-          ostat "spec:set-mem";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  c_store env;
-                  Mem.store env.mem ~addr ~width (rget env.regs j))
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = env.base + o in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width (rget env.regs j))
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = fa env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width (rget env.regs j)))
-      | `Op (Oc v) -> (
-          ostat "spec:set-mem";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = env.base + o in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let addr = fa env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v))
-      | (`Op (Odyn _) | `Alu _) as s -> (
-          let f =
-            match s with
-            | `Op (Odyn f) -> f
-            | `Op _ -> assert false (* Oc/Oreg handled above *)
-            | `Alu (ak, nsr, oa, ob) -> cbinop_ops ak nsr oa ob
-          in
-          ostat "spec:set-mem";
-          match a with
-          | Aconst addr ->
-              prof "set" (fun env ->
-                  burn env;
-                  let v = f env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | Abase o ->
-              prof "set" (fun env ->
-                  burn env;
-                  let v = f env in
-                  let addr = env.base + o in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)
-          | (Ari _ | Arc _ | Adyn _) as ad ->
-              (* Value before address, as the generic pipeline evaluates. *)
-              let fa = force ad in
-              prof "set" (fun env ->
-                  burn env;
-                  let v = f env in
-                  let addr = fa env in
-                  c_store env;
-                  Mem.store env.mem ~addr ~width v)))
-
-(* [describe_set] mirrors [compile_set_opt]'s shape analysis but
-   yields a flat [uop] descriptor instead of a closure, so a fused run
-   of describable instructions executes without per-instruction
-   closure calls. Register destinations are described only at identity
-   normalization — [run_uop] never normalizes. Returns [None] for any
-   shape whose uop would diverge from the specialized closure. *)
 and describe_set ctx (lv : I.lval) (e : I.exp) : uop option =
   match lval_type_c lv with
   | I.Tcomp _ -> None
@@ -2517,183 +2074,122 @@ and describe_instr ctx (i : I.instr) : uop option =
       Some (Ucheck2 (true, reason, classify ctx a, classify ctx b))
   | _ -> None
 
+(* One micro-op per mid-level item, or [None] where the item has no
+   uop form. Described once per block: the flat attempt and the
+   per-item fallback share the descriptors, so every specialization
+   site is compiled (and counted) once. A compile-time trap while
+   describing yields [None]; the generic closure then defers it. *)
+and describe_mi ctx (item : mi) : uop option =
+  match item with
+  | Mi i -> ( try describe_instr ctx i with Trap.Trap _ -> None)
+  | Mfuel | Mdeadmove -> Some Unop
+  | Mscope_enter | Mscope_exit _ | Mretval _ -> None
+
 (* Whole-block fusion: when every item of a block describes as a
-   micro-op run and the terminator is a goto, return, or classified
+   micro-op and the terminator is a goto, return, or classified
    compare-and-branch, the block compiles to a single closure the
    runner invokes once per visit — one indirect call per block per
    iteration instead of one per opcode. A hot while-loop body (after
    [peep_termcopy] copies the head's compare onto the back edge)
    executes each iteration in exactly one closure call. Charge and
    trap orders are the item closures' own, laid end to end. *)
-and codegen_block_flat ctx ~self (mb : mblock) : (env -> int) option =
-  if not ctx.fopt || mb.mis = [] then None
-  else
-    (* Stats are deferred until the whole block commits, so a late
-       failure doesn't double-count the run names against the
-       fallback's own [codegen_mi] bumps. *)
-    let pending_stats = ref [] in
-    let steps_of (item : mi) : uop list option =
-      match item with
-      | Mi i -> (
-          match try describe_instr ctx i with Trap.Trap _ -> None with
-          | Some u -> Some [ u ]
+and codegen_block_flat ctx ~self (us : uop option list) (mt : mterm) : (env -> int) option =
+  if List.is_empty us || List.exists Option.is_none us then None
+  else (
+    let a = Array.of_list (List.map Option.get us) in
+    let n = Array.length a in
+    (* Terminator shape: compares keep their parts so a self-loop
+       can inline the condition; everything else becomes a tail
+       closure — [cmp_term] carries the nine operand-specialized
+       compare arms, so a non-spinning loop condition costs two
+       register reads, not two operand-tag dispatches. *)
+    let shape =
+      match mt with
+      | Mgoto t -> Some (`Tail (fun _ -> t))
+      | Mret -> Some (`Tail (prof_term "return" (fun _ -> -1)))
+      | Mif (c, tid, fid) -> (
+          match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
+          | Some (ck, oa, ob) -> Some (`Cmp ("br-if", false, ck, oa, ob, tid, fid))
           | None -> None)
-      | Mfused (is, name) -> (
-          let rec go acc = function
-            | [] -> Some (List.rev acc)
-            | i :: rest -> (
-                match try describe_instr ctx i with Trap.Trap _ -> None with
-                | Some u -> go (u :: acc) rest
-                | None -> None)
-          in
-          match go [] is with
-          | Some us ->
-              pending_stats := ("fuse:" ^ name) :: "fuse:flat" :: !pending_stats;
-              Some us
+      | Mwhile (c, tid, fid) -> (
+          match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
+          | Some (ck, oa, ob) -> Some (`Cmp ("br-while", true, ck, oa, ob, tid, fid))
           | None -> None)
-      | Mfuel | Mdeadmove -> Some [ Unop ]
-      | _ -> None
+      | Mdowhile (c, tid, fid) -> (
+          match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
+          | Some (ck, oa, ob) -> Some (`Cmp ("br-dowhile", false, ck, oa, ob, tid, fid))
+          | None -> None)
+      | Munset | Mswitch _ -> None
     in
-    let rec collect acc = function
-      | [] -> Some (List.concat (List.rev acc))
-      | it :: rest -> (
-          match steps_of it with Some us -> collect (us :: acc) rest | None -> None)
-    in
-    match collect [] mb.mis with
+    match shape with
     | None -> None
-    | Some us -> (
-        let a = Array.of_list us in
-        let n = Array.length a in
-        (* Terminator shape: compares keep their parts so a self-loop
-           can inline the condition; everything else becomes a tail
-           closure — [cmp_term] carries the nine operand-specialized
-           compare arms, so a non-spinning loop condition costs two
-           register reads, not two operand-tag dispatches. *)
-        let shape =
-          match mb.mt with
-          | Mgoto t -> Some (`Tail (fun _ -> t))
-          | Mret -> Some (`Tail (prof_term "return" (fun _ -> -1)))
-          | Mif (c, tid, fid) -> (
-              match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-              | Some (ck, oa, ob) -> Some (`Cmp ("br-if", false, ck, oa, ob, tid, fid))
-              | None -> None)
-          | Mwhile (c, tid, fid) -> (
-              match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-              | Some (ck, oa, ob) -> Some (`Cmp ("br-while", true, ck, oa, ob, tid, fid))
-              | None -> None)
-          | Mdowhile (c, tid, fid) -> (
-              match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-              | Some (ck, oa, ob) -> Some (`Cmp ("br-dowhile", false, ck, oa, ob, tid, fid))
-              | None -> None)
-          | Munset | Mswitch _ -> None
-        in
-        match shape with
-        | None -> None
-        | Some (`Cmp (_, burns, ck, oa, ob, tid, fid)) when tid = self && n <= 4 ->
-            (* The back edge targets this very block (peep_termcopy
-               put the loop compare here), so spin without returning
-               to the runner: each iteration is the uop run plus the
-               inlined condition, charge-for-charge the sequence the
-               runner would have produced, and the closure returns
-               only when the compare finally fails. *)
-            List.iter ostat !pending_stats;
-            ostat "fuse:block";
-            ostat "fuse:block-loop";
-            Some
-              (match a with
-              | [| u1 |] ->
+    | Some (`Cmp (_, burns, ck, oa, ob, tid, fid)) when tid = self && n <= 4 ->
+        (* The back edge targets this very block (peep_termcopy
+           put the loop compare here), so spin without returning
+           to the runner: each iteration is the uop run plus the
+           inlined condition, charge-for-charge the sequence the
+           runner would have produced, and the closure returns
+           only when the compare finally fails. *)
+        ostat "fuse:block";
+        ostat "fuse:block-loop";
+        Some
+          (match a with
+          | [| u1 |] ->
+              fun env ->
+                let rec go () =
+                  burn env;
+                  run_uop env u1;
+                  if burns then burn env;
+                  c_branch env;
+                  let x = ofetch env oa in
+                  let y = ofetch env ob in
+                  c_alu env;
+                  if cmp_eval ck x y then go () else fid
+                in
+                go ()
+          | [| u1; u2 |] -> (
+              (* The two-uop body (op + loop increment) is the hot
+                 shape, so its condition fetches are specialized
+                 on the common operand pairs. *)
+              match (oa, ob) with
+              | Oreg ra, Oreg rb ->
                   fun env ->
-                    let rec go () =
-                      burn env;
-                      run_uop env u1;
-                      if burns then burn env;
-                      c_branch env;
-                      let x = ofetch env oa in
-                      let y = ofetch env ob in
-                      c_alu env;
-                      if cmp_eval ck x y then go () else fid
-                    in
-                    go ()
-              | [| u1; u2 |] -> (
-                  (* The two-uop body (op + loop increment) is the hot
-                     shape, so its condition fetches are specialized
-                     on the common operand pairs. *)
-                  match (oa, ob) with
-                  | Oreg ra, Oreg rb ->
-                      fun env ->
-                        let regs = env.regs in
-                        let rec go () =
-                          burn env;
-                          run_uop env u1;
-                          burn env;
-                          run_uop env u2;
-                          if burns then burn env;
-                          c_branch env;
-                          let x = rget regs ra in
-                          let y = rget regs rb in
-                          c_alu env;
-                          if cmp_eval ck x y then go () else fid
-                        in
-                        go ()
-                  | Oreg ra, Oc y ->
-                      fun env ->
-                        let regs = env.regs in
-                        let rec go () =
-                          burn env;
-                          run_uop env u1;
-                          burn env;
-                          run_uop env u2;
-                          if burns then burn env;
-                          c_branch env;
-                          let x = rget regs ra in
-                          c_alu env;
-                          if cmp_eval ck x y then go () else fid
-                        in
-                        go ()
-                  | _ ->
-                      fun env ->
-                        let rec go () =
-                          burn env;
-                          run_uop env u1;
-                          burn env;
-                          run_uop env u2;
-                          if burns then burn env;
-                          c_branch env;
-                          let x = ofetch env oa in
-                          let y = ofetch env ob in
-                          c_alu env;
-                          if cmp_eval ck x y then go () else fid
-                        in
-                        go ())
-              | [| u1; u2; u3 |] ->
-                  fun env ->
+                    let regs = env.regs in
                     let rec go () =
                       burn env;
                       run_uop env u1;
                       burn env;
                       run_uop env u2;
-                      burn env;
-                      run_uop env u3;
                       if burns then burn env;
                       c_branch env;
-                      let x = ofetch env oa in
-                      let y = ofetch env ob in
+                      let x = rget regs ra in
+                      let y = rget regs rb in
+                      c_alu env;
+                      if cmp_eval ck x y then go () else fid
+                    in
+                    go ()
+              | Oreg ra, Oc y ->
+                  fun env ->
+                    let regs = env.regs in
+                    let rec go () =
+                      burn env;
+                      run_uop env u1;
+                      burn env;
+                      run_uop env u2;
+                      if burns then burn env;
+                      c_branch env;
+                      let x = rget regs ra in
                       c_alu env;
                       if cmp_eval ck x y then go () else fid
                     in
                     go ()
               | _ ->
-                  let u1 = a.(0) and u2 = a.(1) and u3 = a.(2) and u4 = a.(3) in
                   fun env ->
                     let rec go () =
                       burn env;
                       run_uop env u1;
                       burn env;
                       run_uop env u2;
-                      burn env;
-                      run_uop env u3;
-                      burn env;
-                      run_uop env u4;
                       if burns then burn env;
                       c_branch env;
                       let x = ofetch env oa in
@@ -2702,129 +2198,92 @@ and codegen_block_flat ctx ~self (mb : mblock) : (env -> int) option =
                       if cmp_eval ck x y then go () else fid
                     in
                     go ())
-        | Some shape ->
-            let tail =
-              match shape with
-              | `Tail f -> f
-              | `Cmp (name, burns, ck, oa, ob, tid, fid) ->
-                  cmp_term ~name ~burns ck oa ob tid fid
-            in
-            List.iter ostat !pending_stats;
-            ostat "fuse:block";
-            Some
-              (match a with
-              | [| u1 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    tail env
-              | [| u1; u2 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    burn env;
-                    run_uop env u2;
-                    tail env
-              | [| u1; u2; u3 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    burn env;
-                    run_uop env u2;
-                    burn env;
-                    run_uop env u3;
-                    tail env
-              | [| u1; u2; u3; u4 |] ->
-                  fun env ->
-                    burn env;
-                    run_uop env u1;
-                    burn env;
-                    run_uop env u2;
-                    burn env;
-                    run_uop env u3;
-                    burn env;
-                    run_uop env u4;
-                    tail env
-              | _ ->
-                  fun env ->
-                    for j = 0 to n - 1 do
-                      burn env;
-                      run_uop env (Array.unsafe_get a j)
-                    done;
-                    tail env))
-
-(* Ck_le / Ck_lt with classified operands: signed int64 compare and
-   the exact trap messages of the generic arm. *)
-and compile_check2 ctx ~strict reason (ea : I.exp) (eb : I.exp) : env -> unit =
-  let name = if strict then "check-lt" else "check-le" in
-  let fail x y : unit =
-    if strict then Trap.trap Trap.Check_failed "%s (%Ld >= %Ld)" reason x y
-    else Trap.trap Trap.Check_failed "%s (%Ld > %Ld)" reason x y
-  in
-  ostat "spec:check";
-  match (classify ctx ea, classify ctx eb) with
-  | Oc x, Oc y ->
-      if if strict then x >= y else x > y then
-        prof name (fun env ->
-            burn env;
-            c_check env;
-            fail x y)
-      else
-        prof name (fun env ->
-            burn env;
-            c_check env)
-  | Oreg i, Oc y ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = rget env.regs i in
-          if if strict then x >= y else x > y then fail x y)
-  | Oc x, Oreg j ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let y = rget env.regs j in
-          if if strict then x >= y else x > y then fail x y)
-  | Oreg i, Oreg j ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = rget env.regs i in
-          let y = rget env.regs j in
-          if if strict then x >= y else x > y then fail x y)
-  | Odyn fa, Oc y ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = fa env in
-          if if strict then x >= y else x > y then fail x y)
-  | Odyn fa, Oreg j ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = fa env in
-          let y = rget env.regs j in
-          if if strict then x >= y else x > y then fail x y)
-  | Oc x, Odyn fb ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let y = fb env in
-          if if strict then x >= y else x > y then fail x y)
-  | Oreg i, Odyn fb ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = rget env.regs i in
-          let y = fb env in
-          if if strict then x >= y else x > y then fail x y)
-  | Odyn fa, Odyn fb ->
-      prof name (fun env ->
-          burn env;
-          c_check env;
-          let x = fa env in
-          let y = fb env in
-          if if strict then x >= y else x > y then fail x y)
+          | [| u1; u2; u3 |] ->
+              fun env ->
+                let rec go () =
+                  burn env;
+                  run_uop env u1;
+                  burn env;
+                  run_uop env u2;
+                  burn env;
+                  run_uop env u3;
+                  if burns then burn env;
+                  c_branch env;
+                  let x = ofetch env oa in
+                  let y = ofetch env ob in
+                  c_alu env;
+                  if cmp_eval ck x y then go () else fid
+                in
+                go ()
+          | _ ->
+              let u1 = a.(0) and u2 = a.(1) and u3 = a.(2) and u4 = a.(3) in
+              fun env ->
+                let rec go () =
+                  burn env;
+                  run_uop env u1;
+                  burn env;
+                  run_uop env u2;
+                  burn env;
+                  run_uop env u3;
+                  burn env;
+                  run_uop env u4;
+                  if burns then burn env;
+                  c_branch env;
+                  let x = ofetch env oa in
+                  let y = ofetch env ob in
+                  c_alu env;
+                  if cmp_eval ck x y then go () else fid
+                in
+                go ())
+    | Some shape ->
+        let tail =
+          match shape with
+          | `Tail f -> f
+          | `Cmp (name, burns, ck, oa, ob, tid, fid) ->
+              cmp_term ~name ~burns ck oa ob tid fid
+        in
+        ostat "fuse:block";
+        Some
+          (match a with
+          | [| u1 |] ->
+              fun env ->
+                burn env;
+                run_uop env u1;
+                tail env
+          | [| u1; u2 |] ->
+              fun env ->
+                burn env;
+                run_uop env u1;
+                burn env;
+                run_uop env u2;
+                tail env
+          | [| u1; u2; u3 |] ->
+              fun env ->
+                burn env;
+                run_uop env u1;
+                burn env;
+                run_uop env u2;
+                burn env;
+                run_uop env u3;
+                tail env
+          | [| u1; u2; u3; u4 |] ->
+              fun env ->
+                burn env;
+                run_uop env u1;
+                burn env;
+                run_uop env u2;
+                burn env;
+                run_uop env u3;
+                burn env;
+                run_uop env u4;
+                tail env
+          | _ ->
+              fun env ->
+                for j = 0 to n - 1 do
+                  burn env;
+                  run_uop env (Array.unsafe_get a j)
+                done;
+                tail env))
 
 and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
   match ck with
@@ -2872,15 +2331,37 @@ and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
 (* Phase C: mid-level items and terminators to closures.              *)
 (* ------------------------------------------------------------------ *)
 
-and codegen_mi ctx (item : mi) : env -> unit =
-  match item with
-  | Mi i -> compile_instr ctx i
-  | Mfuel -> prof "fuel" (fun env -> Machine.burn_fuel env.m)
-  | Mdeadmove -> fun env -> burn env
-  | Mscope_enter -> fun env -> Machine.delayed_scope_enter env.m
-  | Mscope_exit where -> fun env -> Machine.delayed_scope_exit env.m ~where
-  | Mretval None -> fun env -> env.retv <- 0L
-  | Mretval (Some e) ->
+(* A mid-level block to a runner block: one closure for the whole
+   block when it fuses, otherwise one closure per item plus the
+   terminator. Items are described once and both paths share them. *)
+and codegen_block ctx ~self (mb : mblock) : bblock =
+  let described = List.map (fun it -> if ctx.fopt then describe_mi ctx it else None) mb.mis in
+  match codegen_block_flat ctx ~self described mb.mt with
+  | Some f -> { bid = self; instrs = [||]; term = f }
+  | None ->
+      {
+        bid = self;
+        instrs = Array.of_list (List.map2 (codegen_mi ctx) mb.mis described);
+        term = codegen_term ctx mb.mt;
+      }
+
+(* An item's closure. A described instruction runs as its micro-op;
+   no [prof] wrapper is needed, because descriptors exist only while
+   the optimizer is on and the optimizer is off while profiling. *)
+and codegen_mi ctx (item : mi) (described : uop option) : env -> unit =
+  match (item, described) with
+  | Mi _, Some u ->
+      ostat "spec:uop";
+      fun env ->
+        burn env;
+        run_uop env u
+  | Mi i, None -> compile_instr ctx i
+  | Mfuel, _ -> prof "fuel" (fun env -> Machine.burn_fuel env.m)
+  | Mdeadmove, _ -> fun env -> burn env
+  | Mscope_enter, _ -> fun env -> Machine.delayed_scope_enter env.m
+  | Mscope_exit where, _ -> fun env -> Machine.delayed_scope_exit env.m ~where
+  | Mretval None, _ -> fun env -> env.retv <- 0L
+  | Mretval (Some e), _ ->
       if ctx.fopt then (
         match classify_safe ctx e with
         | Oc v -> fun env -> env.retv <- v
@@ -2889,79 +2370,6 @@ and codegen_mi ctx (item : mi) : env -> unit =
       else
         let ce = cexp_safe ctx e in
         fun env -> env.retv <- ce env
-  | Mfused (is, name) -> (
-      ostat ("fuse:" ^ name);
-      (* Best case: every member describes as a micro-op and the whole
-         run becomes one flat closure — immediate-tag dispatch, no
-         per-instruction closure call. A compile-time trap while
-         describing falls back to [compile_instr], which defers it. *)
-      let described =
-        List.fold_left
-          (fun acc i ->
-            match acc with
-            | None -> None
-            | Some us -> (
-                match try describe_instr ctx i with Trap.Trap _ -> None with
-                | Some u -> Some (u :: us)
-                | None -> None))
-          (Some []) is
-      in
-      match described with
-      | Some us -> (
-          ostat "fuse:flat";
-          match List.rev us with
-          | [ u1; u2 ] ->
-              fun env ->
-                burn env;
-                run_uop env u1;
-                burn env;
-                run_uop env u2
-          | [ u1; u2; u3 ] ->
-              fun env ->
-                burn env;
-                run_uop env u1;
-                burn env;
-                run_uop env u2;
-                burn env;
-                run_uop env u3
-          | [ u1; u2; u3; u4 ] ->
-              fun env ->
-                burn env;
-                run_uop env u1;
-                burn env;
-                run_uop env u2;
-                burn env;
-                run_uop env u3;
-                burn env;
-                run_uop env u4
-          | us ->
-              let a = Array.of_list us in
-              fun env ->
-                Array.iter
-                  (fun u ->
-                    burn env;
-                    run_uop env u)
-                  a)
-      | None -> (
-          match List.map (compile_instr ctx) is with
-          | [ f; g ] ->
-              fun env ->
-                f env;
-                g env
-          | [ f; g; h ] ->
-              fun env ->
-                f env;
-                g env;
-                h env
-          | [ f; g; h; k ] ->
-              fun env ->
-                f env;
-                g env;
-                h env;
-                k env
-          | fs ->
-              let a = Array.of_list fs in
-              fun env -> Array.iter (fun f -> f env) a))
 
 and codegen_term ctx (t : mterm) : env -> int =
   match t with
@@ -2972,7 +2380,7 @@ and codegen_term ctx (t : mterm) : env -> int =
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
       | Some (ck, oa, ob) -> cmp_term ~name:"br-if" ~burns:false ck oa ob tid fid
       | None -> (
-          match ccond_safe ctx c with
+          match ccond_simple ctx c with
           | Some cb ->
               prof_term "br-if" (fun env ->
                   c_branch env;
@@ -2988,7 +2396,7 @@ and codegen_term ctx (t : mterm) : env -> int =
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
       | Some (ck, oa, ob) -> cmp_term ~name:"br-while" ~burns:true ck oa ob bodyid exitid
       | None -> (
-          match ccond_safe ctx c with
+          match ccond_simple ctx c with
           | Some cb ->
               prof_term "br-while" (fun env ->
                   burn env;
@@ -3004,7 +2412,7 @@ and codegen_term ctx (t : mterm) : env -> int =
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
       | Some (ck, oa, ob) -> cmp_term ~name:"br-dowhile" ~burns:false ck oa ob headid exitid
       | None -> (
-          match ccond_safe ctx c with
+          match ccond_simple ctx c with
           | Some cb ->
               prof_term "br-dowhile" (fun env ->
                   c_branch env;
@@ -3084,23 +2492,11 @@ and compile_fun (cc : t) (fd : I.fundec) : cfun =
   sealm lo Mret;
   let mbs = Array.make (max lo.lnb 1) dummy in
   List.iter (fun b -> mbs.(b.mid) <- b) lo.lblocks;
-  (* Phase B: peephole + superinstruction formation. *)
+  (* Phase B: peephole. *)
   let mbs = if fopt then peephole ~slots ~nregs:!nregs mbs else mbs in
   (* Phase C: closure codegen. *)
   let ctx = { cc; slots; fopt } in
-  let blocks =
-    Array.mapi
-      (fun i (mb : mblock) ->
-        match codegen_block_flat ctx ~self:i mb with
-        | Some f -> { bid = i; instrs = [||]; term = f }
-        | None ->
-            {
-              bid = i;
-              instrs = Array.of_list (List.map (codegen_mi ctx) mb.mis);
-              term = codegen_term ctx mb.mt;
-            })
-      mbs
-  in
+  let blocks = Array.mapi (fun i mb -> codegen_block ctx ~self:i mb) mbs in
   {
     cf_body = fd.I.fbody;
     cf_gen = gen;

@@ -4,13 +4,15 @@
     blocks of instruction closures, variable ids resolved to dense
     register/stack slots, global addresses and field offsets constant
     folded, callees resolved to direct references — and executes that
-    with an int-indexed block dispatch loop. A profile-guided
-    optimizer (on by default, [IVY_VM_OPT=0] disables) additionally
-    collapses jump chains, merges single-predecessor blocks,
-    constant-propagates through register slots, drops dead register
-    moves, fuses hot opcode pairs into superinstructions, and emits
-    specialized closures for the hot shapes (compare-into-branch,
-    load/store around registers, classified check operands).
+    with an int-indexed block dispatch loop. An optimizer (on by
+    default, [IVY_VM_OPT=0] disables) additionally collapses jump
+    chains, merges single-predecessor blocks, constant-propagates
+    through register slots and drops dead register moves. It then
+    describes sets and bounds/null checks as flat micro-ops: a block
+    made only of those compiles to one closure (a tight loop spins
+    inside it), and elsewhere each one runs as a single micro-op
+    step. Compares fuse into branch terminators. Its output depends
+    only on the program, never on a collected profile.
 
     Strictly observationally equivalent to {!Treewalk}: identical trap
     kinds and messages, results, cycle counts, fuel burns, rodata
@@ -53,7 +55,7 @@ val compilations : t -> int
     merged on read, so parallel fuzz/check runs count exactly. The
     table prints to stderr on exit whenever the flag is on at exit
     time. While profiling is on the optimizer stands down, so the
-    counters reflect the raw opcode stream that guides fusion. *)
+    counters reflect the raw, unoptimized opcode stream. *)
 
 val set_profiling : bool -> unit
 (** Toggle profiling. Takes effect for code executed afterwards: the
@@ -74,9 +76,9 @@ val reset_profile : unit -> unit
 (** {2 The optimizer switch and its compile-time counters}
 
     On by default; [IVY_VM_OPT=0] in the environment or
-    {!set_opt}[ false] disables the peephole passes,
-    superinstruction fusion and specialized codegen (the ablation arm
-    of the vm-super benchmark). *)
+    {!set_opt}[ false] disables the peephole passes, micro-op
+    codegen, block fusion and the other specialized closures (the
+    ablation arm of the vm-super benchmark). *)
 
 val set_opt : bool -> unit
 (** Toggle the optimizer; cached code compiled under the other setting
@@ -85,9 +87,12 @@ val set_opt : bool -> unit
 val opt_enabled : unit -> bool
 
 val opt_stats : unit -> (string * int) list
-(** Compile-time hit counters: [fuse:<a>+<b>] superinstructions
-    formed, [spec:*] specialized closures emitted, [peep:*] rewrites
-    applied. Sorted by count descending. *)
+(** Compile-time site counters, each site counted once:
+    [fuse:block] blocks compiled to one closure and [fuse:block-loop]
+    those that spin in place; [spec:uop] instructions run as a
+    standalone micro-op; [spec:cmp-branch], [spec:alu] and
+    [spec:addr] specialized compares, ALU expressions and addresses;
+    [peep:*] peephole rewrites applied. Sorted by count descending. *)
 
 val render_opt_stats : unit -> string
 (** The stats table formatted for display; [""] when all zero. *)

@@ -323,6 +323,30 @@ let fused_cases : (string * string) list =
       "char cbuf[16];\n\
        long main(void) { int i; long s; for (i = 0; i < 16; i++) { cbuf[i] = i * 7; } s = 0; \
        for (i = 0; i < 16; i++) { s = s + cbuf[i]; } return s; }\n" );
+    (* The cases below keep their instructions in blocks that do not
+       fuse whole (a call, a return value, a switch terminator), so
+       each described instruction runs as a standalone micro-op. *)
+    ( "call beside uops",
+      "long a[16];\n\
+       long b[16];\n\
+       long id(long x) { return x; }\n\
+       long main(void) { int i; long s; long t; s = 0; for (i = 0; i < 16; i++) { a[i] = i * \
+       5; t = a[i]; b[i] = a[i]; s = s + id(t); } return s + b[15]; }\n" );
+    (* [1 + 2] is not a Deputy constant, so the checks on [buf[i]]
+       survive instrumentation; register const-prop then hands them
+       constant operands. The null [__opt] deref fails its check. *)
+    ( "const checks, null fails",
+      "long buf[8];\n\
+       long main(void) { long i; long j; long * __opt p; i = 1 + 2; j = 2 + 4; buf[i] = 4; \
+       buf[j] = buf[i] + 1; p = (long *) 0; return buf[j] + *p; }\n" );
+    ( "const bound fails",
+      "long buf[8];\n\
+       long main(void) { long i; long j; i = 1 + 2; j = 4 + 5; buf[i] = 4; return buf[i] + \
+       buf[j]; }\n" );
+    ( "switch block sets",
+      "long main(void) { long s; long k; int i; s = 0; for (i = 0; i < 6; i++) { s = s + i; k \
+       = s * 2; switch (i) { case 1: s = s + 10; break; case 3: s = k - 1; break; default: s \
+       = s + 1; } } return s; }\n" );
   ]
 
 let test_fused_paths () =
@@ -360,6 +384,83 @@ let test_fusion_engages () =
       Alcotest.(check bool) "self-loop spin formed" true (count "fuse:block-loop" > 0);
       Alcotest.(check bool) "terminator copied onto back edge" true (count "peep:term-copy" > 0);
       Vm.Compile.reset_opt_stats ())
+
+(* Compile [src] with the optimizer on, run [main] on the compiled
+   engine, and return the result with the compile-time site counts. *)
+let opt_run src =
+  let saved = Vm.Compile.opt_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Vm.Compile.set_opt saved;
+      Vm.Compile.reset_opt_stats ())
+    (fun () ->
+      Vm.Compile.set_opt true;
+      Vm.Compile.reset_opt_stats ();
+      let t =
+        Vm.Builtins.boot ~engine:Vm.Interp.Compiled
+          (Kc.Typecheck.check_sources [ ("opt.kc", src) ])
+      in
+      let r = Vm.Interp.run t "main" [] in
+      (r, Vm.Compile.opt_stats ()))
+
+let site stats name = match List.assoc_opt name stats with Some n -> n | None -> 0
+
+(* Blocks that do not fuse whole still run their described
+   instructions as micro-ops, one closure each. *)
+let test_uop_path_engages () =
+  List.iter
+    (fun name ->
+      let _, stats = opt_run (List.assoc name fused_cases) in
+      Alcotest.(check bool) (name ^ ": standalone uops emitted") true (site stats "spec:uop" > 0))
+    [ "call beside uops"; "switch block sets" ]
+
+(* A block that starts a whole-block fusion attempt and abandons it
+   (here: it holds a call) reuses the attempt's descriptors, so each
+   specialized address is compiled and counted once: [buf[i]] and
+   [buf[3]] are two sites. *)
+let test_sites_counted_once () =
+  let r, stats =
+    opt_run
+      "long buf[8];\n\
+       long f(long x) { return x; }\n\
+       long main(void) { int i; i = 3; buf[i] = 5; f(1); return buf[3]; }\n"
+  in
+  Alcotest.(check int64) "result" 5L r;
+  Alcotest.(check int) "spec:addr sites" 2 (site stats "spec:addr")
+
+(* The optimizer must not read the opcode profile: compiling a fresh
+   E2 program after a profiled fuzz campaign (profile left in place)
+   yields the same site counts as before it. *)
+let e2_opt_stats () =
+  Vm.Compile.reset_opt_stats ();
+  let p = Kernel.Workloads.load ~fresh:true () in
+  ignore (Deputy.Dreport.deputize ~optimize:true p);
+  let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled p in
+  ignore (Vm.Interp.run t Kernel.Corpus.boot_entry []);
+  List.iter
+    (fun (row : Kernel.Workloads.row) -> ignore (Vm.Interp.run t row.Kernel.Workloads.entry [ 3L ]))
+    Kernel.Workloads.table1;
+  Vm.Compile.opt_stats ()
+
+let test_compile_ignores_profile () =
+  let saved = Vm.Compile.opt_enabled () in
+  Vm.Compile.reset_profile ();
+  Fun.protect
+    ~finally:(fun () ->
+      Vm.Compile.set_profiling false;
+      Vm.Compile.reset_profile ();
+      Vm.Compile.set_opt saved;
+      Vm.Compile.reset_opt_stats ())
+    (fun () ->
+      Vm.Compile.set_opt true;
+      let before = e2_opt_stats () in
+      Vm.Compile.set_profiling true;
+      ignore (Gen.Fuzz.run ~jobs:1 ~seed:5 ~count:6 ());
+      Vm.Compile.set_profiling false;
+      Alcotest.(check bool) "profile collected" true (Vm.Compile.profile_table () <> []);
+      let after = e2_opt_stats () in
+      Alcotest.(check bool) "E2 compiled with the optimizer" true (site before "fuse:block" > 0);
+      Alcotest.(check (list (pair string int))) "site counts unchanged" before after)
 
 (* ---- optimizer toggle after compile ------------------------------- *)
 
@@ -438,6 +539,9 @@ let () =
           Alcotest.test_case "fused paths" `Quick test_fused_paths;
           Alcotest.test_case "fusion engages" `Quick test_fusion_engages;
           Alcotest.test_case "toggle recompiles" `Quick test_opt_toggle_recompiles;
+          Alcotest.test_case "standalone uops engage" `Quick test_uop_path_engages;
+          Alcotest.test_case "sites counted once" `Quick test_sites_counted_once;
+          Alcotest.test_case "compile ignores profile" `Quick test_compile_ignores_profile;
         ] );
       ( "campaign",
         [ Alcotest.test_case "serial summary byte-identical" `Quick test_fuzz_golden ] );
