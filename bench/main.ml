@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation, then measures this implementation itself with
-   bechamel (one Test.make per table/experiment).
+   bechamel (pipeline stages and experiment drivers).
 
    Run with:  dune exec bench/main.exe
 
@@ -89,48 +89,6 @@ let regenerate () =
   print_string (Ivy.Report_fmt.render_x3 (Ivy.Experiment.x3_errcheck_and_db ()));
   section "X4: user/kernel pointers (extension)";
   print_string (Ivy.Report_fmt.render_x4 (Ivy.Experiment.x4_userck ()))
-
-(* ------------------------------------------------------------------ *)
-(* Part 1b: unified engine vs six independent analysis runs           *)
-(* ------------------------------------------------------------------ *)
-
-(* The point of lib/engine: running every analysis over one shared
-   context builds the call graph / points-to once per mode, where the
-   six standalone subcommands each rebuilt them from scratch. Both
-   sides get best-of-N wall-clock to damp host noise. *)
-let bench_unified () =
-  section "ENGINE: one-pass check vs six independent runs";
-  let prog = Kernel.Workloads.load () in
-  let iters = 5 in
-  let independent =
-    best_of iters (fun () ->
-        (* What `ivy blockstop && ivy locksafe && ... && ivy annotdb`
-           paid before the engine: each analysis rebuilds its own
-           whole-program artifacts. *)
-        ignore (Blockstop.Breport.analyze prog);
-        ignore (Locksafe.analyze prog);
-        ignore (Stackcheck.analyze prog);
-        ignore (Errcheck.analyze prog);
-        ignore (Userck.analyze prog);
-        ignore (Annotdb.populate prog))
-  in
-  let shared_ctxt = ref None in
-  let shared =
-    best_of iters (fun () ->
-        (* `ivy check` + annotdb population over one context. *)
-        let ctxt = Engine.Context.create prog in
-        ignore (Ivy.Checks.run_all ctxt);
-        ignore (Annotdb.populate_ctxt ctxt);
-        shared_ctxt := Some ctxt)
-  in
-  Printf.printf "six independent runs:   %8.2f ms\n" (independent *. 1e3);
-  Printf.printf "one shared context:     %8.2f ms\n" (shared *. 1e3);
-  Printf.printf "speedup:                %8.2fx (shared wins: %b)\n"
-    (independent /. shared) (shared < independent);
-  record ~scenario:"engine-unified" ~wall:shared ~speedup:(independent /. shared);
-  match !shared_ctxt with
-  | Some ctxt -> Format.printf "%a" Engine.Context.pp_stats ctxt
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Part 1c: absint discharge on the deputized VM                      *)
@@ -684,8 +642,9 @@ let vm_gate () =
 open Bechamel
 open Toolkit
 
-(* One Test.make per table/experiment of the paper, plus the pipeline
-   stages a downstream user would care about. *)
+(* The pipeline stages a downstream user would care about (the
+   analyses as `ivy check` runs them, over one shared context), plus
+   paper experiment drivers and one fuzz case. *)
 let tests () =
   let sources = Kernel.Workloads.sources () in
   let parsed = Kernel.Workloads.load () in
@@ -706,10 +665,6 @@ let tests () =
       (Staged.stage (fun () ->
            let p = Kernel.Corpus.load () in
            ignore (Ccount.Rc_instrument.instrument_program p)));
-    Test.make ~name:"blockstop:analyze"
-      (Staged.stage (fun () ->
-           let p = Kernel.Corpus.load () in
-           ignore (Blockstop.Breport.analyze p)));
     Test.make ~name:"vm:boot"
       (Staged.stage (fun () -> ignore (Ivy.Pipeline.booted Ivy.Pipeline.Base)));
     (* One per table / experiment. *)
@@ -726,10 +681,6 @@ let tests () =
            ignore (Ivy.Pipeline.free_census r)));
     Test.make ~name:"e4:blockstop experiment"
       (Staged.stage (fun () -> ignore (Ivy.Experiment.e4_blockstop ())));
-    Test.make ~name:"x1:locksafe" (Staged.stage (fun () -> ignore (Locksafe.analyze parsed)));
-    Test.make ~name:"x2:stackcheck" (Staged.stage (fun () -> ignore (Stackcheck.analyze parsed)));
-    Test.make ~name:"x3:errcheck" (Staged.stage (fun () -> ignore (Errcheck.analyze parsed)));
-    Test.make ~name:"x4:userck" (Staged.stage (fun () -> ignore (Userck.analyze parsed)));
     Test.make ~name:"engine:check (all, shared ctxt)"
       (Staged.stage (fun () ->
            let ctxt = Engine.Context.create parsed in
@@ -793,7 +744,6 @@ let () =
   | "--serve" :: _ -> bench_serve ()
   | _ ->
       regenerate ();
-      bench_unified ();
       bench_absint ();
       bench_vm_compile () |> ignore;
       bench_refsafe () |> ignore;

@@ -4,16 +4,19 @@
 
      ivy boot [--mode MODE]        boot the kernel on the VM
      ivy run ENTRY [--iters N]     run a workload entry point
-     ivy check [--only a,b]        all analyses over one shared context
+     ivy check [--only a,b]        registered analyses over one shared context
+     ivy NAME                      = ivy check --only NAME, one per registered
+                                   analysis (blockstop, locksafe, stackcheck,
+                                   errcheck, userck, absint, refsafe)
      ivy serve [--watch DIR]       incremental analysis daemon (JSON-RPC)
      ivy rpc METHOD [FILE...]      talk to a running daemon
      ivy deputy [FILE...]          Deputy census (and static errors)
      ivy ccount [--profile P]      CCount free census after light use
-     ivy blockstop [--guards]      BlockStop warnings
-     ivy locksafe|stackcheck|errcheck
+     ivy infer [FILE...]           Deputy annotation suggestions
      ivy annotdb [-o FILE]         populate and dump the fact database
+     ivy fuzz [--count K]          differential soundness fuzzing
      ivy corpus [--erase]          corpus stats, or erased source
-     ivy experiments [all|t1|e1|e2|e3|e4|e5|x1|x2|x3]
+     ivy experiments [all|t1|e1|e2|e3|e4|e5|a1|x1|x2|x3|x4]
 *)
 
 open Cmdliner
@@ -146,24 +149,11 @@ let run_cmd =
 (* ---- deputy ---- *)
 
 let deputy_cmd =
-  let absint_t =
-    Arg.(
-      value & flag
-      & info [ "absint" ]
-          ~doc:
-            "Also run the abstract-interpretation discharge stage on the result (the \
-             interval-zone product domain by default; set IVY_ABSINT_DOMAIN=interval for the \
-             interval-only ablation).")
-  in
-  let run files absint =
+  let run files =
     handle_frontend_errors (fun () ->
         let prog = load_files files ~fixed_frees:true in
         let report = Deputy.Dreport.deputize prog in
         Format.printf "%a@." Deputy.Dreport.pp report;
-        if absint then begin
-          let stats = Absint.Discharge.run prog in
-          print_string (Absint.Discharge.render_stats stats)
-        end;
         List.iter
           (fun (msg, loc) -> Printf.printf "static error: %s at %s\n" msg (Kc.Loc.to_string loc))
           report.Deputy.Dreport.static_errors;
@@ -171,7 +161,7 @@ let deputy_cmd =
   in
   Cmd.v
     (Cmd.info "deputy" ~doc:"Type/memory-safety conversion census (paper §2.1).")
-    Term.(const run $ files_t $ absint_t)
+    Term.(const run $ files_t)
 
 (* ---- ccount ---- *)
 
@@ -217,92 +207,6 @@ let ccount_cmd =
     (Cmd.info "ccount" ~doc:"Refcounted free checking after boot + light use (paper §2.2).")
     Term.(const run $ profile_t $ unfixed_t $ refsafe_t $ stats_t)
 
-(* ---- blockstop ---- *)
-
-let blockstop_cmd =
-  let guards_t =
-    Arg.(value & flag & info [ "guards" ] ~doc:"Apply the manual runtime-check guard list.")
-  in
-  let field_t =
-    Arg.(value & flag & info [ "field-sensitive" ] ~doc:"Use field-sensitive points-to.")
-  in
-  let run files guards field =
-    handle_frontend_errors (fun () ->
-        let prog = load_files files ~fixed_frees:true in
-        let mode =
-          if field then Blockstop.Pointsto.Field_based else Blockstop.Pointsto.Type_based
-        in
-        let guard = if guards then Kernel.Corpus.blockstop_guards else [] in
-        let r = Blockstop.Breport.analyze ~mode ~guard prog in
-        Format.printf "%a@." Blockstop.Breport.pp r;
-        List.iter
-          (fun (f, c) -> Printf.printf "  warning: %s may block in atomic context of %s\n" c f)
-          (Blockstop.Breport.distinct_warnings r))
-  in
-  Cmd.v
-    (Cmd.info "blockstop" ~doc:"Blocking-in-atomic analysis (paper §2.3).")
-    Term.(const run $ files_t $ guards_t $ field_t)
-
-(* ---- extensions ---- *)
-
-let locksafe_cmd =
-  let run files =
-    handle_frontend_errors (fun () ->
-        let prog = load_files files ~fixed_frees:true in
-        let r = Locksafe.analyze prog in
-        Format.printf "%a@." Locksafe.pp r;
-        List.iter
-          (fun (a, b) -> Printf.printf "  deadlock: %s and %s taken in both orders\n" a b)
-          r.Locksafe.deadlock_cycles;
-        List.iter
-          (fun (l, (a : Locksafe.acquire)) ->
-            Printf.printf "  irq-unsafe: %s taken without irqsave in %s at %s\n" l
-              a.Locksafe.a_in
-              (Kc.Loc.to_string a.Locksafe.a_loc))
-          r.Locksafe.irq_unsafe)
-  in
-  Cmd.v (Cmd.info "locksafe" ~doc:"Lock-order and irq-spinlock analysis (paper §3.1).")
-    Term.(const run $ files_t)
-
-let stackcheck_cmd =
-  let budget_t = Arg.(value & opt int 8192 & info [ "budget" ] ~docv:"BYTES") in
-  let run files budget =
-    handle_frontend_errors (fun () ->
-        let prog = load_files files ~fixed_frees:true in
-        let r = Stackcheck.analyze prog in
-        Format.printf "%a@." Stackcheck.pp r;
-        Printf.printf "  fits %d bytes from start_kernel: %b\n" budget
-          (Stackcheck.fits r ~entry:"start_kernel" ~budget);
-        List.iter
-          (fun f -> Printf.printf "  recursion: %s needs a runtime depth check\n" f)
-          (Stackcheck.needs_runtime_check r))
-  in
-  Cmd.v (Cmd.info "stackcheck" ~doc:"Stack-depth analysis (paper §3.1).")
-    Term.(const run $ files_t $ budget_t)
-
-let errcheck_cmd =
-  let run files =
-    handle_frontend_errors (fun () ->
-        let prog = load_files files ~fixed_frees:true in
-        let r = Errcheck.analyze prog in
-        Format.printf "%a@." Errcheck.pp r;
-        List.iter (fun s -> Format.printf "  %a@." Errcheck.pp_site s) r.Errcheck.violations)
-  in
-  Cmd.v (Cmd.info "errcheck" ~doc:"Error-code checking (paper §3.1).") Term.(const run $ files_t)
-
-let userck_cmd =
-  let run files =
-    handle_frontend_errors (fun () ->
-        let prog = load_files files ~fixed_frees:true in
-        let r = Userck.analyze prog in
-        Format.printf "%a@." Userck.pp r;
-        List.iter (fun v -> Format.printf "  %a@." Userck.pp_violation v) r.Userck.violations;
-        if r.Userck.violations <> [] then exit 1)
-  in
-  Cmd.v
-    (Cmd.info "userck" ~doc:"User/kernel pointer checking (paper §3.1 further examples).")
-    Term.(const run $ files_t)
-
 let infer_cmd =
   let run files =
     handle_frontend_errors (fun () ->
@@ -335,7 +239,7 @@ let annotdb_cmd =
   let run files out mode =
     handle_frontend_errors (fun () ->
         let prog = load_files files ~fixed_frees:true in
-        let db = Annotdb.populate ~mode prog in
+        let db = Annotdb.populate ~mode (Engine.Context.create prog) in
         match out with
         | Some path ->
             Annotdb.save db path;
@@ -348,6 +252,87 @@ let annotdb_cmd =
 
 (* ---- check: every analysis over one shared engine context ---- *)
 
+let json_t = Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.")
+
+let stats_t =
+  Arg.(
+    value & flag
+    & info [ "stats" ] ~doc:"Show engine artifact builds, cache hits and build times.")
+
+(* One program, one context: the selected analyses' report (text, or
+   one JSON line), with absint's per-function discharge table appended
+   under text --stats, plus the context's artifact counters and whether
+   any diagnostic is an error. *)
+let check_program ~only ~jobs ~json ~stats files =
+  let ctxt = Engine.Context.create ~jobs (load_files files ~fixed_frees:true) in
+  let results = Ivy.Checks.run_all ~only ctxt in
+  let absint_ran = List.mem_assoc "absint" results in
+  let report =
+    if json then
+      let deputy = if absint_ran then Some (Engine.Context.deputized ctxt) else None in
+      let ccount =
+        if List.mem_assoc "refsafe" results then Some (Engine.Context.ccount_discharged ctxt)
+        else None
+      in
+      Ivy.Report_fmt.render_diags_json ?deputy ?ccount results
+    else
+      Ivy.Report_fmt.render_diags results
+      ^
+      if stats && absint_ran then
+        Absint.Discharge.render_stats (Engine.Context.deputized ctxt).Engine.Context.dstats
+      else ""
+  in
+  let has_error =
+    List.exists
+      (fun (_, ds) ->
+        List.exists (fun (d : Engine.Diag.t) -> d.Engine.Diag.severity = Engine.Diag.Error) ds)
+      results
+  in
+  (report, Engine.Context.stats ctxt, has_error)
+
+(* [ivy check] and every per-analysis subcommand. Exits 1 when any
+   report holds an error-severity diagnostic. *)
+let run_check ~only files jobs json stats =
+  handle_frontend_errors (fun () ->
+      (* Validate names before any work so a typo fails the same way
+         in every sharding mode. *)
+      List.iter
+        (fun n ->
+          if Ivy.Checks.find n = None then begin
+            Printf.eprintf "unknown analysis %s (use %s)\n" n
+              (String.concat ", " (List.map Engine.Analysis.name Ivy.Checks.all));
+            exit 1
+          end)
+        only;
+      let per_file =
+        match files with
+        | [] | [ _ ] ->
+            (* One program: --jobs parallelizes inside the context
+               (per-SCC-level absint summary solving). *)
+            [ check_program ~only ~jobs ~json ~stats files ]
+        | _ ->
+            (* Several inputs shard per file: each worker owns one
+               program and one context (contexts memoize in plain
+               Hashtbls, so they are never shared across domains). *)
+            Par.map ~jobs (fun path -> check_program ~only ~jobs:1 ~json ~stats [ path ]) files
+      in
+      let reports = List.map (fun (r, _, _) -> r) per_file in
+      (match files with
+      | _ :: _ :: _ when json ->
+          print_string (Ivy.Report_fmt.render_file_reports_json (List.combine files reports))
+      | _ :: _ :: _ -> List.iter2 (fun path r -> Printf.printf "== %s\n%s" path r) files reports
+      | _ -> List.iter print_string reports);
+      if stats then begin
+        (* Deterministic counts under "artifacts"/"totals" in JSON,
+           wall clock under "timing_s"; several files fold their
+           per-worker counters. *)
+        let merged = Engine.Context.merge_counters (List.map (fun (_, s, _) -> s) per_file) in
+        print_string
+          (if json then Ivy.Report_fmt.render_stats_json merged
+           else Ivy.Report_fmt.render_stat_list merged)
+      end;
+      if List.exists (fun (_, _, err) -> err) per_file then exit 1)
+
 let check_cmd =
   let only_t =
     Arg.(
@@ -356,116 +341,13 @@ let check_cmd =
       & info [ "only" ] ~docv:"NAMES"
           ~doc:"Comma-separated subset of analyses to run (default: all).")
   in
-  let json_t = Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.") in
-  let stats_t =
-    Arg.(
-      value & flag
-      & info [ "stats" ] ~doc:"Show engine artifact builds, cache hits and build times.")
-  in
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
-  let run files only jobs json stats =
-    handle_frontend_errors (fun () ->
-        let only =
-          match only with
-          | None -> []
-          | Some s -> List.filter (fun n -> n <> "") (String.split_on_char ',' s)
-        in
-        (* Validate names before any work so a typo fails the same way
-           in every sharding mode. *)
-        List.iter
-          (fun n ->
-            if Ivy.Checks.find n = None then begin
-              Printf.eprintf "unknown analysis %s (use %s)\n" n
-                (String.concat ", " (List.map Engine.Analysis.name Ivy.Checks.all));
-              exit 1
-            end)
-          only;
-        match files with
-        | ([] | [ _ ]) as files ->
-            (* One program, one context; --jobs parallelizes inside the
-               context (per-SCC-level absint summary solving). *)
-            let prog = load_files files ~fixed_frees:true in
-            let ctxt = Engine.Context.create ~jobs prog in
-            let results = Ivy.Checks.run_all ~only ctxt in
-            let absint_ran = List.mem_assoc "absint" results in
-            let refsafe_ran = List.mem_assoc "refsafe" results in
-            (if json then
-               let deputy = if absint_ran then Some (Engine.Context.deputized ctxt) else None in
-               let ccount =
-                 if refsafe_ran then Some (Engine.Context.ccount_discharged ctxt) else None
-               in
-               print_string (Ivy.Report_fmt.render_diags_json ?deputy ?ccount results)
-             else print_string (Ivy.Report_fmt.render_diags results));
-            if stats then
-              if json then
-                (* A second JSON line: deterministic counts under
-                   "artifacts"/"totals", wall clock under "timing_s" —
-                   golden tests lock the former and ignore the latter. *)
-                print_string (Ivy.Report_fmt.render_stats_json (Engine.Context.stats ctxt))
-              else begin
-                if absint_ran then
-                  print_string
-                    (Absint.Discharge.render_stats
-                       (Engine.Context.deputized ctxt).Engine.Context.dstats);
-                print_string (Ivy.Report_fmt.render_engine_stats ctxt)
-              end
-        | files ->
-            (* Several inputs shard per file: each worker owns one
-               program and one context (contexts memoize in plain
-               Hashtbls, so they are never shared across domains); the
-               merge prints reports in argument order and folds the
-               per-worker counters for --stats. *)
-            let check_one path =
-              let prog = load_files [ path ] ~fixed_frees:true in
-              let ctxt = Engine.Context.create prog in
-              let results = Ivy.Checks.run_all ~only ctxt in
-              let absint_ran = List.mem_assoc "absint" results in
-              let refsafe_ran = List.mem_assoc "refsafe" results in
-              let body =
-                if json then
-                  let deputy =
-                    if absint_ran then Some (Engine.Context.deputized ctxt) else None
-                  in
-                  let ccount =
-                    if refsafe_ran then Some (Engine.Context.ccount_discharged ctxt) else None
-                  in
-                  Ivy.Report_fmt.render_diags_json ?deputy ?ccount results
-                else Ivy.Report_fmt.render_diags results
-              in
-              (path, body, Engine.Context.stats ctxt)
-            in
-            let per_file = Par.map ~jobs check_one files in
-            if json then begin
-              print_string "[";
-              List.iteri
-                (fun i (path, body, _) ->
-                  if i > 0 then print_string ",";
-                  Printf.printf "{\"file\":\"%s\",\"report\":%s}" (json_escape path)
-                    (String.trim body))
-                per_file;
-              print_string "]\n"
-            end
-            else
-              List.iter
-                (fun (path, body, _) -> Printf.printf "== %s\n%s" path body)
-                per_file;
-            if stats then begin
-              let merged =
-                Engine.Context.merge_counters (List.map (fun (_, _, s) -> s) per_file)
-              in
-              if json then print_string (Ivy.Report_fmt.render_stats_json merged)
-              else print_string (Ivy.Report_fmt.render_stat_list merged)
-            end)
+  let run files only =
+    run_check
+      ~only:
+        (match only with
+        | None -> []
+        | Some s -> List.filter (fun n -> n <> "") (String.split_on_char ',' s))
+      files
   in
   Cmd.v
     (Cmd.info "check"
@@ -473,8 +355,24 @@ let check_cmd =
          "Run every registered analysis (blockstop, locksafe, stackcheck, errcheck, userck, \
           absint, refsafe) over one shared whole-program context. With several FILE arguments, each \
           file is analyzed as its own program, sharded across --jobs worker domains; reports \
-          come back in argument order.")
+          come back in argument order. Exits 1 when a report holds an error diagnostic.")
     Term.(const run $ files_t $ only_t $ jobs_t $ json_t $ stats_t)
+
+(* One subcommand per registered analysis: [ivy NAME] is
+   [ivy check --only NAME]. *)
+let analysis_cmds =
+  List.map
+    (fun a ->
+      let name = Engine.Analysis.name a in
+      let run = run_check ~only:[ name ] in
+      Cmd.v
+        (Cmd.info name
+           ~doc:
+             (Printf.sprintf "%s; same as check --only %s."
+                (String.capitalize_ascii (Engine.Analysis.doc a))
+                name))
+        Term.(const run $ files_t $ jobs_t $ json_t $ stats_t))
+    Ivy.Checks.all
 
 (* ---- serve: the incremental analysis daemon + its RPC client ---- *)
 
@@ -760,10 +658,10 @@ let main =
       ~doc:"Sound program analysis for a Linux-like kernel (HotOS'07 reproduction)."
   in
   Cmd.group info
-    [
-      boot_cmd; run_cmd; check_cmd; serve_cmd; rpc_cmd; deputy_cmd; ccount_cmd; blockstop_cmd;
-      locksafe_cmd; stackcheck_cmd; errcheck_cmd; userck_cmd; infer_cmd; annotdb_cmd; fuzz_cmd;
-      corpus_cmd; experiments_cmd;
+    ([
+      boot_cmd; run_cmd; check_cmd; serve_cmd; rpc_cmd; deputy_cmd; ccount_cmd; infer_cmd;
+      annotdb_cmd; fuzz_cmd; corpus_cmd; experiments_cmd;
     ]
+    @ analysis_cmds)
 
 let () = exit (Cmd.eval main)

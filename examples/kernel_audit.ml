@@ -64,7 +64,7 @@ let () =
     ereport.Errcheck.violations;
 
   banner "7. The shared annotation database (paper SS3.2)";
-  let db = Annotdb.populate prog in
+  let db = Annotdb.populate (Engine.Context.create prog) in
   Printf.printf "%d facts; sample:\n" (Annotdb.size db);
   let sample = String.split_on_char '\n' (Annotdb.to_string db) in
   List.iteri (fun i line -> if i < 12 && line <> "" then Printf.printf "  %s\n" line) sample;

@@ -226,9 +226,9 @@ let add_infer_facts (db : t) (prog : I.program) : unit =
 
 (* One-call population: everything we know about a program. All
    whole-program artifacts come from the shared engine context, so a
-   caller already holding one (ivy check, the bench) pays no rebuild;
-   [mode] selects the points-to precision for the blocking facts. *)
-let populate_ctxt ?(mode = Blockstop.Pointsto.Type_based) (ctxt : Engine.Context.t) : t =
+   caller already holding one pays no rebuild; [mode] selects the
+   points-to precision for the blocking facts. *)
+let populate ?(mode = Blockstop.Pointsto.Type_based) (ctxt : Engine.Context.t) : t =
   let prog = Engine.Context.program ctxt in
   let db = create () in
   add_source_annotations db prog;
@@ -239,5 +239,3 @@ let populate_ctxt ?(mode = Blockstop.Pointsto.Type_based) (ctxt : Engine.Context
   add_errcheck_facts db (Errcheck.analyze prog);
   add_infer_facts db prog;
   db
-
-let populate ?mode (prog : I.program) : t = populate_ctxt ?mode (Engine.Context.create prog)

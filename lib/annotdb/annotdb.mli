@@ -60,12 +60,9 @@ val add_errcheck_facts : t -> Errcheck.report -> unit
 (** Deputy's annotation suggestions for unannotated parameters. *)
 val add_infer_facts : t -> Kc.Ir.program -> unit
 
-(** Everything we know about a program, in one call. [mode] selects
-    the points-to precision used for the blocking facts (default
-    type-based, matching BlockStop's reporting default). *)
-val populate : ?mode:Blockstop.Pointsto.mode -> Kc.Ir.program -> t
-
-(** Same, but over a shared engine context: the call graph and
-    blocking summaries come from the context's caches instead of
-    being rebuilt. *)
-val populate_ctxt : ?mode:Blockstop.Pointsto.mode -> Engine.Context.t -> t
+(** Everything we know about the context's program, in one call. The
+    call graph and blocking summaries come from the context's caches,
+    so a caller already holding a context pays no rebuild. [mode]
+    selects the points-to precision used for the blocking facts
+    (default type-based, matching BlockStop's reporting default). *)
+val populate : ?mode:Blockstop.Pointsto.mode -> Engine.Context.t -> t

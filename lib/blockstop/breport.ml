@@ -13,14 +13,11 @@ type report = {
 }
 
 (* Run the whole BlockStop pipeline. [guard] names functions that get
-   the manual runtime check (and are excluded from propagation). When
-   [insert_checks] is set the checks are also compiled into the
-   program so the VM enforces them. A caller already holding a call
-   graph (the engine) passes it via [cg] and pays no rebuild; the
-   report's mode is then the prebuilt graph's points-to mode. *)
-let analyze ?(mode = Pointsto.Type_based) ?cg ?(guard = []) ?(insert_checks = false)
-    (prog : I.program) : report =
-  if insert_checks then ignore (Bcheck.guard_functions prog guard);
+   the manual runtime check (and are excluded from propagation). A
+   caller already holding a call graph (the engine) passes it via [cg]
+   and pays no rebuild; the report's mode is then the prebuilt graph's
+   points-to mode. *)
+let analyze ?(mode = Pointsto.Type_based) ?cg ?(guard = []) (prog : I.program) : report =
   let cg, mode =
     match cg with
     | Some cg -> (cg, cg.Callgraph.pointsto.Pointsto.mode)
@@ -51,9 +48,3 @@ let pp fmt (r : report) =
     mode r.edges r.blocking_functions (List.length r.warnings)
     (List.length (distinct_warnings r))
     (SS.cardinal r.handlers) (SS.cardinal r.guarded)
-
-let pp_warning fmt (w : Atomic.warning) =
-  Format.fprintf fmt "%s: %s -> %s%s [%s]" (Kc.Loc.to_string w.Atomic.w_loc) w.Atomic.w_in
-    w.Atomic.w_callee
-    (match w.Atomic.w_via with Callgraph.Direct -> "" | Callgraph.Via_fptr -> " (via fptr)")
-    (String.concat " -> " w.Atomic.w_witness)

@@ -14,16 +14,14 @@ type report = {
 (** Run the whole pipeline: points-to, call graph, blocking
     propagation, atomic-region analysis. [guard] names functions that
     carry the manual [assert_not_atomic] runtime check (excluded from
-    propagation); with [insert_checks] the checks are also compiled
-    into the program so the VM enforces them. [cg] supplies a prebuilt
-    call graph (e.g. the engine's cached one) so callers holding one
-    don't pay a rebuild; the report's [mode] then comes from the
-    prebuilt graph. *)
+    propagation; {!Bcheck.guard_functions} compiles the checks into
+    the program for the VM). [cg] supplies a prebuilt call graph (e.g.
+    the engine's cached one) so callers holding one don't pay a
+    rebuild; the report's [mode] then comes from the prebuilt graph. *)
 val analyze :
   ?mode:Pointsto.mode ->
   ?cg:Callgraph.t ->
   ?guard:string list ->
-  ?insert_checks:bool ->
   Kc.Ir.program ->
   report
 
@@ -31,4 +29,3 @@ val analyze :
 val distinct_warnings : report -> (string * string) list
 
 val pp : Format.formatter -> report -> unit
-val pp_warning : Format.formatter -> Atomic.warning -> unit

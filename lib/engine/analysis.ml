@@ -2,7 +2,7 @@
    engine: a name (for [--only] selection), a one-line doc string, the
    artifact keys its report depends on, and a run function from the
    shared context to unified diagnostics. Implementations live next to
-   their analyses (Ivy.Checks wraps the six libraries); the engine
+   their analyses (Ivy.Checks wraps the seven checkers); the engine
    itself only defines the contract.
 
    [run] memoizes the sorted diagnostic list as a graph artifact
@@ -14,7 +14,7 @@
 module type S = sig
   val name : string
 
-  (** One line, shown by [ivy check --list]-style output. *)
+  (** One line, shown as the help of the analysis' [ivy NAME] subcommand. *)
   val doc : string
 
   (** Artifact keys the report reads (beyond the program itself):

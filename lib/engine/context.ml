@@ -313,12 +313,3 @@ let prefetch_misses (t : t) : int = Atomic.get t.prefetch_miss
    on the merging side: per-artifact sums, sorted by name. Builds,
    hits and invalidations are deterministic; seconds are wall-clock. *)
 let merge_counters (per_worker : stat list list) : stat list = Graph.merge per_worker
-
-let pp_stats fmt (t : t) =
-  Format.fprintf fmt
-    "engine artifacts (builds / cache hits / invalidations / build seconds):@.";
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "  %-24s built %d  hits %d  inval %d  %.4fs@." s.artifact s.builds
-        s.hits s.invalidations s.seconds)
-    (stats t)

@@ -173,5 +173,3 @@ val prefetch_misses : t -> int
     worker) into one list: per-artifact sums, sorted by artifact name —
     deterministic regardless of worker scheduling. *)
 val merge_counters : stat list list -> stat list
-
-val pp_stats : Format.formatter -> t -> unit

@@ -1,9 +1,11 @@
-(** The engine's analysis registry: the six whole-program checkers
+(** The engine's analysis registry: the seven whole-program checkers
     ([blockstop], [locksafe], [stackcheck], [errcheck], [userck],
-    [absint]) wrapped as {!Engine.Analysis.S} implementations that
-    share one {!Engine.Context.t} — the call graph, points-to facts
-    and interval summaries are built once for the whole batch — and
-    report unified {!Engine.Diag.t} diagnostics. *)
+    [absint], [refsafe]) wrapped as {!Engine.Analysis.S}
+    implementations that share one {!Engine.Context.t} — the call
+    graph, points-to facts and interval summaries are built once for
+    the whole batch — and report unified {!Engine.Diag.t} diagnostics.
+    [ivy check] and every per-analysis subcommand run through this
+    registry. *)
 
 val blockstop : Engine.Analysis.t
 val locksafe : Engine.Analysis.t
@@ -16,7 +18,9 @@ val userck : Engine.Analysis.t
     fixpoint iterations and widening points). *)
 val absint : Engine.Analysis.t
 
-(** Registration order (also the default run order). *)
+(** Registration order (also the default run order): the values above,
+    then [refsafe] (refcount-ownership findings plus the CCount
+    discharge census), reachable through {!find}. *)
 val all : Engine.Analysis.t list
 
 val find : string -> Engine.Analysis.t option

@@ -308,7 +308,7 @@ type x3 = { errors : Errcheck.report; db : Annotdb.t }
 
 let x3_errcheck_and_db () : x3 =
   let prog = Kernel.Corpus.load () in
-  { errors = Errcheck.analyze prog; db = Annotdb.populate prog }
+  { errors = Errcheck.analyze prog; db = Annotdb.populate (Engine.Context.create prog) }
 
 type x4 = {
   corpus_userck : Userck.report; (* clean *)

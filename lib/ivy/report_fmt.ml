@@ -281,6 +281,18 @@ let render_diags_json ?deputy ?ccount (results : (string * Engine.Diag.t list) l
     (Engine.Diag.list_to_json (List.concat_map snd results))
     deputy_json ccount_json
 
+(* The multi-file JSON envelope: one {"file", "report"} object per
+   input, in argument order, each report spliced from its already
+   rendered [render_diags_json] line. *)
+let render_file_reports_json (reports : (string * string) list) : string =
+  Jsonx.render
+    (Jsonx.List
+       (List.map
+          (fun (path, report) ->
+            Jsonx.Obj [ ("file", Jsonx.Str path); ("report", Jsonx.Raw (String.trim report)) ])
+          reports))
+  ^ "\n"
+
 let render_stat_list (stats : Engine.Context.stat list) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -293,9 +305,6 @@ let render_stat_list (stats : Engine.Context.stat list) : string =
            s.Engine.Context.seconds))
     stats;
   Buffer.contents buf
-
-let render_engine_stats (ctxt : Engine.Context.t) : string =
-  render_stat_list (Engine.Context.stats ctxt)
 
 (* Stats as JSON, deterministic counts separated from wall-clock
    timing: golden tests (and the CI serve smoke job) lock the

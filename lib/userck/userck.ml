@@ -198,12 +198,3 @@ let kind_to_string = function
   | Deref -> "dereference of __user pointer"
   | User_to_kernel -> "__user pointer flows into kernel slot"
   | Kernel_to_user -> "kernel pointer flows into __user slot"
-
-let pp fmt (r : report) =
-  Format.fprintf fmt
-    "userck: %d __user parameters, %d derefs and %d pointer flows checked, %d violations"
-    r.user_params r.derefs_checked r.flows_checked (List.length r.violations)
-
-let pp_violation fmt (v : violation) =
-  Format.fprintf fmt "%s: in %s: %s (%s)" (Kc.Loc.to_string v.v_loc) v.v_fn
-    (kind_to_string v.v_kind) v.v_what

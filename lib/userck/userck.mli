@@ -22,5 +22,3 @@ type report = {
 val is_user_ty : Kc.Ir.ty -> bool
 val analyze : Kc.Ir.program -> report
 val kind_to_string : kind -> string
-val pp : Format.formatter -> report -> unit
-val pp_violation : Format.formatter -> violation -> unit

@@ -93,6 +93,32 @@ let test_json_escaping () =
     "{\"analysis\":\"errcheck\",\"severity\":\"warning\",\"file\":\"a\\\"b.kc\",\"line\":3,\"col\":1,\"message\":\"say \\\"hi\\\"\\n\",\"fix_hint\":null}"
     (Engine.Diag.to_json d)
 
+let test_multi_file_envelope () =
+  (* `ivy check --json a.kc b.kc`: one {"file","report"} object per
+     input in argument order; a control character in a path must still
+     yield valid JSON *)
+  let module J = Ivy.Jsonx in
+  let paths = [ "dir/tab\there.kc"; "a.kc" ] in
+  let reports = [ render fixture; render "int f(void) { return 0; }\n" ] in
+  let out = Ivy.Report_fmt.render_file_reports_json (List.combine paths reports) in
+  Alcotest.(check bool) "one line" true
+    (String.index_opt out '\n' = Some (String.length out - 1));
+  (* Jsonx.parse tolerates raw control characters; RFC 8259 does not *)
+  Alcotest.(check bool) "no unescaped control character" true
+    (String.for_all (fun c -> Char.code c >= 0x20) (String.trim out));
+  match J.parse out with
+  | J.List entries ->
+      Alcotest.(check (list string)) "files in argument order" paths
+        (List.map
+           (fun e -> Option.value ~default:"" (Option.bind (J.member "file" e) J.to_string_opt))
+           entries);
+      Alcotest.(check (list string)) "reports spliced verbatim"
+        (List.map String.trim reports)
+        (List.map
+           (fun e -> Option.fold ~none:"" ~some:J.render (J.member "report" e))
+           entries)
+  | _ -> Alcotest.fail "envelope is not a JSON array"
+
 let () =
   Alcotest.run "check-json"
     [
@@ -101,5 +127,6 @@ let () =
           Alcotest.test_case "full fixture" `Quick test_schema_golden;
           Alcotest.test_case "quiet program shape" `Quick test_quiet_program_shape;
           Alcotest.test_case "escaping and field order" `Quick test_json_escaping;
+          Alcotest.test_case "multi-file envelope" `Quick test_multi_file_envelope;
         ] );
     ]

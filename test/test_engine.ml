@@ -112,7 +112,7 @@ let test_run_all_builds_once_per_mode () =
       "pointsto(field-based)"; "blocking(type-based)"; "irq-handlers";
     ];
   (* annotdb population over the same context adds hits, not builds *)
-  ignore (Annotdb.populate_ctxt ctxt);
+  ignore (Annotdb.populate ctxt);
   List.iter
     (fun name ->
       Alcotest.(check int) (name ^ " still built once") 1

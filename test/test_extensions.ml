@@ -364,7 +364,7 @@ let test_db_save_load () =
 
 let test_db_populate_corpus () =
   let prog = Kernel.Corpus.load () in
-  let db = Annotdb.populate prog in
+  let db = Annotdb.populate (Engine.Context.create prog) in
   Alcotest.(check bool) "substantial database" true (Annotdb.size db > 150);
   let blocking = Annotdb.by_kind db "blocking" in
   Alcotest.(check bool) "blocking facts inferred" true (List.length blocking > 20);

@@ -39,8 +39,11 @@ let modes =
     ("base", Ivy.Pipeline.Base);
     ("deputy", Ivy.Pipeline.Deputy);
     ("deputy-unopt", Ivy.Pipeline.Deputy_unoptimized);
+    ("deputy-absint", Ivy.Pipeline.Deputy_absint);
     ("ccount-up", Ivy.Pipeline.Ccount Vm.Cost.Up);
     ("ccount-smp", Ivy.Pipeline.Ccount Vm.Cost.Smp_p4);
+    ("ccount-refsafe-up", Ivy.Pipeline.Ccount_refsafe Vm.Cost.Up);
+    ("ccount-refsafe-smp", Ivy.Pipeline.Ccount_refsafe Vm.Cost.Smp_p4);
     ("blockstop-guarded", Ivy.Pipeline.Blockstop_guarded);
   ]
 
