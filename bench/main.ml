@@ -428,6 +428,52 @@ let absint_gate () =
   end
   else Printf.printf "OK\n"
 
+(* --absint-wall: CI fence on what the relational layer costs. Times
+   [Discharge.run] on the deputized corpus+workloads unit under the
+   product domain and under interval-only, alternating the two, and
+   fails when the median product time exceeds the checked-in ceiling
+   times the median interval-only time. The ratio, not a wall time, is
+   fenced: both arms share the host, so it travels between machines. *)
+let absint_wall_ceiling_file = "bench/absint_wall_ceiling.txt"
+
+let absint_wall_runs = 7
+
+let absint_wall () =
+  let ceiling = read_floor absint_wall_ceiling_file in
+  let base = Kernel.Workloads.load ~fresh:true () in
+  let time_run domain =
+    let prog = Kc.Ir.copy_program base in
+    ignore (Deputy.Dreport.deputize ~optimize:true prog);
+    Gc.full_major ();
+    let t0 = Monotonic_clock.now () in
+    ignore (Absint.Domain.with_domain domain (fun () -> Absint.Discharge.run prog));
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let runs =
+    List.init absint_wall_runs (fun _ ->
+        let p = time_run Absint.Domain.Product in
+        (p, time_run Absint.Domain.Interval_only))
+  in
+  let product = median (List.map fst runs) and interval = median (List.map snd runs) in
+  let ratio = product /. interval in
+  Printf.printf
+    "absint wall: product %.1f ms, interval-only %.1f ms (median of %d), ratio %.2fx, ceiling \
+     %.2fx\n"
+    (product *. 1e3) (interval *. 1e3) absint_wall_runs ratio ceiling;
+  (* the speedup column carries the cost ratio here, as absint-gate's
+     carries a rate *)
+  record ~scenario:"absint-wall" ~wall:product ~speedup:ratio;
+  if ratio > ceiling then begin
+    Printf.printf "FAIL: the product domain's cost over interval-only rose above the ceiling\n";
+    exit 1
+  end
+  else Printf.printf "OK\n"
+
 let refsafe_gate () =
   let floor = read_floor refsafe_floor_file in
   let removed = bench_refsafe () in
@@ -726,12 +772,14 @@ let () =
   let args = List.filter (fun a -> a <> "--json") args in
   (match args with
   | "--absint-gate" :: _ -> absint_gate ()
+  | "--absint-wall" :: _ -> absint_wall ()
   | "--vm-gate" :: _ -> vm_gate ()
   | "--refsafe-gate" :: _ -> refsafe_gate ()
   | "--gates" :: _ ->
       (* every CI regression fence in one process, so --json collects
          all the headline scenarios into a single BENCH_pr9.json *)
       absint_gate ();
+      absint_wall ();
       vm_gate ();
       ignore (bench_vm_super ());
       refsafe_gate ();

@@ -18,18 +18,24 @@ val cardinal : t -> int
 val vars : t -> int list
 (** Every variable id mentioned by some constraint, sorted. *)
 
+val union_vars : t -> t -> int list
+(** Every variable id mentioned by either matrix, sorted. *)
+
 val add : int -> int -> int64 -> t -> t option
 (** [add x y c t]: record [x - y <= c], propagating one step through
     existing paths (incremental closure — complete when [t] is closed,
     sound otherwise). [None] when the constraint system becomes
     infeasible (negative cycle). *)
 
-val close : t -> t option
-(** Full shortest-path closure; [None] on a negative cycle. *)
-
-val close_over : int list -> t -> t option
-(** Closure over an explicit universe (may include variables without
-    constraints yet, e.g. query endpoints). *)
+val close_over : ?adding:(int * int * int64) list -> int list -> t -> t option
+(** [close_over ~adding vs t]: {!add} each [(x, y, c)] of [adding] in
+    order, then close over the explicit universe [vs] (which may
+    include variables without constraints yet, e.g. query endpoints,
+    and must not repeat one). Entries with an endpoint outside [vs]
+    pass through unchanged; with a non-empty [adding], every variable
+    of [t] and of [adding] must be in [vs] ([Invalid_argument]
+    otherwise). The result equals folding {!add} and then closing, and
+    is computed in place on a dense matrix. *)
 
 val join : t -> t -> t
 (** Pointwise max over common keys. Precise when both sides are

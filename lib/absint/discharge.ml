@@ -46,23 +46,27 @@ let count_checks (b : I.block) : int =
    fixpoint through each node's instruction list, tagged with which
    component of the product proved them ({!Transfer.provable_why}
    tries the interval rule first, so [P_relational] counts only
-   zone-exclusive proofs). *)
+   zone-exclusive proofs). A node without a check has nothing to
+   prove, so its replay is skipped. *)
 let provable_checks ~ifaces ~summaries (r : Solver.fresult) :
     (I.instr * Transfer.proof) list =
   let removable = ref [] in
+  let is_check (i, _loc) = match i with I.Icheck _ -> true | _ -> false in
   Array.iter
     (fun (node : Cfg.node) ->
-      let env = ref r.Solver.before.(node.Cfg.nid) in
-      List.iter
-        (fun (i, _loc) ->
-          (match i with
-          | I.Icheck (ck, _) -> (
-              match Transfer.provable_why !env ck with
-              | Some p -> removable := (i, p) :: !removable
-              | None -> ())
-          | _ -> ());
-          env := Transfer.instr ~ifaces summaries !env i)
-        node.Cfg.instrs)
+      if List.exists is_check node.Cfg.instrs then begin
+        let env = ref r.Solver.before.(node.Cfg.nid) in
+        List.iter
+          (fun (i, _loc) ->
+            (match i with
+            | I.Icheck (ck, _) -> (
+                match Transfer.provable_why !env ck with
+                | Some p -> removable := (i, p) :: !removable
+                | None -> ())
+            | _ -> ());
+            env := Transfer.instr ~ifaces summaries !env i)
+          node.Cfg.instrs
+      end)
     r.Solver.cfg.Cfg.nodes;
   !removable
 
@@ -91,28 +95,42 @@ and filter_stmt removable (s : I.stmt) : I.stmt option =
   | I.Sdelayed b1 -> Some { s with I.sk = I.Sdelayed (filter_block removable b1) }
   | I.Strusted b1 -> Some { s with I.sk = I.Strusted (filter_block removable b1) }
 
+(* A function with no residual check has nothing to discharge: no
+   fixpoint runs, and its iteration and widening counts stay 0. *)
 let discharge_fundec ?(ifaces = Transfer.no_ifaces) ~summaries (fd : I.fundec) : fstat =
   let seen = count_checks fd.I.fbody in
-  let r = Solver.analyze ~summaries ~ifaces fd in
-  let tagged = provable_checks ~ifaces ~summaries r in
-  let removable = List.map fst tagged in
-  if removable <> [] then fd.I.fbody <- filter_block removable fd.I.fbody;
-  let count p = List.length (List.filter (fun (_, q) -> q = p) tagged) in
-  {
-    fname = fd.I.fname;
-    seen;
-    proved = List.length removable;
-    proved_iv = count Transfer.P_interval;
-    proved_rel = count Transfer.P_relational;
-    iterations = r.Solver.iterations;
-    widen_points = r.Solver.widen_points;
-  }
+  if seen = 0 then
+    { fname = fd.I.fname; seen; proved = 0; proved_iv = 0; proved_rel = 0; iterations = 0;
+      widen_points = 0 }
+  else
+    let r = Solver.analyze ~summaries ~ifaces fd in
+    let tagged = provable_checks ~ifaces ~summaries r in
+    let removable = List.map fst tagged in
+    if removable <> [] then fd.I.fbody <- filter_block removable fd.I.fbody;
+    let count p = List.length (List.filter (fun (_, q) -> q = p) tagged) in
+    {
+      fname = fd.I.fname;
+      seen;
+      proved = List.length removable;
+      proved_iv = count Transfer.P_interval;
+      proved_rel = count Transfer.P_relational;
+      iterations = r.Solver.iterations;
+      widen_points = r.Solver.widen_points;
+    }
+
+(* The defined functions that still hold a check: the only ones whose
+   fixpoint runs, hence the roots of the summaries discharge reads. *)
+let residual_roots (prog : I.program) : string list =
+  List.filter_map
+    (fun fd -> if (not fd.I.fextern) && count_checks fd.I.fbody > 0 then Some fd.I.fname else None)
+    prog.I.funcs
 
 (* Discharge over every defined function of an (already deputized and
    Facts-optimized) program, in place.  Under the product domain
    (default, see {!Domain}) the relational interface summaries are
    computed first and feed both the interval summaries and the
-   per-function fixpoints. *)
+   per-function fixpoints; the interval summaries are demanded only
+   from the functions holding a residual check. *)
 let run ?summaries ?ifaces (prog : I.program) : stats =
   let ifaces =
     match ifaces with
@@ -120,7 +138,9 @@ let run ?summaries ?ifaces (prog : I.program) : stats =
     | None -> if Domain.relational () then Relsum.compute prog else Transfer.no_ifaces
   in
   let summaries =
-    match summaries with Some s -> s | None -> Summary.compute ~ifaces prog
+    match summaries with
+    | Some s -> s
+    | None -> Summary.compute ~ifaces ~roots:(residual_roots prog) prog
   in
   {
     fstats =
@@ -135,9 +155,11 @@ let render_stats (stats : stats) : string =
     (Printf.sprintf "%-24s %8s %8s %8s %8s\n" "function" "checks" "proved" "iters" "widen");
   List.iter
     (fun s ->
+      (* no residual check, no fixpoint: nothing to count *)
+      let fix n = if s.seen = 0 then "-" else string_of_int n in
       Buffer.add_string buf
-        (Printf.sprintf "%-24s %8d %8d %8d %8d\n" s.fname s.seen s.proved s.iterations
-           s.widen_points))
+        (Printf.sprintf "%-24s %8d %8d %8s %8s\n" s.fname s.seen s.proved (fix s.iterations)
+           (fix s.widen_points)))
     stats.fstats;
   Buffer.add_string buf
     (Printf.sprintf

@@ -9,8 +9,8 @@ type fstat = {
   proved : int;  (** ... removed by the product domain *)
   proved_iv : int;  (** ... by the interval component alone *)
   proved_rel : int;  (** ... only with the zone's relational facts *)
-  iterations : int;
-  widen_points : int;
+  iterations : int;  (** fixpoint iterations; 0 when [seen = 0] (no fixpoint runs) *)
+  widen_points : int;  (** 0 when [seen = 0] *)
 }
 
 type stats = { fstats : fstat list }
@@ -30,10 +30,20 @@ val rate : stats -> float
 val discharge_fundec :
   ?ifaces:Transfer.ifaces -> summaries:Transfer.summaries -> Kc.Ir.fundec -> fstat
 
+val residual_roots : Kc.Ir.program -> string list
+(** The defined functions that hold at least one check, in program
+    order: the only functions {!discharge_fundec} runs a fixpoint on,
+    so the [~roots] of the summaries it needs ({!Summary.compute}). *)
+
 val run : ?summaries:Transfer.summaries -> ?ifaces:Transfer.ifaces -> Kc.Ir.program -> stats
 (** Under the product domain (the default, see {!Domain}) relational
     interface summaries are computed first ({!Relsum.compute}) and
     feed both the interval summaries and every per-function fixpoint;
-    [IVY_ABSINT_DOMAIN=interval] reverts to the interval-only stage. *)
+    [IVY_ABSINT_DOMAIN=interval] reverts to the interval-only stage.
+    Without [summaries], only those of {!residual_roots} and their
+    direct callees are computed. A given [summaries] must cover at
+    least those. *)
 
 val render_stats : stats -> string
+(** The per-function table; functions with no residual check show [-]
+    for iterations and widening points. *)

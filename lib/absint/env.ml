@@ -49,10 +49,8 @@ let join a b =
          interval (the variable may have left its zone through a kill)
          must be materialized on both sides to survive the pointwise
          key-intersecting zone join. *)
-      match
-        ( Zone.close_seeded ~over:(Zone.vars z2) (seeds_of m1) z1,
-          Zone.close_seeded ~over:(Zone.vars z1) (seeds_of m2) z2 )
-      with
+      let vs = Zone.union_vars z1 z2 in
+      match (Zone.close_seeded_in vs (seeds_of m1) z1, Zone.close_seeded_in vs (seeds_of m2) z2) with
       | None, None -> Unreachable
       | None, Some z2 -> Env (m2, z2)
       | Some z1, None -> Env (m1, z1)
@@ -62,7 +60,7 @@ let widen a b =
   match (a, b) with
   | Unreachable, x | x, Unreachable -> x
   | Env (m1, z1), Env (m2, z2) -> (
-      match Zone.close_seeded ~over:(Zone.vars z1) (seeds_of m2) z2 with
+      match Zone.close_seeded_in (Zone.union_vars z1 z2) (seeds_of m2) z2 with
       | None -> a (* next side infeasible: nothing to widen against *)
       | Some z2 -> Env (merge_common Aval.widen m1 m2, Zone.widen z1 z2))
 
@@ -108,16 +106,17 @@ let close = function
 (* Read derived unary zone bounds back into the interval component
    (the second reduction direction). Only bound variables are
    tightened: inventing bindings for unbound vars would make the env
-   compare unequal without adding usable information. *)
+   compare unequal without adding usable information. Only bindings
+   that change are rebuilt. *)
 let tighten_from_zone = function
   | Unreachable -> Unreachable
   | Env (m, z) ->
       let infeasible = ref false in
       let m' =
-        IntMap.mapi
-          (fun vid (a : Aval.t) ->
+        IntMap.fold
+          (fun vid (a : Aval.t) acc ->
             match Zone.bounds_of vid z with
-            | None, None -> a
+            | None, None -> acc
             | lo, hi ->
                 let cut = a.Aval.iv in
                 let cut =
@@ -132,7 +131,7 @@ let tighten_from_zone = function
                 in
                 let a' = Aval.reduce { a with Aval.iv = cut } in
                 if Aval.is_bot a' then infeasible := true;
-                a')
-          m
+                if Aval.equal a' a then acc else IntMap.add vid a' acc)
+          m m
       in
       if !infeasible then Unreachable else Env (m', z)

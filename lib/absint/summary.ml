@@ -102,11 +102,35 @@ let solve_one ?(ifaces = Transfer.no_ifaces) ~summaries ~cfg_of (fd : I.fundec) 
   let ret = Solver.return_aval fd r in
   if Aval.is_bot ret then Transfer.of_ty fd.I.fret else ret
 
+(* The defined functions reachable from [roots] through one or more
+   direct calls, in program order: the summaries the fixpoints of
+   [roots] read. A root is in only when some demanded function (or
+   root) calls it. *)
+let demanded (defined : I.fundec list) (roots : string list) : I.fundec list =
+  let by_name = Hashtbl.create 64 in
+  List.iter (fun fd -> Hashtbl.replace by_name fd.I.fname fd) defined;
+  let seen = Hashtbl.create 64 in
+  let rec visit name =
+    match Hashtbl.find_opt by_name name with
+    | Some fd when not (Hashtbl.mem seen name) ->
+        Hashtbl.replace seen name ();
+        List.iter visit (direct_callees fd)
+    | _ -> ()
+  in
+  List.iter
+    (fun r -> Option.iter (fun fd -> List.iter visit (direct_callees fd)) (Hashtbl.find_opt by_name r))
+    roots;
+  List.filter (fun fd -> Hashtbl.mem seen fd.I.fname) defined
+
 let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
-    ?(ifaces = Transfer.no_ifaces) (prog : I.program) : Transfer.summaries =
+    ?(ifaces = Transfer.no_ifaces) ?roots (prog : I.program) : Transfer.summaries =
   (* Externs have no body to summarize; leaving them out also keeps
-     the allocator special-case in Transfer.instr in charge. *)
-  let sccs = sccs_of (List.filter (fun fd -> not fd.I.fextern) prog.I.funcs) in
+     the allocator special-case in Transfer.instr in charge. A summary
+     reads only its direct callees' summaries, so restricting the solve
+     to the callee closure of [roots] leaves each summary in it
+     unchanged. *)
+  let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
+  let sccs = sccs_of (match roots with None -> defined | Some r -> demanded defined r) in
   List.fold_left
     (fun summaries level ->
       (* A function in this level only reads summaries of strictly

@@ -22,6 +22,7 @@ val compute :
   ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) ->
   ?jobs:int ->
   ?ifaces:Transfer.ifaces ->
+  ?roots:string list ->
   Kc.Ir.program ->
   Transfer.summaries
 (** [cfg_of] lets a caller (the engine context) share memoized CFGs;
@@ -30,4 +31,9 @@ val compute :
     level are mutually independent, and levels stay bottom-up, so the
     summaries are identical to the serial computation. With [jobs > 1]
     the caller must pass a [cfg_of] that is safe to call from several
-    domains (pure, or fully pre-populated). *)
+    domains (pure, or fully pre-populated). With [roots], only the
+    summaries the fixpoints of [roots] read are solved: those of the
+    defined functions reachable from [roots] through one or more direct
+    calls (a root itself only when one of them calls it). Each equals
+    its value in the full computation, since a summary reads only its
+    direct callees' summaries. *)

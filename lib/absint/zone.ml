@@ -45,7 +45,7 @@ let bounds_of (v : int) (t : t) : int64 option * int64 option =
   let hi = Dbm.find_opt v zero t in
   let lo =
     match Dbm.find_opt zero v t with
-    | Some c when not (Int64.equal c Int64.min_int) -> Some (Int64.neg c)
+    | Some c when c <> Int64.min_int -> Some (Int64.neg c)
     | _ -> None
   in
   (lo, hi)
@@ -54,49 +54,44 @@ type seeds = int -> Interval.t
 
 let no_seeds : seeds = fun _ -> Interval.top
 
-(* Inject interval bounds of [vs] as unary constraints.  [None] when a
-   seed contradicts the zone (the state is infeasible). *)
-let seed_vars (seeds : seeds) (vs : int list) (t : t) : t option =
-  List.fold_left
-    (fun acc v ->
-      match acc with
-      | None -> None
-      | Some t -> (
-          match seeds v with
-          | Interval.Bot -> None
-          | Interval.Iv (lo, hi) -> (
-              let t =
-                match hi with
-                | Interval.Fin h -> Dbm.add v zero h t
-                | _ -> Some t
-              in
-              match t with
-              | None -> None
-              | Some t -> (
-                  match lo with
-                  | Interval.Fin l when not (Int64.equal l Int64.min_int) ->
-                      Dbm.add zero v (Int64.neg l) t
-                  | _ -> Some t))))
-    (Some t) vs
+(* The interval bounds of [vs] as unary constraints, in the order they
+   are added (per variable: upper, then lower bound).  [None] when a
+   seed is empty (the state is infeasible). *)
+let seed_cons (seeds : seeds) (vs : int list) : (int * int * int64) list option =
+  List.fold_right
+    (fun v acc ->
+      match (acc, seeds v) with
+      | None, _ | _, Interval.Bot -> None
+      | Some cons, Interval.Iv (lo, hi) ->
+          let cons =
+            match lo with
+            | Interval.Fin l when l <> Int64.min_int -> (zero, v, Int64.neg l) :: cons
+            | _ -> cons
+          in
+          Some (match hi with Interval.Fin h -> (v, zero, h) :: cons | _ -> cons))
+    vs (Some [])
 
-(* Close the zone with each mentioned variable's interval bounds
-   seeded in, materializing derived constraints (both relational and
-   unary) into the stored matrix.  Used on join inputs and before
-   killing a variable, never on widening results.  [over] extends the
-   closure universe with variables this side only knows as intervals —
-   at a join, the other side's zone variables, so a fact one side
-   carries relationally and this side carries as an interval (e.g. a
-   clamped [todo = 512] meeting the other branch's [todo <= n]) still
-   meets in the middle.  [None] = the combined zone+interval state is
-   infeasible. *)
-let close_seeded ?(over = []) (seeds : seeds) (t : t) : t option =
-  if is_top t && over = [] then Some t
-  else
-    let module IS = Set.Make (Int) in
-    let vs = IS.elements (IS.union (IS.of_list (vars t)) (IS.of_list over)) in
-    match seed_vars seeds vs t with
-    | None -> None
-    | Some t -> Dbm.close_over (zero :: vs) t
+(* Close the zone with the interval bounds of the universe [vs] (sorted,
+   duplicate-free, zero excluded, a superset of [vars t]) seeded in,
+   materializing derived constraints (both relational and unary) into
+   the stored matrix.  Used on join inputs and before killing a
+   variable, never on widening results.  At a join [vs] covers both
+   sides' zone variables, so a fact one side carries relationally and
+   the other carries as an interval (e.g. a clamped [todo = 512]
+   meeting the other branch's [todo <= n]) still meets in the middle.
+   [None] = the combined zone+interval state is infeasible. *)
+let close_seeded_in (vs : int list) (seeds : seeds) (t : t) : t option =
+  match seed_cons seeds vs with
+  | None -> None
+  | Some adding -> Dbm.close_over ~adding (zero :: vs) t
+
+(* Program variables of either zone, sorted. *)
+let union_vars (a : t) (b : t) : int list = List.filter (fun v -> v <> zero) (Dbm.union_vars a b)
+
+(* [close_seeded_in] over the zone's own variables, e.g. before killing
+   one of them so derived consequences survive. *)
+let close_seeded (seeds : seeds) (t : t) : t option =
+  if is_top t then Some t else close_seeded_in (vars t) seeds t
 
 (* Entailment query: does the zone, reduced with interval seeds, prove
    [x - y <= c]?  The closure universe is extended with the query
@@ -105,13 +100,11 @@ let close_seeded ?(over = []) (seeds : seeds) (t : t) : t option =
 let entails_le (seeds : seeds) (x : int) (y : int) (c : int64) (t : t) : bool =
   Dbm.entails_le x y c t
   ||
-  let module IS = Set.Make (Int) in
-  let universe = IS.add x (IS.add y (IS.of_list (vars t))) in
-  let vs = IS.elements universe in
-  match seed_vars seeds vs t with
+  let vs = List.sort_uniq Int.compare (x :: y :: vars t) in
+  match seed_cons seeds vs with
   | None -> true
-  | Some t -> (
-      match Dbm.close_over (zero :: vs) t with
+  | Some adding -> (
+      match Dbm.close_over ~adding (zero :: vs) t with
       | None -> true
       | Some closed -> Dbm.entails_le x y c closed)
 

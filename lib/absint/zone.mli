@@ -33,12 +33,20 @@ type seeds = int -> Interval.t
 
 val no_seeds : seeds
 
-val close_seeded : ?over:int list -> seeds -> t -> t option
-(** Seed interval bounds of the zone's variables (plus [over], e.g.
-    the other join side's zone variables) as unary constraints, then
-    close.  [None] when the combined state is infeasible.  Apply to
-    join inputs and before killing a variable; never to a widening
-    result (termination). *)
+val close_seeded_in : int list -> seeds -> t -> t option
+(** [close_seeded_in vs seeds t]: seed the interval bounds of [vs]
+    (sorted, duplicate-free, zero excluded, and including every
+    variable of [t]) as unary constraints, then close over [vs] and
+    the zero variable.  [None] when the combined state is infeasible.
+    Apply to join inputs and before killing a variable; never to a
+    widening result (termination). *)
+
+val union_vars : t -> t -> int list
+(** Program variables mentioned by either zone, sorted: the shared
+    closure universe of a join's two sides. *)
+
+val close_seeded : seeds -> t -> t option
+(** {!close_seeded_in} over the zone's own variables. *)
 
 val entails_le : seeds -> int -> int -> int64 -> t -> bool
 (** [entails_le seeds x y c t]: does the interval-reduced zone prove

@@ -142,10 +142,19 @@ let relsum_ifaces (t : t) : Absint.Transfer.ifaces =
       ~fp:(ptrflow_fingerprint t)
       (fun () -> Absint.Relsum.compute ~jobs:t.jobs t.prog)
 
+(* Instrument + Facts-optimize a shallow copy of the base program. *)
+let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
+  let dprog = Kc.Ir.copy_program t.prog in
+  (dprog, Deputy.Dreport.deputize dprog)
+
 (* Interprocedural interval summaries over the base (uninstrumented)
    program, sharing the memoized CFGs: instrumentation only adds
    checks and temporaries, so return-value summaries computed here
-   stay valid for the deputized view. *)
+   stay valid for the deputized view. Only the summaries discharge
+   reads are solved: those of the functions reachable through direct
+   calls from a function that still holds a check in the deputized
+   view. Those roots come from a throwaway instrumented copy, so the
+   context keeps no second program for them. *)
 let absint_summaries (t : t) : Absint.Transfer.summaries =
   let ifaces = relsum_ifaces t in
   let defined = defined_funcs t in
@@ -174,7 +183,9 @@ let absint_summaries (t : t) : Absint.Transfer.summaries =
       (Key.relsum
       :: List.map (fun (fd : Kc.Ir.fundec) -> Key.cfg fd.Kc.Ir.fname) defined)
     ~fp:(program_fingerprint t)
-    (fun () -> Absint.Summary.compute ~cfg_of ~jobs:t.jobs ~ifaces t.prog)
+    (fun () ->
+      let roots = Absint.Discharge.residual_roots (fst (instrumented t)) in
+      Absint.Summary.compute ~cfg_of ~jobs:t.jobs ~ifaces ~roots t.prog)
 
 (* The deputized view: instrument + Facts-optimize + absint-discharge
    a shallow copy, leaving the context's base program untouched. *)
@@ -185,8 +196,7 @@ let deputized (t : t) : deputized =
     ~deps:[ Key.relsum; Key.summaries ]
     ~fp:(program_fingerprint t)
     (fun () ->
-      let dprog = Kc.Ir.copy_program t.prog in
-      let dreport = Deputy.Dreport.deputize dprog in
+      let dprog, dreport = instrumented t in
       let dstats = Absint.Discharge.run ~summaries ~ifaces dprog in
       { dprog; dreport; dstats })
 

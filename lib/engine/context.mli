@@ -83,7 +83,11 @@ val relsum_ifaces : t -> Absint.Transfer.ifaces
 
 (** Interprocedural interval summaries ({!Absint.Summary}) over the
     base program, sharing the memoized CFGs (cached; depends on every
-    per-function CFG artifact and on the relational interfaces). *)
+    per-function CFG artifact and on the relational interfaces). Only
+    the summaries the deputized view's discharge reads are present:
+    those of functions reachable through direct calls from one that
+    still holds a check after Deputy and Facts
+    ({!Absint.Discharge.residual_roots}). *)
 val absint_summaries : t -> Absint.Transfer.summaries
 
 (** The deputized view of the program: a shallow copy that has been

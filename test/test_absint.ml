@@ -252,7 +252,7 @@ let prop_zone_reduction_sound =
                product must keep it: no spurious bottom, and every
                derived unary bound (what tighten_from_zone meets back
                into the intervals) still contains the point *)
-            match Zn.close_seeded ~over:[ 1; 2; 3 ] seeds t with
+            match Zn.close_seeded_in [ 1; 2; 3 ] seeds t with
             | None -> false
             | Some c ->
                 sat_zone vl c
@@ -263,6 +263,204 @@ let prop_zone_reduction_sound =
                        &&
                        match hi with None -> true | Some h -> value_of vl v <= h)
                      [ 1; 2; 3 ]))
+
+(* ------------------------------------------------------------------ *)
+(* Dense DBM kernel vs the sparse reference                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The sparse closure and incremental add the dense kernel replaced,
+   kept here verbatim as the reference: a map ordered by polymorphic
+   compare, closed through a Hashtbl.  [Dbm.close_over] and [Dbm.add]
+   must return exactly these maps, and [None] exactly when these do. *)
+module Ref = struct
+  module PM = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  module IS = Set.Make (Int)
+
+  type t = int64 PM.t
+
+  let bound (t : t) a b : int64 option = if a = b then Some 0L else PM.find_opt (a, b) t
+
+  let vars (t : t) : int list =
+    IS.elements (PM.fold (fun (x, y) _ acc -> IS.add x (IS.add y acc)) t IS.empty)
+
+  let checked_add (a : int64) (b : int64) : int64 option =
+    let s = Int64.add a b in
+    if Int64.logxor a b >= 0L && Int64.logxor a s < 0L then None else Some s
+
+  let checked_add3 a b c =
+    match checked_add a b with None -> None | Some s -> checked_add s c
+
+  let tighten key v (t : t) =
+    match PM.find_opt key t with
+    | Some c when Int64.compare c v <= 0 -> t
+    | _ -> PM.add key v t
+
+  let add x y c (t : t) : t option =
+    if x = y then if Int64.compare c 0L < 0 then None else Some t
+    else
+      match bound t x y with
+      | Some c0 when Int64.compare c0 c <= 0 -> Some t
+      | _ ->
+          let t = PM.add (x, y) c t in
+          let vs = vars t in
+          let feasible = ref true in
+          let acc = ref t in
+          List.iter
+            (fun i ->
+              match bound t i x with
+              | None -> ()
+              | Some dix ->
+                  List.iter
+                    (fun j ->
+                      match bound t y j with
+                      | None -> ()
+                      | Some dyj -> (
+                          match checked_add3 dix c dyj with
+                          | None -> ()
+                          | Some v ->
+                              if i = j then begin
+                                if Int64.compare v 0L < 0 then feasible := false
+                              end
+                              else acc := tighten (i, j) v !acc))
+                    vs)
+            vs;
+          if !feasible then Some !acc else None
+
+  let close_over (vs : int list) (t : t) : t option =
+    match vs with
+    | [] | [ _ ] -> Some t
+    | _ ->
+        let h = Hashtbl.create 64 in
+        PM.iter (fun k c -> Hashtbl.replace h k c) t;
+        let get i j = if i = j then Some 0L else Hashtbl.find_opt h (i, j) in
+        let feasible = ref true in
+        List.iter
+          (fun k ->
+            List.iter
+              (fun i ->
+                match get i k with
+                | None -> ()
+                | Some a ->
+                    List.iter
+                      (fun j ->
+                        match get k j with
+                        | None -> ()
+                        | Some b -> (
+                            match checked_add a b with
+                            | None -> ()
+                            | Some v ->
+                                if i = j then begin
+                                  if Int64.compare v 0L < 0 then feasible := false
+                                end
+                                else
+                                  match get i j with
+                                  | Some c when Int64.compare c v <= 0 -> ()
+                                  | _ -> Hashtbl.replace h (i, j) v))
+                      vs)
+              vs)
+          vs;
+        if not !feasible then None
+        else Some (Hashtbl.fold (fun k v acc -> PM.add k v acc) h PM.empty)
+
+  let of_list (cons : (int * int * int64) list) : t =
+    List.fold_left (fun acc (x, y, c) -> PM.add (x, y) c acc) PM.empty cons
+end
+
+module Dbm = Absint.Dbm
+
+(* Raw maps, not closed and not built by [add]: each entry enters as a
+   singleton and [narrow] unions them (last constraint on a key wins,
+   as in [Ref.of_list]). *)
+let dbm_of_list (cons : (int * int * int64) list) : Dbm.t =
+  List.fold_left
+    (fun acc (x, y, c) ->
+      match Dbm.add x y c Dbm.top with
+      | Some single -> Dbm.narrow single acc
+      | None -> acc)
+    Dbm.top cons
+
+let bindings t = List.rev (Dbm.fold (fun x y c acc -> ((x, y), c) :: acc) t [])
+let ref_bindings t = Ref.PM.bindings t
+
+let same_result (got : Dbm.t option) (want : Ref.t option) =
+  match (got, want) with
+  | None, None -> true
+  | Some g, Some w -> bindings g = ref_bindings w
+  | _ -> false
+
+let kernel_vars = [ -1; 1; 2; 3; 4; 5 ]
+
+(* Bounds mostly small (negative cycles are common), some within a few
+   units of the int64 extremes so sums overflow and are dropped. *)
+let gen_kbound =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map Int64.of_int (int_range (-8) 8));
+        (1, map (fun k -> Int64.add Int64.min_int (Int64.of_int k)) (int_range 0 3));
+        (1, map (fun k -> Int64.sub Int64.max_int (Int64.of_int k)) (int_range 0 3));
+      ])
+
+let gen_kcon =
+  QCheck2.Gen.(
+    map3
+      (fun x y c -> (x, y, c))
+      (oneofl kernel_vars) (oneofl kernel_vars) gen_kbound)
+
+(* x <> y: the kernels never store a diagonal entry *)
+let gen_kcons =
+  QCheck2.Gen.(map (List.filter (fun (x, y, _) -> x <> y)) (list_size (int_range 0 12) gen_kcon))
+
+(* A duplicate-free universe in random order: sometimes narrower than
+   the map's variables (entries pass through), sometimes wider. *)
+let gen_universe =
+  QCheck2.Gen.(
+    map
+      (fun keyed ->
+        List.map snd (List.sort compare (List.filter_map (fun (k, v) -> Option.map (fun k -> (k, v)) k) keyed)))
+      (flatten_l
+         (List.map
+            (fun v -> map (fun k -> (k, v)) (opt ~ratio:0.8 (int_range 0 1000)))
+            (kernel_vars @ [ 6; 7 ]))))
+
+let print_case (cons, vs) =
+  Printf.sprintf "cons=[%s] universe=[%s]"
+    (String.concat "; " (List.map (fun (x, y, c) -> Printf.sprintf "v%d-v%d<=%Ld" x y c) cons))
+    (String.concat "; " (List.map string_of_int vs))
+
+let prop_kernel_close_over =
+  QCheck2.Test.make ~name:"dense close_over = sparse reference" ~count:2000 ~print:print_case
+    QCheck2.Gen.(pair gen_kcons gen_universe)
+    (fun (cons, vs) -> same_result (Dbm.close_over vs (dbm_of_list cons)) (Ref.close_over vs (Ref.of_list cons)))
+
+let prop_kernel_add =
+  QCheck2.Test.make ~name:"column/row add = sparse reference" ~count:2000
+    ~print:(fun (cons, (x, y, c)) -> print_case (cons @ [ (x, y, c) ], []))
+    QCheck2.Gen.(pair gen_kcons gen_kcon)
+    (fun (cons, (x, y, c)) -> same_result (Dbm.add x y c (dbm_of_list cons)) (Ref.add x y c (Ref.of_list cons)))
+
+(* The fused form: adds applied in order on the dense matrix, then the
+   closure, equal to folding the reference add and closing. The
+   universe covers every variable, as [~adding] requires. *)
+let prop_kernel_close_adding =
+  QCheck2.Test.make ~name:"close_over ~adding = reference adds then close" ~count:2000
+    ~print:(fun (cons, adding) -> print_case (cons @ adding, []))
+    QCheck2.Gen.(pair gen_kcons gen_kcons)
+    (fun (cons, adding) ->
+      let vs = kernel_vars in
+      let want =
+        List.fold_left
+          (fun acc (x, y, c) -> Option.bind acc (Ref.add x y c))
+          (Some (Ref.of_list cons)) adding
+      in
+      same_result
+        (Dbm.close_over ~adding vs (dbm_of_list cons))
+        (Option.bind want (Ref.close_over vs)))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end discharge                                               *)
@@ -382,6 +580,94 @@ let test_fewer_dynamic_checks () =
     true
     (with_absint < facts_only)
 
+(* ------------------------------------------------------------------ *)
+(* Demand-driven summaries and discharge                              *)
+(* ------------------------------------------------------------------ *)
+
+let deputized_copy prog =
+  let p = Kc.Ir.copy_program prog in
+  ignore (Deputy.Dreport.deputize p);
+  p
+
+module SM = Absint.Transfer.SM
+
+(* On [prog]: the summaries demanded by the residual-check functions
+   equal the full ones and cover every defined direct callee of a
+   root, and discharge over them reports the same per-function
+   statistics as over the full summaries. Returns (demanded, full)
+   summary counts. *)
+let check_demand_equivalence label (prog : Kc.Ir.program) : int * int =
+  let roots = Absint.Discharge.residual_roots (deputized_copy prog) in
+  let ifaces = Absint.Relsum.compute prog in
+  let full = Absint.Summary.compute ~ifaces prog in
+  let demanded = Absint.Summary.compute ~ifaces ~roots prog in
+  SM.iter
+    (fun f v ->
+      match SM.find_opt f full with
+      | Some w when Absint.Aval.equal v w -> ()
+      | Some w ->
+          Alcotest.failf "%s: demanded summary of %s is %s, full is %s" label f
+            (Absint.Aval.to_string v) (Absint.Aval.to_string w)
+      | None -> Alcotest.failf "%s: demanded %s has no full summary" label f)
+    demanded;
+  List.iter
+    (fun r ->
+      let fd = Option.get (Kc.Ir.find_fun prog r) in
+      List.iter
+        (fun callee ->
+          match Kc.Ir.find_fun prog callee with
+          | Some cfd when (not cfd.Kc.Ir.fextern) && not (SM.mem callee demanded) ->
+              Alcotest.failf "%s: callee %s of root %s not demanded" label callee r
+          | _ -> ())
+        (Absint.Summary.direct_callees fd))
+    roots;
+  let fstats (st : Absint.Discharge.stats) =
+    List.filter (fun (s : Absint.Discharge.fstat) -> s.Absint.Discharge.seen > 0) st.Absint.Discharge.fstats
+  in
+  let with_full =
+    let p = deputized_copy prog in
+    let ifaces = Absint.Relsum.compute p in
+    Absint.Discharge.run ~ifaces ~summaries:(Absint.Summary.compute ~ifaces p) p
+  in
+  let with_demanded = Absint.Discharge.run (deputized_copy prog) in
+  Alcotest.(check bool) (label ^ ": identical fstats for every function with checks") true
+    (fstats with_full = fstats with_demanded);
+  (SM.cardinal demanded, SM.cardinal full)
+
+let test_demand_corpus () =
+  let demanded, full = check_demand_equivalence "corpus" (Kernel.Workloads.load ~fresh:true ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus demands a strict subset (%d of %d)" demanded full)
+    true (demanded < full)
+
+let test_demand_generated () =
+  for i = 0 to 11 do
+    let src = Gen.Prog.render (Gen.Fuzz.case_program ~seed:5 i) in
+    ignore (check_demand_equivalence (Printf.sprintf "gen case %d" i) (parse src))
+  done
+
+(* Functions without a residual check run no fixpoint; the stats table
+   says so instead of printing counts for a fixpoint that never ran. *)
+let test_stats_skip_marker () =
+  let prog =
+    deputized_copy
+      (parse
+         "int idle(int x) { return x + 1; }\n\
+          int pick(int * __count(4) b, int i) { return b[i & 3]; }\n")
+  in
+  let stats = Absint.Discharge.run prog in
+  let row name =
+    List.find
+      (fun l -> String.length l > 0 && List.hd (String.split_on_char ' ' l) = name)
+      (String.split_on_char '\n' (Absint.Discharge.render_stats stats))
+  in
+  let cols l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  Alcotest.(check (list string)) "idle: no fixpoint" [ "idle"; "0"; "0"; "-"; "-" ] (cols (row "idle"));
+  Alcotest.(check bool) "pick: fixpoint counts" true
+    (match cols (row "pick") with
+    | [ _; seen; _; iters; _ ] -> seen <> "0" && iters <> "-"
+    | _ -> false)
+
 let () =
   let seed =
     match Sys.getenv_opt "QCHECK_SEED" with
@@ -416,6 +702,9 @@ let () =
             prop_zone_widen_terminates;
             prop_zone_reduction_sound;
           ] );
+      ( "qcheck-dbm",
+        List.map (QCheck_alcotest.to_alcotest ~rand)
+          [ prop_kernel_close_over; prop_kernel_add; prop_kernel_close_adding ] );
       ( "discharge",
         [
           Alcotest.test_case "masked index" `Quick test_discharge_mask;
@@ -426,5 +715,11 @@ let () =
           Alcotest.test_case "interprocedural summary" `Quick test_discharge_summary;
           Alcotest.test_case "corpus: strictly more than Facts" `Quick test_corpus_strictly_more;
           Alcotest.test_case "corpus: fewer dynamic checks" `Quick test_fewer_dynamic_checks;
+          Alcotest.test_case "stats: skipped functions" `Quick test_stats_skip_marker;
+        ] );
+      ( "demand",
+        [
+          Alcotest.test_case "corpus: demanded = full" `Quick test_demand_corpus;
+          Alcotest.test_case "generated: demanded = full" `Quick test_demand_generated;
         ] );
     ]

@@ -141,6 +141,18 @@ let test_corpus_summaries_equal_serial () =
     (Absint.Transfer.SM.equal (fun a b -> Absint.Aval.to_string a = Absint.Aval.to_string b)
        serial parallel)
 
+(* The demand-driven path: only the summaries the residual-check
+   functions read, still identical for jobs=1 and jobs=4. *)
+let test_corpus_demanded_summaries_equal_serial () =
+  let prog = Kernel.Workloads.load () in
+  let dprog = Kc.Ir.copy_program prog in
+  ignore (Deputy.Dreport.deputize dprog);
+  let roots = Absint.Discharge.residual_roots dprog in
+  let serial = Absint.Summary.compute ~jobs:1 ~roots prog in
+  let parallel = Absint.Summary.compute ~jobs:4 ~roots prog in
+  Alcotest.(check bool) "demanded corpus summaries identical for jobs=1 and jobs=4" true
+    (Absint.Transfer.SM.equal Absint.Aval.equal serial parallel)
+
 (* ---- refsafe summaries: parallel = serial ---- *)
 
 let refsafe_fixture =
@@ -300,6 +312,8 @@ let () =
             test_parallel_summaries_equal_serial;
           Alcotest.test_case "parallel = serial (corpus)" `Slow
             test_corpus_summaries_equal_serial;
+          Alcotest.test_case "parallel = serial (corpus, demanded roots)" `Slow
+            test_corpus_demanded_summaries_equal_serial;
           Alcotest.test_case "refsafe parallel = serial (fixture)" `Quick
             test_refsafe_summaries_equal_serial;
           Alcotest.test_case "refsafe parallel = serial (corpus)" `Slow
