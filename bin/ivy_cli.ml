@@ -324,7 +324,7 @@ let run_check ~only files jobs json stats =
       | _ -> List.iter print_string reports);
       if stats then begin
         (* Deterministic counts under "artifacts"/"totals" in JSON,
-           wall clock under "timing_s"; several files fold their
+           build self times under "timing_s"; several files fold their
            per-worker counters. *)
         let merged = Engine.Context.merge_counters (List.map (fun (_, s, _) -> s) per_file) in
         print_string

@@ -1,11 +1,7 @@
 (* Relational (interface) summaries: per-function facts derived from
-   the *pointer-flow projection* of the program — function signatures,
+   the pointer flow of the program — function signatures,
    pointer-relevant instructions, branch structure with pointer
-   conditions, and all returns — and nothing else.  The engine keys
-   the resulting artifact on Engine.Fingerprint.ptrflow, which
-   serializes exactly this data, so the summary stays warm across
-   arithmetic-only edits; every rule below must therefore read only
-   projection-visible facts (keep in sync with fingerprint.ml).
+   conditions, and all returns.
 
    The current fact is [ret_nonnull]: every way the function can
    return yields a provably non-null pointer.  This needs flow
@@ -23,8 +19,7 @@
    - joins intersect, loops run to a descending fixpoint, switch
      cases chain fallthrough states;
    - conditions refine only through pointer patterns ([p], [!p],
-     [p == 0], [p != 0]) — anything else is opaque, mirroring the
-     projection, which serializes only pointer-relevant conditions;
+     [p == 0], [p != 0]) — anything else is opaque;
    - a reachable [return e] keeps [ret_nonnull] only if [e] is
      syntactically non-null under the current state; a reachable
      fall-off-the-end (the VM returns 0 there) kills it.
@@ -57,8 +52,7 @@ let inter_all = List.fold_left inter Unreach
 (* Stable pointer local: trackable in the must-non-null set. *)
 let tracked (v : I.varinfo) = Deputy.Facts.stable v && I.is_pointer v.I.vty
 
-(* Syntactic non-null under [nn].  Every [true] case is a
-   pointer-relevant expression, hence projection-visible. *)
+(* Syntactic non-null under [nn]. *)
 let rec nonnull_exp (nn : IS.t) (e : I.exp) : bool =
   match e.I.e with
   | I.Eaddrof _ | I.Estartof _ | I.Estr _ | I.Efun _ -> true
@@ -100,9 +94,8 @@ let rec refine (nn : IS.t) (cond : I.exp) (branch : bool) : st =
 let refine_st st cond branch =
   match st with Unreach -> Unreach | S nn -> refine nn cond branch
 
-(* Instruction transfer (checks and refcount ops are not in the
-   projection and are ignored; plain arithmetic cannot touch tracked
-   pointers). *)
+(* Instruction transfer (checks and refcount ops are ignored; plain
+   arithmetic cannot touch tracked pointers). *)
 let instr_nn (ifaces : Transfer.ifaces) (nn : IS.t) (i : I.instr) : IS.t =
   match i with
   | I.Iset ((I.Lvar v, []), e) when tracked v ->

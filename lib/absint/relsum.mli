@@ -1,10 +1,7 @@
-(** Relational (interface) summaries over the pointer-flow projection:
+(** Relational (interface) summaries over the program's pointer flow:
     per-function facts — currently [ret_nonnull] — computed by a small
     flow-sensitive must-non-null analysis of the statement tree,
-    callees-first over the SCC condensation shared with {!Summary}.
-    Reads only data serialized by [Engine.Fingerprint.ptrflow], so the
-    engine artifact keyed on that projection stays warm across
-    arithmetic-only edits. *)
+    callees-first over the SCC condensation shared with {!Summary}. *)
 
 val summarize_fn : Transfer.ifaces -> Kc.Ir.fundec -> Transfer.fn_iface
 (** Summarize one function given its callees' interfaces. Exposed for

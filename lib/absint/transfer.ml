@@ -29,7 +29,7 @@ type summaries = Aval.t SM.t
 
 let no_summaries : summaries = SM.empty
 
-(* Relational (skeleton-derived) interface facts per function, see
+(* Relational (pointer-flow) interface facts per function, see
    {!Relsum}: currently whether every return provably yields a
    non-null pointer. *)
 type fn_iface = { ret_nonnull : bool }
@@ -585,8 +585,8 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
             | None -> if List.mem f allocators then Aval.nonnull else of_ty v.I.vty
           in
           let ret =
-            (* skeleton-derived interface: the callee provably returns
-               a non-null pointer on every path *)
+            (* relational interface: the callee provably returns a
+               non-null pointer on every path *)
             match SM.find_opt f ifaces with
             | Some { ret_nonnull = true } when I.is_pointer v.I.vty ->
                 degrade v.I.vty (Aval.reduce (Aval.meet ret Aval.nonnull))

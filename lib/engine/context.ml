@@ -5,11 +5,13 @@
    dependency edges and the content hash of its inputs (from the
    context's {!Fingerprint.table}, recomputed only when the program is
    (re)loaded), and the graph decides hit vs rebuild and owns the
-   build/hit/invalidation counters. [update] re-fingerprints a newly
-   parsed version of the program, swaps it in, and push-invalidates
-   exactly the per-function artifacts whose digest changed — the
-   whole-program artifacts notice their own input hash change on next
-   access. *)
+   build/hit/invalidation counters. Per-function CFGs key on their
+   function's digest; every whole-program artifact keys on the program
+   digest, so none depends on a hand-kept projection of what its
+   analysis reads. [update] re-fingerprints a newly parsed version of
+   the program, swaps it in, and push-invalidates exactly the
+   per-function artifacts whose digest changed — the whole-program
+   artifacts notice their own input hash change on next access. *)
 
 module P = Blockstop.Pointsto
 module CG = Blockstop.Callgraph
@@ -52,8 +54,6 @@ let create ?(jobs = 1) (prog : Kc.Ir.program) : t =
 let program t = t.prog
 let graph t = t.g
 let program_fingerprint t = t.fps.Fingerprint.t_program
-let skeleton_fingerprint t = t.fps.Fingerprint.t_skeleton
-let ptrflow_fingerprint t = t.fps.Fingerprint.t_ptrflow
 
 let mode_name = function P.Type_based -> "type-based" | P.Field_based -> "field-based"
 
@@ -91,7 +91,7 @@ let ccounted_slot : ccounted Graph.slot = Graph.slot ()
 let pointsto ?(mode = P.Type_based) (t : t) : P.t =
   Graph.get t.g pointsto_slot
     ~name:(Key.pointsto mode).Graph.name
-    ~fp:(skeleton_fingerprint t)
+    ~fp:(program_fingerprint t)
     (fun () -> P.build ~mode t.prog)
 
 let callgraph ?(mode = P.Type_based) (t : t) : CG.t =
@@ -101,7 +101,7 @@ let callgraph ?(mode = P.Type_based) (t : t) : CG.t =
   Graph.get t.g callgraph_slot
     ~name:(Key.callgraph mode).Graph.name
     ~deps:[ Key.pointsto mode ]
-    ~fp:(skeleton_fingerprint t)
+    ~fp:(program_fingerprint t)
     (fun () -> CG.build ~pointsto:pt t.prog)
 
 let blocking ?(mode = P.Type_based) (t : t) : BL.t =
@@ -109,7 +109,7 @@ let blocking ?(mode = P.Type_based) (t : t) : BL.t =
   Graph.get t.g blocking_slot
     ~name:(Key.blocking mode).Graph.name
     ~deps:[ Key.callgraph mode ]
-    ~fp:(skeleton_fingerprint t)
+    ~fp:(program_fingerprint t)
     (fun () -> BL.compute cg)
 
 let fn_fingerprint t fname =
@@ -128,18 +128,14 @@ let cfg (t : t) (fname : string) : Dataflow.Cfg.t option =
 let defined_funcs (t : t) : Kc.Ir.fundec list =
   List.filter (fun (fd : Kc.Ir.fundec) -> not fd.Kc.Ir.fextern) t.prog.Kc.Ir.funcs
 
-(* Relational interface summaries over the base program.  They read
-   only the pointer-flow projection of each body (Relsum mirrors
-   Fingerprint.ptrflow), so the artifact keys on that digest and stays
-   warm across arithmetic-only edits — unlike the interval summaries
-   below, which read every body.  Under IVY_ABSINT_DOMAIN=interval the
-   getter short-circuits to the empty interface map without touching
-   the graph. *)
+(* Relational interface summaries over the base program.  Under
+   IVY_ABSINT_DOMAIN=interval the getter short-circuits to the empty
+   interface map without touching the graph. *)
 let relsum_ifaces (t : t) : Absint.Transfer.ifaces =
   if not (Absint.Domain.relational ()) then Absint.Transfer.no_ifaces
   else
     Graph.get t.g relsum_slot ~name:Key.relsum.Graph.name
-      ~fp:(ptrflow_fingerprint t)
+      ~fp:(program_fingerprint t)
       (fun () -> Absint.Relsum.compute ~jobs:t.jobs t.prog)
 
 (* Instrument + Facts-optimize a shallow copy of the base program. *)
@@ -201,18 +197,15 @@ let deputized (t : t) : deputized =
       { dprog; dreport; dstats })
 
 (* Refsafe ownership summaries: flow-insensitive per-function alias
-   facts solved over the Tarjan SCC levels. They read only the
-   pointer-flow projection of each body, so they key on the (extended)
-   call skeleton and stay warm across arithmetic-only edits. *)
+   facts solved over the Tarjan SCC levels. *)
 let refsafe_summaries (t : t) : Refsafe.Summary.summaries =
   Graph.get t.g refsafe_summaries_slot
     ~name:Key.refsafe_summaries.Graph.name
-    ~fp:(skeleton_fingerprint t)
+    ~fp:(program_fingerprint t)
     (fun () -> Refsafe.Summary.compute ~jobs:t.jobs t.prog)
 
 (* The CCount view: rc-instrument a shallow copy, then let the refsafe
-   discharge strip the counter updates it proves unobservable. Keyed
-   on the full program digest (instrumentation reads every body) with
+   discharge strip the counter updates it proves unobservable, with
    the summaries as a declared dependency. *)
 let ccount_discharged (t : t) : ccounted =
   let summaries = refsafe_summaries t in
@@ -236,7 +229,7 @@ let vm_compiled (t : t) : Vm.Compile.t =
 
 let irq_handlers (t : t) : AT.SS.t =
   Graph.get t.g handlers_slot ~name:Key.irq_handlers.Graph.name
-    ~fp:(skeleton_fingerprint t)
+    ~fp:(program_fingerprint t)
     (fun () -> AT.irq_handlers t.prog)
 
 (* Generic artifact registration for consumers outside the engine
@@ -321,5 +314,5 @@ let prefetch_misses (t : t) : int = Atomic.get t.prefetch_miss
 (* Contexts are never shared across domains — each Par worker creates
    its own and ships back its [stats] — so aggregation is a plain fold
    on the merging side: per-artifact sums, sorted by name. Builds,
-   hits and invalidations are deterministic; seconds are wall-clock. *)
+   hits and invalidations are deterministic; seconds are not. *)
 let merge_counters (per_worker : stat list list) : stat list = Graph.merge per_worker

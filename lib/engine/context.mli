@@ -13,8 +13,8 @@
     dependency edges, and a content hash of its inputs derived from
     the context's {!Fingerprint.table}. Everything is built lazily,
     built at most once per key while its inputs are unchanged, and
-    instrumented with build/hit/invalidation counters plus wall-clock
-    build timers. {!update} swaps in a re-parsed program and
+    instrumented with build/hit/invalidation counters plus monotonic
+    self-time build timers. {!update} swaps in a re-parsed program and
     invalidates exactly what the edit reaches — the basis of
     [ivy serve]'s incremental re-checking. *)
 
@@ -36,11 +36,7 @@ val graph : t -> Graph.t
 
 val program_fingerprint : t -> string
 (** Content hash of the whole program (header + every function): the
-    input hash of artifacts that read arbitrary bodies. *)
-
-val skeleton_fingerprint : t -> string
-(** Content hash of the call/function-pointer projection: the input
-    hash of points-to, call graph, blocking and irq-handler facts. *)
+    input hash of every whole-program artifact. *)
 
 (** The declared artifact keys, for consumers that register dependent
     artifacts ({!Ivy.Checks}) or target the invalidate RPC. *)
@@ -60,8 +56,7 @@ module Key : sig
 end
 
 (** Points-to facts for [mode] (default {!Blockstop.Pointsto.Type_based}),
-    built on first request and shared while the call skeleton is
-    unchanged. *)
+    built on first request and shared while the program is unchanged. *)
 val pointsto : ?mode:Blockstop.Pointsto.mode -> t -> Blockstop.Pointsto.t
 
 (** Call graph for [mode]; reuses the cached points-to for that mode. *)
@@ -76,9 +71,8 @@ val blocking : ?mode:Blockstop.Pointsto.mode -> t -> Blockstop.Blocking.t
 val cfg : t -> string -> Dataflow.Cfg.t option
 
 (** Relational interface summaries ({!Absint.Relsum}) over the base
-    program, keyed on the pointer-flow projection digest — warm across
-    arithmetic-only edits. Returns the empty map (bypassing the graph)
-    when [IVY_ABSINT_DOMAIN] selects the interval-only domain. *)
+    program (cached). Returns the empty map (bypassing the graph) when
+    [IVY_ABSINT_DOMAIN] selects the interval-only domain. *)
 val relsum_ifaces : t -> Absint.Transfer.ifaces
 
 (** Interprocedural interval summaries ({!Absint.Summary}) over the
@@ -110,12 +104,11 @@ type ccounted = {
   crstats : Refsafe.Discharge.stats;  (** refsafe discharge counters *)
 }
 
-(** Refsafe ownership summaries ({!Refsafe.Summary}), keyed on the call
-    skeleton: arithmetic-only edits keep them warm. *)
+(** Refsafe ownership summaries ({!Refsafe.Summary}) (cached). *)
 val refsafe_summaries : t -> Refsafe.Summary.summaries
 
 (** The memoized CCount view (cached; depends on
-    [Key.refsafe_summaries] and the full program digest). *)
+    [Key.refsafe_summaries]). *)
 val ccount_discharged : t -> ccounted
 
 (** The VM's pre-compiled executable form of the base program
@@ -164,7 +157,10 @@ type stat = Graph.stat = {
   builds : int;  (** times actually constructed (1 per key if shared) *)
   hits : int;  (** times served from the cache *)
   invalidations : int;  (** stale rebuilds + push-invalidation drops *)
-  seconds : float;  (** wall-clock spent constructing *)
+  seconds : float;
+      (** monotonic self time spent constructing: nested builds are
+          charged to their own artifact, not to the one that fetched
+          them *)
 }
 
 (** Stats sorted by artifact name. Includes a ["cfg(prefetch-miss)"]

@@ -2,7 +2,7 @@
 
    The digests here are the [fp] inputs of {!Graph.get}: a cached
    artifact survives exactly as long as the digest of what it reads is
-   unchanged. Three granularities:
+   unchanged. Two granularities:
 
    - per-function ([fn]): the function's full serialized form,
      statement locations included — an in-place body edit changes only
@@ -11,20 +11,9 @@
      locations, so reusing them would report stale lines);
    - whole program ([table_of].t_program): the header (structs, enums,
      globals) plus every function digest in program order — the input
-     hash of artifacts that read arbitrary bodies (absint summaries,
-     the deputized view, compiled VM code, analysis reports);
-   - the call skeleton ([table_of].t_skeleton): the projection of the
-     program that the points-to analysis, call graph, blocking
-     propagation, irq-handler discovery and the refsafe ownership
-     summaries actually read — function signatures and annotations,
-     global initializers, every instruction that performs a call,
-     mentions a function designator, or assigns to a function-pointer
-     lvalue (assignments poison points-to var tracking), plus every
-     pointer-relevant instruction (a store or return that moves a
-     pointer value, takes an address, or casts a pointer — the flow
-     edges the refsafe escape/ownership summaries are built from). An
-     arithmetic-only body edit leaves the skeleton unchanged and those
-     five artifact families warm.
+     hash of every whole-program artifact. No artifact keys on a
+     projection that would have to mirror what its analysis reads, so
+     a cached result can only be stale if this digest collides.
 
    Serialization is deterministic across re-parses of the same source:
    it never includes [vid]/[fid] counters, only names (which the
@@ -36,8 +25,6 @@ type table = {
   t_header : string;  (** structs, enums, globals (with initializers) *)
   t_fns : (string * string) list;  (** per defined function, program order *)
   t_program : string;  (** header + every function *)
-  t_skeleton : string;  (** the call/function-pointer projection *)
-  t_ptrflow : string;  (** the pointer-flow projection read by relsum *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -307,8 +294,8 @@ let ser_fun_annot b (a : I.fun_annot) =
       List.iter (fun c -> add b (Printf.sprintf "%Ld," c)) codes
   | Kc.Ast.Fframe_hint n -> add b (Printf.sprintf "frame:%d" n)
 
-(* The parts of a function every artifact can see: name, placement,
-   linkage, annotations and signature. *)
+(* A function's header: name, placement, linkage, annotations and
+   signature. *)
 let ser_fn_header b (fd : I.fundec) =
   add b "fn ";
   add b fd.I.fname;
@@ -389,142 +376,6 @@ let header (prog : I.program) : string =
     prog.I.globals;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Does an expression move pointer values around — mention a
-   pointer-typed subexpression, take an address, or name a function?
-   These are exactly the flow edges the refsafe summaries read. *)
-let exp_ptr_relevant (e : I.exp) : bool =
-  I.fold_exp
-    (fun acc sub ->
-      acc || I.is_pointer sub.I.ety
-      || match sub.I.e with I.Eaddrof _ | I.Estartof _ | I.Efun _ -> true | _ -> false)
-    false e
-
-(* Does this instruction belong to the call skeleton? Calls, function
-   designators anywhere inside, stores into function-pointer lvalues
-   (they poison the points-to variable tracking), and pointer-relevant
-   stores (the refsafe summaries read them).  Pure integer arithmetic
-   stays out, which is what keeps the skeleton stable across
-   arithmetic-only edits. *)
-let skeleton_instr (i : I.instr) : bool =
-  let is_fptr_ty = function I.Tptr (I.Tfun _, _) -> true | _ -> false in
-  match i with
-  | I.Icall _ -> true
-  | I.Iset ((host, offs), e) ->
-      exp_ptr_relevant e
-      ||
-      let lv_ty =
-        (* conservative: the host variable's type for direct stores,
-           any field store is included if the RHS is fptr-typed *)
-        match (host, offs) with I.Lvar v, [] -> Some v.I.vty | _ -> None
-      in
-      (match lv_ty with
-      | Some ty -> is_fptr_ty ty || I.is_pointer ty
-      | None -> is_fptr_ty e.I.ety)
-  | I.Icheck _ | I.Irc_inc _ | I.Irc_dec _ | I.Irc_update _ -> false
-
-let skeleton (prog : I.program) : string =
-  let b = Buffer.create 4096 in
-  add b (header prog);
-  List.iter
-    (fun (fd : I.fundec) ->
-      ser_fn_header b fd;
-      add b "{";
-      I.iter_stmts
-        (fun s ->
-          match s.I.sk with
-          | I.Sinstr i when skeleton_instr i ->
-              ser_loc b s.I.sloc;
-              ser_instr b i;
-              add b ";"
-          | I.Sreturn (Some e) when exp_ptr_relevant e ->
-              (* pointer returns feed the summaries' returns_alloc /
-                 returns_param facts *)
-              ser_loc b s.I.sloc;
-              add b "return ";
-              ser_exp b e;
-              add b ";"
-          | _ -> ())
-        fd.I.fbody;
-      add b "}")
-    prog.I.funcs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* The pointer-flow projection: everything the relational interface
-   summaries ({!Absint.Relsum}) read, and nothing else — function
-   headers, control structure, pointer-relevant conditions and
-   returns (opaque "?" markers otherwise), and the skeleton's
-   pointer-moving instructions.  No locations (the summaries carry
-   none, so pure line shifts stay warm) and no checks or arithmetic:
-   an arithmetic-only body edit leaves the digest unchanged and the
-   relsum artifact warm.  Keep in sync with relsum.ml: every fact that
-   analysis consumes must be serialized here. *)
-let ptrflow (prog : I.program) : string =
-  let b = Buffer.create 4096 in
-  let ser_cond c =
-    if exp_ptr_relevant c then ser_exp b c else add b "?"
-  in
-  let rec ser_stmt (s : I.stmt) =
-    match s.I.sk with
-    | I.Sinstr i ->
-        if skeleton_instr i then begin
-          ser_instr b i;
-          add b ";"
-        end
-    | I.Sreturn (Some e) ->
-        add b "return ";
-        if exp_ptr_relevant e then ser_exp b e else add b "?";
-        add b ";"
-    | I.Sreturn None -> add b "return;"
-    | I.Sif (c, b1, b2) ->
-        add b "if(";
-        ser_cond c;
-        add b "){";
-        List.iter ser_stmt b1;
-        add b "}else{";
-        List.iter ser_stmt b2;
-        add b "}"
-    | I.Swhile (c, body, step) ->
-        add b "while(";
-        ser_cond c;
-        add b "){";
-        List.iter ser_stmt body;
-        add b "}step{";
-        List.iter ser_stmt step;
-        add b "}"
-    | I.Sdowhile (body, c) ->
-        add b "do{";
-        List.iter ser_stmt body;
-        add b "}while(";
-        ser_cond c;
-        add b ")"
-    | I.Sswitch (_, cases) ->
-        (* the scrutinee and case values pick a case at runtime; the
-           must-analysis joins over all of them, so only the default
-           marker and the bodies matter *)
-        add b "switch{";
-        List.iter
-          (fun (c : I.case) ->
-            add b (if c.I.cdefault then "default{" else "case{");
-            List.iter ser_stmt c.I.cbody;
-            add b "}")
-          cases;
-        add b "}"
-    | I.Sbreak -> add b "break;"
-    | I.Scontinue -> add b "continue;"
-    | I.Sblock b1 | I.Sdelayed b1 | I.Strusted b1 ->
-        add b "{";
-        List.iter ser_stmt b1;
-        add b "}"
-  in
-  List.iter
-    (fun (fd : I.fundec) ->
-      ser_fn_header b fd;
-      add b "{";
-      List.iter ser_stmt fd.I.fbody;
-      add b "}")
-    prog.I.funcs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let table_of (prog : I.program) : table =
   let t_header = header prog in
   let t_fns = List.map (fun (fd : I.fundec) -> (fd.I.fname, fn fd)) prog.I.funcs in
@@ -537,8 +388,7 @@ let table_of (prog : I.program) : table =
       add b d;
       add b ";")
     t_fns;
-  { t_header; t_fns; t_program = Digest.to_hex (Digest.string (Buffer.contents b));
-    t_skeleton = skeleton prog; t_ptrflow = ptrflow prog }
+  { t_header; t_fns; t_program = Digest.to_hex (Digest.string (Buffer.contents b)) }
 
 type diff = {
   d_changed : string list;  (** defined in both, body or header differs *)

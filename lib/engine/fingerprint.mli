@@ -3,22 +3,15 @@
     Digests are deterministic across re-parses of the same source
     (names, never [vid]/[fid] counters) and include statement
     locations, so a cached artifact is never reused to report stale
-    line numbers. See fingerprint.ml for the exact projections. *)
+    line numbers. See fingerprint.ml for the exact serialization. *)
 
 (** All the digests of one program, computed once per (re)load. *)
 type table = {
   t_header : string;  (** structs, enums, globals with initializers *)
   t_fns : (string * string) list;  (** per defined function, program order *)
-  t_program : string;  (** header + every function: the widest input hash *)
-  t_skeleton : string;
-      (** the call / function-pointer projection read by points-to,
-          call graph, blocking and irq-handler discovery; arithmetic
-          body edits leave it unchanged *)
-  t_ptrflow : string;
-      (** the pointer-flow projection read by the relational interface
-          summaries ({!Absint.Relsum}): headers, control structure,
-          pointer-relevant conditions/returns, skeleton instructions —
-          no locations, checks or arithmetic *)
+  t_program : string;
+      (** header + every function: the input hash of every
+          whole-program artifact *)
 }
 
 val fn : Kc.Ir.fundec -> string
@@ -26,8 +19,6 @@ val fn : Kc.Ir.fundec -> string
     statement locations. *)
 
 val header : Kc.Ir.program -> string
-val skeleton : Kc.Ir.program -> string
-val ptrflow : Kc.Ir.program -> string
 val table_of : Kc.Ir.program -> table
 
 type diff = {

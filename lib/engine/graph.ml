@@ -61,9 +61,12 @@ type t = {
   nodes : (key, node) Hashtbl.t;
   counters : (string, counters) Hashtbl.t; (* aggregated per key name *)
   mutable next_stamp : int;
+  mutable nested_ns : int64;
+      (* inclusive time of the builds nested in the one now running *)
 }
 
-let create () = { nodes = Hashtbl.create 64; counters = Hashtbl.create 16; next_stamp = 0 }
+let create () =
+  { nodes = Hashtbl.create 64; counters = Hashtbl.create 16; next_stamp = 0; nested_ns = 0L }
 
 let counters_for (t : t) (name : string) : counters =
   match Hashtbl.find_opt t.counters name with
@@ -82,11 +85,20 @@ let fresh (t : t) (n : node) (fp : string) : bool =
   String.equal n.n_fp fp
   && List.for_all (fun (k, s) -> stamp_of t k = s) n.n_dep_stamps
 
+(* Build seconds are monotonic self times: a build that fetches
+   another artifact, which then builds, is charged only for its own
+   work, and the inner build's time goes to the inner artifact. *)
 let build_node (t : t) (c : counters) key deps fp (slot : 'a slot) (build : unit -> 'a) : 'a =
-  let t0 = Unix.gettimeofday () in
-  let v = build () in
+  let outer_ns = t.nested_ns in
+  t.nested_ns <- 0L;
+  let t0 = Monotonic_clock.now () in
+  let finish () =
+    let dt = Int64.sub (Monotonic_clock.now ()) t0 in
+    c.c_seconds <- c.c_seconds +. (Int64.to_float (Int64.sub dt t.nested_ns) /. 1e9);
+    t.nested_ns <- Int64.add outer_ns dt
+  in
+  let v = Fun.protect ~finally:finish build in
   c.c_builds <- c.c_builds + 1;
-  c.c_seconds <- c.c_seconds +. (Unix.gettimeofday () -. t0);
   t.next_stamp <- t.next_stamp + 1;
   (* Dependency stamps are recorded after the build: the build function
      obtains its inputs through the context's getters, so by now every
@@ -207,7 +219,7 @@ let total_hits (stats : stat list) = List.fold_left (fun acc s -> acc + s.hits) 
 let total_invalidations (stats : stat list) =
   List.fold_left (fun acc s -> acc + s.invalidations) 0 stats
 
-(* The deterministic counts and the wall-clock seconds of [after]
+(* The deterministic counts and the build seconds of [after]
    minus [before], per artifact: what one request paid. *)
 let delta ~(before : stat list) (after : stat list) : stat list =
   let find name =

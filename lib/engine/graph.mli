@@ -6,8 +6,8 @@
     value. {!get} serves the cache while the hash still matches and no
     dependency has been rebuilt since; {!invalidate} drops a key plus
     everything downstream along the declared edges. Build / hit /
-    invalidation counters and build seconds are owned by the graph and
-    aggregated per artifact name.
+    invalidation counters and build self seconds are owned by the graph
+    and aggregated per artifact name.
 
     Single-domain, like the {!Context} that owns it; parallel drivers
     keep one graph per worker and aggregate with {!merge}. *)
@@ -49,7 +49,9 @@ val invalidate : t -> key -> int
 val invalidate_all : t -> int
 
 (** Observability: per-artifact-name sums. [builds]/[hits]/
-    [invalidations] are deterministic; [seconds] is wall clock. *)
+    [invalidations] are deterministic; [seconds] is monotonic self
+    time — a build's own time, minus that of the builds it triggered
+    by fetching other artifacts, which those artifacts report. *)
 type stat = {
   artifact : string;
   builds : int;

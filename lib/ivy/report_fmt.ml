@@ -296,7 +296,7 @@ let render_file_reports_json (reports : (string * string) list) : string =
 let render_stat_list (stats : Engine.Context.stat list) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    "engine artifacts (builds / cache hits / invalidations / build seconds):\n";
+    "engine artifacts (builds / cache hits / invalidations / build self seconds):\n";
   List.iter
     (fun (s : Engine.Context.stat) ->
       Buffer.add_string buf
@@ -306,7 +306,7 @@ let render_stat_list (stats : Engine.Context.stat list) : string =
     stats;
   Buffer.contents buf
 
-(* Stats as JSON, deterministic counts separated from wall-clock
+(* Stats as JSON, deterministic counts separated from measured
    timing: golden tests (and the CI serve smoke job) lock the
    "artifacts" and "totals" objects while "timing_s" stays free. *)
 let render_stats_json (stats : Engine.Context.stat list) : string =

@@ -401,6 +401,10 @@ let drain_lines (c : client) : string list =
       |> List.filter (fun l -> String.trim l <> "")
 
 let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : unit =
+  (* A client that disconnects before its response is written must not
+     kill the daemon: with SIGPIPE ignored the write fails with EPIPE,
+     and the Unix_error handler below closes only that client. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX socket);

@@ -1,8 +1,8 @@
 (* Tests for the artifact graph's content-hash invalidation: the
-   fingerprint projections, warm re-checks (zero builds), single-
-   function edits rebuilding exactly the downstream artifacts, push
-   invalidation along declared edges, counter merging and the serve
-   LRU. *)
+   fingerprint digests, warm re-checks (zero builds), edits rebuilding
+   exactly the downstream artifacts and matching a cold context, push
+   invalidation along declared edges, build self times, counter
+   merging and the serve LRU. *)
 
 let parse src = Kc.Typecheck.check_sources [ ("t.kc", src) ]
 
@@ -53,11 +53,9 @@ let test_fingerprint_stable_across_reparse () =
   let b = Engine.Fingerprint.table_of (parse (prog_src base_body)) in
   Alcotest.(check bool) "tables equal" true (Engine.Fingerprint.unchanged ~old:a b);
   Alcotest.(check string) "program digest equal" a.Engine.Fingerprint.t_program
-    b.Engine.Fingerprint.t_program;
-  Alcotest.(check string) "skeleton digest equal" a.Engine.Fingerprint.t_skeleton
-    b.Engine.Fingerprint.t_skeleton
+    b.Engine.Fingerprint.t_program
 
-let test_fingerprint_arith_edit_is_skeleton_stable () =
+let test_fingerprint_arith_edit_moves_one_digest () =
   let a = Engine.Fingerprint.table_of (parse (prog_src base_body)) in
   let b = Engine.Fingerprint.table_of (parse (prog_src edited_body)) in
   Alcotest.(check bool) "tables differ" false (Engine.Fingerprint.unchanged ~old:a b);
@@ -67,21 +65,8 @@ let test_fingerprint_arith_edit_is_skeleton_stable () =
   Alcotest.(check (list string)) "nothing added" [] d.Engine.Fingerprint.d_added;
   Alcotest.(check (list string)) "nothing removed" [] d.Engine.Fingerprint.d_removed;
   Alcotest.(check bool) "header unchanged" false d.Engine.Fingerprint.d_header_changed;
-  (* An arithmetic-only body edit leaves the call skeleton unchanged:
-     points-to, call graph, blocking and irq-handler facts stay warm. *)
-  Alcotest.(check string) "skeleton digest stable" a.Engine.Fingerprint.t_skeleton
-    b.Engine.Fingerprint.t_skeleton;
   Alcotest.(check bool) "program digest moved" false
     (String.equal a.Engine.Fingerprint.t_program b.Engine.Fingerprint.t_program)
-
-let test_fingerprint_call_edit_changes_skeleton () =
-  let a = Engine.Fingerprint.table_of (parse (prog_src base_body)) in
-  let b =
-    Engine.Fingerprint.table_of
-      (parse (prog_src "int helper(int x) { schedule(); return x + 1; }\n"))
-  in
-  Alcotest.(check bool) "skeleton digest moved" false
-    (String.equal a.Engine.Fingerprint.t_skeleton b.Engine.Fingerprint.t_skeleton)
 
 let test_fingerprint_includes_locations () =
   (* Shifting a function down a line must change its digest: cached
@@ -133,26 +118,70 @@ let test_single_function_edit_rebuilds_only_downstream () =
         ignore (Engine.Context.vm_compiled ctxt);
         r)
   in
-  (* The call-skeleton artifacts must be served warm: an arithmetic
-     edit moves no pointer-relevant instruction, so refsafe's
-     summaries stay warm alongside points-to and the call graph... *)
-  List.iter
-    (fun name -> Alcotest.(check int) (name ^ " not rebuilt") 0 (builds_of delta name))
-    [
-      "pointsto(type-based)"; "pointsto(field-based)"; "callgraph(type-based)";
-      "callgraph(field-based)"; "blocking(type-based)"; "irq-handlers";
-      "refsafe-summaries";
-    ];
-  (* ...while the body-reading chain rebuilds exactly once each (the
-     ccount discharge re-instruments the edited program, but reuses the
-     warm summaries). *)
+  (* Only the edited function's CFG rebuilds; every whole-program
+     artifact keys on the program digest, so each rebuilds exactly
+     once — none twice, and none is served stale. *)
   Alcotest.(check int) "one cfg rebuild (helper only)" 1 (builds_of delta "cfg");
   List.iter
     (fun name -> Alcotest.(check int) (name ^ " rebuilt once") 1 (builds_of delta name))
-    [ "absint-summaries"; "deputized(absint)"; "vm-compiled"; "ccount-discharged" ];
+    [
+      "pointsto(type-based)"; "pointsto(field-based)"; "callgraph(type-based)";
+      "callgraph(field-based)"; "blocking(type-based)"; "irq-handlers";
+      "refsafe-summaries"; "absint-summaries"; "deputized(absint)"; "vm-compiled";
+      "ccount-discharged";
+    ];
   (* And the incremental report equals a cold context's report. *)
   let cold = Engine.Context.create (parse (prog_src edited_body)) in
   Alcotest.(check string) "report byte-identical to cold" (report cold) second
+
+(* Warm must equal cold on the edits that change what the call graph
+   and the pointer-flow summaries read, not just arithmetic. *)
+let test_call_edit_surfaces_blockstop () =
+  let called_body = "int helper(int x) { schedule(); return x + 1; }\n" in
+  let blockstop_in_helper ctxt =
+    List.exists
+      (fun (d : Engine.Diag.t) ->
+        d.Engine.Diag.analysis = "blockstop"
+        && d.Engine.Diag.loc.Kc.Loc.line = 8 (* helper's line *))
+      (Ivy.Checks.diags (Ivy.Checks.run_all ctxt))
+  in
+  let ctxt = Engine.Context.create (parse (prog_src base_body)) in
+  Alcotest.(check bool) "no blockstop finding in helper before" false
+    (blockstop_in_helper ctxt);
+  let u = Engine.Context.update ctxt (parse (prog_src called_body)) in
+  Alcotest.(check (list string)) "helper changed" [ "helper" ] u.Engine.Context.u_changed;
+  Alcotest.(check bool) "helper now blocks under the lock" true (blockstop_in_helper ctxt);
+  let cold = Engine.Context.create (parse (prog_src called_body)) in
+  Alcotest.(check string) "report byte-identical to cold" (report cold) (report ctxt)
+
+let test_pointer_edit_matches_cold () =
+  let with_keep keep = "long *stash;\n" ^ base_body ^ keep in
+  let before = with_keep "long *keep(long *p) { return &the_lock; }\n" in
+  let after = with_keep "long *keep(long *p) { stash = p; return p; }\n" in
+  let ctxt = Engine.Context.create (parse (prog_src before)) in
+  ignore (report ctxt);
+  let iface ctxt =
+    Option.map
+      (fun (i : Absint.Transfer.fn_iface) -> i.Absint.Transfer.ret_nonnull)
+      (Absint.Transfer.SM.find_opt "keep" (Engine.Context.relsum_ifaces ctxt))
+  in
+  let escapes ctxt =
+    Option.map
+      (fun (s : Refsafe.Summary.fsum) -> s.Refsafe.Summary.escaping_params)
+      (Refsafe.Summary.lookup (Engine.Context.refsafe_summaries ctxt) "keep")
+  in
+  Alcotest.(check (option bool)) "keep returns non-null before" (Some true) (iface ctxt);
+  Alcotest.(check (option (list int))) "p does not escape before" (Some []) (escapes ctxt);
+  let u = Engine.Context.update ctxt (parse (prog_src after)) in
+  Alcotest.(check (list string)) "keep changed" [ "keep" ] u.Engine.Context.u_changed;
+  let warm, delta = delta_of ctxt (fun () -> report ctxt) in
+  List.iter
+    (fun name -> Alcotest.(check int) (name ^ " rebuilt once") 1 (builds_of delta name))
+    [ "relsum-ifaces"; "refsafe-summaries" ];
+  Alcotest.(check (option bool)) "keep may return null after" (Some false) (iface ctxt);
+  Alcotest.(check (option (list int))) "p escapes after" (Some [ 0 ]) (escapes ctxt);
+  let cold = Engine.Context.create (parse (prog_src after)) in
+  Alcotest.(check string) "report byte-identical to cold" (report cold) warm
 
 let test_update_keeps_program_object_when_unchanged () =
   let prog = parse (prog_src base_body) in
@@ -224,6 +253,33 @@ let test_graph_dep_stamp_staleness () =
          20));
   Alcotest.(check bool) "downstream rebuilt on stale dep stamp" true !rebuilt
 
+let test_graph_build_self_time () =
+  let g = Engine.Graph.create () in
+  let slot : int Engine.Graph.slot = Engine.Graph.slot () in
+  let busy () =
+    let until = Int64.add (Monotonic_clock.now ()) 5_000_000L in
+    while Monotonic_clock.now () < until do
+      ()
+    done;
+    1
+  in
+  (* The outer artifact's only work is to fetch the busy inner one. *)
+  let t0 = Monotonic_clock.now () in
+  ignore
+    (Engine.Graph.get g slot ~name:"outer" ~fp:"fp" (fun () ->
+         Engine.Graph.get g slot ~name:"inner" ~fp:"fp" busy));
+  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
+  let seconds name =
+    (List.find
+       (fun (s : Engine.Graph.stat) -> s.Engine.Graph.artifact = name)
+       (Engine.Graph.stats g))
+      .Engine.Graph.seconds
+  in
+  Alcotest.(check bool) "outer self time below inner" true (seconds "outer" < seconds "inner");
+  Alcotest.(check bool) "inner charged its busy work" true (seconds "inner" >= 0.005);
+  Alcotest.(check bool) "self times sum to at most the wall time" true
+    (seconds "outer" +. seconds "inner" <= wall)
+
 let test_merge_counters () =
   let s artifact builds hits invalidations seconds =
     { Engine.Graph.artifact; builds; hits; invalidations; seconds }
@@ -274,10 +330,8 @@ let () =
         [
           Alcotest.test_case "stable across re-parse" `Quick
             test_fingerprint_stable_across_reparse;
-          Alcotest.test_case "arith edit is skeleton-stable" `Quick
-            test_fingerprint_arith_edit_is_skeleton_stable;
-          Alcotest.test_case "call edit changes skeleton" `Quick
-            test_fingerprint_call_edit_changes_skeleton;
+          Alcotest.test_case "arith edit moves one digest" `Quick
+            test_fingerprint_arith_edit_moves_one_digest;
           Alcotest.test_case "locations are part of the digest" `Quick
             test_fingerprint_includes_locations;
         ] );
@@ -287,6 +341,10 @@ let () =
             test_warm_recheck_zero_builds;
           Alcotest.test_case "one-function edit rebuilds only downstream" `Quick
             test_single_function_edit_rebuilds_only_downstream;
+          Alcotest.test_case "call edit surfaces blockstop" `Quick
+            test_call_edit_surfaces_blockstop;
+          Alcotest.test_case "pointer edit equals cold" `Quick
+            test_pointer_edit_matches_cold;
           Alcotest.test_case "unchanged update keeps the program object" `Quick
             test_update_keeps_program_object_when_unchanged;
           Alcotest.test_case "removed function invalidates" `Quick
@@ -298,6 +356,8 @@ let () =
             test_graph_push_invalidation;
           Alcotest.test_case "stale dep stamp forces rebuild" `Quick
             test_graph_dep_stamp_staleness;
+          Alcotest.test_case "build seconds are self times" `Quick
+            test_graph_build_self_time;
           Alcotest.test_case "merge_counters sums per artifact" `Quick test_merge_counters;
           Alcotest.test_case "lru evicts least recently used" `Quick test_lru_eviction;
         ] );

@@ -1,6 +1,7 @@
 (* Tests for the serve daemon's JSON framing and request handling,
    exercised in-process through [Serve.handle_line] — no socket needed
-   to pin down the protocol. *)
+   to pin down the protocol — plus the socket loop's survival of a
+   client that hangs up early, against a forked [Serve.run]. *)
 
 module J = Ivy.Jsonx
 
@@ -257,6 +258,50 @@ let test_serve_batch () =
     (Ivy.Serve.src_digest [ ("a", "x") ])
     (Ivy.Serve.src_digest [ ("a", "x") ])
 
+(* ------------------------------------------------------------------ *)
+(* Socket loop                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A client that sends a check and closes its socket before the answer
+   arrives costs the daemon that client only: the response write must
+   fail with EPIPE instead of killing the process with SIGPIPE, and
+   the daemon must go on answering others. *)
+let test_serve_survives_early_disconnect () =
+  let socket = Printf.sprintf "ivy-early-close-%d.sock" (Unix.getpid ()) in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+      (try Ivy.Serve.run ~socket (Ivy.Serve.create ()) with _ -> Unix._exit 2);
+      Unix._exit 0
+  | pid ->
+      let rec connect tries =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        match Unix.connect fd (Unix.ADDR_UNIX socket) with
+        | () -> fd
+        | exception Unix.Unix_error _ when tries > 0 ->
+            Unix.close fd;
+            Unix.sleepf 0.01;
+            connect (tries - 1)
+      in
+      let fd = connect 500 in
+      let line = Bytes.of_string (check_request src_v1 ^ "\n") in
+      ignore (Unix.write fd line 0 (Bytes.length line));
+      Unix.close fd;
+      let rpc line =
+        match Ivy.Serve.request ~socket line with
+        | r -> Some (J.parse r)
+        | exception Unix.Unix_error _ -> None
+      in
+      let stats = rpc {|{"id":2,"method":"stats"}|} in
+      let bye = rpc {|{"id":3,"method":"shutdown"}|} in
+      if bye = None then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      let _, status = Unix.waitpid [] pid in
+      Alcotest.(check bool) "stats answered after the early close" true
+        (Option.bind stats (get [ "result"; "requests" ]) <> None);
+      Alcotest.(check (option string)) "shutdown acknowledged" (Some "bye")
+        (Option.bind (Option.bind bye (get [ "result" ])) J.to_string_opt);
+      Alcotest.(check bool) "daemon exited cleanly" true (status = Unix.WEXITED 0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -277,5 +322,7 @@ let () =
           Alcotest.test_case "protocol errors" `Quick test_serve_errors;
           Alcotest.test_case "shutdown" `Quick test_serve_shutdown;
           Alcotest.test_case "batch" `Quick test_serve_batch;
+          Alcotest.test_case "survives an early disconnect" `Quick
+            test_serve_survives_early_disconnect;
         ] );
     ]
