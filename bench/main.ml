@@ -592,10 +592,11 @@ let bench_vm_super ?(best = 11) () =
          burns one warm run per arm to repay the compile off-clock. *)
       let t_base = ref infinity and t_opt = ref infinity in
       let sample cell =
-        (* Machine construction (tens of MB of zeroed planes) is
-           engine-independent setup; it stays off the clock so the
-           ratio reflects execution, not memset. The warm run above
-           already repaid this arm's compile into the program cache. *)
+        (* Machine construction (mapping the memory planes, building
+           the interpreter) is engine-independent setup; it stays off
+           the clock so the ratio reflects execution alone. The warm
+           run above already repaid this arm's compile into the
+           program cache. *)
         let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled prog in
         Gc.major ();
         let t0 = Unix.gettimeofday () in

@@ -18,7 +18,23 @@
 
    The shadow array keeps one 8-bit counter per 16-byte chunk (6.25%
    space overhead, as in the paper). Counters saturate modulo 256:
-   "bad frees of objects with k*256 references will be missed". *)
+   "bad frees of objects with k*256 references will be missed".
+
+   The three planes (data, validity, rc) are private demand-zero
+   mappings of /dev/zero, not OCaml heap: [create] maps ~47 MB of
+   address space and the kernel hands out a zero page on first touch,
+   so a machine costs the pages its program touches. The mappings are
+   released when the GC finalises the plane; there is no release call,
+   and [create] forces a collection when boots outrun the major GC.
+
+   Plane accesses go through the typed bigstring primitives below,
+   which compile to inline loads and stores. Bigarray's generic
+   [unsafe_get]/[unsafe_set] are used only at the concrete [plane]
+   type; at an unknown element kind they become a C call per access.
+   The unchecked accesses run only after a range test: the load/store
+   fast paths, [set_valid] behind [in_range], the bulk operations
+   behind [check_access]. The rc accessors take arbitrary addresses
+   and stay bounds-checked. *)
 
 let null_page_end = 4096
 let rodata_base = 4096
@@ -33,10 +49,12 @@ let total_size = stack_base + stack_size
 
 let chunk_shift = 4 (* 16-byte chunks *)
 
+type plane = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  bytes : Bytes.t;
-  valid : Bytes.t; (* 1 byte per address: crude but simple *)
-  rc : Bytes.t; (* 1 byte per 16-byte chunk *)
+  bytes : plane;
+  valid : plane; (* 1 byte per address: crude but simple *)
+  rc : plane; (* 1 byte per 16-byte chunk *)
   mutable rc_enabled : bool;
   (* "Bad frees of objects with k*256 references will be missed ...
      For total safety, an overflow check could be used." This is that
@@ -44,26 +62,128 @@ type t = {
   mutable rc_overflow_trap : bool;
 }
 
-let create () =
-  {
-    bytes = Bytes.make total_size '\000';
-    valid = Bytes.make total_size '\000';
-    rc = Bytes.make (total_size lsr chunk_shift) '\000';
-    rc_enabled = false;
-    rc_overflow_trap = false;
-  }
+(* Unchecked native-endian plane access. *)
+external get16u : plane -> int -> int = "%caml_bigstring_get16u"
+external get32u : plane -> int -> int32 = "%caml_bigstring_get32u"
+external get64u : plane -> int -> int64 = "%caml_bigstring_get64u"
+external set16u : plane -> int -> int -> unit = "%caml_bigstring_set16u"
+external set32u : plane -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external set64u : plane -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external big_endian : unit -> bool = "%big_endian"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let in_range addr len = addr >= 0 && len >= 0 && addr + len <= total_size
+let[@inline] get8 (p : plane) i = Char.code (Bigarray.Array1.unsafe_get p i)
+let[@inline] set8 (p : plane) i v = Bigarray.Array1.unsafe_set p i (Char.unsafe_chr v)
+
+(* Little-endian data access, as the VM's memory is little-endian. *)
+let[@inline] get16le p i = if big_endian () then bswap16 (get16u p i) else get16u p i
+let[@inline] get32le p i = if big_endian () then bswap32 (get32u p i) else get32u p i
+let[@inline] get64le p i = if big_endian () then bswap64 (get64u p i) else get64u p i
+let[@inline] set16le p i v = set16u p i (if big_endian () then bswap16 v else v)
+let[@inline] set32le p i v = set32u p i (if big_endian () then bswap32 v else v)
+let[@inline] set64le p i v = set64u p i (if big_endian () then bswap64 v else v)
+
+let[@inline] sext bits v = (v lsl (Sys.int_size - bits)) asr (Sys.int_size - bits)
+
+(* Validity words: the plane keeps a 0/1 byte per address, so a
+   width-wide read equals these exactly when every byte is mapped. *)
+let mapped8 = 0x0101010101010101L
+let mapped4 = 0x01010101l
+let mapped2 = 0x0101
+
+let map_plane fd size : plane =
+  Bigarray.array1_of_genarray (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+
+(* The GC sees a few words per plane, not the mapping behind it, so
+   no heap pressure hurries it to unmap a dead machine's planes: a loop
+   that boots machines but allocates little would pile up address
+   space and map entries (the kernel caps a process at ~65k). When
+   [reclaim_every] boots go by inside one major cycle, [create] runs
+   a full major collection, which unmaps every dead plane. *)
+let reclaim_every = 64
+let boots_in_cycle = Atomic.make 0
+let cycle_seen = Atomic.make 0
+
+let reclaim_dead_planes () =
+  let cycle = (Gc.quick_stat ()).Gc.major_collections in
+  if Atomic.exchange cycle_seen cycle <> cycle then Atomic.set boots_in_cycle 0;
+  if Atomic.fetch_and_add boots_in_cycle 1 >= reclaim_every then Gc.full_major ()
+
+let create () =
+  reclaim_dead_planes ();
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      {
+        bytes = map_plane fd total_size;
+        valid = map_plane fd total_size;
+        rc = map_plane fd (total_size lsr chunk_shift);
+        rc_enabled = false;
+        rc_overflow_trap = false;
+      })
+
+(* Unchecked word-wide fill and memmove; callers range-check first. *)
+let fill (p : plane) addr len c =
+  let w = Int64.mul mapped8 (Int64.of_int c) in
+  let stop = addr + len and i = ref addr in
+  while !i <= stop - 8 do
+    set64u p !i w;
+    i := !i + 8
+  done;
+  while !i < stop do
+    set8 p !i c;
+    incr i
+  done
+
+let move (p : plane) ~src ~dst len =
+  if dst <= src then begin
+    (* Forward: each write lands below every byte still to be read. *)
+    let i = ref 0 in
+    while !i <= len - 8 do
+      set64u p (dst + !i) (get64u p (src + !i));
+      i := !i + 8
+    done;
+    while !i < len do
+      set8 p (dst + !i) (get8 p (src + !i));
+      incr i
+    done
+  end
+  else begin
+    (* Backward: each write lands above every byte still to be read. *)
+    let n = ref len in
+    while !n >= 8 do
+      n := !n - 8;
+      set64u p (dst + !n) (get64u p (src + !n))
+    done;
+    while !n > 0 do
+      decr n;
+      set8 p (dst + !n) (get8 p (src + !n))
+    done
+  end
+
+(* Written so that no sum can wrap: [addr + len] may exceed max_int. *)
+let in_range addr len = addr >= 0 && len >= 0 && addr <= total_size - len
 
 let set_valid t addr len v =
   if not (in_range addr len) then Trap.trap Trap.Wild_access "map %d+%d out of range" addr len;
-  Bytes.fill t.valid addr len (if v then '\001' else '\000')
+  fill t.valid addr len (if v then 1 else 0)
 
 let is_valid t addr len =
   in_range addr len
   &&
-  let rec go i = i >= len || (Bytes.get t.valid (addr + i) <> '\000' && go (i + 1)) in
-  go 0
+  let stop = addr + len and i = ref addr and ok = ref true in
+  while !ok && !i <= stop - 8 do
+    ok := get64u t.valid !i = mapped8;
+    i := !i + 8
+  done;
+  while !ok && !i < stop do
+    ok := get8 t.valid !i = 1;
+    incr i
+  done;
+  !ok
 
 let check_access t addr len what =
   if addr >= 0 && addr < null_page_end then
@@ -73,18 +193,18 @@ let check_access t addr len what =
 
 (* Little-endian load/store of 1/2/4/8 bytes.
 
-   The hot paths test the validity plane with one word-wide read —
-   the plane keeps a 0/1 byte per address, so a width-wide read of it
-   equals the all-ones pattern exactly when every byte is mapped — and
+   The hot paths test the validity plane with one word-wide read and
    then move the data with a single unaligned access. Anything else
    (null page, edge of the address space, a hole in the middle of the
    span, odd widths) falls back to the byte loop behind check_access,
-   which raises the exact trap the fast path skipped. *)
+   which raises the exact trap the fast path skipped. The range test
+   is [addr <= total_size - width] so a wild address near max_int
+   cannot wrap into an unchecked access. *)
 let load_slow t ~addr ~width ~signed : int64 =
   check_access t addr width "load";
   let v = ref 0L in
   for i = width - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get t.bytes (addr + i))))
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get8 t.bytes (addr + i)))
   done;
   if signed && width < 8 then begin
     let shift = 64 - (8 * width) in
@@ -93,18 +213,18 @@ let load_slow t ~addr ~width ~signed : int64 =
   else !v
 
 let[@inline] load t ~addr ~width ~signed : int64 =
-  if addr >= null_page_end && addr + width <= total_size then
+  if addr >= null_page_end && addr <= total_size - width then
     match width with
-    | 8 when Bytes.get_int64_ne t.valid addr = 0x0101010101010101L ->
-        Bytes.get_int64_le t.bytes addr
-    | 4 when Bytes.get_int32_ne t.valid addr = 0x01010101l ->
-        let v = Int64.of_int32 (Bytes.get_int32_le t.bytes addr) in
+    | 8 when get64u t.valid addr = mapped8 -> get64le t.bytes addr
+    | 4 when get32u t.valid addr = mapped4 ->
+        let v = Int64.of_int32 (get32le t.bytes addr) in
         if signed then v else Int64.logand v 0xFFFFFFFFL
-    | 2 when Bytes.get_uint16_ne t.valid addr = 0x0101 ->
-        Int64.of_int
-          (if signed then Bytes.get_int16_le t.bytes addr else Bytes.get_uint16_le t.bytes addr)
-    | 1 when Bytes.get t.valid addr = '\001' ->
-        Int64.of_int (if signed then Bytes.get_int8 t.bytes addr else Bytes.get_uint8 t.bytes addr)
+    | 2 when get16u t.valid addr = mapped2 ->
+        let v = get16le t.bytes addr in
+        Int64.of_int (if signed then sext 16 v else v)
+    | 1 when get8 t.valid addr = 1 ->
+        let v = get8 t.bytes addr in
+        Int64.of_int (if signed then sext 8 v else v)
     | _ -> load_slow t ~addr ~width ~signed
   else load_slow t ~addr ~width ~signed
 
@@ -112,21 +232,17 @@ let store_slow t ~addr ~width (v : int64) =
   check_access t addr width "store";
   let x = ref v in
   for i = 0 to width - 1 do
-    Bytes.set t.bytes (addr + i) (Char.chr (Int64.to_int (Int64.logand !x 0xFFL)));
+    set8 t.bytes (addr + i) (Int64.to_int (Int64.logand !x 0xFFL));
     x := Int64.shift_right_logical !x 8
   done
 
 let[@inline] store t ~addr ~width (v : int64) =
-  if addr >= null_page_end && addr + width <= total_size then
+  if addr >= null_page_end && addr <= total_size - width then
     match width with
-    | 8 when Bytes.get_int64_ne t.valid addr = 0x0101010101010101L ->
-        Bytes.set_int64_le t.bytes addr v
-    | 4 when Bytes.get_int32_ne t.valid addr = 0x01010101l ->
-        Bytes.set_int32_le t.bytes addr (Int64.to_int32 v)
-    | 2 when Bytes.get_uint16_ne t.valid addr = 0x0101 ->
-        Bytes.set_uint16_le t.bytes addr (Int64.to_int v land 0xFFFF)
-    | 1 when Bytes.get t.valid addr = '\001' ->
-        Bytes.set_uint8 t.bytes addr (Int64.to_int v land 0xFF)
+    | 8 when get64u t.valid addr = mapped8 -> set64le t.bytes addr v
+    | 4 when get32u t.valid addr = mapped4 -> set32le t.bytes addr (Int64.to_int32 v)
+    | 2 when get16u t.valid addr = mapped2 -> set16le t.bytes addr (Int64.to_int v land 0xFFFF)
+    | 1 when get8 t.valid addr = 1 -> set8 t.bytes addr (Int64.to_int v land 0xFF)
     | _ -> store_slow t ~addr ~width v
   else store_slow t ~addr ~width v
 
@@ -139,40 +255,42 @@ let[@inline] store t ~addr ~width (v : int64) =
    the load/store pair, minus the boxing. *)
 let[@inline] valid_fast t addr width =
   addr >= null_page_end
-  && addr + width <= total_size
+  && addr <= total_size - width
   &&
   match width with
-  | 8 -> Bytes.get_int64_ne t.valid addr = 0x0101010101010101L
-  | 4 -> Bytes.get_int32_ne t.valid addr = 0x01010101l
-  | 2 -> Bytes.get_uint16_ne t.valid addr = 0x0101
-  | 1 -> Bytes.get t.valid addr = '\001'
+  | 8 -> get64u t.valid addr = mapped8
+  | 4 -> get32u t.valid addr = mapped4
+  | 2 -> get16u t.valid addr = mapped2
+  | 1 -> get8 t.valid addr = 1
   | _ -> false
 
 let[@inline] blit_raw t ~src ~dst ~width =
   match width with
-  | 8 -> Bytes.set_int64_le t.bytes dst (Bytes.get_int64_le t.bytes src)
-  | 4 -> Bytes.set_int32_le t.bytes dst (Bytes.get_int32_le t.bytes src)
-  | 2 -> Bytes.set_uint16_le t.bytes dst (Bytes.get_uint16_le t.bytes src)
-  | 1 -> Bytes.set_uint8 t.bytes dst (Bytes.get_uint8 t.bytes src)
-  | _ -> Bytes.blit t.bytes src t.bytes dst width
+  | 8 -> set64u t.bytes dst (get64u t.bytes src)
+  | 4 -> set32u t.bytes dst (get32u t.bytes src)
+  | 2 -> set16u t.bytes dst (get16u t.bytes src)
+  | 1 -> set8 t.bytes dst (get8 t.bytes src)
+  | _ -> move t.bytes ~src ~dst width
 
 (* Raw block operations used by the allocator and memcpy/memset. *)
 let blit_zero t addr len =
   check_access t addr len "memset";
-  Bytes.fill t.bytes addr len '\000'
+  fill t.bytes addr len 0
 
 let blit_byte t addr len c =
   check_access t addr len "memset";
-  Bytes.fill t.bytes addr len (Char.chr (c land 0xFF))
+  fill t.bytes addr len (c land 0xFF)
 
 let blit_copy t ~src ~dst len =
   check_access t src len "memcpy-src";
   check_access t dst len "memcpy-dst";
-  Bytes.blit t.bytes src t.bytes dst len
+  move t.bytes ~src ~dst len
 
 let blit_string t addr s =
   check_access t addr (String.length s) "intern";
-  Bytes.blit_string s 0 t.bytes addr (String.length s)
+  for i = 0 to String.length s - 1 do
+    set8 t.bytes (addr + i) (Char.code (String.unsafe_get s i))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Shadow reference counts.                                           *)
@@ -182,9 +300,9 @@ let refcounted addr = addr >= heap_base && addr < heap_base + heap_size
 
 let chunk_of addr = addr lsr chunk_shift
 
-let rc_get t addr = Char.code (Bytes.get t.rc (chunk_of addr))
+let rc_get t addr = Char.code (Bigarray.Array1.get t.rc (chunk_of addr))
 
-let rc_set t addr v = Bytes.set t.rc (chunk_of addr) (Char.chr (v land 0xFF))
+let rc_set t addr v = Bigarray.Array1.set t.rc (chunk_of addr) (Char.chr (v land 0xFF))
 
 (* Increment the refcount of the chunk containing [target]; wraps at
    256 as in the paper's 8-bit counters. *)
@@ -210,12 +328,12 @@ let rc_sum t addr len =
   let first = chunk_of addr and last = chunk_of (addr + len - 1) in
   let s = ref 0 in
   for c = first to last do
-    s := !s + Char.code (Bytes.get t.rc c)
+    s := !s + Char.code (Bigarray.Array1.get t.rc c)
   done;
   !s
 
 let rc_clear t addr len =
   let first = chunk_of addr and last = chunk_of (addr + len - 1) in
   for c = first to last do
-    Bytes.set t.rc c '\000'
+    Bigarray.Array1.set t.rc c '\000'
   done

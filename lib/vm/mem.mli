@@ -5,7 +5,12 @@
     Every byte has a validity bit: access to an invalid byte traps
     like a page fault, while out-of-bounds accesses that land in
     *valid* memory corrupt silently, exactly as on hardware — the
-    failure mode Deputy's checks turn into clean traps. *)
+    failure mode Deputy's checks turn into clean traps.
+
+    The planes are private demand-zero mappings: {!create} reserves
+    the whole address space, but a machine's resident cost is the pages
+    its program touches. The mappings are released when the GC
+    finalises them; there is no release call. *)
 
 (** Region layout (addresses are plain ints; 0 is the null page). *)
 
@@ -20,19 +25,25 @@ val stack_base : int
 val stack_size : int
 val total_size : int
 
+type plane = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  bytes : Bytes.t;
-  valid : Bytes.t;
-  rc : Bytes.t;  (** one byte per 16-byte chunk *)
+  bytes : plane;
+  valid : plane;  (** one 0/1 byte per address *)
+  rc : plane;  (** one byte per 16-byte chunk *)
   mutable rc_enabled : bool;
   mutable rc_overflow_trap : bool;
       (** trap instead of wrapping at 256 (the paper's "for total
           safety, an overflow check could be used") *)
 }
 
+(** Fresh, all-zero, all-unmapped memory. The GC cannot see the size
+    of the planes, so when 64 boots go by inside one major cycle this
+    runs a full major collection to unmap the planes of dead machines. *)
 val create : unit -> t
 
-(** Mark [len] bytes from [addr] (in)valid. *)
+(** Mark [len] bytes from [addr] (in)valid; a span that is not wholly
+    inside the address space traps with [Wild_access]. *)
 val set_valid : t -> int -> int -> bool -> unit
 
 val is_valid : t -> int -> int -> bool

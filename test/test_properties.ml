@@ -190,6 +190,291 @@ let prop_rc_conservation =
       List.for_all (fun i -> Vm.Mem.rc_get m (Int64.to_int (target i)) = 0) chunk_picks)
 
 (* ------------------------------------------------------------------ *)
+(* 5b. Memory against a reference model                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A naive model of [Vm.Mem]: every plane is a sparse byte map that
+   reads 0 where unwritten, and every operation works one byte at a
+   time. Span checks are spelled out without the fast paths: the null
+   page first, then the span inside the address space, then every
+   byte mapped. *)
+module Ref_mem = struct
+  type t = {
+    bytes : (int, int) Hashtbl.t;
+    valid : (int, unit) Hashtbl.t;
+    rc : (int, int) Hashtbl.t;
+    rc_enabled : bool;
+    rc_overflow_trap : bool;
+  }
+
+  let create ~rc_enabled ~rc_overflow_trap =
+    {
+      bytes = Hashtbl.create 64;
+      valid = Hashtbl.create 64;
+      rc = Hashtbl.create 16;
+      rc_enabled;
+      rc_overflow_trap;
+    }
+
+  let byte t a = Option.value ~default:0 (Hashtbl.find_opt t.bytes a)
+  let set_byte t a v = Hashtbl.replace t.bytes a (v land 0xFF)
+  let wild fmt = Vm.Trap.trap Vm.Trap.Wild_access fmt
+  let in_range addr len =
+    addr >= 0 && len >= 0 && len <= Vm.Mem.total_size && addr <= Vm.Mem.total_size - len
+
+  let set_valid t addr len v =
+    if not (in_range addr len) then wild "map %d+%d out of range" addr len;
+    for a = addr to addr + len - 1 do
+      if v then Hashtbl.replace t.valid a () else Hashtbl.remove t.valid a
+    done
+
+  let is_valid t addr len =
+    in_range addr len
+    && List.for_all (fun i -> Hashtbl.mem t.valid (addr + i)) (List.init len Fun.id)
+
+  let check t addr len what =
+    if addr >= 0 && addr < Vm.Mem.null_page_end then wild "null-page %s at address %d" what addr;
+    if not (is_valid t addr len) then wild "%s of %d bytes at unmapped address %d" what len addr
+
+  let load t ~addr ~width ~signed =
+    check t addr width "load";
+    let v = ref 0L in
+    for i = width - 1 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte t (addr + i)))
+    done;
+    let shift = 64 - (8 * width) in
+    if signed then Int64.shift_right (Int64.shift_left !v shift) shift else !v
+
+  let store t ~addr ~width v =
+    check t addr width "store";
+    for i = 0 to width - 1 do
+      set_byte t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done
+
+  let fill t addr len c =
+    check t addr len "memset";
+    for a = addr to addr + len - 1 do
+      set_byte t a c
+    done
+
+  let blit_copy t ~src ~dst len =
+    check t src len "memcpy-src";
+    check t dst len "memcpy-dst";
+    let saved = List.init len (fun i -> byte t (src + i)) in
+    List.iteri (fun i b -> set_byte t (dst + i) b) saved
+
+  let blit_string t addr s =
+    check t addr (String.length s) "intern";
+    String.iteri (fun i c -> set_byte t (addr + i) (Char.code c)) s
+
+  let chunk addr =
+    let c = addr lsr 4 in
+    if c >= Vm.Mem.total_size / 16 then invalid_arg "index out of bounds";
+    c
+
+  let rc_get t addr = Option.value ~default:0 (Hashtbl.find_opt t.rc (chunk addr))
+  let rc_set t addr v = Hashtbl.replace t.rc (chunk addr) (v land 0xFF)
+  let refcounted addr = addr >= Vm.Mem.heap_base && addr < Vm.Mem.heap_base + Vm.Mem.heap_size
+
+  let rc_inc t addr =
+    if t.rc_enabled && refcounted addr then begin
+      if rc_get t addr = 255 && t.rc_overflow_trap then
+        Vm.Trap.trap Vm.Trap.Rc_overflow "refcount overflow on chunk of address %d" addr;
+      rc_set t addr (rc_get t addr + 1)
+    end
+
+  let rc_dec t addr = if t.rc_enabled && refcounted addr then rc_set t addr (rc_get t addr - 1)
+
+  let chunks addr len =
+    let first = addr lsr 4 and last = (addr + len - 1) lsr 4 in
+    List.init (max 0 (last - first + 1)) (fun i -> first + i)
+  let rc_sum t addr len = List.fold_left (fun s c -> s + rc_get t (c lsl 4)) 0 (chunks addr len)
+  let rc_clear t addr len = List.iter (fun c -> rc_set t (c lsl 4) 0) (chunks addr len)
+end
+
+type mem_op =
+  | Set_valid of int * int * bool
+  | Is_valid of int * int
+  | Load of int * int * bool
+  | Store of int * int * int64
+  | Blit_zero of int * int
+  | Blit_byte of int * int * int
+  | Blit_copy of int * int * int
+  | Blit_string of int * string
+  | Rc_set of int * int
+  | Rc_get of int
+  | Rc_inc of int * int  (** repeated n times *)
+  | Rc_dec of int
+  | Rc_sum of int * int
+  | Rc_clear of int * int
+
+let show_mem_op = function
+  | Set_valid (a, n, v) -> Printf.sprintf "set_valid %d %d %b" a n v
+  | Is_valid (a, n) -> Printf.sprintf "is_valid %d %d" a n
+  | Load (a, w, s) -> Printf.sprintf "load %d w%d signed=%b" a w s
+  | Store (a, w, v) -> Printf.sprintf "store %d w%d %Ld" a w v
+  | Blit_zero (a, n) -> Printf.sprintf "blit_zero %d %d" a n
+  | Blit_byte (a, n, c) -> Printf.sprintf "blit_byte %d %d %d" a n c
+  | Blit_copy (s, d, n) -> Printf.sprintf "blit_copy %d->%d %d" s d n
+  | Blit_string (a, s) -> Printf.sprintf "blit_string %d %S" a s
+  | Rc_set (a, v) -> Printf.sprintf "rc_set %d %d" a v
+  | Rc_get a -> Printf.sprintf "rc_get %d" a
+  | Rc_inc (a, n) -> Printf.sprintf "rc_inc %d x%d" a n
+  | Rc_dec a -> Printf.sprintf "rc_dec %d" a
+  | Rc_sum (a, n) -> Printf.sprintf "rc_sum %d %d" a n
+  | Rc_clear (a, n) -> Printf.sprintf "rc_clear %d %d" a n
+
+(* Small windows where operations collide: the null-page edge, a
+   mid-rodata window, both ends of the heap (the refcounted range) and
+   the last bytes of the address space. *)
+let mem_windows =
+  Vm.Mem.
+    [
+      (null_page_end - 24, 48);
+      (5000, 72);
+      (heap_base - 8, 80);
+      (heap_base + heap_size - 40, 56);
+      (total_size - 40, 40);
+    ]
+
+let gen_mem_addr =
+  QCheck2.Gen.(
+    frequency
+      [
+        (12, oneofl mem_windows >>= fun (base, len) -> map (( + ) base) (int_range 0 (len - 1)));
+        (1, oneofl [ -1; min_int; max_int; max_int - 3; Vm.Mem.total_size ]);
+      ])
+
+(* Counter traffic concentrates on a few chunks so that it can
+   reach the wrap at 256. *)
+let gen_rc_addr =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, oneofl Vm.Mem.[ heap_base; heap_base + 24; heap_base + heap_size - 1 ]);
+        (1, gen_mem_addr);
+      ])
+
+let gen_mem_len =
+  QCheck2.Gen.(frequency [ (12, int_range 0 40); (1, oneofl [ -1; max_int; max_int - 4000 ]) ])
+
+let gen_mem_op =
+  QCheck2.Gen.(
+    let width = oneofl [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+    frequency
+      [
+        (4, map3 (fun a n v -> Set_valid (a, n, v)) gen_mem_addr gen_mem_len bool);
+        (2, map (fun (base, len) -> Set_valid (base, len, true)) (oneofl mem_windows));
+        (1, map2 (fun a n -> Is_valid (a, n)) gen_mem_addr gen_mem_len);
+        (4, map3 (fun a w s -> Load (a, w, s)) gen_mem_addr width bool);
+        (4, map3 (fun a w v -> Store (a, w, v)) gen_mem_addr width ui64);
+        (1, map2 (fun a n -> Blit_zero (a, n)) gen_mem_addr gen_mem_len);
+        (1, map3 (fun a n c -> Blit_byte (a, n, c)) gen_mem_addr gen_mem_len (int_range (-300) 300));
+        (1, map3 (fun s d n -> Blit_copy (s, d, n)) gen_mem_addr gen_mem_addr gen_mem_len);
+        (* Overlapping spans, in both directions. *)
+        ( 3,
+          map3 (fun s d n -> Blit_copy (s, s + d, n)) gen_mem_addr (int_range (-12) 12) gen_mem_len );
+        (2, map2 (fun a s -> Blit_string (a, s)) gen_mem_addr (string_size (int_range 0 40)));
+        (1, map2 (fun a v -> Rc_set (a, v)) gen_rc_addr (int_range 240 300));
+        (1, map (fun a -> Rc_get a) gen_rc_addr);
+        (2, map2 (fun a n -> Rc_inc (a, n)) gen_rc_addr (int_range 1 40));
+        (1, map (fun a -> Rc_dec a) gen_rc_addr);
+        (1, map2 (fun a n -> Rc_sum (a, n)) gen_mem_addr (int_range 0 64));
+        (1, map2 (fun a n -> Rc_clear (a, n)) gen_mem_addr (int_range 0 64));
+      ])
+
+(* What an operation returned, or the exception it raised. *)
+let mem_outcome f =
+  match f () with
+  | r -> r
+  | exception Vm.Trap.Trap (k, msg) -> Printf.sprintf "trap %s: %s" (Vm.Trap.kind_to_string k) msg
+  | exception Invalid_argument msg -> "Invalid_argument " ^ msg
+
+let prop_mem_model =
+  QCheck2.Test.make ~count:500 ~name:"memory agrees with a byte-at-a-time reference model"
+    ~print:QCheck2.Print.(triple bool bool (list show_mem_op))
+    QCheck2.Gen.(
+      triple (frequencyl [ (3, true); (1, false) ]) bool (list_size (int_range 1 40) gen_mem_op))
+    (fun (rc_enabled, rc_overflow_trap, ops) ->
+      let m = Vm.Mem.create () and r = Ref_mem.create ~rc_enabled ~rc_overflow_trap in
+      m.Vm.Mem.rc_enabled <- rc_enabled;
+      m.Vm.Mem.rc_overflow_trap <- rc_overflow_trap;
+      (* The first disagreement: what was compared, Mem's outcome and
+         the model's. *)
+      let mismatch = ref None in
+      let agree what f g =
+        let got = mem_outcome f and want = mem_outcome g in
+        if got <> want && !mismatch = None then mismatch := Some (what, got, want)
+      in
+      let unit () = "()" and int = string_of_int and i64 = Int64.to_string in
+      let step op =
+        let agree = agree (show_mem_op op) in
+        match op with
+        | Set_valid (a, n, v) ->
+            agree
+              (fun () -> unit (Vm.Mem.set_valid m a n v))
+              (fun () -> unit (Ref_mem.set_valid r a n v))
+        | Is_valid (a, n) ->
+            agree
+              (fun () -> string_of_bool (Vm.Mem.is_valid m a n))
+              (fun () -> string_of_bool (Ref_mem.is_valid r a n))
+        | Load (addr, width, signed) ->
+            agree
+              (fun () -> i64 (Vm.Mem.load m ~addr ~width ~signed))
+              (fun () -> i64 (Ref_mem.load r ~addr ~width ~signed))
+        | Store (addr, width, v) ->
+            agree
+              (fun () -> unit (Vm.Mem.store m ~addr ~width v))
+              (fun () -> unit (Ref_mem.store r ~addr ~width v))
+        | Blit_zero (a, n) ->
+            agree (fun () -> unit (Vm.Mem.blit_zero m a n)) (fun () -> unit (Ref_mem.fill r a n 0))
+        | Blit_byte (a, n, c) ->
+            agree (fun () -> unit (Vm.Mem.blit_byte m a n c)) (fun () -> unit (Ref_mem.fill r a n c))
+        | Blit_copy (src, dst, n) ->
+            agree
+              (fun () -> unit (Vm.Mem.blit_copy m ~src ~dst n))
+              (fun () -> unit (Ref_mem.blit_copy r ~src ~dst n))
+        | Blit_string (a, s) ->
+            agree
+              (fun () -> unit (Vm.Mem.blit_string m a s))
+              (fun () -> unit (Ref_mem.blit_string r a s))
+        | Rc_set (a, v) ->
+            agree (fun () -> unit (Vm.Mem.rc_set m a v)) (fun () -> unit (Ref_mem.rc_set r a v))
+        | Rc_get a -> agree (fun () -> int (Vm.Mem.rc_get m a)) (fun () -> int (Ref_mem.rc_get r a))
+        | Rc_inc (a, n) ->
+            agree
+              (fun () -> unit (for _ = 1 to n do Vm.Mem.rc_inc m (Int64.of_int a) done))
+              (fun () -> unit (for _ = 1 to n do Ref_mem.rc_inc r a done))
+        | Rc_dec a ->
+            agree (fun () -> unit (Vm.Mem.rc_dec m (Int64.of_int a))) (fun () -> unit (Ref_mem.rc_dec r a))
+        | Rc_sum (a, n) ->
+            agree (fun () -> int (Vm.Mem.rc_sum m a n)) (fun () -> int (Ref_mem.rc_sum r a n))
+        | Rc_clear (a, n) ->
+            agree (fun () -> unit (Vm.Mem.rc_clear m a n)) (fun () -> unit (Ref_mem.rc_clear r a n))
+      in
+      List.iter step ops;
+      (* Final state, window by window: validity, counters, then the
+         data bytes (mapped first so that they can be read). *)
+      List.iter
+        (fun (base, len) ->
+          for a = base to base + len - 1 do
+            let at what = Printf.sprintf "%s at %d" what a in
+            agree (at "validity")
+              (fun () -> string_of_bool (Vm.Mem.is_valid m a 1))
+              (fun () -> string_of_bool (Ref_mem.is_valid r a 1));
+            agree (at "counter") (fun () -> int (Vm.Mem.rc_get m a)) (fun () -> int (Ref_mem.rc_get r a));
+            Vm.Mem.set_valid m a 1 true;
+            Ref_mem.set_valid r a 1 true;
+            agree (at "byte")
+              (fun () -> i64 (Vm.Mem.load m ~addr:a ~width:1 ~signed:false))
+              (fun () -> i64 (Ref_mem.load r ~addr:a ~width:1 ~signed:false))
+          done)
+        mem_windows;
+      match !mismatch with
+      | None -> true
+      | Some (what, got, want) -> QCheck2.Test.fail_reportf "%s: Mem gave %s, model %s" what got want)
+
+(* ------------------------------------------------------------------ *)
 (* 6. Facts lattice laws                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -438,6 +723,7 @@ let () =
             prop_layout;
             prop_mem_roundtrip;
             prop_rc_conservation;
+            prop_mem_model;
             prop_facts_join_laws;
             prop_facts_join_weaker;
             prop_kfifo_model;

@@ -272,6 +272,107 @@ let test_alloc_chunk_isolation () =
   let y = Vm.Alloc.alloc a ~size:1 ~zero:false in
   Alcotest.(check bool) "objects never share a 16-byte chunk" true (abs (y - x) >= 16)
 
+(* A span whose end overflows [max_int] is out of range, not a wrapped
+   in-range span: every entry point traps (or answers false) instead
+   of escaping with Invalid_argument or touching memory. *)
+let test_mem_span_wrap () =
+  let m = Vm.Mem.create () in
+  Vm.Mem.set_valid m 5000 64 true;
+  let expect_trap what msg f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected a Wild_access trap" what
+    | exception Vm.Trap.Trap (k, got) ->
+        Alcotest.(check string) (what ^ " kind") "wild-access" (Vm.Trap.kind_to_string k);
+        Alcotest.(check string) (what ^ " message") msg got
+  in
+  expect_trap "set_valid"
+    (Printf.sprintf "map 5000+%d out of range" max_int)
+    (fun () -> Vm.Mem.set_valid m 5000 max_int false);
+  Alcotest.(check bool) "is_valid" false (Vm.Mem.is_valid m 5000 max_int);
+  expect_trap "blit_zero"
+    (Printf.sprintf "memset of %d bytes at unmapped address 5000" max_int)
+    (fun () -> Vm.Mem.blit_zero m 5000 max_int);
+  Alcotest.(check bool) "mapping untouched" true (Vm.Mem.is_valid m 5000 64)
+
+(* ------------------------------------------------------------------ *)
+(* Boot: isolation and cost                                           *)
+(* ------------------------------------------------------------------ *)
+
+let heap_words f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  ( r,
+    s1.Gc.minor_words -. s0.Gc.minor_words
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+(* The memory planes live outside the OCaml heap, so a boot allocates
+   only the machine's own records and tables; with heap-backed planes
+   it was ~5.9 Mw. This is a word count, not a timing. *)
+let test_boot_alloc_fence () =
+  let prog = parse (p "long g; int main(void) { g = 1; return 0; }") in
+  ignore (Vm.Builtins.boot prog);
+  let t, words = heap_words (fun () -> Vm.Builtins.boot prog) in
+  Alcotest.(check int64) "boots and runs" 0L (Vm.Interp.run t "main" []);
+  if words >= 100_000. then Alcotest.failf "boot allocated %.0f words (fence: < 100000)" words
+
+(* The GC cannot see the size of a plane's mapping, so boots that
+   outrun the major GC must force the dead planes out; otherwise this
+   loop would hold ~2000 mappings (~94 GB of address space). *)
+let test_dead_planes_unmapped () =
+  let mappings () =
+    let ic = open_in "/proc/self/maps" in
+    let n = ref 0 in
+    (try
+       while true do
+         ignore (input_line ic);
+         incr n
+       done
+     with End_of_file -> ());
+    close_in ic;
+    !n
+  in
+  if Sys.file_exists "/proc/self/maps" then begin
+    let before = mappings () in
+    for _ = 1 to 2000 do
+      Vm.Mem.set_valid (Vm.Mem.create ()) 5000 64 true
+    done;
+    let grown = mappings () - before in
+    if grown > 600 then Alcotest.failf "2000 dead machines left %d new mappings" grown
+  end
+
+let isolation_src =
+  p
+    "long g = 7;\n\
+     long set(void) { g = 42; return g; }\n\
+     long get(void) { return g; }\n\
+     long dirty(void) { long *q = kmalloc(64, 0); int i; for (i = 0; i < 8; i++) { q[i] = -1; } return (long)q; }\n\
+     long peek(void) { long *q = kmalloc(64, 0); long s = 0; int i; for (i = 0; i < 8; i++) { s = s | q[i]; } if (s != 0) { return -1; } return (long)q; }\n\
+     int main(void) { return 0; }"
+
+let test_boot_isolation () =
+  let prog = parse isolation_src in
+  let a = Vm.Builtins.boot prog and b = Vm.Builtins.boot prog in
+  Alcotest.(check int64) "a writes its global" 42L (Vm.Interp.run a "set" []);
+  Alcotest.(check int64) "b keeps its own" 7L (Vm.Interp.run b "get" []);
+  let m1 = Vm.Mem.create () and m2 = Vm.Mem.create () in
+  Vm.Mem.set_valid m1 5000 8 true;
+  Vm.Mem.set_valid m2 5000 8 true;
+  Vm.Mem.store m1 ~addr:5000 ~width:8 (-1L);
+  Alcotest.(check int64) "planes are private" 0L (Vm.Mem.load m2 ~addr:5000 ~width:8 ~signed:false)
+
+(* kmalloc does not zero by default, so a fresh machine's heap reads
+   zeros only because its planes are fresh: [peek] returns its block's
+   address if the block reads zero, -1 otherwise. *)
+let test_boot_fresh_heap () =
+  let prog = parse isolation_src in
+  let dirty_at = Vm.Interp.run (Vm.Builtins.boot prog) "dirty" [] in
+  (* Unmap the dirty machine, so the next mapping may reuse its pages. *)
+  Gc.full_major ();
+  let b = Vm.Builtins.boot prog in
+  Alcotest.(check int64) "zeros at the dirtied address" dirty_at (Vm.Interp.run b "peek" [])
+
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -325,6 +426,14 @@ let () =
           Alcotest.test_case "refcounts" `Quick test_mem_refcounts;
           Alcotest.test_case "alloc reuse" `Quick test_alloc_reuse;
           Alcotest.test_case "chunk isolation" `Quick test_alloc_chunk_isolation;
+          Alcotest.test_case "span wrap" `Quick test_mem_span_wrap;
+        ] );
+      ( "boot",
+        [
+          Alcotest.test_case "allocation fence" `Quick test_boot_alloc_fence;
+          Alcotest.test_case "isolation" `Quick test_boot_isolation;
+          Alcotest.test_case "fresh heap" `Quick test_boot_fresh_heap;
+          Alcotest.test_case "dead planes unmapped" `Quick test_dead_planes_unmapped;
         ] );
       ( "cost",
         [
