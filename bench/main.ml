@@ -12,23 +12,23 @@
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#')
 
+(* Seconds since [t0], a [Monotonic_clock.now] reading. *)
+let elapsed_s t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+
 let best_of n f =
   let best = ref infinity in
   for _ = 1 to n do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     f ();
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    best := Float.min !best (elapsed_s t0)
   done;
   !best
 
 (* --json: machine-readable results. Every headline scenario records
    (name, wall-clock seconds, speedup); the collected list is printed
-   as JSON and written to BENCH_pr9.json at the repo root when the
-   flag is given. Format documented in DESIGN.md §13. The vm-super
-   scenario additionally contributes the VM optimizer's compile-time
-   site counters (fusion table + peephole hits) as [vm_opt_stats]. *)
+   as JSON and written to bench-results.json in the working directory
+   when the flag is given. Format documented in DESIGN.md §13. *)
 let json_results : (string * float * float) list ref = ref []
-let json_opt_stats : (string * int) list ref = ref []
 
 let record ~scenario ~wall ~speedup =
   json_results := (scenario, wall, speedup) :: !json_results
@@ -40,22 +40,13 @@ let render_json () =
         Printf.sprintf "    {\"scenario\": %S, \"wall_clock_s\": %.6f, \"speedup\": %.3f}" s w x)
       !json_results
   in
-  let opt_rows =
-    match !json_opt_stats with
-    | [] -> ""
-    | stats ->
-        let cells =
-          List.map (fun (site, n) -> Printf.sprintf "    {\"site\": %S, \"count\": %d}" site n) stats
-        in
-        Printf.sprintf ",\n  \"vm_opt_stats\": [\n%s\n  ]" (String.concat ",\n" cells)
-  in
-  Printf.sprintf "{\n  \"bench\": \"ivy\",\n  \"format\": 1,\n  \"results\": [\n%s\n  ]%s\n}\n"
-    (String.concat ",\n" rows) opt_rows
+  Printf.sprintf "{\n  \"bench\": \"ivy\",\n  \"format\": 1,\n  \"results\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n" rows)
 
 let emit_json () =
   let s = render_json () in
   print_string s;
-  let oc = open_out "BENCH_pr9.json" in
+  let oc = open_out "bench-results.json" in
   output_string oc s;
   close_out oc
 
@@ -137,9 +128,9 @@ let bench_parfuzz ?(count = 60) () =
   let seed = 1 in
   let jobs = Par.default_jobs () in
   let timed f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     let v = f () in
-    (v, Unix.gettimeofday () -. t0)
+    (v, elapsed_s t0)
   in
   let serial, t_serial = timed (fun () -> Gen.Fuzz.run ~jobs:1 ~seed ~count ()) in
   let par, t_par = timed (fun () -> Gen.Fuzz.run ~jobs ~seed ~count ()) in
@@ -192,9 +183,9 @@ let bench_serve () =
   in
   let t = Ivy.Serve.create ~capacity:4 ~jobs:1 () in
   let timed line =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     let resp, _ = Ivy.Serve.handle_line t line in
-    (resp, Unix.gettimeofday () -. t0)
+    (resp, elapsed_s t0)
   in
   let warm_of resp =
     match Option.bind (J.member "result" (J.parse resp)) (J.member "warm") with
@@ -419,7 +410,7 @@ let absint_wall () =
     Gc.full_major ();
     let t0 = Monotonic_clock.now () in
     ignore (Absint.Domain.with_domain domain (fun () -> Absint.Discharge.run prog));
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+    elapsed_s t0
   in
   let median xs =
     let a = Array.of_list xs in
@@ -560,84 +551,6 @@ let bench_vm_compile ?(best = 3) ?(cases = 8) () =
   record ~scenario:"vm-oracle" ~wall:ot_comp ~speedup:oracle_speedup;
   e2_speedup
 
-(* vm-super: in-process ablation of the compiled VM's optimizer.
-   Same program, same E2 schedule, same process — the baseline arm
-   compiles with Compile.set_opt false (the PR 5 one-closure-per-
-   opcode pipeline), the optimized arm with micro-ops, block fusion,
-   peephole passes and specialized codegen on. Back-to-back timing in
-   one process factors out host drift that plagues cross-run
-   comparisons, and the cycle counters of both arms must agree
-   (the optimizer's observational-equivalence contract, live). *)
-let bench_vm_super ?(best = 11) () =
-  section "VM: optimizer on vs off (vm-super)";
-  let prog = Kernel.Workloads.load ~fresh:true () in
-  ignore (Deputy.Dreport.deputize ~optimize:true prog);
-  let saved = Vm.Compile.opt_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vm.Compile.set_opt saved)
-    (fun () ->
-      Vm.Compile.set_opt false;
-      let c_base = vm_e2_once ~engine:Vm.Interp.Compiled prog in
-      Vm.Compile.set_opt true;
-      Vm.Compile.reset_opt_stats ();
-      let c_opt = vm_e2_once ~engine:Vm.Interp.Compiled prog in
-      if c_base <> c_opt then begin
-        Printf.printf "FAIL: optimizer changed the E2 cycle count (off %d, on %d)\n" c_base c_opt;
-        exit 1
-      end;
-      (* Interleaved rounds: each round times both arms back to back so
-         host noise (this box shares a core) lands on both equally; the
-         minimum per arm is the least-disturbed sample. Toggling the
-         flag retires the other arm's compiled code, so each round
-         burns one warm run per arm to repay the compile off-clock. *)
-      let t_base = ref infinity and t_opt = ref infinity in
-      let sample cell =
-        (* Machine construction (mapping the memory planes, building
-           the interpreter) is engine-independent setup; it stays off
-           the clock so the ratio reflects execution alone. The warm
-           run above already repaid this arm's compile into the
-           program cache. *)
-        let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled prog in
-        Gc.major ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Vm.Interp.run t Kernel.Corpus.boot_entry []);
-        List.iter
-          (fun (row : Kernel.Workloads.row) ->
-            ignore (Vm.Interp.run t row.Kernel.Workloads.entry [ 3L ]))
-          Kernel.Workloads.table1;
-        cell := Float.min !cell (Unix.gettimeofday () -. t0)
-      in
-      for _ = 1 to best do
-        Vm.Compile.set_opt false;
-        ignore (vm_e2_once ~engine:Vm.Interp.Compiled prog);
-        sample t_base;
-        Vm.Compile.set_opt true;
-        ignore (vm_e2_once ~engine:Vm.Interp.Compiled prog);
-        sample t_opt
-      done;
-      let t_base = !t_base and t_opt = !t_opt in
-      let sp = t_base /. t_opt in
-      Printf.printf "E2 schedule, compiled engine, %d cycles:\n" c_base;
-      Printf.printf "  opt off:   %8.2f ms\n" (t_base *. 1e3);
-      Printf.printf "  opt on:    %8.2f ms\n" (t_opt *. 1e3);
-      Printf.printf "  speedup:   %8.2fx\n" sp;
-      (* The interleaved loop recompiled each arm once per round; the
-         reported site counts should reflect a single compile. The
-         cache still holds opt-arm code (matching generation), so
-         cycle through the baseline generation to force one. *)
-      Vm.Compile.set_opt false;
-      ignore (vm_e2_once ~engine:Vm.Interp.Compiled prog);
-      Vm.Compile.set_opt true;
-      Vm.Compile.reset_opt_stats ();
-      ignore (vm_e2_once ~engine:Vm.Interp.Compiled prog);
-      let stats = Vm.Compile.opt_stats () in
-      if stats <> [] then begin
-        print_string (Vm.Compile.render_opt_stats ());
-        json_opt_stats := stats
-      end;
-      record ~scenario:"vm-super" ~wall:t_opt ~speedup:sp;
-      sp)
-
 (* --vm-gate: CI regression fence, mirroring --absint-gate. The
    checked-in floor is a conservative lower bound on the compiled
    engine's E2 speedup; dropping below it means the compiled engine
@@ -750,15 +663,13 @@ let () =
   | "--refsafe-gate" :: _ -> refsafe_gate ()
   | "--gates" :: _ ->
       (* every CI regression fence in one process, so --json collects
-         all the headline scenarios into a single BENCH_pr9.json *)
+         all the headline scenarios into a single results file *)
       absint_gate ();
       absint_wall ();
       vm_gate ();
-      ignore (bench_vm_super ());
       refsafe_gate ();
       bench_serve ()
   | "--vm-compile" :: _ -> ignore (bench_vm_compile ())
-  | "--vm-super" :: _ -> ignore (bench_vm_super ())
   | "--fuzz-par" :: rest ->
       let count = match rest with c :: _ -> int_of_string c | [] -> 60 in
       bench_parfuzz ~count ()

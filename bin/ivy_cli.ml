@@ -128,8 +128,8 @@ let run_cmd =
       & flag
       & info [ "stats" ]
           ~doc:
-            "Show compiled-VM optimizer statistics (block fusion, micro-op, specialization and \
-             peephole site counts) and, when IVY_VM_PROFILE=1, the opcode execution profile.")
+            "Show compiled-VM compile-time statistics (block fusion, micro-op, specialization \
+             and peephole site counts).")
   in
   let run mode entry iters vm_stats =
     handle_frontend_errors (fun () ->
@@ -137,10 +137,7 @@ let run_cmd =
         let v, cycles = Ivy.Pipeline.run_entry r entry iters in
         Printf.printf "%s(%d) = %Ld in %d cycles [%s]\n" entry iters v cycles
           (Ivy.Pipeline.mode_to_string mode);
-        if vm_stats then begin
-          print_string (Vm.Compile.render_opt_stats ());
-          print_string (Vm.Compile.render_profile ())
-        end)
+        if vm_stats then print_string (Vm.Compile.render_opt_stats ()))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload entry point (e.g. wl_lat_udp).")

@@ -109,7 +109,7 @@ let run_case ~shrink ~out ~seed i : case_result =
   end
 
 let run ?(shrink = false) ?out ?(log = ignore) ?(jobs = 1) ~seed ~count () : summary =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   (* Cases shard perfectly: case i is a pure function of (seed, i), so
      the pool evaluates them in any order and the merge below folds the
      results back in index order — same census, same failure list, same
@@ -135,7 +135,7 @@ let run ?(shrink = false) ?out ?(log = ignore) ?(jobs = 1) ~seed ~count () : sum
     s_injected = !injected;
     s_detected = !detected;
     s_failures = List.rev !failures;
-    s_elapsed = Unix.gettimeofday () -. t0;
+    s_elapsed = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9;
   }
 
 let render_summary ?(elapsed = true) (s : summary) : string =

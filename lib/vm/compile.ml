@@ -8,40 +8,35 @@
      lists of mid-level items (IR instructions plus pseudo-ops for
      fuel burns, scope enter/exit and return-value sets) with
      structured terminators that still carry their IR condition;
-   - phase B (peephole, [IVY_VM_OPT], default on): unconditional-jump
-     chains collapse, single-predecessor blocks merge, compare
-     terminators copy onto back edges, constants propagate through
-     register slots, and dead register moves drop to bare fuel burns;
-   - phase C (codegen): with the optimizer on, every instruction that
-     has a micro-op form ([uop]: sets, bounds and null checks) is
-     described once as a flat datum. A block whose items all describe
-     and whose terminator is a goto, return or classified compare
-     compiles to ONE closure (a self-targeting compare becomes an
-     in-closure spin loop); any other block runs each described
-     instruction as [burn; run_uop] and everything else as its
-     generic closure. Compare+branch fuses into the terminator and
-     ALU/address expressions read classified operands. With the
-     optimizer off, every item is its generic closure.
+   - phase B (peephole): unconditional-jump chains collapse,
+     single-predecessor blocks merge, compare terminators copy onto
+     back edges, constants propagate through register slots, and dead
+     register moves drop to bare fuel burns;
+   - phase C (codegen): every instruction that has a micro-op form
+     ([uop]: sets, bounds and null checks) is described once as a flat
+     datum. A block whose items all describe and whose terminator is a
+     goto, return or classified compare compiles to ONE closure (a
+     self-targeting compare becomes an in-closure spin loop); any
+     other block runs each described instruction as [burn; run_uop]
+     and everything else as its generic closure. Compare+branch fuses
+     into the terminator and ALU/address expressions read classified
+     operands.
 
    The contract is strict observational equivalence with {!Treewalk}:
    identical traps (kind and message), identical results, identical
    cycle counts and fuel burns, identical rodata interning order and
    stack addresses. Every cost-model charge and fuel burn below is
    placed exactly where the tree-walker places it; the differential
-   suite (test/test_vm_compile.ml) holds the two engines to that.
-   Register slots are charge-free in the cost model, which is what
-   makes register const-prop, dead-move elimination and operand
-   inlining observationally neutral.
+   suite (test/test_vm_compile.ml) holds the fused code to the
+   tree-walker. Register slots are charge-free in the cost model,
+   which is what makes register const-prop, dead-move elimination and
+   operand inlining observationally neutral.
 
    Compiled programs are cached per [I.program] (physical identity,
    weak — dead fuzz-case programs are collectable) and per function
-   revalidated against [fbody] identity *and* the compile-options
-   generation (profiling flag, optimizer flag), so instrumentation
-   passes that rewrite bodies and runtime toggles of
-   [set_profiling]/[set_opt] transparently invalidate stale code.
-   While profiling is on, phase B and the micro-op codegen are
-   disabled so the counters reflect the raw opcode stream. Nothing the
-   optimizer emits depends on a collected profile. *)
+   revalidated against [fbody] identity, so instrumentation passes
+   that rewrite bodies transparently invalidate stale code. Nothing
+   the compiler emits depends on a collected profile. *)
 
 module I = Kc.Ir
 
@@ -81,7 +76,6 @@ type bblock = {
 
 type cfun = {
   cf_body : I.block; (* identity stamp: recompile when fbody is swapped *)
-  cf_gen : int; (* compile-options stamp: profiling/optimizer flags *)
   cf_nregs : int;
   cf_frame_bytes : int;
   cf_blocks : bblock array;
@@ -98,68 +92,14 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Per-opcode execution profiling (IVY_VM_PROFILE=1).                 *)
+(* Compile-time site counters.                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The flag is consulted at compile time: when off (the default), the
-   compiled closures carry no counting code at all. Counters live in
-   per-domain tables ({!Vmcounters}) registered under a mutex and
-   merged on read, so parallel fuzz/check runs cannot corrupt the
-   table structure; a program compiled and run on one domain (the
-   [Par] worker pattern) counts exactly. *)
+(* The stats table counts compile-time sites: blocks fused whole,
+   instructions run as standalone micro-ops, specialized expressions,
+   and peephole rewrites. *)
 
-let profiling_on = ref (Sys.getenv_opt "IVY_VM_PROFILE" = Some "1")
-let prof_counters = Vmcounters.create ()
-let counter name = Vmcounters.counter prof_counters name
-let set_profiling b = profiling_on := b
-let profiling () = !profiling_on
-let reset_profile () = Vmcounters.reset prof_counters
-let profile_table () = Vmcounters.table prof_counters
-let render_profile () = Vmcounters.render ~title:"vm profile (opcode, executed):" prof_counters
-
-(* Registered unconditionally, gated on the flag at exit time, so a
-   profile enabled programmatically via [set_profiling] still prints
-   (tests that toggle profiling off before exiting stay silent). *)
-let () =
-  at_exit (fun () ->
-      if !profiling_on then begin
-        let s = render_profile () in
-        if s <> "" then (output_string stderr s; flush stderr)
-      end)
-
-let prof name (f : env -> unit) : env -> unit =
-  if !profiling_on then begin
-    let c = counter name in
-    fun env ->
-      incr c;
-      f env
-  end
-  else f
-
-let prof_term name (f : env -> int) : env -> int =
-  if !profiling_on then begin
-    let c = counter name in
-    fun env ->
-      incr c;
-      f env
-  end
-  else f
-
-(* ------------------------------------------------------------------ *)
-(* The optimizer switch and its compile-time hit counters.            *)
-(* ------------------------------------------------------------------ *)
-
-(* [IVY_VM_OPT=0] (or [set_opt false]) disables phase B and the
-   codegen specializations, leaving the one-closure-per-opcode
-   pipeline — the ablation arm of the vm-super benchmark. The stats
-   table counts compile-time sites: blocks fused whole, instructions
-   run as standalone micro-ops, specialized expressions, and peephole
-   rewrites. *)
-
-let opt_on = ref (Sys.getenv_opt "IVY_VM_OPT" <> Some "0")
 let opt_counters = Vmcounters.create ()
-let set_opt b = opt_on := b
-let opt_enabled () = !opt_on
 let opt_stats () = Vmcounters.table opt_counters
 
 let render_opt_stats () =
@@ -174,8 +114,8 @@ let ostat_n name n = if n > 0 then Vmcounters.add opt_counters name n
    cost constants come from Cost so the model stays in one place —
    but with the cold trap arm out of line, the hot path inlines into
    each specialized closure instead of paying a cross-module call per
-   charge. The generic (opt-off) pipeline keeps calling the Machine
-   and Cost entry points: that arm is the PR 5 baseline. *)
+   charge. The generic closures (shapes with no specialized form) keep
+   calling the Machine and Cost entry points. *)
 let fuel_exhausted () = Trap.trap Trap.Out_of_fuel "interpreter fuel exhausted"
 
 let[@inline] burn (env : env) =
@@ -206,12 +146,6 @@ let[@inline] c_check (env : env) =
   let c = env.cost in
   c.Cost.checks_executed <- c.Cost.checks_executed + 1;
   c.Cost.cycles <- c.Cost.cycles + Cost.check_cost
-
-(* The compile-options generation baked into each cfun: toggling
-   either flag retires code compiled under the old options. Fusion is
-   suppressed while profiling so the counters see raw opcodes. *)
-let current_gen () = (if !profiling_on then 1 else 0) lor (if !opt_on then 2 else 0)
-let gen_opt_active gen = gen land 2 <> 0 && gen land 1 = 0
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time helpers.                                              *)
@@ -310,14 +244,10 @@ type cplace = CPreg of int * I.ty | CPmem of caddr * I.ty
    model, so fetching them inline is observationally neutral. *)
 type operand = Oc of int64 | Oreg of int | Odyn of (env -> int64)
 
-type fctx = {
-  cc : t;
-  slots : (int, cslot) Hashtbl.t;
-  fopt : bool; (* codegen specializations active for this compile *)
-}
+type fctx = { cc : t; slots : (int, cslot) Hashtbl.t }
 
 (* Comparison kinds, evaluated by direct call on already-boxed values
-   (no allocation). Semantics mirror the generic cbinop arm exactly. *)
+   (no allocation). Semantics mirror Treewalk.eval_binop exactly. *)
 type cmpk = Clts | Cltu | Cgts | Cgtu | Cles | Cleu | Cges | Cgeu | Ceq | Cne
 
 let[@inline] cmp_eval (k : cmpk) (x : int64) (y : int64) : bool =
@@ -343,7 +273,7 @@ let cmpk_of (op : Kc.Ast.binop) ~signed : cmpk option =
   | Kc.Ast.Ne -> Some Cne
   | _ -> None
 
-(* Non-pointer ALU ops as tags, mirroring the generic cbinop arm:
+(* Non-pointer ALU ops as tags, mirroring Treewalk.eval_binop:
    same trap messages, same shift masking, same signedness choice. *)
 type aluk =
   | Kadd
@@ -777,7 +707,7 @@ let reg_of_lval (slots : (int, cslot) Hashtbl.t) ((host, offs) : I.lval) : (int 
    constants. Purely a value oracle for register tracking — the
    instruction still executes (and charges) at runtime; we only need
    to know what lands in the register. Pointer-typed operands and
-   trapping cases answer None. Mirrors the generic cbinop arm. *)
+   trapping cases answer None. Mirrors Treewalk.eval_binop. *)
 let rec sval (e : I.exp) : int64 option =
   match e.I.e with
   | I.Econst n -> Some n
@@ -1097,177 +1027,18 @@ and cbinop ctx (rty : I.ty) op (ea : I.exp) (eb : I.exp) : env -> int64 =
         let b = cb env in
         Cost.op_alu env.cost;
         div (sub a b) sz
-  | _ when ctx.fopt -> cbinop_opt ctx rty op ea eb
-  | _ -> (
-      let ca = cexp ctx ea in
-      let cb = cexp ctx eb in
-      let signed = Vmstate.is_signed ea.I.ety in
-      let nf = normf rty in
-      let bool_ v = if v then 1L else 0L in
-      match op with
-      | Kc.Ast.Add ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (add a b)
-      | Kc.Ast.Sub ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (sub a b)
-      | Kc.Ast.Mul ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (mul a b)
-      | Kc.Ast.Div ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            if b = 0L then Trap.trap Trap.Div_by_zero "division by zero";
-            nf (div a b))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            if b = 0L then Trap.trap Trap.Div_by_zero "division by zero";
-            nf (unsigned_div a b)
-      | Kc.Ast.Mod ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            if b = 0L then Trap.trap Trap.Div_by_zero "mod by zero";
-            nf (rem a b))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            if b = 0L then Trap.trap Trap.Div_by_zero "mod by zero";
-            nf (unsigned_rem a b)
-      | Kc.Ast.Shl ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (shift_left a (to_int (logand b 63L)))
-      | Kc.Ast.Shr ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (shift_right a (to_int (logand b 63L))))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (shift_right_logical a (to_int (logand b 63L)))
-      | Kc.Ast.Bitand ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (logand a b)
-      | Kc.Ast.Bitor ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (logor a b)
-      | Kc.Ast.Bitxor ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            nf (logxor a b)
-      | Kc.Ast.Lt ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a < b))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (unsigned_compare a b < 0)
-      | Kc.Ast.Gt ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a > b))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (unsigned_compare a b > 0)
-      | Kc.Ast.Le ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a <= b))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (unsigned_compare a b <= 0)
-      | Kc.Ast.Ge ->
-          if signed then (fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a >= b))
-          else fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (unsigned_compare a b >= 0)
-      | Kc.Ast.Eq ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a = b)
-      | Kc.Ast.Ne ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a <> b)
-      | Kc.Ast.Logand ->
-          (* Like the reference engine, && and || in the IR are eager:
-             both operands were already hoisted by the frontend. *)
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a <> 0L && b <> 0L)
-      | Kc.Ast.Logor ->
-          fun env ->
-            let a = ca env in
-            let b = cb env in
-            Cost.op_alu env.cost;
-            bool_ (a <> 0L || b <> 0L))
-
-(* The specialized generic-ALU arm: operands are classified so
-   constants and register reads (both charge-free) fetch inline, and
-   the op dispatches on a tag instead of through two operand closures
-   plus a normalization closure. Charges land exactly as in the
-   generic arm: operand effects in order, then op_alu, then compute
-   (a trapping div/mod traps after the charge, as before). *)
-and cbinop_opt ctx (rty : I.ty) op (ea : I.exp) (eb : I.exp) : env -> int64 =
-  let k = aluk_of op ~signed:(Vmstate.is_signed ea.I.ety) in
-  let ns = if alu_is_bool k then Nid else nspec_of rty in
-  ostat "spec:alu";
-  let oa = classify ctx ea in
-  let ob = classify ctx eb in
-  cbinop_ops k ns oa ob
+  | _ ->
+      (* Non-pointer ALU: operands are classified so constants and
+         register reads (both charge-free) fetch inline, and the op
+         dispatches on a tag. Charges land as in Treewalk.eval_binop:
+         operand effects in order, then op_alu, then compute (a
+         trapping div/mod traps after the charge). *)
+      let k = aluk_of op ~signed:(Vmstate.is_signed ea.I.ety) in
+      let ns = if alu_is_bool k then Nid else nspec_of rty in
+      ostat "spec:alu";
+      let oa = classify ctx ea in
+      let ob = classify ctx eb in
+      cbinop_ops k ns oa ob
 
 (* The ALU closure for already-classified operands: operand fetches in
    order, one ALU charge, compute (traps included), normalize. *)
@@ -1353,25 +1124,23 @@ and classify ctx (e : I.exp) : operand =
    fetches (free for regs/consts), then one op_alu, then the scaled
    add — followed by the Int64.to_int the generic Lmem arm performs. *)
 and cptr_flat ctx (e : I.exp) : caddr option =
-  if not ctx.fopt then None
-  else
-    match e.I.e with
-    | I.Ebinop (op, ea, eb) -> (
-        let scaled k =
-          match (classify ctx ea, classify ctx eb) with
-          | Oreg p, Oreg i ->
-              ostat "spec:addr";
-              Some (Ari (p, i, k))
-          | Oreg p, Oc c ->
-              ostat "spec:addr";
-              Some (Arc (p, Int64.to_int c * k))
-          | _ -> None
-        in
-        match (op, ea.I.ety, eb.I.ety) with
-        | Kc.Ast.Add, I.Tptr (elt, _), _ -> scaled (Kc.Layout.size_of ctx.cc.prog elt)
-        | Kc.Ast.Sub, I.Tptr (elt, _), I.Tint _ -> scaled (-Kc.Layout.size_of ctx.cc.prog elt)
-        | _ -> None)
-    | _ -> None
+  match e.I.e with
+  | I.Ebinop (op, ea, eb) -> (
+      let scaled k =
+        match (classify ctx ea, classify ctx eb) with
+        | Oreg p, Oreg i ->
+            ostat "spec:addr";
+            Some (Ari (p, i, k))
+        | Oreg p, Oc c ->
+            ostat "spec:addr";
+            Some (Arc (p, Int64.to_int c * k))
+        | _ -> None
+      in
+      match (op, ea.I.ety, eb.I.ety) with
+      | Kc.Ast.Add, I.Tptr (elt, _), _ -> scaled (Kc.Layout.size_of ctx.cc.prog elt)
+      | Kc.Ast.Sub, I.Tptr (elt, _), I.Tint _ -> scaled (-Kc.Layout.size_of ctx.cc.prog elt)
+      | _ -> None)
+  | _ -> None
 
 (* Resolve an lvalue to a place at compile time, mirroring
    Treewalk.place_of_lval: same evaluation order, same Oindex ALU
@@ -1424,44 +1193,42 @@ and cplace ctx ((host, offs) : I.lval) : cplace =
              whole address is a compile-time constant — the tree-walker
              charges it per access. *)
           let a' =
-            if not ctx.fopt then generic ()
-            else
-              match a with
-              | Aconst b -> (
-                  match classify ctx ie with
-                  | Oc i ->
-                      ostat "spec:addr";
-                      let addr = b + (Int64.to_int i * esz) in
-                      Adyn
-                        (fun env ->
-                          c_alu env;
-                          addr)
-                  | Oreg r ->
-                      ostat "spec:addr";
-                      Adyn
-                        (fun env ->
-                          let i = Int64.to_int (rget env.regs r) in
-                          c_alu env;
-                          b + (i * esz))
-                  | Odyn _ -> generic ())
-              | Abase o -> (
-                  match classify ctx ie with
-                  | Oc i ->
-                      ostat "spec:addr";
-                      let off = o + (Int64.to_int i * esz) in
-                      Adyn
-                        (fun env ->
-                          c_alu env;
-                          env.base + off)
-                  | Oreg r ->
-                      ostat "spec:addr";
-                      Adyn
-                        (fun env ->
-                          let i = Int64.to_int (rget env.regs r) in
-                          c_alu env;
-                          env.base + o + (i * esz))
-                  | Odyn _ -> generic ())
-              | Ari _ | Arc _ | Adyn _ -> generic ()
+            match a with
+            | Aconst b -> (
+                match classify ctx ie with
+                | Oc i ->
+                    ostat "spec:addr";
+                    let addr = b + (Int64.to_int i * esz) in
+                    Adyn
+                      (fun env ->
+                        c_alu env;
+                        addr)
+                | Oreg r ->
+                    ostat "spec:addr";
+                    Adyn
+                      (fun env ->
+                        let i = Int64.to_int (rget env.regs r) in
+                        c_alu env;
+                        b + (i * esz))
+                | Odyn _ -> generic ())
+            | Abase o -> (
+                match classify ctx ie with
+                | Oc i ->
+                    ostat "spec:addr";
+                    let off = o + (Int64.to_int i * esz) in
+                    Adyn
+                      (fun env ->
+                        c_alu env;
+                        env.base + off)
+                | Oreg r ->
+                    ostat "spec:addr";
+                    Adyn
+                      (fun env ->
+                        let i = Int64.to_int (rget env.regs r) in
+                        c_alu env;
+                        env.base + o + (i * esz))
+                | Odyn _ -> generic ())
+            | Ari _ | Arc _ | Adyn _ -> generic ()
           in
           CPmem (a', elt)
       | CPreg _, _ -> Trap.trap Trap.Panic "offset into register slot"
@@ -1525,37 +1292,33 @@ and caddr_of ctx (lv : I.lval) : env -> int =
 (* A compare condition split into its parts so terminator codegen can
    inline the whole test — fetches, ALU charge, predicate — into the
    terminator closure with no intermediate bool closure. Pointer-typed
-   compares take the same generic arm as cbinop's, so classifying them
-   here is exactly faithful. *)
+   compares take cbinop's ALU arm too, so classifying them here is
+   exactly faithful. *)
 and ccond_cmp_parts ctx (e : I.exp) : (cmpk * operand * operand) option =
-  if not ctx.fopt then None
-  else
-    match e.I.e with
-    | I.Ebinop (op, ea, eb) -> (
-        match cmpk_of op ~signed:(Vmstate.is_signed ea.I.ety) with
-        | None -> None
-        | Some ck ->
-            let oa = classify ctx ea in
-            let ob = classify ctx eb in
-            ostat "spec:cmp-branch";
-            Some (ck, oa, ob))
-    | _ -> None
+  match e.I.e with
+  | I.Ebinop (op, ea, eb) -> (
+      match cmpk_of op ~signed:(Vmstate.is_signed ea.I.ety) with
+      | None -> None
+      | Some ck ->
+          let oa = classify ctx ea in
+          let ob = classify ctx eb in
+          ostat "spec:cmp-branch";
+          Some (ck, oa, ob))
+  | _ -> None
 
 (* A register or constant branch condition as a direct test, with no
    1L/0L box. [None] falls back to the generic int64 path, which also
    defers any compile-time trap past the same branch charge. *)
 let ccond_simple ctx (e : I.exp) : (env -> bool) option =
-  if not ctx.fopt then None
-  else
-    match e.I.e with
-    | I.Econst v ->
-        let b = v <> 0L in
-        Some (fun _ -> b)
-    | I.Elval (I.Lvar v, []) when not v.I.vglob -> (
-        match Hashtbl.find_opt ctx.slots v.I.vid with
-        | Some (Sreg i) -> Some (fun env -> rget env.regs i <> 0L)
-        | _ -> None)
-    | _ -> None
+  match e.I.e with
+  | I.Econst v ->
+      let b = v <> 0L in
+      Some (fun _ -> b)
+  | I.Elval (I.Lvar v, []) when not v.I.vglob -> (
+      match Hashtbl.find_opt ctx.slots v.I.vid with
+      | Some (Sreg i) -> Some (fun env -> rget env.regs i <> 0L)
+      | _ -> None)
+  | _ -> None
 
 (* Guards for terminator/return positions: compile-time traps on
    malformed shapes become runtime traps, as in the tree-walker. *)
@@ -1573,75 +1336,75 @@ let classify_safe ctx (e : I.exp) : operand =
    burn, branch charge, operand fetches, ALU charge, predicate — the
    tree-walker's order as one flat closure. [burns] is a captured
    immutable bool, so its branch predicts perfectly. *)
-let cmp_term ~name ~burns ck oa ob (tid : int) (fid : int) : env -> int =
+let cmp_term ~burns ck oa ob (tid : int) (fid : int) : env -> int =
   match (oa, ob) with
   | Oc x, Oc y ->
       let tgt = if cmp_eval ck x y then tid else fid in
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          c_alu env;
-          tgt)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        c_alu env;
+        tgt
   | Oreg i, Oc y ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = rget env.regs i in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = rget env.regs i in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oc x, Oreg j ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let y = rget env.regs j in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let y = rget env.regs j in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oreg i, Oreg j ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = rget env.regs i in
-          let y = rget env.regs j in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = rget env.regs i in
+        let y = rget env.regs j in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Odyn fa, Oc y ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = fa env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = fa env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Odyn fa, Oreg j ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = fa env in
-          let y = rget env.regs j in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = fa env in
+        let y = rget env.regs j in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oc x, Odyn fb ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let y = fb env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let y = fb env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Oreg i, Odyn fb ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = rget env.regs i in
-          let y = fb env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = rget env.regs i in
+        let y = fb env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
   | Odyn fa, Odyn fb ->
-      prof_term name (fun env ->
-          if burns then burn env;
-          c_branch env;
-          let x = fa env in
-          let y = fb env in
-          c_alu env;
-          if cmp_eval ck x y then tid else fid)
+      fun env ->
+        if burns then burn env;
+        c_branch env;
+        let x = fa env in
+        let y = fb env in
+        c_alu env;
+        if cmp_eval ck x y then tid else fid
 
 (* ------------------------------------------------------------------ *)
 (* Micro-ops: the one specialized instruction form.                  *)
@@ -1788,7 +1551,7 @@ let rec get_cfun (cc : t) (fd : I.fundec) : cfun =
   | None -> compile_fun cc fd (* synthetic fundec outside the program: uncached *)
   | Some idx -> (
       match Array.unsafe_get cc.cfuns idx with
-      | Some cf when cf.cf_body == fd.I.fbody && cf.cf_gen = current_gen () -> cf
+      | Some cf when cf.cf_body == fd.I.fbody -> cf
       | _ ->
           let cf = compile_fun cc fd in
           cc.cfuns.(idx) <- Some cf;
@@ -1858,9 +1621,9 @@ and compile_instr ctx (instr : I.instr) : env -> unit =
       (* A malformed instruction the tree-walker would only trap on
          when executed: defer the trap into the closure so dead code
          stays equivalent. *)
-      prof "deferred-trap" (fun env ->
-          Machine.burn_fuel env.m;
-          raise (Trap.Trap (k, m)))
+      fun env ->
+        Machine.burn_fuel env.m;
+        raise (Trap.Trap (k, m))
 
 and compile_instr_inner ctx (instr : I.instr) : env -> unit =
   let prog = ctx.cc.prog in
@@ -1876,23 +1639,23 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
               let csrc = caddr_of ctx src_lv in
               let size = Kc.Layout.size_of prog ty in
               let chg = size / 4 in
-              prof "set-struct" (fun env ->
-                  Machine.burn_fuel env.m;
-                  let dst = cdst env in
-                  let src = csrc env in
-                  Cost.charge env.cost chg;
-                  Mem.blit_copy env.mem ~src ~dst size)
+              fun env ->
+                Machine.burn_fuel env.m;
+                let dst = cdst env in
+                let src = csrc env in
+                Cost.charge env.cost chg;
+                Mem.blit_copy env.mem ~src ~dst size
           | _ ->
-              prof "set-struct" (fun env ->
-                  Machine.burn_fuel env.m;
-                  Trap.trap Trap.Panic "struct assignment from non-lvalue"))
+              fun env ->
+                Machine.burn_fuel env.m;
+                Trap.trap Trap.Panic "struct assignment from non-lvalue")
       | _ ->
           let ce = cexp ctx e in
           let cw = cwrite ctx lv in
-          prof "set" (fun env ->
-              Machine.burn_fuel env.m;
-              let v = ce env in
-              cw env v))
+          fun env ->
+            Machine.burn_fuel env.m;
+            let v = ce env in
+            cw env v)
   | I.Icall (ret, target, args) -> (
       let cargs = Array.of_list (List.map (cexp ctx) args) in
       let nargs = Array.length cargs in
@@ -1911,81 +1674,81 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
       | I.Direct name -> (
           match I.find_fun prog name with
           | Some fd when not fd.I.fextern ->
-              prof "call" (fun env ->
-                  Machine.burn_fuel env.m;
-                  let args = eval_args env in
-                  Cost.op_call env.cost;
-                  let r = call_fd cc env.st fd args in
-                  cret env r)
+              fun env ->
+                Machine.burn_fuel env.m;
+                let args = eval_args env in
+                Cost.op_call env.cost;
+                let r = call_fd cc env.st fd args in
+                cret env r
           | _ ->
               (* extern or undeclared: the builtin table by name, with
                  the builtin resolved per call (late registration). *)
-              prof "call-builtin" (fun env ->
-                  Machine.burn_fuel env.m;
-                  let args = eval_args env in
-                  Cost.op_call env.cost;
-                  let r = call_builtin env.st name args in
-                  cret env r))
+              fun env ->
+                Machine.burn_fuel env.m;
+                let args = eval_args env in
+                Cost.op_call env.cost;
+                let r = call_builtin env.st name args in
+                cret env r)
       | I.Indirect fe ->
           let cfe = cexp ctx fe in
-          prof "call-indirect" (fun env ->
-              Machine.burn_fuel env.m;
-              let args = eval_args env in
-              Cost.op_call env.cost;
-              let fv = cfe env in
-              let r =
-                match Vmstate.fptr_decode fv with
-                | Some fid -> (
-                    match Hashtbl.find_opt env.st.Vmstate.fun_of_id fid with
-                    | Some fd -> call_fd cc env.st fd args
-                    | None -> Trap.trap Trap.Unknown_function "bad function pointer %Ld" fv)
-                | None -> Trap.trap Trap.Unknown_function "call through non-function value %Ld" fv
-              in
-              cret env r))
+          fun env ->
+            Machine.burn_fuel env.m;
+            let args = eval_args env in
+            Cost.op_call env.cost;
+            let fv = cfe env in
+            let r =
+              match Vmstate.fptr_decode fv with
+              | Some fid -> (
+                  match Hashtbl.find_opt env.st.Vmstate.fun_of_id fid with
+                  | Some fd -> call_fd cc env.st fd args
+                  | None -> Trap.trap Trap.Unknown_function "bad function pointer %Ld" fv)
+              | None -> Trap.trap Trap.Unknown_function "call through non-function value %Ld" fv
+            in
+            cret env r)
   | I.Icheck (ck, reason) -> compile_check_generic ctx ck reason
   | I.Irc_inc e ->
       let ce = cexp ctx e in
-      prof "rc-inc" (fun env ->
-          Machine.burn_fuel env.m;
-          let v = ce env in
-          if v <> 0L then begin
-            Mem.rc_inc env.mem v;
-            Cost.op_rc env.cost
-          end)
+      fun env ->
+        Machine.burn_fuel env.m;
+        let v = ce env in
+        if v <> 0L then begin
+          Mem.rc_inc env.mem v;
+          Cost.op_rc env.cost
+        end
   | I.Irc_dec e ->
       let ce = cexp ctx e in
-      prof "rc-dec" (fun env ->
-          Machine.burn_fuel env.m;
-          let v = ce env in
-          if v <> 0L then begin
-            Mem.rc_dec env.mem v;
-            Cost.op_rc env.cost
-          end)
+      fun env ->
+        Machine.burn_fuel env.m;
+        let v = ce env in
+        if v <> 0L then begin
+          Mem.rc_dec env.mem v;
+          Cost.op_rc env.cost
+        end
   | I.Irc_update (lv, e) -> (
       match cplace ctx lv with
       | CPreg _ ->
           (* Register slots are untracked (paper footnote 2). *)
-          prof "rc-update" (fun env -> Machine.burn_fuel env.m)
+          fun env -> Machine.burn_fuel env.m
       | CPmem (a, _) ->
           let fa = force a in
           let ce = cexp ctx e in
           let lo = Mem.stack_base in
           let hi = Mem.stack_base + Mem.stack_size in
-          prof "rc-update" (fun env ->
-              Machine.burn_fuel env.m;
-              let addr = fa env in
-              if not (addr >= lo && addr < hi) then begin
-                let new_target = ce env in
-                if new_target <> 0L then begin
-                  Mem.rc_inc env.mem new_target;
-                  Cost.op_rc env.cost
-                end;
-                let old = Mem.load env.mem ~addr ~width:8 ~signed:false in
-                if old <> 0L then begin
-                  Mem.rc_dec env.mem old;
-                  Cost.op_rc env.cost
-                end
-              end))
+          fun env ->
+            Machine.burn_fuel env.m;
+            let addr = fa env in
+            if not (addr >= lo && addr < hi) then begin
+              let new_target = ce env in
+              if new_target <> 0L then begin
+                Mem.rc_inc env.mem new_target;
+                Cost.op_rc env.cost
+              end;
+              let old = Mem.load env.mem ~addr ~width:8 ~signed:false in
+              if old <> 0L then begin
+                Mem.rc_dec env.mem old;
+                Cost.op_rc env.cost
+              end
+            end)
 
 (* [describe_set] classifies a non-struct [Iset] into a flat [uop]
    descriptor: load into a register, register move or constant, ALU
@@ -2106,24 +1869,24 @@ and codegen_block_flat ctx ~self (us : uop option list) (mt : mterm) : (env -> i
     let shape =
       match mt with
       | Mgoto t -> Some (`Tail (fun _ -> t))
-      | Mret -> Some (`Tail (prof_term "return" (fun _ -> -1)))
+      | Mret -> Some (`Tail (fun _ -> -1))
       | Mif (c, tid, fid) -> (
           match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-          | Some (ck, oa, ob) -> Some (`Cmp ("br-if", false, ck, oa, ob, tid, fid))
+          | Some (ck, oa, ob) -> Some (`Cmp (false, ck, oa, ob, tid, fid))
           | None -> None)
       | Mwhile (c, tid, fid) -> (
           match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-          | Some (ck, oa, ob) -> Some (`Cmp ("br-while", true, ck, oa, ob, tid, fid))
+          | Some (ck, oa, ob) -> Some (`Cmp (true, ck, oa, ob, tid, fid))
           | None -> None)
       | Mdowhile (c, tid, fid) -> (
           match try ccond_cmp_parts ctx c with Trap.Trap _ -> None with
-          | Some (ck, oa, ob) -> Some (`Cmp ("br-dowhile", false, ck, oa, ob, tid, fid))
+          | Some (ck, oa, ob) -> Some (`Cmp (false, ck, oa, ob, tid, fid))
           | None -> None)
       | Munset | Mswitch _ -> None
     in
     match shape with
     | None -> None
-    | Some (`Cmp (_, burns, ck, oa, ob, tid, fid)) when tid = self && n <= 4 ->
+    | Some (`Cmp (burns, ck, oa, ob, tid, fid)) when tid = self && n <= 4 ->
         (* The back edge targets this very block (peep_termcopy
            put the loop compare here), so spin without returning
            to the runner: each iteration is the uop run plus the
@@ -2239,8 +2002,7 @@ and codegen_block_flat ctx ~self (us : uop option list) (mt : mterm) : (env -> i
         let tail =
           match shape with
           | `Tail f -> f
-          | `Cmp (name, burns, ck, oa, ob, tid, fid) ->
-              cmp_term ~name ~burns ck oa ob tid fid
+          | `Cmp (burns, ck, oa, ob, tid, fid) -> cmp_term ~burns ck oa ob tid fid
         in
         ostat "fuse:block";
         Some
@@ -2289,43 +2051,43 @@ and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
   match ck with
   | I.Ck_nonnull e ->
       let ce = cexp ctx e in
-      prof "check-nonnull" (fun env ->
-          Machine.burn_fuel env.m;
-          Cost.op_check env.cost;
-          if ce env = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason)
+      fun env ->
+        Machine.burn_fuel env.m;
+        Cost.op_check env.cost;
+        if ce env = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason
   | I.Ck_le (a, b) ->
       let ca = cexp ctx a in
       let cb = cexp ctx b in
-      prof "check-le" (fun env ->
-          Machine.burn_fuel env.m;
-          Cost.op_check env.cost;
-          let x = ca env in
-          let y = cb env in
-          if x > y then Trap.trap Trap.Check_failed "%s (%Ld > %Ld)" reason x y)
+      fun env ->
+        Machine.burn_fuel env.m;
+        Cost.op_check env.cost;
+        let x = ca env in
+        let y = cb env in
+        if x > y then Trap.trap Trap.Check_failed "%s (%Ld > %Ld)" reason x y
   | I.Ck_lt (a, b) ->
       let ca = cexp ctx a in
       let cb = cexp ctx b in
-      prof "check-lt" (fun env ->
-          Machine.burn_fuel env.m;
-          Cost.op_check env.cost;
-          let x = ca env in
-          let y = cb env in
-          if x >= y then Trap.trap Trap.Check_failed "%s (%Ld >= %Ld)" reason x y)
+      fun env ->
+        Machine.burn_fuel env.m;
+        Cost.op_check env.cost;
+        let x = ca env in
+        let y = cb env in
+        if x >= y then Trap.trap Trap.Check_failed "%s (%Ld >= %Ld)" reason x y
   | I.Ck_nt_next (e, width) ->
       let ce = cexp ctx e in
-      prof "check-ntnext" (fun env ->
-          Machine.burn_fuel env.m;
-          Cost.op_nt_check env.cost;
-          let p = Int64.to_int (ce env) in
-          let v = Mem.load env.mem ~addr:p ~width ~signed:false in
-          if v = 0L then
-            Trap.trap Trap.Check_failed "nullterm advance past terminator: %s" reason)
+      fun env ->
+        Machine.burn_fuel env.m;
+        Cost.op_nt_check env.cost;
+        let p = Int64.to_int (ce env) in
+        let v = Mem.load env.mem ~addr:p ~width ~signed:false in
+        if v = 0L then
+          Trap.trap Trap.Check_failed "nullterm advance past terminator: %s" reason
   | I.Ck_not_atomic ->
-      prof "check-notatomic" (fun env ->
-          Machine.burn_fuel env.m;
-          Cost.op_check env.cost;
-          if Machine.atomic_context env.m then
-            Trap.trap Trap.Not_atomic_check "assertion: not in atomic context (%s)" reason)
+      fun env ->
+        Machine.burn_fuel env.m;
+        Cost.op_check env.cost;
+        if Machine.atomic_context env.m then
+          Trap.trap Trap.Not_atomic_check "assertion: not in atomic context (%s)" reason
 
 (* ------------------------------------------------------------------ *)
 (* Phase C: mid-level items and terminators to closures.              *)
@@ -2335,7 +2097,7 @@ and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
    block when it fuses, otherwise one closure per item plus the
    terminator. Items are described once and both paths share them. *)
 and codegen_block ctx ~self (mb : mblock) : bblock =
-  let described = List.map (fun it -> if ctx.fopt then describe_mi ctx it else None) mb.mis in
+  let described = List.map (describe_mi ctx) mb.mis in
   match codegen_block_flat ctx ~self described mb.mt with
   | Some f -> { bid = self; instrs = [||]; term = f }
   | None ->
@@ -2345,9 +2107,7 @@ and codegen_block ctx ~self (mb : mblock) : bblock =
         term = codegen_term ctx mb.mt;
       }
 
-(* An item's closure. A described instruction runs as its micro-op;
-   no [prof] wrapper is needed, because descriptors exist only while
-   the optimizer is on and the optimizer is off while profiling. *)
+(* An item's closure. A described instruction runs as its micro-op. *)
 and codegen_mi ctx (item : mi) (described : uop option) : env -> unit =
   match (item, described) with
   | Mi _, Some u ->
@@ -2356,85 +2116,81 @@ and codegen_mi ctx (item : mi) (described : uop option) : env -> unit =
         burn env;
         run_uop env u
   | Mi i, None -> compile_instr ctx i
-  | Mfuel, _ -> prof "fuel" (fun env -> Machine.burn_fuel env.m)
+  | Mfuel, _ -> fun env -> Machine.burn_fuel env.m
   | Mdeadmove, _ -> fun env -> burn env
   | Mscope_enter, _ -> fun env -> Machine.delayed_scope_enter env.m
   | Mscope_exit where, _ -> fun env -> Machine.delayed_scope_exit env.m ~where
   | Mretval None, _ -> fun env -> env.retv <- 0L
-  | Mretval (Some e), _ ->
-      if ctx.fopt then (
-        match classify_safe ctx e with
-        | Oc v -> fun env -> env.retv <- v
-        | Oreg i -> fun env -> env.retv <- rget env.regs i
-        | Odyn f -> fun env -> env.retv <- f env)
-      else
-        let ce = cexp_safe ctx e in
-        fun env -> env.retv <- ce env
+  | Mretval (Some e), _ -> (
+      match classify_safe ctx e with
+      | Oc v -> fun env -> env.retv <- v
+      | Oreg i -> fun env -> env.retv <- rget env.regs i
+      | Odyn f -> fun env -> env.retv <- f env)
 
 and codegen_term ctx (t : mterm) : env -> int =
   match t with
   | Munset -> assert false
   | Mgoto tgt -> fun _ -> tgt
-  | Mret -> prof_term "return" (fun _ -> -1)
+  | Mret -> fun _ -> -1
   | Mif (c, tid, fid) -> (
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
-      | Some (ck, oa, ob) -> cmp_term ~name:"br-if" ~burns:false ck oa ob tid fid
+      | Some (ck, oa, ob) -> cmp_term ~burns:false ck oa ob tid fid
       | None -> (
           match ccond_simple ctx c with
           | Some cb ->
-              prof_term "br-if" (fun env ->
-                  c_branch env;
-                  if cb env then tid else fid)
+              fun env ->
+                c_branch env;
+                if cb env then tid else fid
           | None ->
               let cc = cexp_safe ctx c in
-              prof_term "br-if" (fun env ->
-                  Cost.op_branch env.cost;
-                  if cc env <> 0L then tid else fid)))
+              fun env ->
+                Cost.op_branch env.cost;
+                if cc env <> 0L then tid else fid))
   | Mwhile (c, bodyid, exitid) -> (
       (* One loop iteration: fuel burn, branch charge, condition — in
          the tree-walker's order. *)
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
-      | Some (ck, oa, ob) -> cmp_term ~name:"br-while" ~burns:true ck oa ob bodyid exitid
+      | Some (ck, oa, ob) -> cmp_term ~burns:true ck oa ob bodyid exitid
       | None -> (
           match ccond_simple ctx c with
           | Some cb ->
-              prof_term "br-while" (fun env ->
-                  burn env;
-                  c_branch env;
-                  if cb env then bodyid else exitid)
+              fun env ->
+                burn env;
+                c_branch env;
+                if cb env then bodyid else exitid
           | None ->
               let cc = cexp_safe ctx c in
-              prof_term "br-while" (fun env ->
-                  Machine.burn_fuel env.m;
-                  Cost.op_branch env.cost;
-                  if cc env = 0L then exitid else bodyid)))
+              fun env ->
+                Machine.burn_fuel env.m;
+                Cost.op_branch env.cost;
+                if cc env = 0L then exitid else bodyid))
   | Mdowhile (c, headid, exitid) -> (
       match (try ccond_cmp_parts ctx c with Trap.Trap _ -> None) with
-      | Some (ck, oa, ob) -> cmp_term ~name:"br-dowhile" ~burns:false ck oa ob headid exitid
+      | Some (ck, oa, ob) -> cmp_term ~burns:false ck oa ob headid exitid
       | None -> (
           match ccond_simple ctx c with
           | Some cb ->
-              prof_term "br-dowhile" (fun env ->
-                  c_branch env;
-                  if cb env then headid else exitid)
+              fun env ->
+                c_branch env;
+                if cb env then headid else exitid
           | None ->
               let cc = cexp_safe ctx c in
-              prof_term "br-dowhile" (fun env ->
-                  Cost.op_branch env.cost;
-                  if cc env <> 0L then headid else exitid)))
+              fun env ->
+                Cost.op_branch env.cost;
+                if cc env <> 0L then headid else exitid))
   | Mswitch (e, tbl, default) ->
       let ce = cexp_safe ctx e in
       let ncases = Array.length tbl in
-      prof_term "switch" (fun env ->
-          let v = ce env in
-          Cost.op_branch env.cost;
-          let rec find i =
-            if i >= ncases then default
-            else
-              let vs, b = Array.unsafe_get tbl i in
-              if arr_mem v vs then b else find (i + 1)
-          in
-          find 0)
+      fun env ->
+        let v = ce env in
+        Cost.op_branch env.cost;
+        let rec find i =
+          if i >= ncases then default
+          else
+            let vs, b = Array.unsafe_get tbl i in
+            if arr_mem v vs then b else find (i + 1)
+        in
+        find 0
 
 (* ------------------------------------------------------------------ *)
 (* Functions.                                                         *)
@@ -2481,8 +2237,6 @@ and compile_fun (cc : t) (fd : I.fundec) : cfun =
                fun env value -> Mem.store env.mem ~addr:(env.base + o) ~width value)
          fd.I.sformals)
   in
-  let gen = current_gen () in
-  let fopt = gen_opt_active gen in
   (* Phase A: structured IR to mid-level blocks. *)
   let dummy = { mid = -1; mis = []; mt = Munset } in
   let lo = { lblocks = []; lnb = 0; lcur = dummy; lacc = [] } in
@@ -2493,13 +2247,12 @@ and compile_fun (cc : t) (fd : I.fundec) : cfun =
   let mbs = Array.make (max lo.lnb 1) dummy in
   List.iter (fun b -> mbs.(b.mid) <- b) lo.lblocks;
   (* Phase B: peephole. *)
-  let mbs = if fopt then peephole ~slots ~nregs:!nregs mbs else mbs in
+  let mbs = peephole ~slots ~nregs:!nregs mbs in
   (* Phase C: closure codegen. *)
-  let ctx = { cc; slots; fopt } in
+  let ctx = { cc; slots } in
   let blocks = Array.mapi (fun i mb -> codegen_block ctx ~self:i mb) mbs in
   {
     cf_body = fd.I.fbody;
-    cf_gen = gen;
     cf_nregs = !nregs;
     cf_frame_bytes = frame_bytes;
     cf_blocks = blocks;

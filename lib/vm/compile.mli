@@ -4,9 +4,8 @@
     blocks of instruction closures, variable ids resolved to dense
     register/stack slots, global addresses and field offsets constant
     folded, callees resolved to direct references — and executes that
-    with an int-indexed block dispatch loop. An optimizer (on by
-    default, [IVY_VM_OPT=0] disables) additionally collapses jump
-    chains, merges single-predecessor blocks, constant-propagates
+    with an int-indexed block dispatch loop. The compiler collapses
+    jump chains, merges single-predecessor blocks, constant-propagates
     through register slots and drops dead register moves. It then
     describes sets and bounds/null checks as flat micro-ops: a block
     made only of those compiles to one closure (a tight loop spins
@@ -17,13 +16,12 @@
     Strictly observationally equivalent to {!Treewalk}: identical trap
     kinds and messages, results, cycle counts, fuel burns, rodata
     interning order and stack addresses. Only wall-clock time differs.
+    The differential suite holds the fused code to the tree-walker.
 
     Compiled programs are cached per [Kc.Ir.program] (physical
     identity, weakly keyed) and revalidated per function against
-    [fbody] identity and the compile-options generation (profiling and
-    optimizer flags), so in-place instrumentation passes and runtime
-    toggles of {!set_profiling}/{!set_opt} transparently invalidate
-    stale code. *)
+    [fbody] identity, so in-place instrumentation passes transparently
+    invalidate stale code. *)
 
 type t
 (** A compiled program: per-function executable code plus the baked
@@ -47,44 +45,10 @@ val compiled_functions : t -> int
 val compilations : t -> int
 (** Total function compilations performed (recompiles included). *)
 
-(** {2 Per-opcode execution profiling}
+(** {2 Compile-time site counters}
 
-    Enabled by [IVY_VM_PROFILE=1] in the environment (counting code is
-    only generated into closures compiled while the flag is on; when
-    off, profiling costs nothing). Counters live in per-domain tables
-    merged on read, so parallel fuzz/check runs count exactly. The
-    table prints to stderr on exit whenever the flag is on at exit
-    time. While profiling is on the optimizer stands down, so the
-    counters reflect the raw, unoptimized opcode stream. *)
-
-val set_profiling : bool -> unit
-(** Toggle profiling. Takes effect for code executed afterwards: the
-    compile cache revalidates against the flag, so already-compiled
-    programs transparently recompile with counting closures. *)
-
-val profiling : unit -> bool
-
-val profile_table : unit -> (string * int) list
-(** Non-zero opcode counters merged across domains, sorted by count
-    descending. *)
-
-val render_profile : unit -> string
-(** The counter table formatted for display; [""] when all zero. *)
-
-val reset_profile : unit -> unit
-
-(** {2 The optimizer switch and its compile-time counters}
-
-    On by default; [IVY_VM_OPT=0] in the environment or
-    {!set_opt}[ false] disables the peephole passes, micro-op
-    codegen, block fusion and the other specialized closures (the
-    ablation arm of the vm-super benchmark). *)
-
-val set_opt : bool -> unit
-(** Toggle the optimizer; cached code compiled under the other setting
-    recompiles on next call. *)
-
-val opt_enabled : unit -> bool
+    Counters live in per-domain tables merged on read, so parallel
+    fuzz/check runs count exactly. *)
 
 val opt_stats : unit -> (string * int) list
 (** Compile-time site counters, each site counted once:

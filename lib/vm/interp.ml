@@ -8,9 +8,9 @@
 
    The engines are observationally equivalent — identical traps,
    results and cycle counts — so callers never see which one ran,
-   except on the wall clock. Set IVY_VM_ENGINE=tree to force the
-   reference evaluator (e.g. when bisecting a suspected engine
-   divergence). *)
+   except on the wall clock. [create ~engine:Tree] selects the
+   reference evaluator (the differential tests and the VM speed gate
+   do). *)
 
 type t = Vmstate.t = {
   prog : Kc.Ir.program;
@@ -29,21 +29,13 @@ type t = Vmstate.t = {
 
 type engine = Tree | Compiled
 
-let default_engine =
-  lazy
-    (match Sys.getenv_opt "IVY_VM_ENGINE" with
-    | Some ("tree" | "treewalk" | "walk") -> Tree
-    | _ -> Compiled)
-
 let fptr_encode = Vmstate.fptr_encode
 let fptr_decode = Vmstate.fptr_decode
 let norm = Vmstate.norm
 
-let create ?engine (prog : Kc.Ir.program) (m : Machine.t) : t =
+let create ?(engine = Compiled) (prog : Kc.Ir.program) (m : Machine.t) : t =
   let t = Vmstate.create prog m in
-  (match match engine with Some e -> e | None -> Lazy.force default_engine with
-  | Tree -> ()
-  | Compiled -> Compile.install t);
+  (match engine with Tree -> () | Compiled -> Compile.install t);
   t
 
 let intern_string = Vmstate.intern_string

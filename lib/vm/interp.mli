@@ -32,9 +32,8 @@ type t = Vmstate.t = {
       (** compiled-engine register-file pool *)
 }
 
-(** Which execution engine to install at {!create} time. The default
-    comes from IVY_VM_ENGINE ("tree" forces the reference evaluator;
-    anything else, or unset, selects the compiled engine). *)
+(** Which execution engine to install at {!create} time; the compiled
+    engine unless [~engine:Tree] asks for the reference evaluator. *)
 type engine = Tree | Compiled
 
 (** Function-pointer encoding. *)

@@ -5,10 +5,8 @@
    the first time a domain touches the set, and stay registered after
    the domain dies so late merges still see its counts. Only the
    owning domain ever mutates its table, so the structural corruption
-   a shared Hashtbl risks under concurrent [replace] cannot happen;
-   the refs a closure captured keep counting from whichever domain
-   runs it (a program compiled and executed on one domain — the fuzz
-   worker pattern — counts exactly).
+   a shared Hashtbl risks under concurrent [replace] cannot happen,
+   and a count made on a fuzz worker domain survives into the merge.
 
    [table] and [reset] walk every registered table; they are meant to
    run while worker domains are quiescent (Par joins its domains

@@ -13,11 +13,6 @@ type t
 
 val create : unit -> t
 
-val counter : t -> string -> int ref
-(** The calling domain's counter cell for [name], created on demand.
-    Closures may capture it; increments through a captured ref are
-    exact when compile and run share a domain. *)
-
 val add : t -> string -> int -> unit
 val bump : t -> string -> unit
 

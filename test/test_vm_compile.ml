@@ -5,9 +5,11 @@
    kinds AND messages, identical cycle counts and cost counters,
    identical maximum call depth. This suite holds both engines to that
    over the kernel workloads corpus (in every instrumentation variant),
-   a seeded fuzz batch, and the two adversarial OOB fault shapes; it
-   also locks the serial fuzz campaign summary byte-for-byte and
-   exercises the per-opcode profiler. *)
+   a seeded fuzz batch, the two adversarial OOB fault shapes, and
+   targeted shapes for each fused code path, so fused code is held to
+   the tree-walker directly. It also locks the serial fuzz campaign
+   summary byte-for-byte and the cross-domain merge of the compiler's
+   site counters. *)
 
 (* ---- observation: everything an engine run can show -------------- *)
 
@@ -233,69 +235,13 @@ let test_fuzz_golden () =
   Alcotest.(check string) "serial fuzz summary unchanged" golden_fuzz_summary
     (Gen.Fuzz.render_summary ~elapsed:false s)
 
-(* ---- per-opcode profiler ------------------------------------------ *)
-
-let test_profiler () =
-  Vm.Compile.reset_profile ();
-  Vm.Compile.set_profiling true;
-  Fun.protect
-    ~finally:(fun () ->
-      Vm.Compile.set_profiling false;
-      Vm.Compile.reset_profile ())
-    (fun () ->
-      (* A fresh parse gets a fresh compile cache, so the closures are
-         compiled with counting on. *)
-      let src =
-        "long main(void) { int i; long s; s = 0; for (i = 0; i < 10; i++) { s = s + i; } \
-         return s; }\n"
-      in
-      let t =
-        Vm.Builtins.boot ~engine:Vm.Interp.Compiled
-          (Kc.Typecheck.check_sources [ ("p.kc", src) ])
-      in
-      Alcotest.(check int64) "profiled run result" 45L (Vm.Interp.run t "main" []);
-      let table = Vm.Compile.profile_table () in
-      let count name =
-        match List.assoc_opt name table with Some n -> n | None -> 0
-      in
-      Alcotest.(check bool) "set opcodes counted" true (count "set" > 0);
-      Alcotest.(check bool) "loop branches counted" true (count "br-while" >= 11);
-      Alcotest.(check bool) "table sorted descending" true
-        (let counts = List.map snd table in
-         List.sort (fun a b -> compare b a) counts = counts);
-      Alcotest.(check bool) "render non-empty" true
-        (String.length (Vm.Compile.render_profile ()) > 0))
-
 (* ---- fused superinstruction paths --------------------------------- *)
 
-(* Targeted shapes for the optimizer's fused paths: merged
+(* Targeted shapes for the compiler's fused paths: merged
    compare+branch loop terminators over every operand pairing,
    load+binop+store bodies, copies, check+access pairs under deputy,
    and tight self-loop bodies (the whole-block spin). Each case runs
-   tree vs compiled-with-optimizer AND compiled-without vs
-   compiled-with, so a fused path that diverges from the unfused
-   pipeline fails even where the tree-walker happens to agree. *)
-let differential_opt where (mk_prog : unit -> Kc.Ir.program)
-    (entries : (string * int64 list) list) =
-  let saved = Vm.Compile.opt_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vm.Compile.set_opt saved)
-    (fun () ->
-      let run engine opt =
-        Vm.Compile.set_opt opt;
-        let t = Vm.Builtins.boot ~engine (mk_prog ()) in
-        List.map (fun (fn, args) -> observe t fn args) entries
-      in
-      let tree = run Vm.Interp.Tree true in
-      let c_off = run Vm.Interp.Compiled false in
-      let c_on = run Vm.Interp.Compiled true in
-      List.iteri
-        (fun i ((tr, off), on) ->
-          let entry = fst (List.nth entries i) in
-          check_obs_equal (Printf.sprintf "%s[%s] tree-vs-unfused" where entry) tr off;
-          check_obs_equal (Printf.sprintf "%s[%s] unfused-vs-fused" where entry) off on)
-        (List.combine (List.combine tree c_off) c_on))
-
+   on the tree-walker and on the compiled engine, which must agree. *)
 let fused_cases : (string * string) list =
   [
     ( "spin store+inc",
@@ -353,8 +299,8 @@ let test_fused_paths () =
   List.iter
     (fun (name, src) ->
       let parse () = Kc.Typecheck.check_sources [ ("fused.kc", src) ] in
-      differential_opt (name ^ " base") parse [ ("main", []) ];
-      differential_opt (name ^ " deputy")
+      differential (name ^ " base") parse [ ("main", []) ];
+      differential (name ^ " deputy")
         (fun () ->
           let p = parse () in
           ignore (Deputy.Dreport.deputize ~optimize:true p);
@@ -362,39 +308,10 @@ let test_fused_paths () =
         [ ("main", []) ])
     fused_cases
 
-(* The fused paths must actually engage, not just agree: compiling the
-   spin shape with the optimizer on has to report block fusion, a
-   self-loop, and the terminator copy that creates it. *)
-let test_fusion_engages () =
-  let saved = Vm.Compile.opt_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vm.Compile.set_opt saved)
-    (fun () ->
-      Vm.Compile.set_opt true;
-      Vm.Compile.reset_opt_stats ();
-      let src = List.assoc "spin store+inc" fused_cases in
-      let t =
-        Vm.Builtins.boot ~engine:Vm.Interp.Compiled
-          (Kc.Typecheck.check_sources [ ("spin.kc", src) ])
-      in
-      Alcotest.(check int64) "spin result" 7L (Vm.Interp.run t "main" []);
-      let stats = Vm.Compile.opt_stats () in
-      let count name = match List.assoc_opt name stats with Some n -> n | None -> 0 in
-      Alcotest.(check bool) "whole blocks fused" true (count "fuse:block" > 0);
-      Alcotest.(check bool) "self-loop spin formed" true (count "fuse:block-loop" > 0);
-      Alcotest.(check bool) "terminator copied onto back edge" true (count "peep:term-copy" > 0);
-      Vm.Compile.reset_opt_stats ())
-
-(* Compile [src] with the optimizer on, run [main] on the compiled
-   engine, and return the result with the compile-time site counts. *)
+(* Compile [src], run [main] on the compiled engine, and return the
+   result with the compile-time site counts. *)
 let opt_run src =
-  let saved = Vm.Compile.opt_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Vm.Compile.set_opt saved;
-      Vm.Compile.reset_opt_stats ())
-    (fun () ->
-      Vm.Compile.set_opt true;
+  Fun.protect ~finally:Vm.Compile.reset_opt_stats (fun () ->
       Vm.Compile.reset_opt_stats ();
       let t =
         Vm.Builtins.boot ~engine:Vm.Interp.Compiled
@@ -404,6 +321,16 @@ let opt_run src =
       (r, Vm.Compile.opt_stats ()))
 
 let site stats name = match List.assoc_opt name stats with Some n -> n | None -> 0
+
+(* The fused paths must actually engage, not just agree: compiling the
+   spin shape has to report block fusion, a self-loop, and the
+   terminator copy that creates it. *)
+let test_fusion_engages () =
+  let r, stats = opt_run (List.assoc "spin store+inc" fused_cases) in
+  Alcotest.(check int64) "spin result" 7L r;
+  Alcotest.(check bool) "whole blocks fused" true (site stats "fuse:block" > 0);
+  Alcotest.(check bool) "self-loop spin formed" true (site stats "fuse:block-loop" > 0);
+  Alcotest.(check bool) "terminator copied onto back edge" true (site stats "peep:term-copy" > 0)
 
 (* Blocks that do not fuse whole still run their described
    instructions as micro-ops, one closure each. *)
@@ -428,89 +355,46 @@ let test_sites_counted_once () =
   Alcotest.(check int64) "result" 5L r;
   Alcotest.(check int) "spec:addr sites" 2 (site stats "spec:addr")
 
-(* The optimizer must not read the opcode profile: compiling a fresh
-   E2 program after a profiled fuzz campaign (profile left in place)
-   yields the same site counts as before it. *)
-let e2_opt_stats () =
-  Vm.Compile.reset_opt_stats ();
-  let p = Kernel.Workloads.load ~fresh:true () in
-  ignore (Deputy.Dreport.deputize ~optimize:true p);
-  let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled p in
-  ignore (Vm.Interp.run t Kernel.Corpus.boot_entry []);
-  List.iter
-    (fun (row : Kernel.Workloads.row) -> ignore (Vm.Interp.run t row.Kernel.Workloads.entry [ 3L ]))
-    Kernel.Workloads.table1;
-  Vm.Compile.opt_stats ()
+(* Cached code is revalidated on [fbody] identity alone: deputizing a
+   program in place after it ran compiled must retire the stale code,
+   so the next compiled run traps on the failing bound check exactly
+   as the tree-walker does on the deputized program. *)
+let test_body_swap_recompiles () =
+  let parse () =
+    Kc.Typecheck.check_sources [ ("swap.kc", List.assoc "const bound fails" fused_cases) ]
+  in
+  let deputized () =
+    let p = parse () in
+    ignore (Deputy.Dreport.deputize ~optimize:true p);
+    p
+  in
+  let prog = parse () in
+  let cc = Vm.Compile.of_program prog in
+  let before = observe (Vm.Builtins.boot ~engine:Vm.Interp.Compiled prog) "main" [] in
+  let n = Vm.Compile.compilations cc in
+  ignore (Deputy.Dreport.deputize ~optimize:true prog);
+  let after = observe (Vm.Builtins.boot ~engine:Vm.Interp.Compiled prog) "main" [] in
+  let reference = observe (Vm.Builtins.boot ~engine:Vm.Interp.Tree (deputized ())) "main" [] in
+  check_obs_equal "compiled after in-place deputize" reference after;
+  Alcotest.(check bool) "deputized run differs" true (before <> after);
+  Alcotest.(check bool) "swapped bodies recompiled" true (Vm.Compile.compilations cc > n)
 
-let test_compile_ignores_profile () =
-  let saved = Vm.Compile.opt_enabled () in
-  Vm.Compile.reset_profile ();
-  Fun.protect
-    ~finally:(fun () ->
-      Vm.Compile.set_profiling false;
-      Vm.Compile.reset_profile ();
-      Vm.Compile.set_opt saved;
-      Vm.Compile.reset_opt_stats ())
-    (fun () ->
-      Vm.Compile.set_opt true;
-      let before = e2_opt_stats () in
-      Vm.Compile.set_profiling true;
-      ignore (Gen.Fuzz.run ~jobs:1 ~seed:5 ~count:6 ());
-      Vm.Compile.set_profiling false;
-      Alcotest.(check bool) "profile collected" true (Vm.Compile.profile_table () <> []);
-      let after = e2_opt_stats () in
-      Alcotest.(check bool) "E2 compiled with the optimizer" true (site before "fuse:block" > 0);
-      Alcotest.(check (list (pair string int))) "site counts unchanged" before after)
+(* ---- site counters across domains -------------------------------- *)
 
-(* ---- optimizer toggle after compile ------------------------------- *)
-
-(* Flipping the optimizer flag after code is cached must retire that
-   code (the options generation is part of cache revalidation), not
-   keep serving closures compiled under the old flags. *)
-let test_opt_toggle_recompiles () =
-  let saved = Vm.Compile.opt_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vm.Compile.set_opt saved)
-    (fun () ->
-      let src = List.assoc "spin load+binop+store" fused_cases in
-      let prog = Kc.Typecheck.check_sources [ ("toggle.kc", src) ] in
-      let cc = Vm.Compile.of_program prog in
-      let obs_with opt =
-        Vm.Compile.set_opt opt;
-        let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled prog in
-        observe t "main" []
-      in
-      let a = obs_with true in
-      let n1 = Vm.Compile.compilations cc in
-      let b = obs_with false in
-      let n2 = Vm.Compile.compilations cc in
-      let c = obs_with true in
-      let n3 = Vm.Compile.compilations cc in
-      check_obs_equal "toggle fused-vs-unfused" a b;
-      check_obs_equal "toggle unfused-vs-refused" b c;
-      Alcotest.(check bool) "toggle off retired cached code" true (n2 > n1);
-      Alcotest.(check bool) "toggle back on retired it again" true (n3 > n2))
-
-(* ---- profiled parallel fuzz --------------------------------------- *)
-
-(* The per-opcode profile merged across worker domains must match the
-   serial profile exactly: same cases, same opcode stream, no lost or
-   double-counted updates. *)
-let test_profile_parallel_merge () =
-  Vm.Compile.reset_profile ();
-  Vm.Compile.set_profiling true;
-  Fun.protect
-    ~finally:(fun () ->
-      Vm.Compile.set_profiling false;
-      Vm.Compile.reset_profile ())
-    (fun () ->
-      ignore (Gen.Fuzz.run ~jobs:1 ~seed:5 ~count:6 ());
-      let serial = Vm.Compile.profile_table () in
-      Alcotest.(check bool) "serial profile non-empty" true (serial <> []);
-      Vm.Compile.reset_profile ();
-      ignore (Gen.Fuzz.run ~jobs:2 ~seed:5 ~count:6 ());
-      let merged = Vm.Compile.profile_table () in
-      Alcotest.(check (list (pair string int))) "merged profile equals serial" serial merged)
+(* The compiler's site counters live in per-domain tables merged on
+   read: a campaign compiled on two worker domains must count exactly
+   what the serial campaign counts. *)
+let test_counters_parallel_merge () =
+  let stats_of jobs =
+    Vm.Compile.reset_opt_stats ();
+    ignore (Gen.Fuzz.run ~jobs ~seed:5 ~count:6 ());
+    Vm.Compile.opt_stats ()
+  in
+  Fun.protect ~finally:Vm.Compile.reset_opt_stats (fun () ->
+      let serial = stats_of 1 in
+      Alcotest.(check bool) "serial counters non-empty" true (serial <> []);
+      let merged = stats_of 2 in
+      Alcotest.(check (list (pair string int))) "merged counters equal serial" serial merged)
 
 (* ---- workloads memo ----------------------------------------------- *)
 
@@ -538,18 +422,14 @@ let () =
         [
           Alcotest.test_case "fused paths" `Quick test_fused_paths;
           Alcotest.test_case "fusion engages" `Quick test_fusion_engages;
-          Alcotest.test_case "toggle recompiles" `Quick test_opt_toggle_recompiles;
           Alcotest.test_case "standalone uops engage" `Quick test_uop_path_engages;
           Alcotest.test_case "sites counted once" `Quick test_sites_counted_once;
-          Alcotest.test_case "compile ignores profile" `Quick test_compile_ignores_profile;
+          Alcotest.test_case "body swap recompiles" `Quick test_body_swap_recompiles;
         ] );
       ( "campaign",
         [ Alcotest.test_case "serial summary byte-identical" `Quick test_fuzz_golden ] );
-      ( "profiler",
-        [
-          Alcotest.test_case "opcode counters" `Quick test_profiler;
-          Alcotest.test_case "parallel merge" `Quick test_profile_parallel_merge;
-        ] );
+      ( "counters",
+        [ Alcotest.test_case "parallel merge" `Quick test_counters_parallel_merge ] );
       ( "workloads",
         [ Alcotest.test_case "load memoized" `Quick test_workloads_memo ] );
     ]
