@@ -242,6 +242,34 @@ let bench_serve () =
   if warm_of r_edit then begin
     Printf.printf "FAIL: a body edit reported warm (stale artifacts served)\n";
     exit 1
+  end;
+  (* Per-function absint nodes: a one-function body edit re-solves a
+     few summaries and discharges, not the whole program's. Counted
+     from each request's stats delta, so the gate is deterministic. *)
+  let absint_builds resp =
+    List.fold_left
+      (fun acc name ->
+        match
+          Option.bind (J.member "result" (J.parse resp)) (fun r ->
+              List.fold_left
+                (fun j k -> Option.bind j (J.member k))
+                (Some r)
+                [ "stats"; "artifacts"; name; "builds" ])
+        with
+        | Some (J.Num n) -> acc + int_of_float n
+        | _ -> acc)
+      0
+      [ "absint-summary"; "absint-discharge" ]
+  in
+  let cold_builds = absint_builds r_cold and edit_builds = absint_builds r_edit in
+  Printf.printf "absint per-function builds:     cold %d, one-function edit %d\n" cold_builds
+    edit_builds;
+  if cold_builds = 0 || edit_builds * 10 > cold_builds then begin
+    Printf.printf
+      "FAIL: the body edit rebuilt %d absint-summary/absint-discharge nodes, over 10%% of the \
+       cold check's %d (whole-program re-solving)\n"
+      edit_builds cold_builds;
+    exit 1
   end
 
 (* ------------------------------------------------------------------ *)

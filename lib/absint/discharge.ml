@@ -37,10 +37,11 @@ let rate stats =
   let seen = checks_seen stats in
   if seen = 0 then 0.0 else 100.0 *. float_of_int (checks_proved stats) /. float_of_int seen
 
-let count_checks (b : I.block) : int =
-  let n = ref 0 in
-  I.iter_instrs (fun i -> match i with I.Icheck _ -> incr n | _ -> ()) b;
-  !n
+(* The checks of a body, in iter_instrs order. *)
+let checks_of (b : I.block) : I.instr list =
+  let acc = ref [] in
+  I.iter_instrs (fun i -> match i with I.Icheck _ -> acc := i :: !acc | _ -> ()) b;
+  List.rev !acc
 
 (* Collect the checks provable at their program point by replaying the
    fixpoint through each node's instruction list, tagged with which
@@ -95,34 +96,65 @@ and filter_stmt removable (s : I.stmt) : I.stmt option =
   | I.Sdelayed b1 -> Some { s with I.sk = I.Sdelayed (filter_block removable b1) }
   | I.Strusted b1 -> Some { s with I.sk = I.Strusted (filter_block removable b1) }
 
+(* A proof verdict for one function, independent of its IR values: the
+   ordinals (among the body's checks, in {!Kc.Ir.iter_instrs} order) of
+   the checks proved, with how, plus the function's counters. A
+   re-parse and re-instrumentation of the same body yields the same
+   checks in the same order, so a verdict carries over to it. *)
+type verdict = { proved_at : (int * Transfer.proof) list; fstat : fstat }
+
 (* A function with no residual check has nothing to discharge: no
-   fixpoint runs, and its iteration and widening counts stay 0. *)
-let discharge_fundec ?(ifaces = Transfer.no_ifaces) ~summaries (fd : I.fundec) : fstat =
-  let seen = count_checks fd.I.fbody in
+   fixpoint runs, and its iteration and widening counts stay 0. Never
+   mutates [fd]. *)
+let verdict ?(ifaces = Transfer.no_ifaces) ~summaries (fd : I.fundec) : verdict =
+  let checks = checks_of fd.I.fbody in
+  let seen = List.length checks in
   if seen = 0 then
-    { fname = fd.I.fname; seen; proved = 0; proved_iv = 0; proved_rel = 0; iterations = 0;
-      widen_points = 0 }
+    {
+      proved_at = [];
+      fstat =
+        { fname = fd.I.fname; seen; proved = 0; proved_iv = 0; proved_rel = 0; iterations = 0;
+          widen_points = 0 };
+    }
   else
     let r = Solver.analyze ~summaries ~ifaces fd in
     let tagged = provable_checks ~ifaces ~summaries r in
-    let removable = List.map fst tagged in
-    if removable <> [] then fd.I.fbody <- filter_block removable fd.I.fbody;
     let count p = List.length (List.filter (fun (_, q) -> q = p) tagged) in
     {
-      fname = fd.I.fname;
-      seen;
-      proved = List.length removable;
-      proved_iv = count Transfer.P_interval;
-      proved_rel = count Transfer.P_relational;
-      iterations = r.Solver.iterations;
-      widen_points = r.Solver.widen_points;
+      proved_at =
+        List.concat
+          (List.mapi
+             (fun n i -> match List.assq_opt i tagged with Some p -> [ (n, p) ] | None -> [])
+             checks);
+      fstat =
+        {
+          fname = fd.I.fname;
+          seen;
+          proved = List.length tagged;
+          proved_iv = count Transfer.P_interval;
+          proved_rel = count Transfer.P_relational;
+          iterations = r.Solver.iterations;
+          widen_points = r.Solver.widen_points;
+        };
     }
+
+(* Remove the checks at the verdict's ordinals from [fd]'s body. *)
+let apply (fd : I.fundec) (v : verdict) : unit =
+  if v.proved_at <> [] then begin
+    let removable =
+      List.concat
+        (List.mapi
+           (fun n i -> if List.mem_assoc n v.proved_at then [ i ] else [])
+           (checks_of fd.I.fbody))
+    in
+    fd.I.fbody <- filter_block removable fd.I.fbody
+  end
 
 (* The defined functions that still hold a check: the only ones whose
    fixpoint runs, hence the roots of the summaries discharge reads. *)
 let residual_roots (prog : I.program) : string list =
   List.filter_map
-    (fun fd -> if (not fd.I.fextern) && count_checks fd.I.fbody > 0 then Some fd.I.fname else None)
+    (fun fd -> if (not fd.I.fextern) && checks_of fd.I.fbody <> [] then Some fd.I.fname else None)
     prog.I.funcs
 
 (* Discharge over every defined function of an (already deputized and
@@ -130,8 +162,11 @@ let residual_roots (prog : I.program) : string list =
    (default, see {!Domain}) the relational interface summaries are
    computed first and feed both the interval summaries and the
    per-function fixpoints; the interval summaries are demanded only
-   from the functions holding a residual check. *)
-let run ?summaries ?ifaces (prog : I.program) : stats =
+   from the functions holding a residual check. Each such function is
+   solved over its {!Summary.inputs} through [memo], on the calling
+   domain; the pool forces the suspensions, and the verdicts are
+   applied serially in program order. *)
+let run ?summaries ?ifaces ?(jobs = 1) ?(memo = Summary.no_memo) (prog : I.program) : stats =
   let ifaces =
     match ifaces with
     | Some i -> i
@@ -142,11 +177,26 @@ let run ?summaries ?ifaces (prog : I.program) : stats =
     | Some s -> s
     | None -> Summary.compute ~ifaces ~roots:(residual_roots prog) prog
   in
+  let pending =
+    List.filter_map
+      (fun fd ->
+        if fd.I.fextern then None
+        else if checks_of fd.I.fbody = [] then
+          Some (fd, Lazy.from_val (verdict ~summaries fd))
+        else
+          let summaries, ifaces, inputs = Summary.inputs ~summaries ~ifaces fd in
+          Some (fd, memo fd ~inputs (fun () -> verdict ~ifaces ~summaries fd)))
+      prog.I.funcs
+  in
+  Summary.force_misses ~jobs (List.map snd pending);
   {
     fstats =
-      List.filter_map
-        (fun fd -> if fd.I.fextern then None else Some (discharge_fundec ~ifaces ~summaries fd))
-        prog.I.funcs;
+      List.map
+        (fun (fd, v) ->
+          let v = Lazy.force v in
+          apply fd v;
+          v.fstat)
+        pending;
   }
 
 let render_stats (stats : stats) : string =

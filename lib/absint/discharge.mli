@@ -27,22 +27,35 @@ val checks_proved_rel : stats -> int
 val rate : stats -> float
 (** Percentage of residual checks proved (0 when none were seen). *)
 
-val discharge_fundec :
-  ?ifaces:Transfer.ifaces -> summaries:Transfer.summaries -> Kc.Ir.fundec -> fstat
+type verdict
+(** What discharge proved in one function, free of IR values: the
+    ordinals of the proved checks among the body's checks (in
+    {!Kc.Ir.iter_instrs} order) with their proof kinds, plus the
+    function's {!fstat}. It carries over to any body with the same
+    checks in the same order, such as a re-parse of the same source. *)
 
 val residual_roots : Kc.Ir.program -> string list
 (** The defined functions that hold at least one check, in program
-    order: the only functions {!discharge_fundec} runs a fixpoint on,
-    so the [~roots] of the summaries it needs ({!Summary.compute}). *)
+    order: the only functions {!run} runs a fixpoint on, so the
+    [~roots] of the summaries it needs ({!Summary.compute}). *)
 
-val run : ?summaries:Transfer.summaries -> ?ifaces:Transfer.ifaces -> Kc.Ir.program -> stats
+val run :
+  ?summaries:Transfer.summaries ->
+  ?ifaces:Transfer.ifaces ->
+  ?jobs:int ->
+  ?memo:verdict Summary.memo ->
+  Kc.Ir.program ->
+  stats
 (** Under the product domain (the default, see {!Domain}) relational
     interface summaries are computed first ({!Relsum.compute}) and
     feed both the interval summaries and every per-function fixpoint;
     [IVY_ABSINT_DOMAIN=interval] reverts to the interval-only stage.
     Without [summaries], only those of {!residual_roots} and their
     direct callees are computed. A given [summaries] must cover at
-    least those. *)
+    least those. Each function that holds a check is solved over its
+    {!Summary.inputs} through [memo] (default {!Summary.no_memo});
+    [jobs] (default 1) forces the solves on a {!Par} pool. Verdicts are
+    applied in place, so the result is jobs-invariant. *)
 
 val render_stats : stats -> string
 (** The per-function table; functions with no residual check show [-]

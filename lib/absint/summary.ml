@@ -97,10 +97,58 @@ let levels_of (sccs : I.fundec list list) : I.fundec list list list =
   List.init (max_level + 1) (fun l ->
       List.rev (Option.value (Hashtbl.find_opt by_level l) ~default:[]))
 
-let solve_one ?(ifaces = Transfer.no_ifaces) ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
+let solve_one ~ifaces ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
   let r = Solver.analyze_cfg ~summaries ~ifaces (cfg_of fd) in
   let ret = Solver.return_aval fd r in
   if Aval.is_bot ret then Transfer.of_ty fd.I.fret else ret
+
+(* What a fixpoint over [fd] reads of the interprocedural maps: a
+   summary or interface is looked up only at a direct call
+   ({!Transfer.instr}), so the maps restricted to [fd]'s direct callees
+   give the same fixpoint. [inputs] renders those values canonically
+   (plus the selected domain), callee by callee: [Aval.to_string] is
+   injective and independent of sharing, so equal inputs render
+   equally. Absent and present entries render differently, since
+   [Transfer.instr] falls back to the callee's type when a summary is
+   missing. *)
+let inputs ~(summaries : Transfer.summaries) ~(ifaces : Transfer.ifaces) (fd : I.fundec) :
+    Transfer.summaries * Transfer.ifaces * string =
+  let b = Buffer.create 128 in
+  Buffer.add_string b (Domain.to_string (Domain.current ()));
+  let sums, ifs =
+    List.fold_left
+      (fun (sums, ifs) callee ->
+        Buffer.add_char b ';';
+        Buffer.add_string b callee;
+        let sums =
+          match Transfer.SM.find_opt callee summaries with
+          | Some a ->
+              Buffer.add_char b '=';
+              Buffer.add_string b (Aval.to_string a);
+              Transfer.SM.add callee a sums
+          | None -> sums
+        in
+        let ifs =
+          match Transfer.SM.find_opt callee ifaces with
+          | Some i ->
+              Buffer.add_string b (if i.Transfer.ret_nonnull then "!nn" else "!");
+              Transfer.SM.add callee i ifs
+          | None -> ifs
+        in
+        (sums, ifs))
+      (Transfer.no_summaries, Transfer.no_ifaces)
+      (direct_callees fd)
+  in
+  (sums, ifs, Buffer.contents b)
+
+type 'a memo = I.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
+
+let no_memo _ ~inputs:_ solve = Lazy.from_fun solve
+
+(* Force on the pool only what a memo left unsolved; a warm run with
+   one miss never starts it. *)
+let force_misses ~jobs (ls : 'a Lazy.t list) : unit =
+  ignore (Par.map ~jobs Lazy.force (List.filter (fun l -> not (Lazy.is_val l)) ls))
 
 (* The defined functions reachable from [roots] through one or more
    direct calls, in program order: the summaries the fixpoints of
@@ -123,7 +171,8 @@ let demanded (defined : I.fundec list) (roots : string list) : I.fundec list =
   List.filter (fun fd -> Hashtbl.mem seen fd.I.fname) defined
 
 let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
-    ?(ifaces = Transfer.no_ifaces) ?roots (prog : I.program) : Transfer.summaries =
+    ?(ifaces = Transfer.no_ifaces) ?roots ?(memo = no_memo) (prog : I.program) :
+    Transfer.summaries =
   (* Externs have no body to summarize; leaving them out also keeps
      the allocator special-case in Transfer.instr in charge. A summary
      reads only its direct callees' summaries, so restricting the solve
@@ -131,29 +180,37 @@ let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
      unchanged. *)
   let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
   let sccs = sccs_of (match roots with None -> defined | Some r -> demanded defined r) in
+  let all_ifaces = ifaces in
   List.fold_left
     (fun summaries level ->
       (* A function in this level only reads summaries of strictly
          lower levels, so the pool members never observe each other;
          [cfg_of] must therefore be pure or pre-populated (the engine
          context prefetches its CFG cache before going parallel). The
-         fold below re-merges in SCC order, identical to the serial
-         one-SCC-at-a-time result. *)
+         [memo] lookups run here, on the calling domain; the pool only
+         forces what they left unsolved. The fold below re-merges in
+         SCC order, identical to the serial one-SCC-at-a-time
+         result. *)
       let solvable, recursive =
         List.partition
           (fun scc -> match scc with [ fd ] -> not (is_self_recursive fd) | _ -> false)
           level
       in
-      let solved =
-        Par.map ~jobs
+      let pending =
+        List.map
           (fun scc ->
             match scc with
-            | [ fd ] -> (fd.I.fname, solve_one ~ifaces ~summaries ~cfg_of fd)
+            | [ fd ] ->
+                let summaries, ifaces, inputs = inputs ~summaries ~ifaces:all_ifaces fd in
+                (fd.I.fname, memo fd ~inputs (fun () -> solve_one ~ifaces ~summaries ~cfg_of fd))
             | _ -> assert false)
           solvable
       in
+      force_misses ~jobs (List.map snd pending);
       let summaries =
-        List.fold_left (fun acc (name, ret) -> Transfer.SM.add name ret acc) summaries solved
+        List.fold_left
+          (fun acc (name, ret) -> Transfer.SM.add name (Lazy.force ret) acc)
+          summaries pending
       in
       List.fold_left
         (fun summaries scc ->

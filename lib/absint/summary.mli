@@ -18,11 +18,38 @@ val levels_of : Kc.Ir.fundec list list -> Kc.Ir.fundec list list list
     into strictly lower levels, so one level's components can be
     solved in parallel. Exposed for tests. *)
 
+val inputs :
+  summaries:Transfer.summaries ->
+  ifaces:Transfer.ifaces ->
+  Kc.Ir.fundec ->
+  Transfer.summaries * Transfer.ifaces * string
+(** [inputs ~summaries ~ifaces fd] is everything a fixpoint over [fd]
+    reads of the two maps: both restricted to [fd]'s direct callees,
+    plus a canonical rendering of those values and of the selected
+    {!Domain} — the callee half of a per-function cache key. Equal
+    values render equally whatever their sharing (no [Marshal]). A
+    solve given the restricted maps cannot read anything the rendering
+    does not cover. *)
+
+type 'a memo = Kc.Ir.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
+(** A per-function memo: [memo fd ~inputs solve] returns a cached
+    result for [fd] under [inputs], or [solve] suspended. It is called
+    on the calling domain, once per function; the suspensions may be
+    forced on a {!Par} pool. *)
+
+val no_memo : 'a memo
+(** Always solves. *)
+
+val force_misses : jobs:int -> 'a Lazy.t list -> unit
+(** Force the suspensions a memo left unsolved on a [jobs]-wide {!Par}
+    pool (none started for fewer than two). *)
+
 val compute :
   ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) ->
   ?jobs:int ->
   ?ifaces:Transfer.ifaces ->
   ?roots:string list ->
+  ?memo:Aval.t memo ->
   Kc.Ir.program ->
   Transfer.summaries
 (** [cfg_of] lets a caller (the engine context) share memoized CFGs;
@@ -36,4 +63,6 @@ val compute :
     defined functions reachable from [roots] through one or more direct
     calls (a root itself only when one of them calls it). Each equals
     its value in the full computation, since a summary reads only its
-    direct callees' summaries. *)
+    direct callees' summaries. Each non-recursive function is solved
+    over its {!inputs} and goes through [memo] (default {!no_memo});
+    recursive components take their return type's range unsolved. *)

@@ -6,12 +6,14 @@
    context's {!Fingerprint.table}, recomputed only when the program is
    (re)loaded), and the graph decides hit vs rebuild and owns the
    build/hit/invalidation counters. Per-function CFGs key on their
-   function's digest; every whole-program artifact keys on the program
-   digest, so none depends on a hand-kept projection of what its
-   analysis reads. [update] re-fingerprints a newly parsed version of
-   the program, swaps it in, and push-invalidates exactly the
-   per-function artifacts whose digest changed — the whole-program
-   artifacts notice their own input hash change on next access. *)
+   function's digest; the per-function absint nodes on the header
+   digest, a function digest and the callee values their solve is
+   given; every whole-program artifact on the program digest, so none
+   depends on a hand-kept projection of what its analysis reads.
+   [update] re-fingerprints a newly parsed version of the program,
+   swaps it in, and push-invalidates exactly the per-function
+   artifacts whose digest changed — the whole-program artifacts notice
+   their own input hash change on next access. *)
 
 module P = Blockstop.Pointsto
 module CG = Blockstop.Callgraph
@@ -65,6 +67,9 @@ module Key = struct
   let blocking mode = Graph.key (Printf.sprintf "blocking(%s)" (mode_name mode))
   let cfg fname = Graph.key ~param:fname "cfg"
   let summaries = Graph.key "absint-summaries"
+  let summary fname = Graph.key ~param:fname "absint-summary"
+  let discharge fname = Graph.key ~param:fname "absint-discharge"
+  let instrumented = Graph.key "deputy-instrumented"
   let relsum = Graph.key "relsum-ifaces"
   let deputized = Graph.key "deputized(absint)"
   let vm_compiled = Graph.key "vm-compiled"
@@ -82,6 +87,9 @@ let blocking_slot : BL.t Graph.slot = Graph.slot ()
 let cfg_slot : Dataflow.Cfg.t Graph.slot = Graph.slot ()
 let handlers_slot : AT.SS.t Graph.slot = Graph.slot ()
 let summaries_slot : Absint.Transfer.summaries Graph.slot = Graph.slot ()
+let summary_slot : Absint.Aval.t Lazy.t Graph.slot = Graph.slot ()
+let discharge_slot : Absint.Discharge.verdict Lazy.t Graph.slot = Graph.slot ()
+let instrumented_slot : (Kc.Ir.program * Deputy.Dreport.report) Graph.slot = Graph.slot ()
 let relsum_slot : Absint.Transfer.ifaces Graph.slot = Graph.slot ()
 let deputized_slot : deputized Graph.slot = Graph.slot ()
 let vm_compiled_slot : Vm.Compile.t Graph.slot = Graph.slot ()
@@ -138,10 +146,29 @@ let relsum_ifaces (t : t) : Absint.Transfer.ifaces =
       ~fp:(program_fingerprint t)
       (fun () -> Absint.Relsum.compute ~jobs:t.jobs t.prog)
 
-(* Instrument + Facts-optimize a shallow copy of the base program. *)
+(* Instrument + Facts-optimize a shallow copy of the base program,
+   once per program version: the summaries read its residual roots,
+   and the deputized view discharges a shallow copy of it. *)
 let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
-  let dprog = Kc.Ir.copy_program t.prog in
-  (dprog, Deputy.Dreport.deputize dprog)
+  Graph.get t.g instrumented_slot ~name:Key.instrumented.Graph.name
+    ~fp:(program_fingerprint t)
+    (fun () ->
+      let iprog = Kc.Ir.copy_program t.prog in
+      (iprog, Deputy.Dreport.deputize iprog))
+
+(* A per-function absint memo ({!Absint.Summary.memo}): one node per
+   (artifact, function), keyed on the header digest, the digest of the
+   function the solve reads and the callee values it is given
+   ([inputs]). Lookups and stores run on the calling domain; with
+   [jobs > 1] a miss stores its solve suspended, for the pool to
+   force. Serially the solve runs inside the build, so the node is
+   charged its own time. *)
+let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
+ fun (fd : Kc.Ir.fundec) ~inputs solve ->
+  let k = key fd.Kc.Ir.fname in
+  Graph.get t.g slot ~name:k.Graph.name ~param:k.Graph.param
+    ~fp:(Digest.string (String.concat "\000" [ t.fps.Fingerprint.t_header; digest fd; inputs ]))
+    (fun () -> if t.jobs <= 1 then Lazy.from_val (solve ()) else Lazy.from_fun solve)
 
 (* Interprocedural interval summaries over the base (uninstrumented)
    program, sharing the memoized CFGs: instrumentation only adds
@@ -149,10 +176,12 @@ let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
    stay valid for the deputized view. Only the summaries discharge
    reads are solved: those of the functions reachable through direct
    calls from a function that still holds a check in the deputized
-   view. Those roots come from a throwaway instrumented copy, so the
-   context keeps no second program for them. *)
+   view. Each function's summary is its own [absint-summary] node, so
+   an edit that leaves a summary unchanged leaves its callers'
+   summaries warm; this artifact only assembles them. *)
 let absint_summaries (t : t) : Absint.Transfer.summaries =
   let ifaces = relsum_ifaces t in
+  let iprog, _ = instrumented t in
   let defined = defined_funcs t in
   (* Populate the CFG artifacts serially (the graph is single-domain),
      then fan the summary solve out over an immutable snapshot. A
@@ -176,24 +205,34 @@ let absint_summaries (t : t) : Absint.Transfer.summaries =
   in
   Graph.get t.g summaries_slot ~name:Key.summaries.Graph.name
     ~deps:
-      (Key.relsum
+      (Key.relsum :: Key.instrumented
       :: List.map (fun (fd : Kc.Ir.fundec) -> Key.cfg fd.Kc.Ir.fname) defined)
     ~fp:(program_fingerprint t)
     (fun () ->
-      let roots = Absint.Discharge.residual_roots (fst (instrumented t)) in
-      Absint.Summary.compute ~cfg_of ~jobs:t.jobs ~ifaces ~roots t.prog)
+      let memo =
+        fn_memo t summary_slot ~key:Key.summary ~digest:(fun (fd : Kc.Ir.fundec) ->
+            fn_fingerprint t fd.Kc.Ir.fname)
+      in
+      Absint.Summary.compute ~cfg_of ~jobs:t.jobs ~ifaces
+        ~roots:(Absint.Discharge.residual_roots iprog) ~memo t.prog)
 
-(* The deputized view: instrument + Facts-optimize + absint-discharge
-   a shallow copy, leaving the context's base program untouched. *)
+(* The deputized view: absint-discharge a shallow copy of the
+   instrumented program (discharge replaces bodies, so the shared copy
+   stays intact), leaving the context's base program untouched. Each
+   function that still holds a check gets its own [absint-discharge]
+   node, keyed on its instrumented body: a callee annotation edit
+   changes that body even when the caller's own source is unchanged. *)
 let deputized (t : t) : deputized =
   let ifaces = relsum_ifaces t in
   let summaries = absint_summaries t in
+  let iprog, dreport = instrumented t in
   Graph.get t.g deputized_slot ~name:Key.deputized.Graph.name
-    ~deps:[ Key.relsum; Key.summaries ]
+    ~deps:[ Key.relsum; Key.summaries; Key.instrumented ]
     ~fp:(program_fingerprint t)
     (fun () ->
-      let dprog, dreport = instrumented t in
-      let dstats = Absint.Discharge.run ~summaries ~ifaces dprog in
+      let dprog = Kc.Ir.copy_program iprog in
+      let memo = fn_memo t discharge_slot ~key:Key.discharge ~digest:Fingerprint.fn in
+      let dstats = Absint.Discharge.run ~summaries ~ifaces ~jobs:t.jobs ~memo dprog in
       { dprog; dreport; dstats })
 
 (* Refsafe ownership summaries: flow-insensitive per-function alias
@@ -265,12 +304,20 @@ let update (t : t) (prog : Kc.Ir.program) : update =
        longer exist) are push-invalidated along the declared edges:
        cfg(f) -> absint-summaries -> deputized(absint) -> check(absint).
        Whole-program artifacts re-key themselves on next access via
-       their own input hash. *)
+       their own input hash. The per-function absint nodes carry their
+       inputs in their key and no edges: an edited function's nodes
+       are re-keyed on next access, a removed function's dropped. *)
+    let drop acc k = acc + Graph.invalidate t.g k in
     let dropped =
       List.fold_left
-        (fun acc f -> acc + Graph.invalidate t.g (Key.cfg f))
+        (fun acc f -> drop acc (Key.cfg f))
         0
         (d.Fingerprint.d_changed @ d.Fingerprint.d_removed)
+    in
+    let dropped =
+      List.fold_left
+        (fun acc f -> drop (drop acc (Key.summary f)) (Key.discharge f))
+        dropped d.Fingerprint.d_removed
     in
     {
       u_changed = d.Fingerprint.d_changed;

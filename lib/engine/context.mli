@@ -23,7 +23,8 @@ type t
 val create : ?jobs:int -> Kc.Ir.program -> t
 (** [jobs] (default 1) sizes the {!Par} pool used by stages that can
     fan out internally (today: {!absint_summaries} solves one SCC
-    level's functions in parallel). The context itself must never be
+    level's functions in parallel, and {!deputized} discharges its
+    functions in parallel). The context itself must never be
     shared across domains — its graph is single-domain; a parallel
     driver creates one context per worker and aggregates observability
     with {!merge_counters}. *)
@@ -46,6 +47,18 @@ module Key : sig
   val blocking : Blockstop.Pointsto.mode -> Graph.key
   val cfg : string -> Graph.key
   val summaries : Graph.key
+
+  val summary : string -> Graph.key
+  (** [absint-summary(f)]: one function's return summary. *)
+
+  val discharge : string -> Graph.key
+  (** [absint-discharge(f)]: one deputized function's discharge
+      verdict. *)
+
+  val instrumented : Graph.key
+  (** [deputy-instrumented]: the base program instrumented and
+      Facts-optimized, once per program version. *)
+
   val relsum : Graph.key
   val deputized : Graph.key
   val vm_compiled : Graph.key
@@ -77,16 +90,28 @@ val relsum_ifaces : t -> Absint.Transfer.ifaces
 
 (** Interprocedural interval summaries ({!Absint.Summary}) over the
     base program, sharing the memoized CFGs (cached; depends on every
-    per-function CFG artifact and on the relational interfaces). Only
-    the summaries the deputized view's discharge reads are present:
-    those of functions reachable through direct calls from one that
-    still holds a check after Deputy and Facts
-    ({!Absint.Discharge.residual_roots}). *)
+    per-function CFG artifact, the relational interfaces and
+    [Key.instrumented]). Only the summaries the deputized view's
+    discharge reads are present: those of functions reachable through
+    direct calls from one that still holds a check after Deputy and
+    Facts ({!Absint.Discharge.residual_roots} of [Key.instrumented]).
+    Keyed on the program digest, it only assembles: each non-recursive
+    function's summary is its own [Key.summary] node, keyed on the
+    header digest, the function's digest and its direct callees'
+    summary and interface values, and solved over exactly those
+    ({!Absint.Summary.inputs}). An edit that leaves a summary's value
+    unchanged leaves its callers' nodes warm (early cutoff). *)
 val absint_summaries : t -> Absint.Transfer.summaries
 
-(** The deputized view of the program: a shallow copy that has been
-    instrumented, Facts-optimized and absint-discharged. The context's
-    base program is untouched. *)
+(** The deputized view of the program: a shallow copy of
+    [Key.instrumented] that has been absint-discharged. The context's
+    base program is untouched. Keyed on the program digest, it only
+    assembles: each function that still holds a check has its own
+    [Key.discharge] node, keyed on the header digest, the digest of its
+    {e instrumented} body (so a callee annotation edit re-keys it) and
+    its direct callees' summary and interface values. A node stores
+    the proved checks' ordinals, never IR, and they are re-applied to
+    the freshly instrumented body. *)
 type deputized = {
   dprog : Kc.Ir.program;
   dreport : Deputy.Dreport.report;  (** instrument + Facts-optimize counters *)

@@ -1,6 +1,8 @@
 (* Tests for the artifact graph's content-hash invalidation: the
    fingerprint digests, warm re-checks (zero builds), edits rebuilding
-   exactly the downstream artifacts and matching a cold context, push
+   exactly the downstream artifacts and matching a cold context, the
+   per-function absint nodes' early cutoff and soundness traps, a
+   seeded warm-equals-cold edit sequence over the kernel corpus, push
    invalidation along declared edges, build self times, counter
    merging and the serve LRU. *)
 
@@ -28,7 +30,9 @@ let prog_src body =
      \  spin_unlock(&the_lock);\n\
      \  return r;\n\
      }\n\
-     int start_kernel(void) { work(); leaf(); return 0; }\n"
+     int start_kernel(void) { work(); leaf(); return 0; }\n\
+     int tbl[8];\n\
+     int lookup(void) { int i = helper(1); return tbl[i]; }\n"
 
 let find_fn prog name = Option.get (Kc.Ir.find_fun prog name)
 
@@ -37,12 +41,15 @@ let delta_of ctxt f =
   let v = f () in
   (v, Engine.Graph.delta ~before (Engine.Context.stats ctxt))
 
-let builds_of delta name =
+let count_of field delta name =
   match
     List.find_opt (fun (s : Engine.Graph.stat) -> s.Engine.Graph.artifact = name) delta
   with
-  | Some s -> s.Engine.Graph.builds
+  | Some s -> field s
   | None -> 0
+
+let builds_of = count_of (fun s -> s.Engine.Graph.builds)
+let hits_of = count_of (fun s -> s.Engine.Graph.hits)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                       *)
@@ -127,12 +134,40 @@ let test_single_function_edit_rebuilds_only_downstream () =
     [
       "pointsto(type-based)"; "pointsto(field-based)"; "callgraph(type-based)";
       "callgraph(field-based)"; "blocking(type-based)"; "irq-handlers";
-      "refsafe-summaries"; "absint-summaries"; "deputized(absint)"; "vm-compiled";
-      "ccount-discharged";
+      "refsafe-summaries"; "deputy-instrumented"; "absint-summaries"; "deputized(absint)";
+      "vm-compiled"; "ccount-discharged";
     ];
   (* And the incremental report equals a cold context's report. *)
   let cold = Engine.Context.create (parse (prog_src edited_body)) in
-  Alcotest.(check string) "report byte-identical to cold" (report cold) second
+  Alcotest.(check string) "report byte-identical to cold" (report cold) second;
+  (* Early cutoff: [x + 2], like [x + 1], leaves helper's summary at the
+     int range, so only helper's own summary node is solved again, and
+     the discharge node of lookup (helper's one caller holding a check)
+     is served warm. The same holds for a dead local. *)
+  let absint_delta body =
+    ignore (Engine.Context.update ctxt (parse (prog_src body)));
+    snd (delta_of ctxt (fun () -> report ctxt))
+  in
+  let cutoff msg delta =
+    Alcotest.(check int) (msg ^ ": one absint-summary rebuild (helper)") 1
+      (builds_of delta "absint-summary");
+    Alcotest.(check int) (msg ^ ": no absint-discharge rebuild") 0
+      (builds_of delta "absint-discharge");
+    Alcotest.(check int) (msg ^ ": lookup's discharge served warm") 1
+      (hits_of delta "absint-discharge")
+  in
+  cutoff "arith edit" delta;
+  cutoff "dead local" (absint_delta "int helper(int x) { int dead = 7; return x + 2; }\n");
+  (* A new summary for helper re-keys lookup's discharge node. *)
+  let literal = "int helper(int x) { return 3; }\n" in
+  let delta = absint_delta literal in
+  Alcotest.(check int) "literal: one absint-summary rebuild (helper)" 1
+    (builds_of delta "absint-summary");
+  Alcotest.(check int) "literal: lookup's discharge rebuilt" 1
+    (builds_of delta "absint-discharge");
+  Alcotest.(check string) "literal: report byte-identical to cold"
+    (report (Engine.Context.create (parse (prog_src literal))))
+    (report ctxt)
 
 (* Warm must equal cold on the edits that change what the call graph
    and the pointer-flow summaries read, not just arithmetic. *)
@@ -182,6 +217,209 @@ let test_pointer_edit_matches_cold () =
   Alcotest.(check (option (list int))) "p escapes after" (Some [ 0 ]) (escapes ctxt);
   let cold = Engine.Context.create (parse (prog_src after)) in
   Alcotest.(check string) "report byte-identical to cold" (report cold) warm
+
+(* ------------------------------------------------------------------ *)
+(* Per-function absint nodes: soundness traps                          *)
+(* ------------------------------------------------------------------ *)
+
+(* What absint serves: the JSON report with the deputy and ccount
+   counter objects, and the per-function discharge stats. *)
+let absint_view ctxt =
+  let results = Ivy.Checks.run_all ctxt in
+  let d = Engine.Context.deputized ctxt in
+  ( Ivy.Report_fmt.render_diags_json ~deputy:d
+      ~ccount:(Engine.Context.ccount_discharged ctxt)
+      results,
+    d.Engine.Context.dstats.Absint.Discharge.fstats )
+
+let check_view msg ~cold warm =
+  let cr, cf = cold and wr, wf = warm in
+  Alcotest.(check string) (msg ^ ": report byte-identical to cold") cr wr;
+  Alcotest.(check bool) (msg ^ ": fstats equal cold") true (cf = wf)
+
+let check_matches_cold msg ctxt src =
+  check_view msg ~cold:(absint_view (Engine.Context.create (parse src))) (absint_view ctxt)
+
+let proved_in ctxt fname =
+  let s =
+    List.find
+      (fun (s : Absint.Discharge.fstat) -> s.Absint.Discharge.fname = fname)
+      (Engine.Context.deputized ctxt).Engine.Context.dstats.Absint.Discharge.fstats
+  in
+  (s.Absint.Discharge.proved, s.Absint.Discharge.seen)
+
+let idx_src k =
+  Printf.sprintf
+    "int arr[4]; int idx(void) { return %d; } int use(void) { int i = idx(); return arr[i]; }\n" k
+
+(* use's own source never changes, so a discharge key without idx's
+   summary would serve the stale, unsound 2/2 after [return 7]. *)
+let test_callee_return_edit_is_sound () =
+  let ctxt = Engine.Context.create (parse (idx_src 3)) in
+  Alcotest.(check (pair int int)) "cold: both bounds proved" (2, 2) (proved_in ctxt "use");
+  let u = Engine.Context.update ctxt (parse (idx_src 7)) in
+  Alcotest.(check (list string)) "idx changed" [ "idx" ] u.Engine.Context.u_changed;
+  Alcotest.(check (pair int int)) "return 7: upper bound stays" (1, 2) (proved_in ctxt "use");
+  check_matches_cold "return 7" ctxt (idx_src 7);
+  ignore (Engine.Context.update ctxt (parse (idx_src 3)));
+  Alcotest.(check (pair int int)) "revert: both bounds proved" (2, 2) (proved_in ctxt "use");
+  check_matches_cold "revert" ctxt (idx_src 3)
+
+let count_src n =
+  Printf.sprintf
+    "long sum(long * __count(%d) b) { return b[0]; }\n\
+     long use(long * __count(n) q, long n) { long k = n; if (k < 6) return 0; return sum(q); }\n"
+    n
+
+(* A callee annotation edit leaves the caller's source digest alone but
+   changes its instrumented body (the count-flow check at the call), so
+   the caller's discharge node must be re-keyed. *)
+let test_callee_annotation_edit_matches_cold () =
+  let ctxt = Engine.Context.create (parse (count_src 4)) in
+  Alcotest.(check (pair int int)) "count 4: count flow proved" (1, 1) (proved_in ctxt "use");
+  let u = Engine.Context.update ctxt (parse (count_src 8)) in
+  Alcotest.(check (list string)) "only sum changed" [ "sum" ] u.Engine.Context.u_changed;
+  let _, delta = delta_of ctxt (fun () -> absint_view ctxt) in
+  Alcotest.(check int) "use's discharge rebuilt" 1 (builds_of delta "absint-discharge");
+  Alcotest.(check (pair int int)) "count 8: count flow stays" (0, 1) (proved_in ctxt "use");
+  check_matches_cold "annotation edit" ctxt (count_src 8)
+
+(* ------------------------------------------------------------------ *)
+(* Seeded warm = cold sequence over the kernel corpus                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Seeded one-function edits that keep every line in place (statement
+   locations are part of a function's digest): a dead local declared
+   right after the body's opening brace, a new literal in a
+   [return <digits>;] of an int-returning function, or a revert of the
+   previous step. Each step changes exactly one function's digest. *)
+module Corpus_edits = struct
+  let marker = " long ivy_dead_ = "
+
+  let find_sub s ~from ~until needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > until then None else if String.sub s i n = needle then Some i else go (i + 1)
+    in
+    go from
+
+  let digits_from s i =
+    let j = ref i in
+    while !j < String.length s && s.[!j] >= '0' && s.[!j] <= '9' do
+      incr j
+    done;
+    !j
+
+  (* [lo, hi): the body of the function defined at [line]. *)
+  let body s line =
+    let rec line_start pos l =
+      if l = line then Some pos
+      else Option.bind (String.index_from_opt s pos '\n') (fun i -> line_start (i + 1) (l + 1))
+    in
+    Option.bind (line_start 0 1) (fun pos ->
+        Option.bind (String.index_from_opt s pos '{') (fun lb ->
+            let rec go i depth =
+              if i >= String.length s then None
+              else
+                match s.[i] with
+                | '{' -> go (i + 1) (depth + 1)
+                | '}' -> if depth = 1 then Some (lb + 1, i) else go (i + 1) (depth - 1)
+                | _ -> go (i + 1) depth
+            in
+            go lb 0))
+
+  let splice s lo hi text = String.sub s 0 lo ^ text ^ String.sub s hi (String.length s - hi)
+
+  (* Replace the digits at [d] with [k], or None if they already read [k]. *)
+  let set_digits s d k =
+    let e = digits_from s d in
+    if String.sub s d (e - d) = k then None else Some (splice s d e k)
+
+  let edit rng ~int_ret s line =
+    Option.bind (body s line) (fun (lo, hi) ->
+        let k = string_of_int (1 + Random.State.int rng 99) in
+        let ret =
+          if int_ret then
+            Option.bind (find_sub s ~from:lo ~until:hi "return ") (fun i ->
+                let e = digits_from s (i + 7) in
+                if e > i + 7 && e < hi && s.[e] = ';' then Some (i + 7) else None)
+          else None
+        in
+        match ret with
+        | Some d when Random.State.bool rng -> set_digits s d k
+        | _ ->
+            if find_sub s ~from:lo ~until:(lo + String.length marker) marker = Some lo then
+              set_digits s (lo + String.length marker) k
+            else Some (splice s lo lo (marker ^ k ^ ";")))
+
+  (* [n] steps of sources, each one function away from the one before,
+     with their parse. *)
+  let steps ~seed ~n =
+    let rng = Random.State.make [| seed |] in
+    let sources = Kernel.Corpus.sources () in
+    let prog = Kc.Typecheck.check_sources sources in
+    let files = List.map fst sources in
+    let fns =
+      Array.of_list
+        (List.filter_map
+           (fun (fd : Kc.Ir.fundec) ->
+             let l = fd.Kc.Ir.floc in
+             if fd.Kc.Ir.fextern || not (List.mem l.Kc.Loc.file files) then None
+             else
+               Some
+                 ( l.Kc.Loc.file,
+                   l.Kc.Loc.line,
+                   match fd.Kc.Ir.fret with Kc.Ir.Tint _ -> true | _ -> false ))
+           prog.Kc.Ir.funcs)
+    in
+    let one_fn_away ~old srcs =
+      match Kc.Typecheck.check_sources srcs with
+      | exception _ -> None
+      | p ->
+          let fps = Engine.Fingerprint.table_of p in
+          let d = Engine.Fingerprint.diff ~old fps in
+          if
+            List.length d.Engine.Fingerprint.d_changed = 1
+            && d.Engine.Fingerprint.d_added = [] && d.Engine.Fingerprint.d_removed = []
+            && not d.Engine.Fingerprint.d_header_changed
+          then Some (p, fps)
+          else None
+    in
+    let rec go k ~prev ~cur ~fps acc =
+      if k = 0 then List.rev acc
+      else
+        let candidate =
+          match prev with
+          | Some p when Random.State.int rng 4 = 0 -> Some p
+          | _ ->
+              let file, line, int_ret = fns.(Random.State.int rng (Array.length fns)) in
+              Option.map
+                (fun s' -> List.map (fun (f, s) -> (f, if f = file then s' else s)) cur)
+                (edit rng ~int_ret (List.assoc file cur) line)
+        in
+        match Option.bind candidate (fun c -> Option.map (fun r -> (c, r)) (one_fn_away ~old:fps c)) with
+        | Some (next, (p, fps')) -> go (k - 1) ~prev:(Some cur) ~cur:next ~fps:fps' ((next, p) :: acc)
+        | None -> go k ~prev ~cur ~fps acc
+    in
+    go n ~prev:None ~cur:sources ~fps:(Engine.Fingerprint.table_of prog) []
+end
+
+let test_corpus_edit_sequence_warm_equals_cold () =
+  let steps = Corpus_edits.steps ~seed:18 ~n:40 in
+  (* A fresh context's view is jobs-invariant (test_par), so one cold
+     view per step serves both warm runs. *)
+  let cold = List.map (fun (_, p) -> absint_view (Engine.Context.create p)) steps in
+  List.iter
+    (fun jobs ->
+      let ctxt = Engine.Context.create ~jobs (Kc.Typecheck.check_sources (Kernel.Corpus.sources ())) in
+      ignore (absint_view ctxt);
+      List.iteri
+        (fun i ((srcs, _), cold) ->
+          let u = Engine.Context.update ctxt (Kc.Typecheck.check_sources srcs) in
+          let msg = Printf.sprintf "jobs %d step %d (%s)" jobs i (String.concat "," u.Engine.Context.u_changed) in
+          check_view msg ~cold (absint_view ctxt))
+        (List.combine steps cold))
+    [ 1; 2 ]
 
 let test_update_keeps_program_object_when_unchanged () =
   let prog = parse (prog_src base_body) in
@@ -345,6 +583,12 @@ let () =
             test_call_edit_surfaces_blockstop;
           Alcotest.test_case "pointer edit equals cold" `Quick
             test_pointer_edit_matches_cold;
+          Alcotest.test_case "callee return edit is sound" `Quick
+            test_callee_return_edit_is_sound;
+          Alcotest.test_case "callee annotation edit equals cold" `Quick
+            test_callee_annotation_edit_matches_cold;
+          Alcotest.test_case "corpus edit sequence: warm equals cold" `Quick
+            test_corpus_edit_sequence_warm_equals_cold;
           Alcotest.test_case "unchanged update keeps the program object" `Quick
             test_update_keeps_program_object_when_unchanged;
           Alcotest.test_case "removed function invalidates" `Quick
