@@ -606,12 +606,10 @@ open Toolkit
    analyses as `ivy check` runs them, over one shared context), plus
    paper experiment drivers and one fuzz case. *)
 let tests () =
-  let sources = Kernel.Workloads.sources () in
   let parsed = Kernel.Workloads.load () in
   [
-    (* Pipeline stages. *)
-    Test.make ~name:"frontend:parse+check corpus"
-      (Staged.stage (fun () -> ignore (Kc.Typecheck.check_sources sources)));
+    (* Pipeline stages. The frontend is timed by perfbench
+       (kc.frontend_ms). *)
     Test.make ~name:"deputy:instrument+optimize"
       (Staged.stage (fun () ->
            let p = Kernel.Corpus.load () in

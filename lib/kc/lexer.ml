@@ -1,116 +1,140 @@
 (* Hand-written lexer for KC.
 
-   The lexer works over a whole source string and produces a token
-   array with per-token locations, which the recursive-descent parser
-   then walks with arbitrary lookahead. *)
+   One pass over the whole source string. Tokens go into a growable
+   store and their positions, packed as [line lsl 32 lor col] (exact
+   for sources under 4 GiB), into a parallel one; a [Loc.t] is built
+   only when the parser asks for one ({!loc}). Both stores are chunks
+   of 256 slots, small enough for the minor heap: writing a token is a
+   plain store, with no write barrier into a major-heap array, and a
+   unit's tokens die young when its parse ends before the next minor
+   collection. Beyond the chunks, lexing allocates only the payload of
+   identifiers and literals. Keywords are found in place through the
+   table {!Token.of_ident_sub} builds once from [Token.keyword_table];
+   operators dispatch with one match on their first two bytes. Columns
+   count bytes; a tab counts as 1. *)
 
 exception Error of string * Loc.t
 
+type t = { file : string; toks : Token.t array array; pos : int array array; len : int }
+
+let length t = t.len
+let token t i = t.toks.(i lsr 8).(i land 255)
+
+let loc t i =
+  let p = t.pos.(i lsr 8).(i land 255) in
+  Loc.make ~file:t.file ~line:(p lsr 32) ~col:(p land 0xFFFF_FFFF)
+
 type state = {
   src : string;
-  file : string;
-  mutable pos : int;
+  name : string; (* file name, for locations *)
+  mutable at : int;
   mutable line : int;
   mutable bol : int; (* offset of beginning of current line *)
+  mutable buf : Token.t array array;
+  mutable bpos : int array array;
+  mutable count : int;
 }
 
-let make ~file src = { src; file; pos = 0; line = 1; bol = 0 }
-
-let loc_of st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
+let loc_of st = Loc.make ~file:st.name ~line:st.line ~col:(st.at - st.bol + 1)
 
 let error st msg = raise (Error (msg, loc_of st))
 
-let at_end st = st.pos >= String.length st.src
+(* The byte at [i], or NUL past the end. *)
+let byte st i = if i < String.length st.src then st.src.[i] else '\000'
 
-let peek_char st = if at_end st then '\000' else st.src.[st.pos]
-
-let peek_char2 st =
-  if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
+let newline st i =
+  st.line <- st.line + 1;
+  st.bol <- i + 1
 
 let advance st =
-  if not (at_end st) then begin
-    if st.src.[st.pos] = '\n' then begin
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-    end;
-    st.pos <- st.pos + 1
+  if st.at < String.length st.src then begin
+    if st.src.[st.at] = '\n' then newline st st.at;
+    st.at <- st.at + 1
   end
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident_char c = is_ident_start c || is_digit c
+let is_ident_char = function 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false
+let is_suffix = function 'u' | 'U' | 'l' | 'L' -> true | _ -> false
+
+(* The end of the run of bytes of one class starting at [i]. *)
+let rec digits_end s i = if i < String.length s && is_digit s.[i] then digits_end s (i + 1) else i
+let rec hex_end s i = if i < String.length s && is_hex_digit s.[i] then hex_end s (i + 1) else i
+let rec ident_end s i = if i < String.length s && is_ident_char s.[i] then ident_end s (i + 1) else i
+let rec suffix_end s i = if i < String.length s && is_suffix s.[i] then suffix_end s (i + 1) else i
+
+let skip_line st =
+  let n = String.length st.src in
+  while st.at < n && st.src.[st.at] <> '\n' do
+    st.at <- st.at + 1
+  done
 
 (* Skip whitespace, line comments and block comments. Also recognizes
-   `#` preprocessor-style lines and skips them whole: the corpus uses
-   `# file:line` markers for provenance only. *)
+   `#` preprocessor-style lines (such as `# file:line` provenance
+   markers) and skips them whole. *)
 let rec skip_trivia st =
-  if at_end st then ()
-  else
-    match peek_char st with
-    | ' ' | '\t' | '\r' | '\n' ->
-        advance st;
+  let src = st.src and i = st.at in
+  if i < String.length src then
+    match src.[i] with
+    | ' ' | '\t' | '\r' ->
+        st.at <- i + 1;
         skip_trivia st
-    | '/' when peek_char2 st = '/' ->
-        while (not (at_end st)) && peek_char st <> '\n' do
-          advance st
-        done;
+    | '\n' ->
+        newline st i;
+        st.at <- i + 1;
         skip_trivia st
-    | '/' when peek_char2 st = '*' ->
-        advance st;
-        advance st;
-        let rec close () =
-          if at_end st then error st "unterminated block comment"
-          else if peek_char st = '*' && peek_char2 st = '/' then begin
-            advance st;
-            advance st
-          end
-          else begin
-            advance st;
-            close ()
-          end
-        in
-        close ();
+    | '/' when byte st (i + 1) = '/' ->
+        skip_line st;
+        skip_trivia st
+    | '/' when byte st (i + 1) = '*' ->
+        skip_block st (i + 2);
         skip_trivia st
     | '#' ->
-        while (not (at_end st)) && peek_char st <> '\n' do
-          advance st
-        done;
+        skip_line st;
         skip_trivia st
     | _ -> ()
 
-let lex_number st =
-  let start = st.pos in
-  if peek_char st = '0' && (peek_char2 st = 'x' || peek_char2 st = 'X') then begin
-    advance st;
-    advance st;
-    while is_hex_digit (peek_char st) do
-      advance st
-    done;
-    let text = String.sub st.src start (st.pos - start) in
-    (* Suffixes u/l are accepted and ignored. *)
-    while peek_char st = 'u' || peek_char st = 'U' || peek_char st = 'l' || peek_char st = 'L' do
-      advance st
-    done;
-    try Token.INT_LIT (Int64.of_string text)
-    with Failure _ -> error st (Printf.sprintf "bad hex literal %s" text)
+(* [i] is just past the opening slash-star. *)
+and skip_block st i =
+  let src = st.src in
+  if i >= String.length src then begin
+    st.at <- i;
+    error st "unterminated block comment"
   end
-  else begin
-    while is_digit (peek_char st) do
-      advance st
-    done;
-    let text = String.sub st.src start (st.pos - start) in
-    while peek_char st = 'u' || peek_char st = 'U' || peek_char st = 'l' || peek_char st = 'L' do
-      advance st
-    done;
+  else
+    match src.[i] with
+    | '*' when byte st (i + 1) = '/' -> st.at <- i + 2
+    | '\n' ->
+        newline st i;
+        skip_block st (i + 1)
+    | _ -> skip_block st (i + 1)
+
+let rec decimal s i j acc = if i = j then acc else decimal s (i + 1) j ((10 * acc) + Char.code s.[i] - 48)
+
+(* Suffixes u/l are accepted and ignored. Up to 18 decimal digits fit
+   an [int]; longer and hex literals go through [Int64.of_string], for
+   its overflow check. *)
+let lex_number st i =
+  let src = st.src in
+  let hex = src.[i] = '0' && (byte st (i + 1) = 'x' || byte st (i + 1) = 'X') in
+  let j = if hex then hex_end src (i + 2) else digits_end src i in
+  st.at <- suffix_end src j;
+  if (not hex) && j - i <= 18 then Token.INT_LIT (Int64.of_int (decimal src i j 0))
+  else
+    let text = String.sub src i (j - i) in
     try Token.INT_LIT (Int64.of_string text)
-    with Failure _ -> error st (Printf.sprintf "bad integer literal %s" text)
-  end
+    with Failure _ ->
+      error st (Printf.sprintf "bad %s literal %s" (if hex then "hex" else "integer") text)
+
+let lex_ident st i =
+  let j = ident_end st.src (i + 1) in
+  st.at <- j;
+  Token.of_ident_sub st.src i (j - i)
 
 let lex_escape st =
   advance st;
   (* past backslash *)
-  let c = peek_char st in
+  let c = byte st st.at in
   advance st;
   match c with
   | 'n' -> '\n'
@@ -126,14 +150,14 @@ let lex_char st =
   advance st;
   (* past opening quote *)
   let c =
-    if peek_char st = '\\' then lex_escape st
+    if byte st st.at = '\\' then lex_escape st
     else begin
-      let c = peek_char st in
+      let c = byte st st.at in
       advance st;
       c
     end
   in
-  if peek_char st <> '\'' then error st "unterminated char literal";
+  if byte st st.at <> '\'' then error st "unterminated char literal";
   advance st;
   Token.CHAR_LIT c
 
@@ -142,11 +166,13 @@ let lex_string st =
   (* past opening quote *)
   let buf = Buffer.create 16 in
   let rec go () =
-    if at_end st then error st "unterminated string literal"
+    if st.at >= String.length st.src then error st "unterminated string literal"
     else
-      match peek_char st with
+      match st.src.[st.at] with
       | '"' -> advance st
-      | '\\' -> Buffer.add_char buf (lex_escape st); go ()
+      | '\\' ->
+          Buffer.add_char buf (lex_escape st);
+          go ()
       | c ->
           advance st;
           Buffer.add_char buf c;
@@ -155,129 +181,103 @@ let lex_string st =
   go ();
   Token.STR_LIT (Buffer.contents buf)
 
-let lex_ident st =
-  let start = st.pos in
-  while is_ident_char (peek_char st) do
-    advance st
-  done;
-  Token.of_ident (String.sub st.src start (st.pos - start))
+let take st k tok =
+  st.at <- st.at + k;
+  tok
 
-(* Operators and punctuation, longest match first. *)
-let lex_operator st =
-  let two a b tok = if peek_char st = a && peek_char2 st = b then Some tok else None in
-  let three =
-    if
-      st.pos + 2 < String.length st.src
-      && peek_char st = '.'
-      && peek_char2 st = '.'
-      && st.src.[st.pos + 2] = '.'
-    then Some Token.ELLIPSIS
-    else if
-      st.pos + 2 < String.length st.src
-      && peek_char st = '<'
-      && peek_char2 st = '<'
-      && st.src.[st.pos + 2] = '='
-    then Some Token.SHLEQ
-    else if
-      st.pos + 2 < String.length st.src
-      && peek_char st = '>'
-      && peek_char2 st = '>'
-      && st.src.[st.pos + 2] = '='
-    then Some Token.SHREQ
-    else None
-  in
-  match three with
-  | Some tok ->
-      advance st;
-      advance st;
-      advance st;
-      tok
-  | None -> (
-      let candidates =
-        [
-          two '-' '>' Token.ARROW;
-          two '<' '=' Token.LE;
-          two '>' '=' Token.GE;
-          two '=' '=' Token.EQEQ;
-          two '!' '=' Token.NE;
-          two '&' '&' Token.ANDAND;
-          two '|' '|' Token.BARBAR;
-          two '<' '<' Token.SHL;
-          two '>' '>' Token.SHR;
-          two '+' '=' Token.PLUSEQ;
-          two '-' '=' Token.MINUSEQ;
-          two '*' '=' Token.STAREQ;
-          two '/' '=' Token.SLASHEQ;
-          two '%' '=' Token.PERCENTEQ;
-          two '&' '=' Token.AMPEQ;
-          two '|' '=' Token.BAREQ;
-          two '^' '=' Token.CARETEQ;
-          two '+' '+' Token.PLUSPLUS;
-          two '-' '-' Token.MINUSMINUS;
-        ]
-      in
-      match List.find_opt Option.is_some candidates with
-      | Some (Some tok) ->
-          advance st;
-          advance st;
-          tok
-      | _ ->
-          let c = peek_char st in
-          advance st;
-          let tok =
-            match c with
-            | '(' -> Token.LPAREN
-            | ')' -> Token.RPAREN
-            | '{' -> Token.LBRACE
-            | '}' -> Token.RBRACE
-            | '[' -> Token.LBRACKET
-            | ']' -> Token.RBRACKET
-            | ';' -> Token.SEMI
-            | ',' -> Token.COMMA
-            | '.' -> Token.DOT
-            | '?' -> Token.QUESTION
-            | ':' -> Token.COLON
-            | '+' -> Token.PLUS
-            | '-' -> Token.MINUS
-            | '*' -> Token.STAR
-            | '/' -> Token.SLASH
-            | '%' -> Token.PERCENT
-            | '&' -> Token.AMP
-            | '|' -> Token.BAR
-            | '^' -> Token.CARET
-            | '~' -> Token.TILDE
-            | '!' -> Token.BANG
-            | '<' -> Token.LT
-            | '>' -> Token.GT
-            | '=' -> Token.EQ
-            | c -> error st (Printf.sprintf "unexpected character %C" c)
-          in
-          tok)
+(* Operators and punctuation, longest match first. None of them holds
+   a newline, so [take] moves the column only. *)
+let lex_operator st i =
+  let third = byte st (i + 2) in
+  match (st.src.[i], byte st (i + 1)) with
+  | '.', '.' when third = '.' -> take st 3 Token.ELLIPSIS
+  | '<', '<' when third = '=' -> take st 3 Token.SHLEQ
+  | '>', '>' when third = '=' -> take st 3 Token.SHREQ
+  | '-', '>' -> take st 2 Token.ARROW
+  | '<', '=' -> take st 2 Token.LE
+  | '>', '=' -> take st 2 Token.GE
+  | '=', '=' -> take st 2 Token.EQEQ
+  | '!', '=' -> take st 2 Token.NE
+  | '&', '&' -> take st 2 Token.ANDAND
+  | '|', '|' -> take st 2 Token.BARBAR
+  | '<', '<' -> take st 2 Token.SHL
+  | '>', '>' -> take st 2 Token.SHR
+  | '+', '=' -> take st 2 Token.PLUSEQ
+  | '-', '=' -> take st 2 Token.MINUSEQ
+  | '*', '=' -> take st 2 Token.STAREQ
+  | '/', '=' -> take st 2 Token.SLASHEQ
+  | '%', '=' -> take st 2 Token.PERCENTEQ
+  | '&', '=' -> take st 2 Token.AMPEQ
+  | '|', '=' -> take st 2 Token.BAREQ
+  | '^', '=' -> take st 2 Token.CARETEQ
+  | '+', '+' -> take st 2 Token.PLUSPLUS
+  | '-', '-' -> take st 2 Token.MINUSMINUS
+  | '(', _ -> take st 1 Token.LPAREN
+  | ')', _ -> take st 1 Token.RPAREN
+  | '{', _ -> take st 1 Token.LBRACE
+  | '}', _ -> take st 1 Token.RBRACE
+  | '[', _ -> take st 1 Token.LBRACKET
+  | ']', _ -> take st 1 Token.RBRACKET
+  | ';', _ -> take st 1 Token.SEMI
+  | ',', _ -> take st 1 Token.COMMA
+  | '.', _ -> take st 1 Token.DOT
+  | '?', _ -> take st 1 Token.QUESTION
+  | ':', _ -> take st 1 Token.COLON
+  | '+', _ -> take st 1 Token.PLUS
+  | '-', _ -> take st 1 Token.MINUS
+  | '*', _ -> take st 1 Token.STAR
+  | '/', _ -> take st 1 Token.SLASH
+  | '%', _ -> take st 1 Token.PERCENT
+  | '&', _ -> take st 1 Token.AMP
+  | '|', _ -> take st 1 Token.BAR
+  | '^', _ -> take st 1 Token.CARET
+  | '~', _ -> take st 1 Token.TILDE
+  | '!', _ -> take st 1 Token.BANG
+  | '<', _ -> take st 1 Token.LT
+  | '>', _ -> take st 1 Token.GT
+  | '=', _ -> take st 1 Token.EQ
+  | c, _ ->
+      st.at <- i + 1;
+      error st (Printf.sprintf "unexpected character %C" c)
 
-let next_token st =
-  skip_trivia st;
-  let loc = loc_of st in
-  if at_end st then (Token.EOF, loc)
-  else
-    let c = peek_char st in
-    let tok =
-      if is_digit c then lex_number st
-      else if is_ident_start c then lex_ident st
-      else if c = '\'' then lex_char st
-      else if c = '"' then lex_string st
-      else lex_operator st
-    in
-    (tok, loc)
+let push st tok line col =
+  let c = st.count lsr 8 and k = st.count land 255 in
+  if k = 0 then begin
+    if c = Array.length st.buf then begin
+      st.buf <- Array.append st.buf (Array.make c [||]);
+      st.bpos <- Array.append st.bpos (Array.make c [||])
+    end;
+    st.buf.(c) <- Array.make 256 Token.EOF;
+    st.bpos.(c) <- Array.make 256 0
+  end;
+  st.buf.(c).(k) <- tok;
+  st.bpos.(c).(k) <- (line lsl 32) lor col;
+  st.count <- st.count + 1
 
-(* Lex a whole source string into an array of located tokens, with a
-   trailing EOF token. *)
+(* Lex a whole source string, ending with an EOF token. Room for chunk
+   pointers starts at a token per 3 bytes (the corpus has one per 4.4,
+   generated programs one per 3.2). *)
 let tokenize ~file src =
-  let st = make ~file src in
-  let acc = ref [] in
+  let cap = (String.length src / 768) + 1 in
+  let buf = Array.make cap [||] and bpos = Array.make cap [||] in
+  let st = { src; name = file; at = 0; line = 1; bol = 0; buf; bpos; count = 0 } in
   let rec go () =
-    let tok, loc = next_token st in
-    acc := (tok, loc) :: !acc;
-    if tok <> Token.EOF then go ()
+    skip_trivia st;
+    let i = st.at in
+    let line = st.line and col = i - st.bol + 1 in
+    if i >= String.length src then push st Token.EOF line col
+    else begin
+      let tok =
+        match src.[i] with
+        | '0' .. '9' -> lex_number st i
+        | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident st i
+        | '\'' -> lex_char st
+        | '"' -> lex_string st
+        | _ -> lex_operator st i
+      in
+      push st tok line col;
+      go ()
+    end
   in
   go ();
-  Array.of_list (List.rev !acc)
+  { file; toks = st.buf; pos = st.bpos; len = st.count }

@@ -1,30 +1,51 @@
 (* Recursive-descent parser for KC.
 
-   The parser works over the token array produced by {!Lexer.tokenize}.
+   The parser works over the tokens produced by {!Lexer.tokenize}.
    It keeps a set of typedef names, which is the single piece of
    context needed to disambiguate declarations from expressions (the
-   classic C lexer-hack, confined to the parser here). *)
+   classic C lexer-hack, confined to the parser here).
+
+   Token tests are monomorphic ([Token.equal] or a [match]). Locations
+   are built on demand: [peek_loc] caches the last one it built, since
+   the parser asks for the same token's location several times as it
+   descends through the expression levels. *)
 
 exception Error of string * Loc.t
 
 type state = {
-  toks : (Token.t * Loc.t) array;
+  toks : Lexer.t;
+  len : int; (* number of tokens *)
   mutable idx : int;
   mutable typedefs : (string, unit) Hashtbl.t;
+  mutable loc_idx : int; (* the token [loc] belongs to; -1 before the first *)
+  mutable loc : Loc.t;
 }
 
-let make toks = { toks; idx = 0; typedefs = Hashtbl.create 64 }
+let make toks =
+  { toks; len = Lexer.length toks; idx = 0; typedefs = Hashtbl.create 64; loc_idx = -1; loc = Loc.dummy }
 
-let peek st = fst st.toks.(st.idx)
-let peek_loc st = snd st.toks.(st.idx)
+let peek st = Lexer.token st.toks st.idx
+
+let peek_loc st =
+  if st.loc_idx <> st.idx then begin
+    st.loc <- Lexer.loc st.toks st.idx;
+    st.loc_idx <- st.idx
+  end;
+  st.loc
 
 let peek_n st n =
   let i = st.idx + n in
-  if i < Array.length st.toks then fst st.toks.(i) else Token.EOF
+  if i < st.len then Lexer.token st.toks i else Token.EOF
 
 let error st msg = raise (Error (msg, peek_loc st))
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st = if st.idx < st.len - 1 then st.idx <- st.idx + 1
+
+(* The current token's location; then step past the token. *)
+let next_loc st =
+  let loc = peek_loc st in
+  advance st;
+  loc
 
 let eat st tok =
   if Token.equal (peek st) tok then advance st
@@ -51,14 +72,18 @@ let is_typedef_name st s = Hashtbl.mem st.typedefs s
 
 (* Does the current token start a type? Used for cast vs. paren-expr
    and declaration vs. expression-statement disambiguation. *)
-let starts_type st =
-  match peek st with
+let starts_type_tok st = function
   | Token.KW_VOID | Token.KW_CHAR | Token.KW_SHORT | Token.KW_INT | Token.KW_LONG
   | Token.KW_UNSIGNED | Token.KW_SIGNED | Token.KW_STRUCT | Token.KW_UNION
   | Token.KW_ENUM | Token.KW_CONST ->
       true
   | Token.IDENT s -> is_typedef_name st s
   | _ -> false
+
+let starts_type st = starts_type_tok st (peek st)
+
+let expr loc e = { Ast.e; eloc = loc }
+let stmt loc s = { Ast.s; sloc = loc }
 
 (* ------------------------------------------------------------------ *)
 (* Declaration specifiers: the base type before any declarator.       *)
@@ -156,43 +181,30 @@ let rec parse_expr st : Ast.expr = parse_assignment st
 
 and parse_assignment st =
   let lhs = parse_conditional st in
-  let loc = peek_loc st in
-  let mk e = Ast.mk_expr ~loc e in
   match peek st with
   | Token.EQ ->
-      advance st;
-      mk (Ast.Eassign (lhs, parse_assignment st))
-  | Token.PLUSEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Add, lhs, parse_assignment st))
-  | Token.MINUSEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Sub, lhs, parse_assignment st))
-  | Token.STAREQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Mul, lhs, parse_assignment st))
-  | Token.SLASHEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Div, lhs, parse_assignment st))
-  | Token.PERCENTEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Mod, lhs, parse_assignment st))
-  | Token.AMPEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Bitand, lhs, parse_assignment st))
-  | Token.BAREQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Bitor, lhs, parse_assignment st))
-  | Token.CARETEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Bitxor, lhs, parse_assignment st))
-  | Token.SHLEQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Shl, lhs, parse_assignment st))
-  | Token.SHREQ ->
-      advance st;
-      mk (Ast.Eassign_op (Ast.Shr, lhs, parse_assignment st))
-  | _ -> lhs
+      let loc = next_loc st in
+      expr loc (Ast.Eassign (lhs, parse_assignment st))
+  | tok -> (
+      match compound_assign_op tok with
+      | Some op ->
+          let loc = next_loc st in
+          expr loc (Ast.Eassign_op (op, lhs, parse_assignment st))
+      | None -> lhs)
+
+(* The operator of a compound assignment token. *)
+and compound_assign_op = function
+  | Token.PLUSEQ -> Some Ast.Add
+  | Token.MINUSEQ -> Some Ast.Sub
+  | Token.STAREQ -> Some Ast.Mul
+  | Token.SLASHEQ -> Some Ast.Div
+  | Token.PERCENTEQ -> Some Ast.Mod
+  | Token.AMPEQ -> Some Ast.Bitand
+  | Token.BAREQ -> Some Ast.Bitor
+  | Token.CARETEQ -> Some Ast.Bitxor
+  | Token.SHLEQ -> Some Ast.Shl
+  | Token.SHREQ -> Some Ast.Shr
+  | _ -> None
 
 and parse_conditional st =
   let cond = parse_binary st 0 in
@@ -201,7 +213,7 @@ and parse_conditional st =
     let e1 = parse_expr st in
     eat st Token.COLON;
     let e2 = parse_conditional st in
-    Ast.mk_expr ~loc (Ast.Econd (cond, e1, e2))
+    expr loc (Ast.Econd (cond, e1, e2))
   end
   else cond
 
@@ -236,67 +248,64 @@ and parse_binary st min_prec =
         let loc = peek_loc st in
         advance st;
         let rhs = parse_binary st (prec + 1) in
-        lhs := Ast.mk_expr ~loc (Ast.Ebinop (op, !lhs, rhs))
+        lhs := expr loc (Ast.Ebinop (op, !lhs, rhs))
     | _ -> continue_ := false
   done;
   !lhs
 
 and parse_unary st =
   let loc = peek_loc st in
-  let mk e = Ast.mk_expr ~loc e in
   match peek st with
   | Token.MINUS ->
       advance st;
-      mk (Ast.Eunop (Ast.Neg, parse_unary st))
+      expr loc (Ast.Eunop (Ast.Neg, parse_unary st))
   | Token.BANG ->
       advance st;
-      mk (Ast.Eunop (Ast.Lognot, parse_unary st))
+      expr loc (Ast.Eunop (Ast.Lognot, parse_unary st))
   | Token.TILDE ->
       advance st;
-      mk (Ast.Eunop (Ast.Bitnot, parse_unary st))
+      expr loc (Ast.Eunop (Ast.Bitnot, parse_unary st))
   | Token.STAR ->
       advance st;
-      mk (Ast.Ederef (parse_unary st))
+      expr loc (Ast.Ederef (parse_unary st))
   | Token.AMP ->
       advance st;
-      mk (Ast.Eaddrof (parse_unary st))
+      expr loc (Ast.Eaddrof (parse_unary st))
   | Token.PLUSPLUS ->
       advance st;
-      mk (Ast.Eincr (true, true, parse_unary st))
+      expr loc (Ast.Eincr (true, true, parse_unary st))
   | Token.MINUSMINUS ->
       advance st;
-      mk (Ast.Eincr (false, true, parse_unary st))
+      expr loc (Ast.Eincr (false, true, parse_unary st))
   | Token.KW_SIZEOF ->
       advance st;
-      if Token.equal (peek st) Token.LPAREN && starts_type { st with idx = st.idx + 1 } then begin
+      if Token.equal (peek st) Token.LPAREN && starts_type_tok st (peek_n st 1) then begin
         eat st Token.LPAREN;
         let ty = parse_type_name st in
         eat st Token.RPAREN;
-        mk (Ast.Esizeof_type ty)
+        expr loc (Ast.Esizeof_type ty)
       end
-      else mk (Ast.Esizeof_expr (parse_unary st))
-  | Token.LPAREN when starts_type { st with idx = st.idx + 1 } ->
+      else expr loc (Ast.Esizeof_expr (parse_unary st))
+  | Token.LPAREN when starts_type_tok st (peek_n st 1) ->
       (* Cast expression. *)
       eat st Token.LPAREN;
       let ty = parse_type_name st in
       eat st Token.RPAREN;
-      mk (Ast.Ecast (ty, parse_unary st))
+      expr loc (Ast.Ecast (ty, parse_unary st))
   | _ -> parse_postfix st
 
 and parse_postfix st =
   let e = ref (parse_primary st) in
   let continue_ = ref true in
   while !continue_ do
-    let loc = peek_loc st in
-    let mk n = Ast.mk_expr ~loc n in
     match peek st with
     | Token.LBRACKET ->
-        advance st;
+        let loc = next_loc st in
         let idx = parse_expr st in
         eat st Token.RBRACKET;
-        e := mk (Ast.Eindex (!e, idx))
+        e := expr loc (Ast.Eindex (!e, idx))
     | Token.LPAREN ->
-        advance st;
+        let loc = next_loc st in
         let args = ref [] in
         if not (Token.equal (peek st) Token.RPAREN) then begin
           args := [ parse_assignment st ];
@@ -305,39 +314,38 @@ and parse_postfix st =
           done
         end;
         eat st Token.RPAREN;
-        e := mk (Ast.Ecall (!e, List.rev !args))
+        e := expr loc (Ast.Ecall (!e, List.rev !args))
     | Token.DOT ->
-        advance st;
-        e := mk (Ast.Efield (!e, expect_ident st))
+        let loc = next_loc st in
+        e := expr loc (Ast.Efield (!e, expect_ident st))
     | Token.ARROW ->
-        advance st;
-        e := mk (Ast.Earrow (!e, expect_ident st))
+        let loc = next_loc st in
+        e := expr loc (Ast.Earrow (!e, expect_ident st))
     | Token.PLUSPLUS ->
-        advance st;
-        e := mk (Ast.Eincr (true, false, !e))
+        let loc = next_loc st in
+        e := expr loc (Ast.Eincr (true, false, !e))
     | Token.MINUSMINUS ->
-        advance st;
-        e := mk (Ast.Eincr (false, false, !e))
+        let loc = next_loc st in
+        e := expr loc (Ast.Eincr (false, false, !e))
     | _ -> continue_ := false
   done;
   !e
 
 and parse_primary st =
   let loc = peek_loc st in
-  let mk n = Ast.mk_expr ~loc n in
   match peek st with
   | Token.INT_LIT n ->
       advance st;
-      mk (Ast.Eint n)
+      expr loc (Ast.Eint n)
   | Token.CHAR_LIT c ->
       advance st;
-      mk (Ast.Echar c)
+      expr loc (Ast.Echar c)
   | Token.STR_LIT s ->
       advance st;
-      mk (Ast.Estr s)
+      expr loc (Ast.Estr s)
   | Token.IDENT s ->
       advance st;
-      mk (Ast.Eident s)
+      expr loc (Ast.Eident s)
   | Token.LPAREN ->
       advance st;
       let e = parse_expr st in
@@ -459,9 +467,8 @@ and parse_type_name st : Ast.ty =
 
 let rec parse_stmt st : Ast.stmt =
   let loc = peek_loc st in
-  let mk s = Ast.mk_stmt ~loc s in
   match peek st with
-  | Token.LBRACE -> mk (Ast.Sblock (parse_block st))
+  | Token.LBRACE -> stmt loc (Ast.Sblock (parse_block st))
   | Token.KW_IF ->
       advance st;
       eat st Token.LPAREN;
@@ -469,13 +476,13 @@ let rec parse_stmt st : Ast.stmt =
       eat st Token.RPAREN;
       let then_ = parse_stmt_as_block st in
       let else_ = if accept st Token.KW_ELSE then parse_stmt_as_block st else [] in
-      mk (Ast.Sif (cond, then_, else_))
+      stmt loc (Ast.Sif (cond, then_, else_))
   | Token.KW_WHILE ->
       advance st;
       eat st Token.LPAREN;
       let cond = parse_expr st in
       eat st Token.RPAREN;
-      mk (Ast.Swhile (cond, parse_stmt_as_block st))
+      stmt loc (Ast.Swhile (cond, parse_stmt_as_block st))
   | Token.KW_DO ->
       advance st;
       let body = parse_stmt_as_block st in
@@ -484,7 +491,7 @@ let rec parse_stmt st : Ast.stmt =
       let cond = parse_expr st in
       eat st Token.RPAREN;
       eat st Token.SEMI;
-      mk (Ast.Sdowhile (body, cond))
+      stmt loc (Ast.Sdowhile (body, cond))
   | Token.KW_FOR ->
       advance st;
       eat st Token.LPAREN;
@@ -495,19 +502,19 @@ let rec parse_stmt st : Ast.stmt =
         end
         else if starts_type st then begin
           let d = parse_local_decl st in
-          Some (Ast.mk_stmt ~loc (Ast.Sdecl d))
+          Some (stmt loc (Ast.Sdecl d))
         end
         else begin
           let e = parse_expr st in
           eat st Token.SEMI;
-          Some (Ast.mk_stmt ~loc (Ast.Sexpr e))
+          Some (stmt loc (Ast.Sexpr e))
         end
       in
       let cond = if Token.equal (peek st) Token.SEMI then None else Some (parse_expr st) in
       eat st Token.SEMI;
       let step = if Token.equal (peek st) Token.RPAREN then None else Some (parse_expr st) in
       eat st Token.RPAREN;
-      mk (Ast.Sfor (init, cond, step, parse_stmt_as_block st))
+      stmt loc (Ast.Sfor (init, cond, step, parse_stmt_as_block st))
   | Token.KW_SWITCH ->
       advance st;
       eat st Token.LPAREN;
@@ -516,38 +523,38 @@ let rec parse_stmt st : Ast.stmt =
       eat st Token.LBRACE;
       let cases = parse_switch_cases st in
       eat st Token.RBRACE;
-      mk (Ast.Sswitch (e, cases))
+      stmt loc (Ast.Sswitch (e, cases))
   | Token.KW_BREAK ->
       advance st;
       eat st Token.SEMI;
-      mk Ast.Sbreak
+      stmt loc Ast.Sbreak
   | Token.KW_CONTINUE ->
       advance st;
       eat st Token.SEMI;
-      mk Ast.Scontinue
+      stmt loc Ast.Scontinue
   | Token.KW_RETURN ->
       advance st;
       let e = if Token.equal (peek st) Token.SEMI then None else Some (parse_expr st) in
       eat st Token.SEMI;
-      mk (Ast.Sreturn e)
+      stmt loc (Ast.Sreturn e)
   | Token.KW_DELAYED_FREE -> (
       advance st;
       match peek st with
-      | Token.LBRACE -> mk (Ast.Sdelayed_free (parse_block st))
+      | Token.LBRACE -> stmt loc (Ast.Sdelayed_free (parse_block st))
       | _ -> error st "__delayed_free must be followed by a block")
   | Token.KW_TRUSTED -> (
       advance st;
       match peek st with
-      | Token.LBRACE -> mk (Ast.Strusted (parse_block st))
+      | Token.LBRACE -> stmt loc (Ast.Strusted (parse_block st))
       | _ -> error st "__trusted statement must be followed by a block")
   | Token.SEMI ->
       advance st;
-      mk (Ast.Sblock [])
-  | _ when starts_type st -> mk (Ast.Sdecl (parse_local_decl st))
+      stmt loc (Ast.Sblock [])
+  | _ when starts_type st -> stmt loc (Ast.Sdecl (parse_local_decl st))
   | _ ->
       let e = parse_expr st in
       eat st Token.SEMI;
-      mk (Ast.Sexpr e)
+      stmt loc (Ast.Sexpr e)
 
 and parse_stmt_as_block st : Ast.block =
   match parse_stmt st with { Ast.s = Ast.Sblock b; _ } -> b | s -> [ s ]

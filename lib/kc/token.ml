@@ -137,8 +137,22 @@ let keyword_table : (string * t) list =
     ("__delayed_free", KW_DELAYED_FREE);
   ]
 
-let of_ident s =
-  match List.assoc_opt s keyword_table with Some t -> t | None -> IDENT s
+(* Keywords bucketed by first byte, built once from [keyword_table].
+   An identifier costs a length compare per keyword sharing its first
+   byte, and is copied out of the source only if it is no keyword. *)
+let keyword_buckets =
+  let b = Array.make 256 [] in
+  List.iter (fun ((s, _) as kw) -> b.(Char.code s.[0]) <- kw :: b.(Char.code s.[0])) keyword_table;
+  b
+
+let rec same kw src i k = k = String.length kw || (kw.[k] = src.[i + k] && same kw src i (k + 1))
+
+let rec lookup src i len = function
+  | [] -> IDENT (String.sub src i len)
+  | (kw, t) :: rest -> if String.length kw = len && same kw src i 0 then t else lookup src i len rest
+
+(* The keyword or identifier token for [String.sub src i len], [len > 0]. *)
+let of_ident_sub src i len = lookup src i len keyword_buckets.(Char.code src.[i])
 
 let to_string = function
   | INT_LIT n -> Int64.to_string n
@@ -231,4 +245,12 @@ let to_string = function
   | MINUSMINUS -> "--"
   | EOF -> "<eof>"
 
-let equal (a : t) (b : t) = a = b
+(* Monomorphic equality: payloads compare by their own [equal], and
+   payload-free tokens are immediates, so [==] decides them. *)
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | INT_LIT x, INT_LIT y -> Int64.equal x y
+  | CHAR_LIT x, CHAR_LIT y -> Char.equal x y
+  | STR_LIT x, STR_LIT y | IDENT x, IDENT y -> String.equal x y
+  | (INT_LIT _ | CHAR_LIT _ | STR_LIT _ | IDENT _), _ -> false
+  | _ -> a == b

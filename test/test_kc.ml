@@ -35,8 +35,10 @@ let check_parse_error name src =
 (* Lexer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let lex_tokens src =
-  Kc.Lexer.tokenize ~file:"t" src |> Array.to_list |> List.map fst
+(* A token store as a [(token, loc)] list, the reference lexer's form. *)
+let located t = List.init (Kc.Lexer.length t) (fun i -> (Kc.Lexer.token t i, Kc.Lexer.loc t i))
+
+let lex_tokens src = Kc.Lexer.tokenize ~file:"t" src |> located |> List.map fst
 
 let test_lex_simple () =
   let toks = lex_tokens "int x = 42;" in
@@ -70,10 +72,406 @@ let test_lex_comments () =
   Alcotest.(check int) "4 idents + eof" 5 (List.length toks)
 
 let test_lex_locations () =
-  let toks = Kc.Lexer.tokenize ~file:"f" "a\n  b" in
-  let _, loc_b = toks.(1) in
+  let loc_b = Kc.Lexer.loc (Kc.Lexer.tokenize ~file:"f" "a\n  b") 1 in
   Alcotest.(check int) "line of b" 2 loc_b.Kc.Loc.line;
   Alcotest.(check int) "col of b" 3 loc_b.Kc.Loc.col
+
+(* ------------------------------------------------------------------ *)
+(* Reference-lexer differential                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model: the earlier list-building lexer, its code kept
+   verbatim down to the keyword lookup by [List.assoc]. *)
+module Ref_lexer = struct
+  module Loc = Kc.Loc
+
+  module Token = struct
+    include Kc.Token
+
+    let of_ident s =
+      match List.assoc_opt s keyword_table with Some t -> t | None -> IDENT s
+  end
+
+  exception Error = Kc.Lexer.Error
+
+  type state = {
+    src : string;
+    file : string;
+    mutable pos : int;
+    mutable line : int;
+    mutable bol : int; (* offset of beginning of current line *)
+  }
+
+  let make ~file src = { src; file; pos = 0; line = 1; bol = 0 }
+
+  let loc_of st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
+
+  let error st msg = raise (Error (msg, loc_of st))
+
+  let at_end st = st.pos >= String.length st.src
+
+  let peek_char st = if at_end st then '\000' else st.src.[st.pos]
+
+  let peek_char2 st =
+    if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
+
+  let advance st =
+    if not (at_end st) then begin
+      if st.src.[st.pos] = '\n' then begin
+        st.line <- st.line + 1;
+        st.bol <- st.pos + 1
+      end;
+      st.pos <- st.pos + 1
+    end
+
+  let is_digit c = c >= '0' && c <= '9'
+  let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || is_digit c
+
+  let rec skip_trivia st =
+    if at_end st then ()
+    else
+      match peek_char st with
+      | ' ' | '\t' | '\r' | '\n' ->
+          advance st;
+          skip_trivia st
+      | '/' when peek_char2 st = '/' ->
+          while (not (at_end st)) && peek_char st <> '\n' do
+            advance st
+          done;
+          skip_trivia st
+      | '/' when peek_char2 st = '*' ->
+          advance st;
+          advance st;
+          let rec close () =
+            if at_end st then error st "unterminated block comment"
+            else if peek_char st = '*' && peek_char2 st = '/' then begin
+              advance st;
+              advance st
+            end
+            else begin
+              advance st;
+              close ()
+            end
+          in
+          close ();
+          skip_trivia st
+      | '#' ->
+          while (not (at_end st)) && peek_char st <> '\n' do
+            advance st
+          done;
+          skip_trivia st
+      | _ -> ()
+
+  let lex_number st =
+    let start = st.pos in
+    if peek_char st = '0' && (peek_char2 st = 'x' || peek_char2 st = 'X') then begin
+      advance st;
+      advance st;
+      while is_hex_digit (peek_char st) do
+        advance st
+      done;
+      let text = String.sub st.src start (st.pos - start) in
+      while peek_char st = 'u' || peek_char st = 'U' || peek_char st = 'l' || peek_char st = 'L' do
+        advance st
+      done;
+      try Token.INT_LIT (Int64.of_string text)
+      with Failure _ -> error st (Printf.sprintf "bad hex literal %s" text)
+    end
+    else begin
+      while is_digit (peek_char st) do
+        advance st
+      done;
+      let text = String.sub st.src start (st.pos - start) in
+      while peek_char st = 'u' || peek_char st = 'U' || peek_char st = 'l' || peek_char st = 'L' do
+        advance st
+      done;
+      try Token.INT_LIT (Int64.of_string text)
+      with Failure _ -> error st (Printf.sprintf "bad integer literal %s" text)
+    end
+
+  let lex_escape st =
+    advance st;
+    let c = peek_char st in
+    advance st;
+    match c with
+    | 'n' -> '\n'
+    | 't' -> '\t'
+    | 'r' -> '\r'
+    | '0' -> '\000'
+    | '\\' -> '\\'
+    | '\'' -> '\''
+    | '"' -> '"'
+    | c -> error st (Printf.sprintf "unknown escape \\%c" c)
+
+  let lex_char st =
+    advance st;
+    let c =
+      if peek_char st = '\\' then lex_escape st
+      else begin
+        let c = peek_char st in
+        advance st;
+        c
+      end
+    in
+    if peek_char st <> '\'' then error st "unterminated char literal";
+    advance st;
+    Token.CHAR_LIT c
+
+  let lex_string st =
+    advance st;
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if at_end st then error st "unterminated string literal"
+      else
+        match peek_char st with
+        | '"' -> advance st
+        | '\\' -> Buffer.add_char buf (lex_escape st); go ()
+        | c ->
+            advance st;
+            Buffer.add_char buf c;
+            go ()
+    in
+    go ();
+    Token.STR_LIT (Buffer.contents buf)
+
+  let lex_ident st =
+    let start = st.pos in
+    while is_ident_char (peek_char st) do
+      advance st
+    done;
+    Token.of_ident (String.sub st.src start (st.pos - start))
+
+  let lex_operator st =
+    let two a b tok = if peek_char st = a && peek_char2 st = b then Some tok else None in
+    let three =
+      if
+        st.pos + 2 < String.length st.src
+        && peek_char st = '.'
+        && peek_char2 st = '.'
+        && st.src.[st.pos + 2] = '.'
+      then Some Token.ELLIPSIS
+      else if
+        st.pos + 2 < String.length st.src
+        && peek_char st = '<'
+        && peek_char2 st = '<'
+        && st.src.[st.pos + 2] = '='
+      then Some Token.SHLEQ
+      else if
+        st.pos + 2 < String.length st.src
+        && peek_char st = '>'
+        && peek_char2 st = '>'
+        && st.src.[st.pos + 2] = '='
+      then Some Token.SHREQ
+      else None
+    in
+    match three with
+    | Some tok ->
+        advance st;
+        advance st;
+        advance st;
+        tok
+    | None -> (
+        let candidates =
+          [
+            two '-' '>' Token.ARROW;
+            two '<' '=' Token.LE;
+            two '>' '=' Token.GE;
+            two '=' '=' Token.EQEQ;
+            two '!' '=' Token.NE;
+            two '&' '&' Token.ANDAND;
+            two '|' '|' Token.BARBAR;
+            two '<' '<' Token.SHL;
+            two '>' '>' Token.SHR;
+            two '+' '=' Token.PLUSEQ;
+            two '-' '=' Token.MINUSEQ;
+            two '*' '=' Token.STAREQ;
+            two '/' '=' Token.SLASHEQ;
+            two '%' '=' Token.PERCENTEQ;
+            two '&' '=' Token.AMPEQ;
+            two '|' '=' Token.BAREQ;
+            two '^' '=' Token.CARETEQ;
+            two '+' '+' Token.PLUSPLUS;
+            two '-' '-' Token.MINUSMINUS;
+          ]
+        in
+        match List.find_opt Option.is_some candidates with
+        | Some (Some tok) ->
+            advance st;
+            advance st;
+            tok
+        | _ ->
+            let c = peek_char st in
+            advance st;
+            let tok =
+              match c with
+              | '(' -> Token.LPAREN
+              | ')' -> Token.RPAREN
+              | '{' -> Token.LBRACE
+              | '}' -> Token.RBRACE
+              | '[' -> Token.LBRACKET
+              | ']' -> Token.RBRACKET
+              | ';' -> Token.SEMI
+              | ',' -> Token.COMMA
+              | '.' -> Token.DOT
+              | '?' -> Token.QUESTION
+              | ':' -> Token.COLON
+              | '+' -> Token.PLUS
+              | '-' -> Token.MINUS
+              | '*' -> Token.STAR
+              | '/' -> Token.SLASH
+              | '%' -> Token.PERCENT
+              | '&' -> Token.AMP
+              | '|' -> Token.BAR
+              | '^' -> Token.CARET
+              | '~' -> Token.TILDE
+              | '!' -> Token.BANG
+              | '<' -> Token.LT
+              | '>' -> Token.GT
+              | '=' -> Token.EQ
+              | c -> error st (Printf.sprintf "unexpected character %C" c)
+            in
+            tok)
+
+  let next_token st =
+    skip_trivia st;
+    let loc = loc_of st in
+    if at_end st then (Token.EOF, loc)
+    else
+      let c = peek_char st in
+      let tok =
+        if is_digit c then lex_number st
+        else if is_ident_start c then lex_ident st
+        else if c = '\'' then lex_char st
+        else if c = '"' then lex_string st
+        else lex_operator st
+      in
+      (tok, loc)
+
+  let tokenize ~file src =
+    let st = make ~file src in
+    let acc = ref [] in
+    let rec go () =
+      let tok, loc = next_token st in
+      acc := (tok, loc) :: !acc;
+      if tok <> Token.EOF then go ()
+    in
+    go ();
+    Array.of_list (List.rev !acc)
+end
+
+(* What a lexer makes of a source: its located tokens, or its error.
+   Tokens print with their payload and [file:line:col]. *)
+let lex_outcome tokenize src =
+  match tokenize src with
+  | toks ->
+      Ok (List.map (fun (t, l) -> Kc.Token.to_string t ^ " @ " ^ Kc.Loc.to_string l) toks)
+  | exception Kc.Lexer.Error (msg, loc) -> Error (msg ^ " at " ^ Kc.Loc.to_string loc)
+
+let same_as_reference ~file src =
+  let reference = lex_outcome (fun s -> Array.to_list (Ref_lexer.tokenize ~file s)) src in
+  let actual = lex_outcome (fun s -> located (Kc.Lexer.tokenize ~file s)) src in
+  reference = actual
+
+let check_same ~file src =
+  if not (same_as_reference ~file src) then
+    Alcotest.failf "lexer differs from the reference on %s (%S)" file
+      (if String.length src > 200 then String.sub src 0 200 ^ "..." else src)
+
+let test_ref_corpus () =
+  List.iter
+    (fun fixed_frees ->
+      List.iter (fun (file, src) -> check_same ~file src) (Kernel.Workloads.sources ~fixed_frees ()))
+    [ true; false ]
+
+let test_ref_generated () =
+  for i = 1 to 300 do
+    check_same ~file:(Printf.sprintf "case%d.kc" i)
+      (Gen.Prog.render (Gen.Fuzz.case_program ~seed:(1 + (i mod 7)) i))
+  done
+
+(* Inputs on every error path and edge of the byte classes. *)
+let edge_inputs =
+  [
+    "a /* never closed";
+    "a /* x\n y *";
+    "\"open string";
+    "\"esc at end\\";
+    "'";
+    "'a";
+    "'\\q'";
+    "'\\";
+    "0x";
+    "0xg";
+    "99999999999999999999";
+    "0xFFFFFFFFFFFFFFFF 0x1FFFFFFFFFFFFFFFF";
+    "x...";
+    "x <<=";
+    "x >>=";
+    "..";
+    "<<";
+    "#";
+    "# line\n#\n a # b\nc";
+    "\ta\t@";
+    "a\000b";
+    "a \128 b";
+    "\255";
+    "\"s\nt\" \n @";
+    "'\n' @";
+    "12abc 0x1fUL 7lu";
+    "a\r\nb";
+    "/";
+    "/* */ / /* */";
+    "";
+  ]
+
+let test_ref_edges () = List.iter (check_same ~file:"edge.kc") edge_inputs
+
+(* A KC-biased alphabet: keywords, operators (longest first and each
+   prefix), literal and comment openers, whitespace including tabs,
+   NUL and bytes from 0x80 up, so generated inputs run into every
+   error path as well as the common ones. *)
+let kc_fragments =
+  [|
+    "int"; "x"; "_y1"; "__count"; "struct"; "return"; "0"; "42"; "0x"; "0x1F"; "0X";
+    "99999999999999999999"; "7UL"; "..."; ".."; "."; "<<="; ">>="; "<<"; ">>"; "<"; ">";
+    "="; "=="; "!="; "->"; "-"; "--"; "++"; "+="; "&&"; "||"; "&"; "|"; "^="; "(";
+    ")"; "{"; "}"; "["; "]"; ";"; ","; "?"; ":"; "~"; "@"; "$"; "`"; "/*"; "*/"; "/";
+    "//"; "*"; "#"; "# 12 \"f.kc\"\n"; "\""; "'"; "\\"; "\\n"; "'a'"; "'\\0'"; "\"s\"";
+    " "; " "; "\t"; "\n"; "\n"; "\r"; "\000"; "\128"; "\200"; "\255";
+  |]
+
+let gen_kc_source =
+  QCheck2.Gen.(
+    let fragment = map (Array.get kc_fragments) (int_bound (Array.length kc_fragments - 1)) in
+    let body = map (String.concat "") (list_size (int_bound 40) fragment) in
+    (* About half the inputs end on a multi-byte operator or an
+       opener, so the end-of-input checks run. *)
+    let tail = oneofl [ ""; "..."; "<<="; ">>="; "/*"; "\""; "'"; "0x"; "#"; "'\\" ] in
+    map2 ( ^ ) body (frequency [ (1, return ""); (1, tail) ]))
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"ref: KC-biased random input" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_kc_source (same_as_reference ~file:"q.kc")
+
+(* ------------------------------------------------------------------ *)
+(* Allocation fence                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Lexing allocates per token its share of the 256-slot chunks and the
+   payload of identifiers and literals. A (token, loc) pair, a list cell
+   and a Loc.t per token, as the reference lexer builds, come to ~51
+   minor words a token. *)
+let test_lex_alloc () =
+  let sources = Kernel.Workloads.sources () in
+  let lex () = List.fold_left (fun n (file, src) -> n + Kc.Lexer.length (Kc.Lexer.tokenize ~file src)) 0 sources in
+  ignore (lex ());
+  let w0 = Gc.minor_words () in
+  let tokens = lex () in
+  let per_token = (Gc.minor_words () -. w0) /. float_of_int tokens in
+  if per_token > 12.0 then
+    Alcotest.failf "lexing the corpus took %.1f minor words per token (fence: 12)" per_token
 
 (* ------------------------------------------------------------------ *)
 (* Parser + typechecker acceptance                                    *)
@@ -308,6 +706,13 @@ let test_erasure () =
   Alcotest.(check bool) "no __count in erased output" false (contains_sub ~affix:"__count" erased)
 
 let () =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 42)
+    | None -> 42
+  in
+  Printf.printf "qcheck seed: %d (set QCHECK_SEED to override)\n%!" seed;
+  let rand = Random.State.make [| seed |] in
   Alcotest.run "kc"
     [
       ( "lexer",
@@ -317,6 +722,11 @@ let () =
           Alcotest.test_case "literals" `Quick test_lex_literals;
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "locations" `Quick test_lex_locations;
+          Alcotest.test_case "allocation fence" `Quick test_lex_alloc;
+          Alcotest.test_case "ref: corpus and workloads" `Quick test_ref_corpus;
+          Alcotest.test_case "ref: 300 generated programs" `Quick test_ref_generated;
+          Alcotest.test_case "ref: error and edge inputs" `Quick test_ref_edges;
+          QCheck_alcotest.to_alcotest ~rand prop_matches_reference;
         ] );
       ("accept", accept_cases);
       ("reject", reject_cases);

@@ -259,6 +259,84 @@ let test_serve_batch () =
     (Ivy.Serve.src_digest [ ("a", "x") ])
 
 (* ------------------------------------------------------------------ *)
+(* Mutational frontend fuzz                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [msg] names [file] with a [line:col] after it. *)
+let names_location ~file msg =
+  let prefix = file ^ ":" in
+  let n = String.length msg and p = String.length prefix in
+  let rec digits i = if i < n && msg.[i] >= '0' && msg.[i] <= '9' then digits (i + 1) else i in
+  let located i =
+    let j = digits i in
+    j > i && j < n && msg.[j] = ':' && digits (j + 1) > j + 1
+  in
+  let rec scan k = k + p <= n && ((String.sub msg k p = prefix && located (k + p)) || scan (k + 1)) in
+  scan 0
+
+(* Seeded byte mutations (replace, insert, delete; KC-alphabet and
+   arbitrary bytes) of the corpus file no other unit depends on, each
+   sent with the rest of the corpus as a check request. Every answer
+   is a report or a frontend error located in the mutated file; no
+   exception escapes the daemon, and it still answers afterwards. *)
+let test_serve_frontend_mutants () =
+  let t = Ivy.Serve.create () in
+  let sources = Kernel.Corpus.sources () in
+  let file, original = List.nth sources (List.length sources - 1) in
+  let rng = Random.State.make [| 19 |] in
+  let alphabet = "{}()[];,.*&|^~!<>=+-/%?:#'\"\\ \t\n_xyz019" in
+  let byte () =
+    if Random.State.bool rng then alphabet.[Random.State.int rng (String.length alphabet)]
+    else Char.chr (Random.State.int rng 256)
+  in
+  let mutate src =
+    let n = String.length src in
+    let i = Random.State.int rng n in
+    match Random.State.int rng 3 with
+    | 0 -> String.sub src 0 i ^ String.make 1 (byte ()) ^ String.sub src (i + 1) (n - i - 1)
+    | 1 -> String.sub src 0 i ^ String.make 1 (byte ()) ^ String.sub src i (n - i)
+    | _ -> String.sub src 0 i ^ String.sub src (i + 1) (n - i - 1)
+  in
+  let request id src =
+    J.render
+      (J.Obj
+         [
+           ("id", J.Num (float_of_int id));
+           ("method", J.Str "check");
+           ( "params",
+             J.Obj
+               [
+                 ("program", J.Str "mutants");
+                 ( "files",
+                   J.List
+                     (List.map
+                        (fun (path, s) ->
+                          J.Obj
+                            [
+                              ("path", J.Str path);
+                              ("source", J.Str (if path = file then src else s));
+                            ])
+                        sources) );
+               ] );
+         ])
+  in
+  let reports = ref 0 and frontend_errors = ref 0 in
+  for id = 1 to 200 do
+    let rec apply k src = if k = 0 then src else apply (k - 1) (mutate src) in
+    let mutant = apply (1 + Random.State.int rng 3) original in
+    let resp, _ = respond t (request id mutant) in
+    match (get [ "result" ] resp, error_code resp, get [ "error"; "message" ] resp) with
+    | Some _, _, _ -> incr reports
+    | None, Some 1, Some (J.Str msg) when names_location ~file msg -> incr frontend_errors
+    | _ -> Alcotest.failf "mutant %d: answer is neither a report nor a located frontend error: %s" id
+             (J.render resp)
+  done;
+  Alcotest.(check int) "every mutant answered" 200 (!reports + !frontend_errors);
+  Alcotest.(check bool) "some mutants fail in the frontend" true (!frontend_errors > 0);
+  let s, _ = respond t {|{"id":201,"method":"stats"}|} in
+  Alcotest.(check bool) "stats answered after the mutants" true (get [ "result"; "requests" ] s <> None)
+
+(* ------------------------------------------------------------------ *)
 (* Socket loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,6 +400,8 @@ let () =
           Alcotest.test_case "protocol errors" `Quick test_serve_errors;
           Alcotest.test_case "shutdown" `Quick test_serve_shutdown;
           Alcotest.test_case "batch" `Quick test_serve_batch;
+          Alcotest.test_case "mutated sources: located frontend errors" `Quick
+            test_serve_frontend_mutants;
           Alcotest.test_case "survives an early disconnect" `Quick
             test_serve_survives_early_disconnect;
         ] );
