@@ -1,6 +1,14 @@
-(** Sparse difference-bound matrix over integer variable ids: a map
-    from pairs [(x, y)] to the tightest known [c] with [x - y <= c].
-    Absent pairs mean +oo, so dropping entries is always sound.
+(** Difference-bound matrix over integer variable ids: for each pair
+    [(x, y)] of its variables, the tightest known [c] with [x - y <= c],
+    or nothing (+oo), so dropping entries is always sound.  Stored flat:
+    the sorted variables, and a dense n×n [int64] matrix with a presence
+    plane in one [Bytes].  The canonical form (the variables are exactly
+    the endpoints of present entries; absent entries hold zero) makes
+    {!equal} a byte comparison and {!vars} a read.  Every operation is
+    persistent: it copies the matrix once and works on the copy.  A
+    value also records whether it is known closed, which lets a later
+    {!close_over} skip the Floyd–Warshall run without changing its
+    result.
     The relational half of the absint product domain ({!Zone} wraps
     this with program variables and the distinguished zero var). *)
 
@@ -13,7 +21,14 @@ val is_top : t -> bool
 val equal : t -> t -> bool
 val find_opt : int -> int -> t -> int64 option
 val fold : (int -> int -> int64 -> 'a -> 'a) -> t -> 'a -> 'a
+(** Row-major over the sorted variables: lexicographic [(x, y)] order. *)
+
 val cardinal : t -> int
+
+val fold_through : int -> (int -> int64 option -> int64 option -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_through z f t acc]: [f v (find_opt v z t) (find_opt z v t)]
+    for each variable [v] with an entry to or from [z], in increasing
+    order. *)
 
 val vars : t -> int list
 (** Every variable id mentioned by some constraint, sorted. *)
@@ -35,7 +50,15 @@ val close_over : ?adding:(int * int * int64) list -> int list -> t -> t option
     pass through unchanged; with a non-empty [adding], every variable
     of [t] and of [adding] must be in [vs] ([Invalid_argument]
     otherwise). The result equals folding {!add} and then closing, and
-    is computed in place on a dense matrix. *)
+    is computed in place on a copy of the matrix, laid out over the
+    union of [vars t] and [vs]. *)
+
+val close_with : ((int -> int -> int64 -> unit) -> unit) -> int array -> t -> t option
+(** [close_with adding u t]: {!close_over} with the constraints as an
+    iterator ([adding f] calls [f x y c] on each, in order, and may be
+    run more than once) over the universe [u], which must hold every
+    variable of [t] and of the constraints.  An exception [adding]
+    raises passes through. *)
 
 val join : t -> t -> t
 (** Pointwise max over common keys. Precise when both sides are

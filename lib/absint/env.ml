@@ -106,32 +106,37 @@ let close = function
 (* Read derived unary zone bounds back into the interval component
    (the second reduction direction). Only bound variables are
    tightened: inventing bindings for unbound vars would make the env
-   compare unequal without adding usable information. Only bindings
-   that change are rebuilt. *)
+   compare unequal without adding usable information. A binding whose
+   variable has no unary zone bound has nothing to meet, so the walk is
+   over the zone's bounded variables. Only bindings that change are
+   rebuilt. *)
 let tighten_from_zone = function
   | Unreachable -> Unreachable
   | Env (m, z) ->
       let infeasible = ref false in
       let m' =
-        IntMap.fold
-          (fun vid (a : Aval.t) acc ->
-            match Zone.bounds_of vid z with
-            | None, None -> acc
-            | lo, hi ->
-                let cut = a.Aval.iv in
-                let cut =
-                  match lo with
-                  | Some l -> Interval.meet cut (Interval.Iv (Interval.Fin l, Interval.Pinf))
-                  | None -> cut
-                in
-                let cut =
-                  match hi with
-                  | Some h -> Interval.meet cut (Interval.Iv (Interval.Ninf, Interval.Fin h))
-                  | None -> cut
-                in
-                let a' = Aval.reduce { a with Aval.iv = cut } in
-                if Aval.is_bot a' then infeasible := true;
-                if Aval.equal a' a then acc else IntMap.add vid a' acc)
-          m m
+        Zone.fold_bounds
+          (fun vid lo hi acc ->
+            match IntMap.find_opt vid m with
+            | None -> acc
+            | Some (a : Aval.t) -> (
+                match (lo, hi) with
+                | None, None -> acc
+                | lo, hi ->
+                    let cut = a.Aval.iv in
+                    let cut =
+                      match lo with
+                      | Some l -> Interval.meet cut (Interval.Iv (Interval.Fin l, Interval.Pinf))
+                      | None -> cut
+                    in
+                    let cut =
+                      match hi with
+                      | Some h -> Interval.meet cut (Interval.Iv (Interval.Ninf, Interval.Fin h))
+                      | None -> cut
+                    in
+                    let a' = Aval.reduce { a with Aval.iv = cut } in
+                    if Aval.is_bot a' then infeasible := true;
+                    if Aval.equal a' a then acc else IntMap.add vid a' acc))
+          z m
       in
       if !infeasible then Unreachable else Env (m', z)

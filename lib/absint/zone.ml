@@ -50,26 +50,37 @@ let bounds_of (v : int) (t : t) : int64 option * int64 option =
   in
   (lo, hi)
 
+(* [bounds_of] of every variable the zone bounds from either side, in
+   increasing order: one walk of the zero variable's row and column. *)
+let fold_bounds f (t : t) acc =
+  Dbm.fold_through zero
+    (fun v hi neg_lo acc ->
+      let lo =
+        match neg_lo with Some c when c <> Int64.min_int -> Some (Int64.neg c) | _ -> None
+      in
+      f v lo hi acc)
+    t acc
+
 type seeds = int -> Interval.t
 
 let no_seeds : seeds = fun _ -> Interval.top
 
+exception Empty_seed
+
 (* The interval bounds of [vs] as unary constraints, in the order they
-   are added (per variable: upper, then lower bound).  [None] when a
-   seed is empty (the state is infeasible). *)
-let seed_cons (seeds : seeds) (vs : int list) : (int * int * int64) list option =
-  List.fold_right
-    (fun v acc ->
-      match (acc, seeds v) with
-      | None, _ | _, Interval.Bot -> None
-      | Some cons, Interval.Iv (lo, hi) ->
-          let cons =
-            match lo with
-            | Interval.Fin l when l <> Int64.min_int -> (zero, v, Int64.neg l) :: cons
-            | _ -> cons
-          in
-          Some (match hi with Interval.Fin h -> (v, zero, h) :: cons | _ -> cons))
-    vs (Some [])
+   are added (per variable: upper, then lower bound), fed to [f].
+   [Empty_seed] when a seed is empty (the state is infeasible). *)
+let seed_adds (seeds : seeds) (vs : int list) f =
+  List.iter
+    (fun v ->
+      match seeds v with
+      | Interval.Bot -> raise Empty_seed
+      | Interval.Iv (lo, hi) -> (
+          (match hi with Interval.Fin h -> f v zero h | _ -> ());
+          match lo with
+          | Interval.Fin l when l <> Int64.min_int -> f zero v (Int64.neg l)
+          | _ -> ()))
+    vs
 
 (* Close the zone with the interval bounds of the universe [vs] (sorted,
    duplicate-free, zero excluded, a superset of [vars t]) seeded in,
@@ -81,9 +92,7 @@ let seed_cons (seeds : seeds) (vs : int list) : (int * int * int64) list option 
    meeting the other branch's [todo <= n]) still meets in the middle.
    [None] = the combined zone+interval state is infeasible. *)
 let close_seeded_in (vs : int list) (seeds : seeds) (t : t) : t option =
-  match seed_cons seeds vs with
-  | None -> None
-  | Some adding -> Dbm.close_over ~adding (zero :: vs) t
+  try Dbm.close_with (seed_adds seeds vs) (Array.of_list (zero :: vs)) t with Empty_seed -> None
 
 (* Program variables of either zone, sorted. *)
 let union_vars (a : t) (b : t) : int list = List.filter (fun v -> v <> zero) (Dbm.union_vars a b)
@@ -101,11 +110,8 @@ let entails_le (seeds : seeds) (x : int) (y : int) (c : int64) (t : t) : bool =
   Dbm.entails_le x y c t
   ||
   let vs = List.sort_uniq Int.compare (x :: y :: vars t) in
-  match seed_cons seeds vs with
-  | None -> true
-  | Some adding -> (
-      match Dbm.close_over ~adding (zero :: vs) t with
-      | None -> true
-      | Some closed -> Dbm.entails_le x y c closed)
+  match Dbm.close_with (seed_adds seeds vs) (Array.of_list (zero :: vs)) t with
+  | None | (exception Empty_seed) -> true
+  | Some closed -> Dbm.entails_le x y c closed
 
 let to_string (t : t) : string = Dbm.to_string t

@@ -28,6 +28,11 @@ val vars : t -> int list
 val bounds_of : int -> t -> int64 option * int64 option
 (** Derived (lo, hi) unary bounds of a variable. *)
 
+val fold_bounds : (int -> int64 option -> int64 option -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_bounds f t acc]: [f v lo hi] with [(lo, hi) = bounds_of v t]
+    for each variable the zone bounds from below or above, in
+    increasing order. *)
+
 type seeds = int -> Interval.t
 (** Interval bounds per variable id, used to reduce the product. *)
 

@@ -369,6 +369,49 @@ module Ref = struct
 
   let of_list (cons : (int * int * int64) list) : t =
     List.fold_left (fun acc (x, y, c) -> PM.add (x, y) c acc) PM.empty cons
+
+  (* The rest of the map-backed DBM the flat one replaced, verbatim in
+     meaning: lattice operations, transformers and lookups on the map. *)
+  let find_opt x y (t : t) = PM.find_opt (x, y) t
+  let cardinal = PM.cardinal
+  let equal = PM.equal Int64.equal
+
+  let join (a : t) (b : t) : t =
+    PM.merge
+      (fun _ l r ->
+        match (l, r) with
+        | Some x, Some y -> Some (if Int64.compare x y >= 0 then x else y)
+        | _ -> None)
+      a b
+
+  let widen (old : t) (next : t) : t =
+    PM.filter
+      (fun k c -> match PM.find_opt k next with Some cn -> Int64.compare cn c <= 0 | None -> false)
+      old
+
+  let narrow (old : t) (next : t) : t = PM.union (fun _ c _ -> Some c) old next
+  let forget v (t : t) : t = PM.filter (fun (x, y) _ -> x <> v && y <> v) t
+
+  let shift v k (t : t) : t =
+    if Int64.equal k Int64.min_int then forget v t
+    else
+      PM.fold
+        (fun (x, y) c acc ->
+          let c' =
+            if x = v then checked_add c k else if y = v then checked_add c (Int64.neg k) else Some c
+          in
+          match c' with Some c' -> PM.add (x, y) c' acc | None -> acc)
+        t PM.empty
+
+  (* Zone.bounds_of on the map: zero is -1 *)
+  let bounds_of v (t : t) =
+    let hi = find_opt v (-1) t in
+    let lo =
+      match find_opt (-1) v t with
+      | Some c when not (Int64.equal c Int64.min_int) -> Some (Int64.neg c)
+      | _ -> None
+    in
+    (lo, hi)
 end
 
 module Dbm = Absint.Dbm
@@ -461,6 +504,211 @@ let prop_kernel_close_adding =
       same_result
         (Dbm.close_over ~adding vs (dbm_of_list cons))
         (Option.bind want (Ref.close_over vs)))
+
+(* ------------------------------------------------------------------ *)
+(* Flat DBM operations vs the map reference                           *)
+(* ------------------------------------------------------------------ *)
+
+let all_vars = kernel_vars @ [ 6; 7 ]
+let con_list want = List.map (fun ((x, y), c) -> (x, y, c)) (ref_bindings want)
+
+(* A flat result agrees with a map one: the same bindings in the same
+   order, the same variables and size, every lookup and unary bound
+   alike, and [Dbm.equal] to a DBM built afresh from those bindings (so
+   a variable an operation left without any entry is gone from it). *)
+let agrees (got : Dbm.t) (want : Ref.t) =
+  bindings got = ref_bindings want
+  && Dbm.vars got = Ref.vars want
+  && Zn.vars got = List.filter (fun v -> v <> Zn.zero) (Ref.vars want)
+  && Dbm.cardinal got = Ref.cardinal want
+  && Dbm.is_top got = Ref.PM.is_empty want
+  && Dbm.equal got (dbm_of_list (con_list want))
+  && Zn.fold_bounds (fun v lo hi acc -> (v, lo, hi) :: acc) got []
+     = List.rev
+         (List.filter_map
+            (fun v ->
+              if
+                v <> Zn.zero
+                && (Ref.find_opt v Zn.zero want <> None || Ref.find_opt Zn.zero v want <> None)
+              then
+                let lo, hi = Ref.bounds_of v want in
+                Some (v, lo, hi)
+              else None)
+            (Ref.vars want))
+  && List.for_all
+       (fun x ->
+         Zn.bounds_of x got = Ref.bounds_of x want
+         && List.for_all (fun y -> Dbm.find_opt x y got = Ref.find_opt x y want) all_vars)
+       all_vars
+
+(* A DBM and its map twin: raw constraints, or (when [closed] and
+   feasible) their closure over every kernel variable, which is what
+   join inputs are and what takes the closure shortcuts. *)
+let build (cons, closed) =
+  let d = dbm_of_list cons and r = Ref.of_list cons in
+  if not closed then (d, r)
+  else
+    match (Dbm.close_over kernel_vars d, Ref.close_over kernel_vars r) with
+    | Some d, Some r -> (d, r)
+    | _ -> (d, r)
+
+let gen_input = QCheck2.Gen.(pair gen_kcons bool)
+
+let print_input (cons, closed) =
+  print_case (cons, []) ^ if closed then " (closed)" else ""
+
+let print_inputs (a, b) = print_input a ^ " / " ^ print_input b
+
+let prop_flat_build =
+  QCheck2.Test.make ~name:"flat lookups, vars, cardinal = map reference" ~count:2000
+    ~print:print_input gen_input (fun input ->
+      let d, r = build input in
+      agrees d r)
+
+let prop_flat_join =
+  QCheck2.Test.make ~name:"flat join = map join" ~count:2000 ~print:print_inputs
+    QCheck2.Gen.(pair gen_input gen_input)
+    (fun (a, b) ->
+      let a, ra = build a and b, rb = build b in
+      agrees (Dbm.join a b) (Ref.join ra rb)
+      && Dbm.union_vars a b = List.sort_uniq Int.compare (Ref.vars ra @ Ref.vars rb))
+
+(* Both the raw form and the solver's [widen old (join old next)]. *)
+let prop_flat_widen =
+  QCheck2.Test.make ~name:"flat widen = map widen" ~count:2000 ~print:print_inputs
+    QCheck2.Gen.(pair gen_input gen_input)
+    (fun (a, b) ->
+      let a, ra = build a and b, rb = build b in
+      agrees (Dbm.widen a b) (Ref.widen ra rb)
+      && agrees (Dbm.widen a (Dbm.join a b)) (Ref.widen ra (Ref.join ra rb)))
+
+let prop_flat_narrow =
+  QCheck2.Test.make ~name:"flat narrow = map narrow" ~count:2000 ~print:print_inputs
+    QCheck2.Gen.(pair gen_input gen_input)
+    (fun (a, b) ->
+      let a, ra = build a and b, rb = build b in
+      agrees (Dbm.narrow a b) (Ref.narrow ra rb))
+
+let prop_flat_forget =
+  QCheck2.Test.make ~name:"flat forget = map forget" ~count:2000
+    ~print:(fun (i, v) -> Printf.sprintf "%s forget v%d" (print_input i) v)
+    QCheck2.Gen.(pair gen_input (oneofl all_vars))
+    (fun (input, v) ->
+      let d, r = build input in
+      agrees (Dbm.forget v d) (Ref.forget v r))
+
+(* Offsets near the int64 extremes (min_int included) drop entries. *)
+let prop_flat_shift =
+  QCheck2.Test.make ~name:"flat shift = map shift" ~count:2000
+    ~print:(fun (i, (v, k)) -> Printf.sprintf "%s shift v%d by %Ld" (print_input i) v k)
+    QCheck2.Gen.(pair gen_input (pair (oneofl all_vars) gen_kbound))
+    (fun (input, (v, k)) ->
+      let d, r = build input in
+      agrees (Dbm.shift v k d) (Ref.shift v k r))
+
+(* [equal] on independent and on related pairs, where it is often true
+   although the two sides were computed differently. *)
+let prop_flat_equal =
+  QCheck2.Test.make ~name:"flat equal = map equal" ~count:2000
+    ~print:(fun (ab, v) -> Printf.sprintf "%s v%d" (print_inputs ab) v)
+    QCheck2.Gen.(pair (pair gen_input gen_input) (oneofl all_vars))
+    (fun ((a, b), v) ->
+      let a, ra = build a and b, rb = build b in
+      List.for_all
+        (fun ((x, rx), (y, ry)) -> Dbm.equal x y = Ref.equal rx ry)
+        [
+          ((a, ra), (b, rb));
+          ((Dbm.forget v a, Ref.forget v ra), (Dbm.forget v b, Ref.forget v rb));
+          ((Dbm.join a b, Ref.join ra rb), (Dbm.join b a, Ref.join rb ra));
+          ((Dbm.widen a b, Ref.widen ra rb), (a, ra));
+          ((Dbm.shift v 0L a, Ref.shift v 0L ra), (a, ra));
+          ((Dbm.narrow a b, Ref.narrow ra rb), (Dbm.narrow b a, Ref.narrow rb ra));
+        ])
+
+(* Random operation chains, as the analysis strings them, from raw
+   constraints (top when there are none): the closure shortcuts rely on
+   what each operation knows about its result being closed, so every
+   prefix must still agree. *)
+type op =
+  | Add of (int * int * int64)
+  | Forget of int
+  | Shift of int * int64
+  | Join of (int * int * int64) list
+  | Widen of (int * int * int64) list
+  | Narrow of (int * int * int64) list
+  | Close
+  | Close_in of int list
+  | Close_adding of (int * int * int64) list
+  | Close_with of (int * int * int64) list
+
+let print_op = function
+  | Add (x, y, c) -> Printf.sprintf "add v%d-v%d<=%Ld" x y c
+  | Forget v -> Printf.sprintf "forget v%d" v
+  | Shift (v, k) -> Printf.sprintf "shift v%d %Ld" v k
+  | Join cons -> "join " ^ print_case (cons, [])
+  | Widen cons -> "widen " ^ print_case (cons, [])
+  | Narrow cons -> "narrow " ^ print_case (cons, [])
+  | Close -> "close"
+  | Close_in vs -> "close in " ^ print_case ([], vs)
+  | Close_adding cons -> "close adding " ^ print_case (cons, [])
+  | Close_with cons -> "close with " ^ print_case (cons, [])
+
+let gen_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun c -> Add c) gen_kcon);
+        (1, map (fun v -> Forget v) (oneofl kernel_vars));
+        (1, map2 (fun v k -> Shift (v, k)) (oneofl kernel_vars) gen_kbound);
+        (2, map (fun c -> Join c) gen_kcons);
+        (1, map (fun c -> Widen c) gen_kcons);
+        (1, map (fun c -> Narrow c) gen_kcons);
+        (2, return Close);
+        (1, map (fun vs -> Close_in vs) gen_universe);
+        (3, map (fun c -> Close_adding c) gen_kcons);
+        (2, map (fun c -> Close_with c) gen_kcons);
+      ])
+
+let step (d, r) = function
+  | Add (x, y, c) -> (Dbm.add x y c d, Ref.add x y c r)
+  | Forget v -> (Some (Dbm.forget v d), Some (Ref.forget v r))
+  | Shift (v, k) -> (Some (Dbm.shift v k d), Some (Ref.shift v k r))
+  | Join cons ->
+      let o, ro = build (cons, true) in
+      (Some (Dbm.join d o), Some (Ref.join r ro))
+  | Widen cons ->
+      let o, ro = build (cons, true) in
+      (Some (Dbm.widen d (Dbm.join d o)), Some (Ref.widen r (Ref.join r ro)))
+  | Narrow cons ->
+      let o, ro = build (cons, false) in
+      (Some (Dbm.narrow d o), Some (Ref.narrow r ro))
+  | Close -> (Dbm.close_over kernel_vars d, Ref.close_over kernel_vars r)
+  | Close_in vs -> (Dbm.close_over vs d, Ref.close_over vs r)
+  | Close_adding cons ->
+      let want = List.fold_left (fun acc (x, y, c) -> Option.bind acc (Ref.add x y c)) (Some r) cons in
+      (Dbm.close_over ~adding:cons kernel_vars d, Option.bind want (Ref.close_over kernel_vars))
+  | Close_with cons ->
+      let want = List.fold_left (fun acc (x, y, c) -> Option.bind acc (Ref.add x y c)) (Some r) cons in
+      ( Dbm.close_with
+          (fun f -> List.iter (fun (x, y, c) -> f x y c) cons)
+          (Array.of_list kernel_vars) d,
+        Option.bind want (Ref.close_over kernel_vars) )
+
+let prop_flat_chains =
+  QCheck2.Test.make ~name:"flat operation chains = map reference" ~count:2000
+    ~print:(fun (cons, ops) ->
+      String.concat "; " (("start " ^ print_case (cons, [])) :: List.map print_op ops))
+    QCheck2.Gen.(pair gen_kcons (list_size (int_range 1 10) gen_op))
+    (fun (cons, ops) ->
+      let rec go state = function
+        | [] -> true
+        | op :: rest -> (
+            match step state op with
+            | Some d, Some r -> agrees d r && go (d, r) rest
+            | None, None -> true
+            | _ -> false)
+      in
+      go (build (cons, false)) ops)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end discharge                                               *)
@@ -579,6 +827,27 @@ let test_fewer_dynamic_checks () =
     (Printf.sprintf "boot executes fewer checks (%d < %d)" with_absint facts_only)
     true
     (with_absint < facts_only)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation fence                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Discharge over the deputized corpus (one domain, so the count is
+   deterministic) allocates the flat DBM copies and the product states:
+   4.20 M minor words when this fence was set.  The map-backed DBM it
+   replaced, which loaded the map into a matrix and rebuilt it on every
+   closure and folded the whole map on every add, took 7.74 M. *)
+let discharge_alloc_fence = 5.0e6
+
+let test_discharge_alloc () =
+  let prog = Kernel.Workloads.load ~fresh:true () in
+  ignore (Deputy.Dreport.deputize prog);
+  let w0 = Gc.minor_words () in
+  ignore (Absint.Discharge.run prog);
+  let words = Gc.minor_words () -. w0 in
+  if words > discharge_alloc_fence then
+    Alcotest.failf "discharge over the corpus took %.2f M minor words (fence: %.2f M)" (words /. 1e6)
+      (discharge_alloc_fence /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Demand-driven summaries and discharge                              *)
@@ -705,6 +974,18 @@ let () =
       ( "qcheck-dbm",
         List.map (QCheck_alcotest.to_alcotest ~rand)
           [ prop_kernel_close_over; prop_kernel_add; prop_kernel_close_adding ] );
+      ( "qcheck-flat",
+        List.map (QCheck_alcotest.to_alcotest ~rand)
+          [
+            prop_flat_build;
+            prop_flat_join;
+            prop_flat_widen;
+            prop_flat_narrow;
+            prop_flat_forget;
+            prop_flat_shift;
+            prop_flat_equal;
+            prop_flat_chains;
+          ] );
       ( "discharge",
         [
           Alcotest.test_case "masked index" `Quick test_discharge_mask;
@@ -716,6 +997,7 @@ let () =
           Alcotest.test_case "corpus: strictly more than Facts" `Quick test_corpus_strictly_more;
           Alcotest.test_case "corpus: fewer dynamic checks" `Quick test_fewer_dynamic_checks;
           Alcotest.test_case "stats: skipped functions" `Quick test_stats_skip_marker;
+          Alcotest.test_case "corpus: allocation fence" `Quick test_discharge_alloc;
         ] );
       ( "demand",
         [
