@@ -386,18 +386,11 @@ exception Tightens
    tightens; entries with an endpoint outside the universe are neither
    read nor written and pass through, which is why a non-empty
    [adding] ([strict]) needs every variable of [t] and of its own
-   constraints in [u].  Two shortcuts compute that same result:
-   - [t] closed: the adds close the matrix again unless one of them
-     drops a sum, and then Floyd–Warshall has nothing to derive; when
-     no add tightens anything, the result is [t] itself;
-   - otherwise the adds are first tried as plain writes, closed by one
-     run.  When that run neither overflows nor meets a negative cycle,
-     its sums are exact, so it computes the shortest paths D of [t]
-     plus [adding]; the incremental adds start from a matrix between D
-     and those writes and only ever write exact path lengths, so by
-     induction over k their run computes D too, without overflow.
-     Otherwise (the writes overflowed or the state is infeasible, both
-     rare) the run is redone from [t] with the incremental adds. *)
+   constraints in [u].  When [t] is closed, the adds close the matrix
+   again unless one of them drops a sum, and then Floyd–Warshall has
+   nothing to derive; when no add tightens anything, the result is [t]
+   itself.  The result is closed when the run covered every variable
+   without an overflowing sum. *)
 let dense ~strict (adding : adding) (u : int array) t : t option =
   let nu = Array.length u in
   let sorted = ref true in
@@ -420,14 +413,18 @@ let dense ~strict (adding : adding) (u : int array) t : t option =
     if i < 0 then invalid_arg "Dbm: constraint outside the universe";
     i
   in
-  let idx () = if w == u then Array.init nu Fun.id else Array.map (fun v -> index w v) u in
-  (* the incremental adds, then a run unless [closed] holds after them
-     (only [strict] calls come here, so [u] covers [w]) *)
+  (* the incremental adds, then a run unless [closed] holds after them *)
   let incremental ~closed m =
     let s = snapshot n in
     let dropped = ref false in
     adding (fun x y c -> if add_at m p n s (pos x) (pos y) c then dropped := true);
-    let closed = (closed && not !dropped) || not (floyd m p n (idx ())) in
+    let closed =
+      (closed && not !dropped)
+      ||
+      let idx = if w == u then Array.init nu Fun.id else Array.map (fun v -> index w v) u in
+      let overflowed = floyd m p n idx in
+      n = nu && not overflowed
+    in
     Some (normalize ~closed w m)
   in
   try
@@ -450,17 +447,7 @@ let dense ~strict (adding : adding) (u : int array) t : t option =
       in
       if try tightens () with Tightens -> true then incremental ~closed:true (embed t w) else Some t
     end
-    else begin
-      let m = embed t w in
-      adding (fun x y c ->
-          let x = pos x and y = pos y in
-          if x <> y then relax m p ((x * n) + y) c else if c < 0L then raise Infeasible);
-      match floyd m p n (idx ()) with
-      | overflowed when (not overflowed) || not strict ->
-          Some (normalize ~closed:(n = nu && not overflowed) w m)
-      | _ -> incremental ~closed:false (embed t w)
-      | exception Infeasible when strict -> incremental ~closed:false (embed t w)
-    end
+    else incremental ~closed:false (embed t w)
   with Infeasible -> None
 
 (* [close_over ~adding vs t] = {!add} each constraint of [adding] in

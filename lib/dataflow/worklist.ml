@@ -107,33 +107,16 @@ module Make_widening (L : WIDEN_LATTICE) = struct
     let widen_visits = Array.make n 0 in
     let iterations = ref 0 in
     let preds = Array.init n (fun i -> List.sort_uniq Int.compare (Cfg.node cfg i).Cfg.preds) in
-    (* The last state refined along each edge (predecessor, successor
-       index), with the [after] it was refined from: a predecessor whose
-       output did not change since (the same value, physically) costs
-       no new refinement.  [edge] is a function of its arguments, so
-       this is exact. *)
-    let refined =
-      Array.init n (fun p -> Array.make (List.length (Cfg.node cfg p).Cfg.succs) None)
-    in
-    let edge_out pn p idx out =
-      match refined.(p).(idx) with
-      | Some (src, r) when src == out -> r
-      | _ ->
-          let r = edge pn idx out in
-          refined.(p).(idx) <- Some (out, r);
-          r
-    in
     (* Join of all incoming edge-refined states of node [i]. *)
     let input i =
       let acc = if i = cfg.Cfg.entry then init else L.bottom in
       List.fold_left
         (fun acc p ->
           let pn = Cfg.node cfg p in
-          let out = after.(p) in
           fst
             (List.fold_left
                (fun (acc, idx) s ->
-                 ((if s = i then L.join acc (edge_out pn p idx out) else acc), idx + 1))
+                 ((if s = i then L.join acc (edge pn idx after.(p)) else acc), idx + 1))
                (acc, 0) pn.Cfg.succs))
         acc preds.(i)
     in
