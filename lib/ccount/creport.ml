@@ -23,20 +23,26 @@ let config ?(profile = Vm.Cost.Up) ?(overflow_check = false) () : Vm.Machine.con
     fuel = Vm.Machine.default_config.Vm.Machine.fuel;
   }
 
+(* Boot a CCount-enabled interpreter on an already rc-instrumented
+   program, registering its RTTI [info] with the machine. *)
+let boot_instrumented ?(profile = Vm.Cost.Up) ?(overflow_check = false) ?engine ~info
+    (prog : I.program) : Vm.Interp.t =
+  let m = Vm.Machine.create ~config:(config ~profile ~overflow_check ()) () in
+  let t = Vm.Interp.create ?engine prog m in
+  Vm.Builtins.install t;
+  Typeinfo.register_with info m;
+  t
+
 (* Instrument [prog] in place and boot a CCount-enabled interpreter.
    With [~refsafe:true] the static refcount analysis first discharges
    provably unobservable [Irc_update]s (see {!Refsafe.Discharge}), so
    the booted machine carries strictly less counter-maintenance work
    while reporting the same census. *)
-let ccount_boot ?(profile = Vm.Cost.Up) ?(overflow_check = false) ?(refsafe = false) ?summaries
-    ?engine (prog : I.program) : Vm.Interp.t * report =
+let ccount_boot ?profile ?overflow_check ?(refsafe = false) ?engine (prog : I.program) :
+    Vm.Interp.t * report =
   let stats, info = Rc_instrument.instrument_program prog in
-  let rstats = if refsafe then Some (Refsafe.Discharge.run ?summaries prog) else None in
-  let m = Vm.Machine.create ~config:(config ~profile ~overflow_check ()) () in
-  let t = Vm.Interp.create ?engine prog m in
-  Vm.Builtins.install t;
-  Typeinfo.register_with info m;
-  ( t,
+  let rstats = if refsafe then Some (Refsafe.Discharge.run prog) else None in
+  ( boot_instrumented ?profile ?overflow_check ?engine ~info prog,
     {
       instr = stats;
       types_described = List.length (Typeinfo.tags_with_pointers info);

@@ -11,16 +11,23 @@ type report = {
     allocations zeroed, bad frees leak (soundness-preserving). *)
 val config : ?profile:Vm.Cost.profile -> ?overflow_check:bool -> unit -> Vm.Machine.config
 
-(** Instrument [prog] in place, register its RTTI, and boot a
-    CCount-enabled interpreter.  [~refsafe:true] runs the static
-    refcount analysis first and strips the [Irc_update]s it proves
-    unobservable (reusing [?summaries] when the caller already
-    computed them). *)
+(** Boot a CCount-enabled interpreter on a program that is already
+    rc-instrumented, registering its RTTI [info] with the machine. *)
+val boot_instrumented :
+  ?profile:Vm.Cost.profile ->
+  ?overflow_check:bool ->
+  ?engine:Vm.Interp.engine ->
+  info:Typeinfo.t ->
+  Kc.Ir.program ->
+  Vm.Interp.t
+
+(** Instrument [prog] in place, then {!boot_instrumented} it.
+    [~refsafe:true] first runs the static refcount analysis and strips
+    the [Irc_update]s it proves unobservable. *)
 val ccount_boot :
   ?profile:Vm.Cost.profile ->
   ?overflow_check:bool ->
   ?refsafe:bool ->
-  ?summaries:Refsafe.Summary.summaries ->
   ?engine:Vm.Interp.engine ->
   Kc.Ir.program ->
   Vm.Interp.t * report

@@ -103,6 +103,12 @@ val relsum_ifaces : t -> Absint.Transfer.ifaces
     unchanged leaves its callers' nodes warm (early cutoff). *)
 val absint_summaries : t -> Absint.Transfer.summaries
 
+(** The base program instrumented by Deputy and Facts-optimized
+    ([Key.instrumented]), with Deputy's report: a shallow copy, built
+    once per program version. Its residual checks root
+    {!absint_summaries}, and {!deputized} discharges a copy of it. *)
+val instrumented : t -> Kc.Ir.program * Deputy.Dreport.report
+
 (** The deputized view of the program: a shallow copy of
     [Key.instrumented] that has been absint-discharged. The context's
     base program is untouched. Keyed on the program digest, it only

@@ -74,45 +74,34 @@ let noisy_diags diags =
 
 (* ---- the five dynamic runs ---------------------------------------- *)
 
-let parse ~name src = Kc.Typecheck.check_sources [ (name, src) ]
-
 let run_main (interp : Vm.Interp.t) : outcome =
   match Vm.Interp.run interp "main" [] with
   | v -> Completed v
   | exception Vm.Trap.Trap (k, m) -> Trapped (k, m)
 
-(* [base_prog], when given, is reused for the uninstrumented run
-   instead of a fresh parse: execution never mutates the program, so
-   the caller's already-parsed (and possibly already VM-compiled)
-   program gives the same outcome without re-frontending. The three
-   instrumented runs always get their own parse. *)
-let dynamic ?base_prog ~name src : run_results =
-  let base =
-    let p = match base_prog with Some p -> p | None -> parse ~name src in
-    run_main (Vm.Builtins.boot p)
-  in
-  let deputy =
-    let p = parse ~name src in
-    ignore (Deputy.Dreport.deputize p);
-    run_main (Vm.Builtins.boot p)
-  in
-  let deputy_absint =
-    let p = parse ~name src in
-    ignore (Deputy.Dreport.deputize p);
-    ignore (Absint.Discharge.run p);
-    run_main (Vm.Builtins.boot p)
-  in
+(* Run [main] under CCount; return its outcome and the free census's
+   bad-free count. *)
+let run_counted (interp : Vm.Interp.t) : outcome * int =
+  let o = run_main interp in
+  (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
+
+(* Every run executes a program the case's context serves, so the
+   verdict judges exactly what [ivy check] reports on. Execution never
+   mutates a program, so the runs share those programs with the static
+   side. The one program no getter serves is the full CCount view
+   (the context serves it already thinned by refsafe): that run
+   instruments a shallow copy of the base program. *)
+let dynamic ctxt : run_results =
+  let module C = Engine.Context in
+  let base = run_main (Vm.Builtins.boot (C.program ctxt)) in
+  let deputy = run_main (Vm.Builtins.boot (fst (C.instrumented ctxt))) in
+  let deputy_absint = run_main (Vm.Builtins.boot (C.deputized ctxt).C.dprog) in
   let ccount, bad_frees =
-    let p = parse ~name src in
-    let interp, _report = Ccount.Creport.ccount_boot p in
-    let o = run_main interp in
-    (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
+    run_counted (fst (Ccount.Creport.ccount_boot (Kc.Ir.copy_program (C.program ctxt))))
   in
   let ccount_refsafe, rs_bad_frees =
-    let p = parse ~name src in
-    let interp, _report = Ccount.Creport.ccount_boot ~refsafe:true p in
-    let o = run_main interp in
-    (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
+    let c = C.ccount_discharged ctxt in
+    run_counted (Ccount.Creport.boot_instrumented ~info:c.C.cinfo c.C.cprog)
   in
   { base; deputy; deputy_absint; ccount; bad_frees; ccount_refsafe; rs_bad_frees }
 
@@ -226,8 +215,49 @@ let check_runs ~labels (runs : run_results) : violation list =
 
 (* ---- the oracle --------------------------------------------------- *)
 
-let check_source ~name src (labels : (Fault.kind * string) list) : verdict =
-  match parse ~name src with
+let check_context ctxt (labels : (Fault.kind * string) list) : verdict =
+  (* Pre-compile the program once on the context: the base dynamic run
+     below reuses the compiled code through the VM's program cache. *)
+  ignore (Engine.Context.vm_compiled ctxt);
+  let diags = Ivy.Checks.run_all ctxt in
+  let static_errors =
+    List.length (snd (Engine.Context.instrumented ctxt)).Deputy.Dreport.static_errors
+  in
+  let runs = dynamic ctxt in
+  let detected = List.filter (detects ~diags ~static_errors ~runs) labels in
+  let missed =
+    List.filter_map
+      (fun l -> if List.mem l detected then None else Some (Missed_fault (fst l, snd l)))
+      labels
+  in
+  let false_alarms =
+    if labels <> [] then []
+    else
+      let noisy =
+        List.map
+          (fun (d : Diag.t) ->
+            False_alarm (Printf.sprintf "%s: %s" d.Diag.analysis d.Diag.message))
+          (noisy_diags diags)
+      in
+      if static_errors > 0 then
+        noisy
+        @ [
+            False_alarm
+              (Printf.sprintf "deputy: %d static errors in a clean program" static_errors);
+          ]
+      else noisy
+  in
+  let run_violations = check_runs ~labels runs in
+  {
+    diags;
+    static_errors;
+    runs = Some runs;
+    detected;
+    violations = missed @ false_alarms @ run_violations;
+  }
+
+let check_source ~name src labels : verdict =
+  match Kc.Typecheck.check_sources [ (name, src) ] with
   | exception e ->
       {
         diags = [];
@@ -236,53 +266,7 @@ let check_source ~name src (labels : (Fault.kind * string) list) : verdict =
         detected = [];
         violations = [ Frontend_error (Printexc.to_string e) ];
       }
-  | prog ->
-      let ctxt = Engine.Context.create prog in
-      (* Pre-compile the program once on the context: the base dynamic
-         run below reuses the compiled code through the VM's program
-         cache. *)
-      ignore (Engine.Context.vm_compiled ctxt);
-      let diags = Ivy.Checks.run_all ctxt in
-      let dep_static =
-        (* deputize mutates, so give it its own parse *)
-        (Deputy.Dreport.deputize (parse ~name src)).Deputy.Dreport.static_errors
-      in
-      let static_errors = List.length dep_static in
-      let runs = dynamic ~base_prog:prog ~name src in
-      let detected =
-        List.filter (detects ~diags ~static_errors ~runs) labels
-      in
-      let missed =
-        List.filter_map
-          (fun l -> if List.mem l detected then None else Some (Missed_fault (fst l, snd l)))
-          labels
-      in
-      let false_alarms =
-        if labels <> [] then []
-        else
-          let noisy =
-            List.map
-              (fun (d : Diag.t) ->
-                False_alarm
-                  (Printf.sprintf "%s: %s" d.Diag.analysis d.Diag.message))
-              (noisy_diags diags)
-          in
-          if static_errors > 0 then
-            noisy
-            @ [
-                False_alarm
-                  (Printf.sprintf "deputy: %d static errors in a clean program" static_errors);
-              ]
-          else noisy
-      in
-      let run_violations = check_runs ~labels runs in
-      {
-        diags;
-        static_errors;
-        runs = Some runs;
-        detected;
-        violations = missed @ false_alarms @ run_violations;
-      }
+  | prog -> check_context (Engine.Context.create prog) labels
 
 let check (p : Prog.t) : verdict =
   check_source ~name:"gen.kc" (Prog.render p) p.Prog.faults

@@ -1,16 +1,21 @@
 (** The static-vs-dynamic differential oracle.
 
-    A generated program is judged on two axes at once:
+    A generated program is parsed once into one {!Engine.Context}, and
+    judged on two axes over the program views that context serves — the
+    same ones [ivy check] reports on:
 
-    - {b static}: one shared {!Engine.Context} runs every registered
-      analysis ([Ivy.Checks.run_all]), and a separate parse is deputized
-      to collect Deputy's definite static errors;
-    - {b dynamic}: five fresh parses execute on the VM — uninstrumented
-      (Base), with Deputy runtime checks, with Deputy checks further
-      thinned by the {!Absint.Discharge} interval stage, with CCount
-      reference counting, and with CCount counter updates thinned by the
-      {!Refsafe.Discharge} ownership stage — recording each run's
-      outcome and CCount's free census.
+    - {b static}: the context runs every registered analysis
+      ([Ivy.Checks.run_all]); Deputy's definite static errors are read
+      from the report of its Deputy-instrumented view
+      ({!Engine.Context.instrumented});
+    - {b dynamic}: five VM runs execute [main] — the base program
+      (Base), the Deputy-instrumented view (runtime checks), the
+      deputized view (the same checks thinned by the {!Absint.Discharge}
+      interval stage), a CCount-instrumented copy of the base program
+      (reference counting), and the context's CCount view (counter
+      updates thinned by the {!Refsafe.Discharge} ownership stage) —
+      recording each run's outcome and CCount's free census. No run
+      parses, instruments for Deputy or discharges on its own.
 
     The verdict cross-checks the two sides against the program's
     ground-truth labels:
@@ -18,7 +23,7 @@
     - {e soundness}: every injected fault must be flagged by its owning
       analysis (or caught by its owning instrumentation layer);
     - {e precision witness}: a statically clean program must complete
-      all three runs without traps, with equal results and a clean free
+      all five runs without traps, with equal results and a clean free
       census;
     - {e consistency}: the instrumented runs may not disagree with the
       uninstrumented one except in the fault's own failure mode;
@@ -66,9 +71,15 @@ type verdict = {
 
 val violation_to_string : violation -> string
 
+val check_context : Engine.Context.t -> (Fault.kind * string) list -> verdict
+(** [check_context ctxt labels] judges the program of [ctxt], carrying
+    the given ground-truth labels. Every run takes its program from
+    [ctxt], so a verdict builds each of the context's artifacts at most
+    once and the dynamic runs build none beyond them. *)
+
 val check_source : name:string -> string -> (Fault.kind * string) list -> verdict
-(** [check_source ~name src labels] judges raw KC text carrying the
-    given ground-truth labels. *)
+(** [check_source ~name src labels] parses raw KC text once and judges
+    it with {!check_context} on a fresh context. *)
 
 val check : Prog.t -> verdict
 (** Render and judge a generated program. *)

@@ -130,6 +130,144 @@ let test_oob_cast_shape_detected () =
         (List.length v.Gen.Oracle.detected))
     [ 8; 9; 10; 11; 12 ]
 
+(* ---- one analysis pass per case ---- *)
+
+let case_context i =
+  let p = Gen.Fuzz.case_program ~seed:41 i in
+  Engine.Context.create (Kc.Typecheck.check_sources [ ("gen.kc", Gen.Prog.render p) ])
+
+let builds ctxt =
+  List.map
+    (fun (s : Engine.Context.stat) -> (s.Engine.Context.artifact, s.Engine.Context.builds))
+    (Engine.Context.stats ctxt)
+
+let served_views =
+  [ "deputy-instrumented"; "deputized(absint)"; "refsafe-summaries"; "ccount-discharged";
+    "vm-compiled" ]
+
+(* A verdict builds each served program view exactly once, and its
+   dynamic runs add no build: on a context where the oracle's static
+   side has already run, judging the case leaves every build count
+   where it was. *)
+let test_one_analysis_pass () =
+  List.iter
+    (fun i ->
+      let labels = (Gen.Fuzz.case_program ~seed:41 i).Gen.Prog.faults in
+      let ctxt = case_context i in
+      ignore (Gen.Oracle.check_context ctxt labels);
+      let b = builds ctxt in
+      List.iter
+        (fun name ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "case %d: %s built once" i name)
+            (Some 1) (List.assoc_opt name b))
+        served_views;
+      let warm = case_context i in
+      ignore (Engine.Context.vm_compiled warm);
+      ignore (Ivy.Checks.run_all warm);
+      ignore (Engine.Context.instrumented warm);
+      let before = builds warm in
+      ignore (Gen.Oracle.check_context warm labels);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "case %d: the verdict adds no build to a warm context" i)
+        before (builds warm);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "case %d: cold and warm contexts build the same" i)
+        b before)
+    (List.init 8 Fun.id)
+
+(* ---- reference oracle ---- *)
+
+(* The reference model: the oracle's dynamic side as it was before it
+   took its programs from the case's context, kept verbatim down to its
+   five fresh parses (and a sixth for Deputy's static errors), its own
+   Deputy instrumentation and its own absint and refsafe solves. *)
+module Ref_oracle = struct
+  open Gen.Oracle
+
+  let parse ~name src = Kc.Typecheck.check_sources [ (name, src) ]
+
+  let run_main (interp : Vm.Interp.t) : outcome =
+    match Vm.Interp.run interp "main" [] with
+    | v -> Completed v
+    | exception Vm.Trap.Trap (k, m) -> Trapped (k, m)
+
+  let dynamic ~name src : run_results =
+    let base =
+      let p = parse ~name src in
+      run_main (Vm.Builtins.boot p)
+    in
+    let deputy =
+      let p = parse ~name src in
+      ignore (Deputy.Dreport.deputize p);
+      run_main (Vm.Builtins.boot p)
+    in
+    let deputy_absint =
+      let p = parse ~name src in
+      ignore (Deputy.Dreport.deputize p);
+      ignore (Absint.Discharge.run p);
+      run_main (Vm.Builtins.boot p)
+    in
+    let ccount, bad_frees =
+      let p = parse ~name src in
+      let interp, _report = Ccount.Creport.ccount_boot p in
+      let o = run_main interp in
+      (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
+    in
+    let ccount_refsafe, rs_bad_frees =
+      let p = parse ~name src in
+      let interp, _report = Ccount.Creport.ccount_boot ~refsafe:true p in
+      let o = run_main interp in
+      (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
+    in
+    { base; deputy; deputy_absint; ccount; bad_frees; ccount_refsafe; rs_bad_frees }
+
+  let static_errors ~name src =
+    List.length (Deputy.Dreport.deputize (parse ~name src)).Deputy.Dreport.static_errors
+end
+
+let outcome =
+  Alcotest.testable
+    (fun fmt (o : Gen.Oracle.outcome) ->
+      match o with
+      | Gen.Oracle.Completed v -> Format.fprintf fmt "completed (%Ld)" v
+      | Gen.Oracle.Trapped (k, m) ->
+          Format.fprintf fmt "trapped %s: %s" (Vm.Trap.kind_to_string k) m)
+    ( = )
+
+(* Over seeded campaign cases covering every fault kind, the oracle's
+   runs and static-error count equal the reference's, field by field. *)
+let test_matches_reference_oracle () =
+  let cases = 240 in
+  let seen = Hashtbl.create 16 in
+  for i = 0 to cases - 1 do
+    let p = Gen.Fuzz.case_program ~seed:97 i in
+    List.iter (fun (k, _) -> Hashtbl.replace seen k ()) p.Gen.Prog.faults;
+    let src = Gen.Prog.render p in
+    let v = Gen.Oracle.check_source ~name:"gen.kc" src p.Gen.Prog.faults in
+    let r = Ref_oracle.dynamic ~name:"gen.kc" src in
+    let what field = Printf.sprintf "case %d: %s" i field in
+    Alcotest.(check int) (what "static errors")
+      (Ref_oracle.static_errors ~name:"gen.kc" src) v.Gen.Oracle.static_errors;
+    match v.Gen.Oracle.runs with
+    | None -> Alcotest.failf "case %d: no runs" i
+    | Some n ->
+        Alcotest.check outcome (what "base") r.Gen.Oracle.base n.Gen.Oracle.base;
+        Alcotest.check outcome (what "deputy") r.Gen.Oracle.deputy n.Gen.Oracle.deputy;
+        Alcotest.check outcome (what "deputy+absint") r.Gen.Oracle.deputy_absint
+          n.Gen.Oracle.deputy_absint;
+        Alcotest.check outcome (what "ccount") r.Gen.Oracle.ccount n.Gen.Oracle.ccount;
+        Alcotest.(check int) (what "bad frees") r.Gen.Oracle.bad_frees n.Gen.Oracle.bad_frees;
+        Alcotest.check outcome (what "ccount+refsafe") r.Gen.Oracle.ccount_refsafe
+          n.Gen.Oracle.ccount_refsafe;
+        Alcotest.(check int) (what "refsafe bad frees") r.Gen.Oracle.rs_bad_frees
+          n.Gen.Oracle.rs_bad_frees
+  done;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Gen.Fault.to_string k ^ " covered") true (Hashtbl.mem seen k))
+    Gen.Fault.all
+
 (* ---- campaign driver ---- *)
 
 let test_campaign_clean () =
@@ -202,6 +340,8 @@ let () =
           Alcotest.test_case "injector labels" `Quick test_injector_labels;
           Alcotest.test_case "every kind detected" `Slow test_every_fault_kind_detected;
           Alcotest.test_case "oob-cast shape detected" `Slow test_oob_cast_shape_detected;
+          Alcotest.test_case "one analysis pass per case" `Quick test_one_analysis_pass;
+          Alcotest.test_case "matches the reference oracle" `Slow test_matches_reference_oracle;
         ] );
       ( "campaign",
         [
