@@ -1,15 +1,16 @@
 (* The shared whole-program analysis context. See context.mli.
 
    Since the artifact-graph refactor every memoized value lives in one
-   {!Graph} per context: getters declare their artifact's key, its
-   dependency edges and the content hash of its inputs (from the
-   context's {!Fingerprint.table}, recomputed only when the program is
-   (re)loaded), and the graph decides hit vs rebuild and owns the
-   build/hit/invalidation counters. Per-function CFGs key on their
-   function's digest; the per-function absint nodes on the header
-   digest, a function digest and the callee values their solve is
-   given; every whole-program artifact on the program digest, so none
-   depends on a hand-kept projection of what its analysis reads.
+   {!Graph} per context: getters name their artifact's key and the
+   content hash of its inputs (from the context's {!Fingerprint.table},
+   recomputed only when the program is (re)loaded), and fetch their
+   inputs through other getters inside the build, where the graph
+   records each fetch as an edge. The graph decides hit vs rebuild and
+   owns the build/hit/invalidation counters. Per-function CFGs key on
+   their function's digest; the per-function absint nodes on the
+   header digest, a function digest and the callee values their solve
+   is given; every whole-program artifact on the program digest, so
+   none depends on a hand-kept projection of what its analysis reads.
    [update] re-fingerprints a newly parsed version of the program,
    swaps it in, and push-invalidates exactly the per-function
    artifacts whose digest changed — the whole-program artifacts notice
@@ -59,8 +60,9 @@ let program_fingerprint t = t.fps.Fingerprint.t_program
 
 let mode_name = function P.Type_based -> "type-based" | P.Field_based -> "field-based"
 
-(* Artifact keys, shared with consumers that declare dependencies on
-   us (Ivy.Checks, the serve daemon's invalidate RPC). *)
+(* Artifact keys, shared with consumers that register artifacts of
+   their own (Engine.Analysis) or target one (the serve daemon's
+   invalidate RPC). *)
 module Key = struct
   let pointsto mode = Graph.key (Printf.sprintf "pointsto(%s)" (mode_name mode))
   let callgraph mode = Graph.key (Printf.sprintf "callgraph(%s)" (mode_name mode))
@@ -97,28 +99,16 @@ let refsafe_summaries_slot : Refsafe.Summary.summaries Graph.slot = Graph.slot (
 let ccounted_slot : ccounted Graph.slot = Graph.slot ()
 
 let pointsto ?(mode = P.Type_based) (t : t) : P.t =
-  Graph.get t.g pointsto_slot
-    ~name:(Key.pointsto mode).Graph.name
-    ~fp:(program_fingerprint t)
-    (fun () -> P.build ~mode t.prog)
+  Graph.get t.g pointsto_slot (Key.pointsto mode) ~fp:(program_fingerprint t) (fun () ->
+      P.build ~mode t.prog)
 
 let callgraph ?(mode = P.Type_based) (t : t) : CG.t =
-  (* Fetch the dependency first so its stamp is current when the graph
-     checks ours. *)
-  let pt = pointsto ~mode t in
-  Graph.get t.g callgraph_slot
-    ~name:(Key.callgraph mode).Graph.name
-    ~deps:[ Key.pointsto mode ]
-    ~fp:(program_fingerprint t)
-    (fun () -> CG.build ~pointsto:pt t.prog)
+  Graph.get t.g callgraph_slot (Key.callgraph mode) ~fp:(program_fingerprint t) (fun () ->
+      CG.build ~pointsto:(pointsto ~mode t) t.prog)
 
 let blocking ?(mode = P.Type_based) (t : t) : BL.t =
-  let cg = callgraph ~mode t in
-  Graph.get t.g blocking_slot
-    ~name:(Key.blocking mode).Graph.name
-    ~deps:[ Key.callgraph mode ]
-    ~fp:(program_fingerprint t)
-    (fun () -> BL.compute cg)
+  Graph.get t.g blocking_slot (Key.blocking mode) ~fp:(program_fingerprint t) (fun () ->
+      BL.compute (callgraph ~mode t))
 
 let fn_fingerprint t fname =
   match List.assoc_opt fname t.fps.Fingerprint.t_fns with
@@ -129,8 +119,8 @@ let cfg (t : t) (fname : string) : Dataflow.Cfg.t option =
   match Kc.Ir.find_fun t.prog fname with
   | Some fd when not fd.Kc.Ir.fextern ->
       Some
-        (Graph.get t.g cfg_slot ~name:"cfg" ~param:fname ~fp:(fn_fingerprint t fname)
-           (fun () -> Dataflow.Cfg.build fd))
+        (Graph.get t.g cfg_slot (Key.cfg fname) ~fp:(fn_fingerprint t fname) (fun () ->
+             Dataflow.Cfg.build fd))
   | _ -> None
 
 let defined_funcs (t : t) : Kc.Ir.fundec list =
@@ -142,17 +132,14 @@ let defined_funcs (t : t) : Kc.Ir.fundec list =
 let relsum_ifaces (t : t) : Absint.Transfer.ifaces =
   if not (Absint.Domain.relational ()) then Absint.Transfer.no_ifaces
   else
-    Graph.get t.g relsum_slot ~name:Key.relsum.Graph.name
-      ~fp:(program_fingerprint t)
-      (fun () -> Absint.Relsum.compute ~jobs:t.jobs t.prog)
+    Graph.get t.g relsum_slot Key.relsum ~fp:(program_fingerprint t) (fun () ->
+        Absint.Relsum.compute ~jobs:t.jobs t.prog)
 
 (* Instrument + Facts-optimize a shallow copy of the base program,
    once per program version: the summaries read its residual roots,
    and the deputized view discharges a shallow copy of it. *)
 let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
-  Graph.get t.g instrumented_slot ~name:Key.instrumented.Graph.name
-    ~fp:(program_fingerprint t)
-    (fun () ->
+  Graph.get t.g instrumented_slot Key.instrumented ~fp:(program_fingerprint t) (fun () ->
       let iprog = Kc.Ir.copy_program t.prog in
       (iprog, Deputy.Dreport.deputize iprog))
 
@@ -165,8 +152,7 @@ let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
    charged its own time. *)
 let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
  fun (fd : Kc.Ir.fundec) ~inputs solve ->
-  let k = key fd.Kc.Ir.fname in
-  Graph.get t.g slot ~name:k.Graph.name ~param:k.Graph.param
+  Graph.get t.g slot (key fd.Kc.Ir.fname)
     ~fp:(Digest.string (String.concat "\000" [ t.fps.Fingerprint.t_header; digest fd; inputs ]))
     (fun () -> if t.jobs <= 1 then Lazy.from_val (solve ()) else Lazy.from_fun solve)
 
@@ -180,35 +166,27 @@ let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
    an edit that leaves a summary unchanged leaves its callers'
    summaries warm; this artifact only assembles them. *)
 let absint_summaries (t : t) : Absint.Transfer.summaries =
-  let ifaces = relsum_ifaces t in
-  let iprog, _ = instrumented t in
-  let defined = defined_funcs t in
-  (* Populate the CFG artifacts serially (the graph is single-domain),
-     then fan the summary solve out over an immutable snapshot. A
-     snapshot miss means a function the prefetch could not see; it is
-     built outside the graph but counted (satellite: a missed prefetch
-     surfaces in stats, it does not vanish). *)
-  List.iter (fun (fd : Kc.Ir.fundec) -> ignore (cfg t fd.Kc.Ir.fname)) defined;
-  let snapshot = Hashtbl.create (List.length defined) in
-  List.iter
-    (fun (fd : Kc.Ir.fundec) ->
-      match cfg t fd.Kc.Ir.fname with
-      | Some c -> Hashtbl.replace snapshot fd.Kc.Ir.fname c
-      | None -> ())
-    defined;
-  let cfg_of (fd : Kc.Ir.fundec) =
-    match Hashtbl.find_opt snapshot fd.Kc.Ir.fname with
-    | Some c -> c
-    | None ->
-        Atomic.incr t.prefetch_miss;
-        Dataflow.Cfg.build fd
-  in
-  Graph.get t.g summaries_slot ~name:Key.summaries.Graph.name
-    ~deps:
-      (Key.relsum :: Key.instrumented
-      :: List.map (fun (fd : Kc.Ir.fundec) -> Key.cfg fd.Kc.Ir.fname) defined)
-    ~fp:(program_fingerprint t)
-    (fun () ->
+  Graph.get t.g summaries_slot Key.summaries ~fp:(program_fingerprint t) (fun () ->
+      let ifaces = relsum_ifaces t in
+      let iprog, _ = instrumented t in
+      (* Populate the CFG artifacts serially (the graph is
+         single-domain), then fan the summary solve out over an
+         immutable snapshot. A snapshot miss means a function the
+         prefetch could not see; it is built outside the graph but
+         counted, so a missed prefetch surfaces in stats. *)
+      let defined = defined_funcs t in
+      let snapshot = Hashtbl.create (List.length defined) in
+      List.iter
+        (fun (fd : Kc.Ir.fundec) ->
+          Option.iter (Hashtbl.replace snapshot fd.Kc.Ir.fname) (cfg t fd.Kc.Ir.fname))
+        defined;
+      let cfg_of (fd : Kc.Ir.fundec) =
+        match Hashtbl.find_opt snapshot fd.Kc.Ir.fname with
+        | Some c -> c
+        | None ->
+            Atomic.incr t.prefetch_miss;
+            Dataflow.Cfg.build fd
+      in
       let memo =
         fn_memo t summary_slot ~key:Key.summary ~digest:(fun (fd : Kc.Ir.fundec) ->
             fn_fingerprint t fd.Kc.Ir.fname)
@@ -223,13 +201,10 @@ let absint_summaries (t : t) : Absint.Transfer.summaries =
    node, keyed on its instrumented body: a callee annotation edit
    changes that body even when the caller's own source is unchanged. *)
 let deputized (t : t) : deputized =
-  let ifaces = relsum_ifaces t in
-  let summaries = absint_summaries t in
-  let iprog, dreport = instrumented t in
-  Graph.get t.g deputized_slot ~name:Key.deputized.Graph.name
-    ~deps:[ Key.relsum; Key.summaries; Key.instrumented ]
-    ~fp:(program_fingerprint t)
-    (fun () ->
+  Graph.get t.g deputized_slot Key.deputized ~fp:(program_fingerprint t) (fun () ->
+      let ifaces = relsum_ifaces t in
+      let summaries = absint_summaries t in
+      let iprog, dreport = instrumented t in
       let dprog = Kc.Ir.copy_program iprog in
       let memo = fn_memo t discharge_slot ~key:Key.discharge ~digest:Fingerprint.fn in
       let dstats = Absint.Discharge.run ~summaries ~ifaces ~jobs:t.jobs ~memo dprog in
@@ -238,23 +213,16 @@ let deputized (t : t) : deputized =
 (* Refsafe ownership summaries: flow-insensitive per-function alias
    facts solved over the Tarjan SCC levels. *)
 let refsafe_summaries (t : t) : Refsafe.Summary.summaries =
-  Graph.get t.g refsafe_summaries_slot
-    ~name:Key.refsafe_summaries.Graph.name
-    ~fp:(program_fingerprint t)
+  Graph.get t.g refsafe_summaries_slot Key.refsafe_summaries ~fp:(program_fingerprint t)
     (fun () -> Refsafe.Summary.compute ~jobs:t.jobs t.prog)
 
 (* The CCount view: rc-instrument a shallow copy, then let the refsafe
-   discharge strip the counter updates it proves unobservable, with
-   the summaries as a declared dependency. *)
+   discharge strip the counter updates it proves unobservable. *)
 let ccount_discharged (t : t) : ccounted =
-  let summaries = refsafe_summaries t in
-  Graph.get t.g ccounted_slot ~name:Key.ccount_discharged.Graph.name
-    ~deps:[ Key.refsafe_summaries ]
-    ~fp:(program_fingerprint t)
-    (fun () ->
+  Graph.get t.g ccounted_slot Key.ccount_discharged ~fp:(program_fingerprint t) (fun () ->
       let cprog = Kc.Ir.copy_program t.prog in
       let cinstr, cinfo = Ccount.Rc_instrument.instrument_program cprog in
-      let crstats = Refsafe.Discharge.run ~summaries cprog in
+      let crstats = Refsafe.Discharge.run ~summaries:(refsafe_summaries t) cprog in
       { cprog; cinstr; cinfo; crstats })
 
 (* The VM's compiled form of the base program. Vm.Compile keeps its
@@ -262,19 +230,12 @@ let ccount_discharged (t : t) : ccounted =
    still share code); this artifact pins the result on the context and
    folds its construction into the stats lines. *)
 let vm_compiled (t : t) : Vm.Compile.t =
-  Graph.get t.g vm_compiled_slot ~name:Key.vm_compiled.Graph.name
-    ~fp:(program_fingerprint t)
-    (fun () -> Vm.Compile.of_program t.prog)
+  Graph.get t.g vm_compiled_slot Key.vm_compiled ~fp:(program_fingerprint t) (fun () ->
+      Vm.Compile.of_program t.prog)
 
 let irq_handlers (t : t) : AT.SS.t =
-  Graph.get t.g handlers_slot ~name:Key.irq_handlers.Graph.name
-    ~fp:(program_fingerprint t)
-    (fun () -> AT.irq_handlers t.prog)
-
-(* Generic artifact registration for consumers outside the engine
-   (Ivy.Checks caches per-analysis diagnostics this way). *)
-let cached (t : t) (slot : 'a Graph.slot) ~name ?param ?deps ~fp (build : unit -> 'a) : 'a =
-  Graph.get t.g slot ~name ?param ?deps ~fp build
+  Graph.get t.g handlers_slot Key.irq_handlers ~fp:(program_fingerprint t) (fun () ->
+      AT.irq_handlers t.prog)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental update                                                 *)
@@ -301,12 +262,13 @@ let update (t : t) (prog : Kc.Ir.program) : update =
     t.prog <- prog;
     t.fps <- fps;
     (* Per-function artifacts whose content hash changed (or that no
-       longer exist) are push-invalidated along the declared edges:
-       cfg(f) -> absint-summaries -> deputized(absint) -> check(absint).
-       Whole-program artifacts re-key themselves on next access via
-       their own input hash. The per-function absint nodes carry their
-       inputs in their key and no edges: an edited function's nodes
-       are re-keyed on next access, a removed function's dropped. *)
+       longer exist) are push-invalidated along the recorded edges:
+       cfg(f) -> absint-summaries -> deputized(absint) -> check(absint),
+       and cfg(f) -> check(refsafe). Whole-program artifacts re-key
+       themselves on next access via their own input hash. The
+       per-function absint nodes read no other node and carry their
+       inputs in their key: an edited function's nodes are re-keyed on
+       next access, a removed function's dropped. *)
     let drop acc k = acc + Graph.invalidate t.g k in
     let dropped =
       List.fold_left

@@ -9,12 +9,13 @@
     interrupt-handler facts from {!Blockstop.Atomic}.
 
     Since the artifact-graph refactor all of those live in one
-    {!Graph} per context: every artifact has a declared key, declared
-    dependency edges, and a content hash of its inputs derived from
-    the context's {!Fingerprint.table}. Everything is built lazily,
-    built at most once per key while its inputs are unchanged, and
-    instrumented with build/hit/invalidation counters plus monotonic
-    self-time build timers. {!update} swaps in a re-parsed program and
+    {!Graph} per context: every artifact has a key and a content hash
+    of its inputs derived from the context's {!Fingerprint.table}, and
+    its dependency edges are the artifacts its build fetched, recorded
+    by the graph. Everything is built lazily, built at most once per
+    key while its inputs are unchanged, and instrumented with
+    build/hit/invalidation counters plus monotonic self-time build
+    timers. {!update} swaps in a re-parsed program and
     invalidates exactly what the edit reaches — the basis of
     [ivy serve]'s incremental re-checking. *)
 
@@ -32,15 +33,15 @@ val create : ?jobs:int -> Kc.Ir.program -> t
 val program : t -> Kc.Ir.program
 
 val graph : t -> Graph.t
-(** The context's artifact graph (exposed for the serve daemon and
-    tests; normal consumers go through the getters below). *)
+(** The context's artifact graph: {!Analysis.run} registers each
+    report in it. Other consumers go through the getters below. *)
 
 val program_fingerprint : t -> string
 (** Content hash of the whole program (header + every function): the
     input hash of every whole-program artifact. *)
 
-(** The declared artifact keys, for consumers that register dependent
-    artifacts ({!Ivy.Checks}) or target the invalidate RPC. *)
+(** The artifact keys, for consumers that register artifacts of their
+    own ({!Analysis}) or target the invalidate RPC. *)
 module Key : sig
   val pointsto : Blockstop.Pointsto.mode -> Graph.key
   val callgraph : Blockstop.Pointsto.mode -> Graph.key
@@ -89,7 +90,7 @@ val cfg : t -> string -> Dataflow.Cfg.t option
 val relsum_ifaces : t -> Absint.Transfer.ifaces
 
 (** Interprocedural interval summaries ({!Absint.Summary}) over the
-    base program, sharing the memoized CFGs (cached; depends on every
+    base program, sharing the memoized CFGs (cached; reads every
     per-function CFG artifact, the relational interfaces and
     [Key.instrumented]). Only the summaries the deputized view's
     discharge reads are present: those of functions reachable through
@@ -138,7 +139,7 @@ type ccounted = {
 (** Refsafe ownership summaries ({!Refsafe.Summary}) (cached). *)
 val refsafe_summaries : t -> Refsafe.Summary.summaries
 
-(** The memoized CCount view (cached; depends on
+(** The memoized CCount view (cached; reads
     [Key.refsafe_summaries]). *)
 val ccount_discharged : t -> ccounted
 
@@ -150,13 +151,6 @@ val vm_compiled : t -> Vm.Compile.t
 
 (** Functions registered as interrupt handlers (cached). *)
 val irq_handlers : t -> Blockstop.Atomic.SS.t
-
-(** Register an artifact family owned by a consumer outside the
-    engine: same hit/build/invalidate discipline and counters as the
-    built-in artifacts. Allocate the slot once per family. *)
-val cached :
-  t -> 'a Graph.slot -> name:string -> ?param:string -> ?deps:Graph.key list ->
-  fp:string -> (unit -> 'a) -> 'a
 
 (** {2 Incremental update} *)
 
@@ -173,7 +167,7 @@ val update : t -> Kc.Ir.program -> update
 (** Swap in a newly parsed version of the program. If every digest
     matches, the old program object is kept (fully warm). Otherwise
     the per-function artifacts whose content hash changed are
-    push-invalidated along the declared edges, and whole-program
+    push-invalidated along the recorded edges, and whole-program
     artifacts re-key themselves on next access. *)
 
 val invalidate : t -> Graph.key -> int

@@ -8,15 +8,21 @@
    - the *content hash* of its direct inputs at build time ([n_fp]:
      a digest the caller derives from the program, see
      {!Fingerprint}),
-   - its declared dependency keys and the stamp each dependency had
-     when this node was built ([n_dep_stamps]),
+   - the keys its build read through {!get} and the stamp each had
+     when it was read ([n_deps]),
    - a monotonically increasing build stamp ([n_stamp]).
 
+   Edges are recorded, not declared: the graph keeps a stack of the
+   builds in progress, and every [get] made while one runs, hit or
+   build, is appended to the innermost frame, which becomes the new
+   node's [n_deps]. The same frame collects the time of the builds
+   nested in it, so build seconds are self times.
+
    A cached node is served only while its input hash still matches
-   and no declared dependency has been rebuilt since (stamp check);
+   and no recorded read has been rebuilt since (stamp check);
    otherwise the rebuild is counted as an invalidation + build.
    [invalidate] is the push direction: drop a key and everything
-   downstream of it along the declared edges (used when an edit
+   downstream of it along the recorded edges (used when an edit
    removes a function, and by the `invalidate` RPC of ivy serve).
 
    Values are stored through a tiny universal type; each artifact
@@ -50,23 +56,25 @@ type counters = {
 }
 
 type node = {
-  n_deps : key list;
-  n_dep_stamps : (key * int) list;
+  n_deps : (key * int) list;
   n_fp : string;
   n_stamp : int;
   n_value : univ;
 }
 
+(* A build in progress: the reads it has made so far, and the
+   inclusive time of the builds nested in it. *)
+type frame = { mutable reads : (key * int) list; mutable nested_ns : int64 }
+
 type t = {
   nodes : (key, node) Hashtbl.t;
   counters : (string, counters) Hashtbl.t; (* aggregated per key name *)
   mutable next_stamp : int;
-  mutable nested_ns : int64;
-      (* inclusive time of the builds nested in the one now running *)
+  mutable building : frame list; (* innermost first *)
 }
 
 let create () =
-  { nodes = Hashtbl.create 64; counters = Hashtbl.create 16; next_stamp = 0; nested_ns = 0L }
+  { nodes = Hashtbl.create 64; counters = Hashtbl.create 16; next_stamp = 0; building = [] }
 
 let counters_for (t : t) (name : string) : counters =
   match Hashtbl.find_opt t.counters name with
@@ -80,57 +88,62 @@ let stamp_of (t : t) (k : key) : int =
   match Hashtbl.find_opt t.nodes k with Some n -> n.n_stamp | None -> -1
 
 (* A node is fresh while its recorded input hash matches and every
-   declared dependency still carries the stamp it had at build time. *)
+   recorded read still carries the stamp it had then. Its reads are
+   not re-fetched first: that is sound because a node that reads
+   others keys [fp] on a digest covering theirs (see graph.mli). *)
 let fresh (t : t) (n : node) (fp : string) : bool =
-  String.equal n.n_fp fp
-  && List.for_all (fun (k, s) -> stamp_of t k = s) n.n_dep_stamps
+  String.equal n.n_fp fp && List.for_all (fun (k, s) -> stamp_of t k = s) n.n_deps
 
 (* Build seconds are monotonic self times: a build that fetches
    another artifact, which then builds, is charged only for its own
    work, and the inner build's time goes to the inner artifact. *)
-let build_node (t : t) (c : counters) key deps fp (slot : 'a slot) (build : unit -> 'a) : 'a =
-  let outer_ns = t.nested_ns in
-  t.nested_ns <- 0L;
+let build_node (t : t) (c : counters) key fp (slot : 'a slot) (build : unit -> 'a) : 'a =
+  let frame = { reads = []; nested_ns = 0L } in
+  let outer = t.building in
+  t.building <- frame :: outer;
   let t0 = Monotonic_clock.now () in
   let finish () =
     let dt = Int64.sub (Monotonic_clock.now ()) t0 in
-    c.c_seconds <- c.c_seconds +. (Int64.to_float (Int64.sub dt t.nested_ns) /. 1e9);
-    t.nested_ns <- Int64.add outer_ns dt
+    c.c_seconds <- c.c_seconds +. (Int64.to_float (Int64.sub dt frame.nested_ns) /. 1e9);
+    t.building <- outer;
+    match outer with
+    | parent :: _ -> parent.nested_ns <- Int64.add parent.nested_ns dt
+    | [] -> ()
   in
   let v = Fun.protect ~finally:finish build in
   c.c_builds <- c.c_builds + 1;
   t.next_stamp <- t.next_stamp + 1;
-  (* Dependency stamps are recorded after the build: the build function
-     obtains its inputs through the context's getters, so by now every
-     declared dependency that exists at all is in the table. *)
-  let dep_stamps = List.map (fun k -> (k, stamp_of t k)) deps in
   Hashtbl.replace t.nodes key
-    { n_deps = deps; n_dep_stamps = dep_stamps; n_fp = fp; n_stamp = t.next_stamp;
-      n_value = slot.inj v };
+    { n_deps = frame.reads; n_fp = fp; n_stamp = t.next_stamp; n_value = slot.inj v };
   v
 
-let get (t : t) (slot : 'a slot) ~name ?(param = "") ?(deps = []) ~fp (build : unit -> 'a) : 'a =
-  let k = { name; param } in
-  let c = counters_for t name in
-  match Hashtbl.find_opt t.nodes k with
-  | Some n when fresh t n fp -> (
-      match slot.prj n.n_value with
-      | Some v ->
-          c.c_hits <- c.c_hits + 1;
-          v
-      | None ->
-          (* slot mismatch: two families share a key name. Rebuild
-             defensively rather than returning a wrong type. *)
-          c.c_invalidations <- c.c_invalidations + 1;
-          build_node t c k deps fp slot build)
-  | Some _ ->
-      c.c_invalidations <- c.c_invalidations + 1;
-      build_node t c k deps fp slot build
-  | None -> build_node t c k deps fp slot build
+let get (t : t) (slot : 'a slot) (k : key) ~fp (build : unit -> 'a) : 'a =
+  let c = counters_for t k.name in
+  let v =
+    match Hashtbl.find_opt t.nodes k with
+    | Some n when fresh t n fp -> (
+        match slot.prj n.n_value with
+        | Some v ->
+            c.c_hits <- c.c_hits + 1;
+            v
+        | None ->
+            (* slot mismatch: two families share a key name. Rebuild
+               defensively rather than returning a wrong type. *)
+            c.c_invalidations <- c.c_invalidations + 1;
+            build_node t c k fp slot build)
+    | Some _ ->
+        c.c_invalidations <- c.c_invalidations + 1;
+        build_node t c k fp slot build
+    | None -> build_node t c k fp slot build
+  in
+  (match t.building with
+  | frame :: _ -> frame.reads <- (k, stamp_of t k) :: frame.reads
+  | [] -> ());
+  v
 
 let mem (t : t) (k : key) : bool = Hashtbl.mem t.nodes k
 
-(* Transitive dependents of [roots] along the declared edges,
+(* Transitive dependents of [roots] along the recorded edges,
    including any root that is itself present. *)
 let downstream (t : t) (roots : key list) : key list =
   let dead = Hashtbl.create 16 in
@@ -140,7 +153,8 @@ let downstream (t : t) (roots : key list) : key list =
     changed := false;
     Hashtbl.iter
       (fun k (n : node) ->
-        if (not (Hashtbl.mem dead k)) && List.exists (Hashtbl.mem dead) n.n_deps then begin
+        if (not (Hashtbl.mem dead k)) && List.exists (fun (d, _) -> Hashtbl.mem dead d) n.n_deps
+        then begin
           Hashtbl.replace dead k ();
           changed := true
         end)

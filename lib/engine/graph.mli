@@ -1,13 +1,23 @@
 (** The artifact graph: the engine's incremental-computation core.
 
     Every expensive artifact is a node keyed by (name x param) that
-    records the content hash of its direct inputs at build time, its
-    declared dependency keys with their build stamps, and its cached
-    value. {!get} serves the cache while the hash still matches and no
-    dependency has been rebuilt since; {!invalidate} drops a key plus
-    everything downstream along the declared edges. Build / hit /
-    invalidation counters and build self seconds are owned by the graph
-    and aggregated per artifact name.
+    records the content hash of its direct inputs at build time, the
+    keys its build read through {!get} with their build stamps, and
+    its cached value. The edges are recorded while a build runs, never
+    declared: every {!get} made inside another node's build, hit or
+    build, becomes an edge of that node. {!get} serves the cache while
+    the hash still matches and no recorded read has been rebuilt
+    since; {!invalidate} drops a key plus everything downstream along
+    the recorded edges. Build / hit / invalidation counters and build
+    self seconds are owned by the graph and aggregated per artifact
+    name.
+
+    Soundness invariant: every node whose build reads other nodes keys
+    its [fp] on a digest that covers theirs (today the program digest,
+    for every such node). {!get} therefore checks [fp] before any input
+    is re-fetched: an input whose own key moved has moved that digest
+    too, and the recorded stamps still catch an input rebuilt under an
+    unchanged digest, e.g. after an {!invalidate}.
 
     Single-domain, like the {!Context} that owns it; parallel drivers
     keep one graph per worker and aggregate with {!merge}. *)
@@ -27,20 +37,18 @@ val slot : unit -> 'a slot
 
 val create : unit -> t
 
-(** [get g slot ~name ?param ?deps ~fp build] returns the cached value
-    for (name, param) if its recorded input hash equals [fp] and every
-    key in [deps] still has the stamp it had when the node was built
-    (a cache hit); otherwise runs [build] and stores the result with
-    the declared edges (counted as a build, plus an invalidation if a
-    stale node was replaced). [deps] should already be fresh when
-    [get] is called — context getters fetch their inputs first. *)
-val get :
-  t -> 'a slot -> name:string -> ?param:string -> ?deps:key list -> fp:string ->
-  (unit -> 'a) -> 'a
+(** [get g slot key ~fp build] returns the cached value for [key] if
+    its recorded input hash equals [fp] and every key its build read
+    still has the stamp it had when read (a cache hit); otherwise runs
+    [build] and stores the result with the reads [build] made (counted
+    as a build, plus an invalidation if a stale node was replaced).
+    Either way, when called inside another node's build, [key] is
+    recorded as a read of that node. *)
+val get : t -> 'a slot -> key -> fp:string -> (unit -> 'a) -> 'a
 
 val mem : t -> key -> bool
 
-(** Drop [key] and all transitive dependents along the declared
+(** Drop [key] and all transitive dependents along the recorded
     edges; returns how many nodes were dropped. Each drop counts as an
     invalidation for its artifact name. *)
 val invalidate : t -> key -> int

@@ -14,7 +14,6 @@ let blockstop : Engine.Analysis.t =
   (module struct
     let name = "blockstop"
     let doc = "blocking calls reachable with interrupts disabled (paper §2.3)"
-    let deps = [ Context.Key.blocking Blockstop.Pointsto.Type_based ]
 
     let run ctxt =
       let bl = Context.blocking ctxt in
@@ -50,7 +49,6 @@ let locksafe : Engine.Analysis.t =
   (module struct
     let name = "locksafe"
     let doc = "deadlock order and irq/process spinlock invariant (paper §3.1)"
-    let deps = [ Context.Key.irq_handlers ]
 
     let run ctxt =
       let prog = Context.program ctxt in
@@ -93,7 +91,6 @@ let stackcheck : Engine.Analysis.t =
   (module struct
     let name = "stackcheck"
     let doc = "stack budget of every call chain; recursion detection (paper §3.1)"
-    let deps = [ Context.Key.callgraph Blockstop.Pointsto.Field_based ]
 
     let floc prog f =
       match Kc.Ir.find_fun prog f with
@@ -142,7 +139,6 @@ let errcheck : Engine.Analysis.t =
   (module struct
     let name = "errcheck"
     let doc = "error-code returns checked at every call site (paper §3.1)"
-    let deps = []
 
     let run ctxt =
       let r = Errcheck.analyze (Context.program ctxt) in
@@ -164,7 +160,6 @@ let userck : Engine.Analysis.t =
   (module struct
     let name = "userck"
     let doc = "__user pointers never dereferenced or laundered (paper §3.1)"
-    let deps = []
 
     let run ctxt =
       let r = Userck.analyze (Context.program ctxt) in
@@ -188,7 +183,6 @@ let absint : Engine.Analysis.t =
   (module struct
     let name = "absint"
     let doc = "interval abstract interpretation discharging Deputy checks (paper §2.2)"
-    let deps = [ Context.Key.deputized ]
 
     (* Reports are informational: what the deputized view looks like
        once the interval facts have removed the provably redundant
@@ -240,7 +234,6 @@ let refsafe : Engine.Analysis.t =
   (module struct
     let name = "refsafe"
     let doc = "refcount ownership imbalances; discharges CCount updates (paper §2.2)"
-    let deps = [ Context.Key.refsafe_summaries; Context.Key.ccount_discharged ]
 
     let fix_hint_of = function
       | Refsafe.Ownership.Double_put -> "drop the second put; ownership ended at the first"

@@ -1,10 +1,11 @@
 (* Tests for the artifact graph's content-hash invalidation: the
    fingerprint digests, warm re-checks (zero builds), edits rebuilding
    exactly the downstream artifacts and matching a cold context, the
-   per-function absint nodes' early cutoff and soundness traps, a
-   seeded warm-equals-cold edit sequence over the kernel corpus, push
-   invalidation along declared edges, build self times, counter
-   merging and the serve LRU. *)
+   per-function absint nodes' early cutoff and soundness traps, seeded
+   warm-equals-cold edit sequences over the kernel corpus and over
+   generated programs, the recorded edges against the dependency lists
+   they replaced, push invalidation along recorded edges, build self
+   times, counter merging and the serve LRU. *)
 
 let parse src = Kc.Typecheck.check_sources [ ("t.kc", src) ]
 
@@ -222,23 +223,31 @@ let test_pointer_edit_matches_cold () =
 (* Per-function absint nodes: soundness traps                          *)
 (* ------------------------------------------------------------------ *)
 
-(* What absint serves: the JSON report with the deputy and ccount
-   counter objects, and the per-function discharge stats. *)
-let absint_view ctxt =
+(* What a context serves: every analysis's diagnostics, the JSON
+   report with the deputy and ccount counter objects, and the
+   per-function discharge stats. *)
+let served_view ctxt =
   let results = Ivy.Checks.run_all ctxt in
   let d = Engine.Context.deputized ctxt in
-  ( Ivy.Report_fmt.render_diags_json ~deputy:d
+  ( results,
+    Ivy.Report_fmt.render_diags_json ~deputy:d
       ~ccount:(Engine.Context.ccount_discharged ctxt)
       results,
     d.Engine.Context.dstats.Absint.Discharge.fstats )
 
 let check_view msg ~cold warm =
-  let cr, cf = cold and wr, wf = warm in
+  let cd, cr, cf = cold and wd, wr, wf = warm in
+  List.iter2
+    (fun (name, c) (_, w) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: %s diagnostics equal cold" msg name)
+        (List.map Engine.Diag.to_json c) (List.map Engine.Diag.to_json w))
+    cd wd;
   Alcotest.(check string) (msg ^ ": report byte-identical to cold") cr wr;
   Alcotest.(check bool) (msg ^ ": fstats equal cold") true (cf = wf)
 
 let check_matches_cold msg ctxt src =
-  check_view msg ~cold:(absint_view (Engine.Context.create (parse src))) (absint_view ctxt)
+  check_view msg ~cold:(served_view (Engine.Context.create (parse src))) (served_view ctxt)
 
 let proved_in ctxt fname =
   let s =
@@ -279,7 +288,7 @@ let test_callee_annotation_edit_matches_cold () =
   Alcotest.(check (pair int int)) "count 4: count flow proved" (1, 1) (proved_in ctxt "use");
   let u = Engine.Context.update ctxt (parse (count_src 8)) in
   Alcotest.(check (list string)) "only sum changed" [ "sum" ] u.Engine.Context.u_changed;
-  let _, delta = delta_of ctxt (fun () -> absint_view ctxt) in
+  let _, delta = delta_of ctxt (fun () -> served_view ctxt) in
   Alcotest.(check int) "use's discharge rebuilt" 1 (builds_of delta "absint-discharge");
   Alcotest.(check (pair int int)) "count 8: count flow stays" (0, 1) (proved_in ctxt "use");
   check_matches_cold "annotation edit" ctxt (count_src 8)
@@ -408,18 +417,50 @@ let test_corpus_edit_sequence_warm_equals_cold () =
   let steps = Corpus_edits.steps ~seed:18 ~n:40 in
   (* A fresh context's view is jobs-invariant (test_par), so one cold
      view per step serves both warm runs. *)
-  let cold = List.map (fun (_, p) -> absint_view (Engine.Context.create p)) steps in
+  let cold = List.map (fun (_, p) -> served_view (Engine.Context.create p)) steps in
   List.iter
     (fun jobs ->
       let ctxt = Engine.Context.create ~jobs (Kc.Typecheck.check_sources (Kernel.Corpus.sources ())) in
-      ignore (absint_view ctxt);
+      ignore (served_view ctxt);
       List.iteri
         (fun i ((srcs, _), cold) ->
           let u = Engine.Context.update ctxt (Kc.Typecheck.check_sources srcs) in
           let msg = Printf.sprintf "jobs %d step %d (%s)" jobs i (String.concat "," u.Engine.Context.u_changed) in
-          check_view msg ~cold (absint_view ctxt))
+          check_view msg ~cold (served_view ctxt))
         (List.combine steps cold))
     [ 1; 2 ]
+
+(* Consecutive fuzz cases share a file name and most function names,
+   so pushing them through one context exercises changed, added and
+   removed functions and header edits, not just body edits. *)
+let test_fuzz_sequence_warm_equals_cold () =
+  let progs =
+    List.init 200 (fun i ->
+        parse (Gen.Prog.render (Gen.Fuzz.case_program ~seed:22 i)))
+  in
+  let cold = List.map (fun p -> served_view (Engine.Context.create p)) progs in
+  let updates =
+    List.concat_map
+      (fun jobs ->
+        let ctxt = Engine.Context.create ~jobs (parse (prog_src base_body)) in
+        ignore (served_view ctxt);
+        List.mapi
+          (fun i (p, cold) ->
+            let u = Engine.Context.update ctxt p in
+            check_view (Printf.sprintf "jobs %d case %d" jobs i) ~cold (served_view ctxt);
+            u)
+          (List.combine progs cold))
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun (what, seen) ->
+      Alcotest.(check bool) ("some step " ^ what) true (List.exists seen updates))
+    [
+      ("changes a function", fun u -> u.Engine.Context.u_changed <> []);
+      ("adds a function", fun u -> u.Engine.Context.u_added <> []);
+      ("removes a function", fun u -> u.Engine.Context.u_removed <> []);
+      ("edits the header", fun u -> u.Engine.Context.u_header_changed);
+    ]
 
 let test_update_keeps_program_object_when_unchanged () =
   let prog = parse (prog_src base_body) in
@@ -448,16 +489,95 @@ let test_removed_function_invalidates () =
   Alcotest.(check string) "report matches cold context" (report cold) fresh
 
 (* ------------------------------------------------------------------ *)
+(* Recorded edges against the hand-written lists they replaced        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference model: the dependency edges the engine declared by
+   hand before the graph recorded them — the five [~deps] lists of the
+   context's getters and the seven analyses' [deps], entry for entry —
+   instantiated at the points-to modes one [run_all] builds. The lists
+   were only a lower bound: they missed [check(refsafe)]'s reads of
+   the CFGs it checks. *)
+module Ref_deps = struct
+  module K = Engine.Context.Key
+  module P = Blockstop.Pointsto
+
+  let table (prog : Kc.Ir.program) : (Engine.Graph.key * Engine.Graph.key list) list =
+    let defined =
+      List.filter_map
+        (fun (fd : Kc.Ir.fundec) -> if fd.Kc.Ir.fextern then None else Some fd.Kc.Ir.fname)
+        prog.Kc.Ir.funcs
+    in
+    let relsum = if Absint.Domain.relational () then [ K.relsum ] else [] in
+    [
+      (K.callgraph P.Type_based, [ K.pointsto P.Type_based ]);
+      (K.callgraph P.Field_based, [ K.pointsto P.Field_based ]);
+      (K.blocking P.Type_based, [ K.callgraph P.Type_based ]);
+      (K.summaries, relsum @ (K.instrumented :: List.map K.cfg defined));
+      (K.deputized, relsum @ [ K.summaries; K.instrumented ]);
+      (K.ccount_discharged, [ K.refsafe_summaries ]);
+      (K.check "blockstop", [ K.blocking P.Type_based ]);
+      (K.check "locksafe", [ K.irq_handlers ]);
+      (K.check "stackcheck", [ K.callgraph P.Field_based ]);
+      (K.check "errcheck", []);
+      (K.check "userck", []);
+      (K.check "absint", [ K.deputized ]);
+      (K.check "refsafe", [ K.refsafe_summaries; K.ccount_discharged ]);
+    ]
+end
+
+let show (k : Engine.Graph.key) =
+  if k.Engine.Graph.param = "" then k.Engine.Graph.name
+  else Printf.sprintf "%s(%s)" k.Engine.Graph.name k.Engine.Graph.param
+
+(* One fresh cold context per (dependent, dependency) pair, so no pair
+   sees another's drops. Invalidating [cfg(kstrlen)] must also drop
+   [check(refsafe)], which fetches the CFG of every function it checks
+   through the context: the edge the declared lists missed. *)
+let test_recorded_edges_cover_declared () =
+  let prog = Kernel.Corpus.load () in
+  let drops dep dependents =
+    let ctxt = Engine.Context.create prog in
+    ignore (Ivy.Checks.run_all ctxt);
+    let g = Engine.Context.graph ctxt in
+    List.iter
+      (fun k -> Alcotest.(check bool) (show k ^ " built by run_all") true (Engine.Graph.mem g k))
+      (dep :: dependents);
+    ignore (Engine.Context.invalidate ctxt dep);
+    List.iter
+      (fun k ->
+        Alcotest.(check bool)
+          (Printf.sprintf "invalidating %s drops %s" (show dep) (show k))
+          false (Engine.Graph.mem g k))
+      dependents
+  in
+  List.iter
+    (fun (dependent, deps) -> List.iter (fun dep -> drops dep [ dependent ]) deps)
+    (Ref_deps.table prog);
+  drops (Engine.Context.Key.cfg "kstrlen") [ Engine.Context.Key.check "refsafe" ]
+
+(* ------------------------------------------------------------------ *)
 (* Graph units: push invalidation, counters, LRU                      *)
 (* ------------------------------------------------------------------ *)
+
+(* [reading_get g slot ~reads ~fp name v] builds [name] to [v],
+   fetching each [(key, fp)] of [reads] inside the build: those
+   fetches are the node's edges. *)
+let reading_get g slot ?(reads = []) ~fp name v =
+  let get name ~fp build = Engine.Graph.get g slot (Engine.Graph.key name) ~fp build in
+  get name ~fp (fun () ->
+      List.iter (fun (r, rfp) -> ignore (get r ~fp:rfp (fun () -> 0))) reads;
+      v)
 
 let test_graph_push_invalidation () =
   let g = Engine.Graph.create () in
   let slot : int Engine.Graph.slot = Engine.Graph.slot () in
-  let get name deps v = Engine.Graph.get g slot ~name ~deps ~fp:"fp" (fun () -> v) in
+  let get name reads v =
+    reading_get g slot ~reads:(List.map (fun r -> (r, "fp")) reads) ~fp:"fp" name v
+  in
   ignore (get "a" [] 1);
-  ignore (get "b" [ Engine.Graph.key "a" ] 2);
-  ignore (get "c" [ Engine.Graph.key "b" ] 3);
+  ignore (get "b" [ "a" ] 2);
+  ignore (get "c" [ "b" ] 3);
   ignore (get "d" [] 4);
   (* Dropping the root takes the chain with it, but not the bystander. *)
   Alcotest.(check int) "a,b,c dropped" 3 (Engine.Graph.invalidate g (Engine.Graph.key "a"));
@@ -475,21 +595,14 @@ let test_graph_push_invalidation () =
 let test_graph_dep_stamp_staleness () =
   let g = Engine.Graph.create () in
   let slot : int Engine.Graph.slot = Engine.Graph.slot () in
-  ignore (Engine.Graph.get g slot ~name:"up" ~fp:"v1" (fun () -> 1));
-  ignore
-    (Engine.Graph.get g slot ~name:"down" ~deps:[ Engine.Graph.key "up" ] ~fp:"d1"
-       (fun () -> 10));
+  ignore (reading_get g slot ~fp:"v1" "up" 1);
+  ignore (reading_get g slot ~reads:[ ("up", "v1") ] ~fp:"d1" "down" 10);
   (* Rebuild the upstream under a new hash: the downstream's recorded
-     dep stamp no longer matches, so its own unchanged hash must not
+     read stamp no longer matches, so its own unchanged hash must not
      save it. *)
-  ignore (Engine.Graph.get g slot ~name:"up" ~fp:"v2" (fun () -> 2));
-  let rebuilt = ref false in
-  ignore
-    (Engine.Graph.get g slot ~name:"down" ~deps:[ Engine.Graph.key "up" ] ~fp:"d1"
-       (fun () ->
-         rebuilt := true;
-         20));
-  Alcotest.(check bool) "downstream rebuilt on stale dep stamp" true !rebuilt
+  ignore (reading_get g slot ~fp:"v2" "up" 2);
+  Alcotest.(check int) "downstream rebuilt on stale dep stamp" 20
+    (reading_get g slot ~reads:[ ("up", "v2") ] ~fp:"d1" "down" 20)
 
 let test_graph_build_self_time () =
   let g = Engine.Graph.create () in
@@ -504,8 +617,8 @@ let test_graph_build_self_time () =
   (* The outer artifact's only work is to fetch the busy inner one. *)
   let t0 = Monotonic_clock.now () in
   ignore
-    (Engine.Graph.get g slot ~name:"outer" ~fp:"fp" (fun () ->
-         Engine.Graph.get g slot ~name:"inner" ~fp:"fp" busy));
+    (Engine.Graph.get g slot (Engine.Graph.key "outer") ~fp:"fp" (fun () ->
+         Engine.Graph.get g slot (Engine.Graph.key "inner") ~fp:"fp" busy));
   let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
   let seconds name =
     (List.find
@@ -589,6 +702,8 @@ let () =
             test_callee_annotation_edit_matches_cold;
           Alcotest.test_case "corpus edit sequence: warm equals cold" `Quick
             test_corpus_edit_sequence_warm_equals_cold;
+          Alcotest.test_case "fuzz case sequence: warm equals cold" `Quick
+            test_fuzz_sequence_warm_equals_cold;
           Alcotest.test_case "unchanged update keeps the program object" `Quick
             test_update_keeps_program_object_when_unchanged;
           Alcotest.test_case "removed function invalidates" `Quick
@@ -596,7 +711,9 @@ let () =
         ] );
       ( "graph",
         [
-          Alcotest.test_case "push invalidation follows declared edges" `Quick
+          Alcotest.test_case "recorded edges cover the declared lists" `Quick
+            test_recorded_edges_cover_declared;
+          Alcotest.test_case "push invalidation follows recorded edges" `Quick
             test_graph_push_invalidation;
           Alcotest.test_case "stale dep stamp forces rebuild" `Quick
             test_graph_dep_stamp_staleness;
