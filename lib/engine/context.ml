@@ -111,7 +111,7 @@ let blocking ?(mode = P.Type_based) (t : t) : BL.t =
       BL.compute (callgraph ~mode t))
 
 let fn_fingerprint t fname =
-  match List.assoc_opt fname t.fps.Fingerprint.t_fns with
+  match Fingerprint.find t.fps fname with
   | Some d -> d
   | None -> Fingerprint.fn (Option.get (Kc.Ir.find_fun t.prog fname))
 

@@ -15,10 +15,14 @@
    submitted sources, swaps them in with {!Engine.Context.update}
    (which push-invalidates exactly the artifacts the edit reaches) and
    re-runs the analyses over the warm graph; a resubmit of
-   byte-identical sources skips parsing entirely. Every [check]
-   response carries [warm] (no artifact was built) and the per-request
-   stats delta, so clients and the CI smoke job can assert
-   incrementality rather than trust it.
+   byte-identical sources skips parsing entirely, and otherwise only
+   the units whose bytes (or typedef names in scope) changed are lexed
+   and parsed again ({!Kc.Typecheck.parse_units} with the entry's last
+   parse as [prev]). Every [check] response carries [warm] (no
+   artifact was built), the units [reparsed] and the per-request stats
+   delta, so clients and the CI smoke job can assert incrementality
+   rather than trust it. A request whose frontend fails gets an error
+   response and leaves its program's entry as it was.
 
    The wire loop is single-domain (contexts and their graphs are not
    shareable across domains); what a batch of concurrent requests can
@@ -30,7 +34,11 @@ module J = Jsonx
 module Ctx = Engine.Context
 module G = Engine.Graph
 
-type entry = { e_ctxt : Ctx.t; mutable e_src : string (* digest of raw sources *) }
+type entry = {
+  e_ctxt : Ctx.t;
+  mutable e_src : string; (* digest of raw sources *)
+  mutable e_parsed : Kc.Typecheck.parsed; (* their parse, the [prev] of the next *)
+}
 
 type t = {
   lru : entry G.Lru.t;
@@ -73,6 +81,7 @@ let e_params = -32602
 let e_frontend = 1
 let e_unknown_program = 2
 let e_unknown_analysis = 3
+let e_internal = 4
 
 let decode_check (params : J.t) : (request, int * string) result =
   let program =
@@ -153,12 +162,21 @@ let frontend_msg = function
       Some (Printf.sprintf "lex error: %s at %s" msg (Kc.Loc.to_string loc))
   | _ -> None
 
-let parse_sources (sources : (string * string) list) : (Kc.Ir.program, string) result =
-  match Kc.Typecheck.check_sources sources with
-  | prog -> Ok prog
-  | exception e -> ( match frontend_msg e with Some m -> Error m | None -> raise e)
+(* The frontend never takes the daemon down: an exception that is not a
+   located frontend error is answered as an internal error. *)
+let parse_sources ?prev (sources : (string * string) list) :
+    (Kc.Typecheck.parsed * Kc.Ir.program, int * string) result =
+  match
+    let parsed = Kc.Typecheck.parse_units ?prev sources in
+    (parsed, Kc.Typecheck.check_units parsed)
+  with
+  | r -> Ok r
+  | exception e -> (
+      match frontend_msg e with
+      | Some m -> Error (e_frontend, m)
+      | None -> Error (e_internal, "internal error: " ^ Printexc.to_string e))
 
-let update_json (u : Ctx.update) : J.t =
+let update_json (u : Ctx.update) ~reparsed : J.t =
   let names l = J.List (List.map (fun f -> J.Str f) l) in
   J.Obj
     [
@@ -168,6 +186,7 @@ let update_json (u : Ctx.update) : J.t =
       ("removed", names u.Ctx.u_removed);
       ("header_changed", J.Bool u.Ctx.u_header_changed);
       ("dropped", J.Num (float_of_int u.Ctx.u_dropped));
+      ("reparsed", J.Num (float_of_int reparsed));
     ]
 
 let no_update : Ctx.update =
@@ -183,36 +202,39 @@ let no_update : Ctx.update =
 (* [parsed] carries this batch's pre-parsed programs, keyed by source
    digest (see [handle_batch]); a digest not in the table is parsed
    here, serially. *)
-let handle_check (t : t) ~(parsed : (string, (Kc.Ir.program, string) result) Hashtbl.t)
+let handle_check (t : t)
+    ~(parsed : (string, (Kc.Typecheck.parsed * Kc.Ir.program, int * string) result) Hashtbl.t)
     (r : check_req) : (J.t, int * string) result =
+  let found = G.Lru.find t.lru r.c_program in
   let prog () =
     match Hashtbl.find_opt parsed r.c_digest with
     | Some res -> res
-    | None -> parse_sources r.c_sources
+    | None -> parse_sources ?prev:(Option.map (fun e -> e.e_parsed) found) r.c_sources
   in
   let entry =
-    match G.Lru.find t.lru r.c_program with
+    match found with
     | Some e when String.equal e.e_src r.c_digest ->
         (* Byte-identical resubmit: no parse, no fingerprinting. *)
-        Ok (e, no_update, true)
-    | Some e -> (
-        match prog () with
-        | Ok p ->
+        Ok (e, no_update, 0, true)
+    | Some e ->
+        Result.map
+          (fun (pu, p) ->
             let u = Ctx.update e.e_ctxt p in
             e.e_src <- r.c_digest;
-            Ok (e, u, false)
-        | Error msg -> Error (e_frontend, msg))
-    | None -> (
-        match prog () with
-        | Ok p ->
-            let e = { e_ctxt = Ctx.create ~jobs:t.jobs p; e_src = r.c_digest } in
+            e.e_parsed <- pu;
+            (e, u, Kc.Typecheck.reparsed pu, false))
+          (prog ())
+    | None ->
+        Result.map
+          (fun (pu, p) ->
+            let e = { e_ctxt = Ctx.create ~jobs:t.jobs p; e_src = r.c_digest; e_parsed = pu } in
             ignore (G.Lru.add t.lru r.c_program e);
-            Ok (e, no_update, false)
-        | Error msg -> Error (e_frontend, msg))
+            (e, no_update, Kc.Typecheck.reparsed pu, false))
+          (prog ())
   in
   match entry with
   | Error e -> Error e
-  | Ok (e, update, reused_source) -> (
+  | Ok (e, update, reparsed, reused_source) -> (
       let before = Ctx.stats e.e_ctxt in
       match Checks.run_all ~only:r.c_only e.e_ctxt with
       | exception Checks.Unknown_analysis n ->
@@ -225,7 +247,7 @@ let handle_check (t : t) ~(parsed : (string, (Kc.Ir.program, string) result) Has
                  ("program", J.Str r.c_program);
                  ("warm", J.Bool (G.total_builds delta = 0));
                  ("reused_source", J.Bool reused_source);
-                 ("update", update_json update);
+                 ("update", update_json update ~reparsed);
                  ("report", J.Raw (String.trim (Report_fmt.render_diags_json results)));
                  ("stats", J.Raw (String.trim (Report_fmt.render_stats_json delta)));
                ]))
@@ -276,8 +298,9 @@ let render_error id code msg =
 
 (* One batch of request lines (everything a poll round drained, in
    arrival order). The parse work of check requests the daemon cannot
-   serve warm — distinct source digests only — fans out over the Par
-   pool; everything touching contexts stays on this domain. *)
+   serve warm — distinct source digests only, each reusing the units
+   of its program's last parse — fans out over the Par pool;
+   everything touching contexts stays on this domain. *)
 let handle_batch (t : t) (lines : string list) : string list * bool =
   let decoded = List.map decode_line lines in
   let needs_parse =
@@ -287,7 +310,7 @@ let handle_batch (t : t) (lines : string list) : string list * bool =
         | Ok (Check r) -> (
             match G.Lru.find t.lru r.c_program with
             | Some e when String.equal e.e_src r.c_digest -> None
-            | _ -> Some (r.c_digest, r.c_sources))
+            | found -> Some (r.c_digest, (Option.map (fun e -> e.e_parsed) found, r.c_sources)))
         | _ -> None)
       decoded
   in
@@ -300,7 +323,7 @@ let handle_batch (t : t) (lines : string list) : string list * bool =
   let parsed = Hashtbl.create (List.length distinct) in
   List.iter
     (fun (d, res) -> Hashtbl.replace parsed d res)
-    (Par.map ~jobs:t.jobs (fun (d, srcs) -> (d, parse_sources srcs)) distinct);
+    (Par.map ~jobs:t.jobs (fun (d, (prev, srcs)) -> (d, parse_sources ?prev srcs)) distinct);
   let shutdown = ref false in
   let responses =
     List.map

@@ -249,23 +249,24 @@ type emitted = Ir.stmt list ref
 
 let emit (acc : emitted) loc (i : Ir.instr) = acc := { Ir.sk = Ir.Sinstr i; sloc = loc } :: !acc
 
-let fresh_temp env (ty : Ir.ty) : Ir.varinfo =
-  incr env.temp_ctr;
-  let v =
-    {
-      Ir.vname = Printf.sprintf "__t%d" !(env.temp_ctr);
-      vid = fresh_vid env;
-      vty = ty;
-      vglob = false;
-      vparam = false;
-      vtemp = true;
-      vaddrof = false;
-    }
-  in
-  (match env.cur_fn with
-  | Some f -> f.Ir.slocals <- v :: f.Ir.slocals
-  | None -> invalid_arg "fresh_temp outside function");
-  v
+let fresh_temp env loc (ty : Ir.ty) : Ir.varinfo =
+  match env.cur_fn with
+  | None -> err loc "global initializer must not contain calls or side effects"
+  | Some f ->
+      incr env.temp_ctr;
+      let v =
+        {
+          Ir.vname = Printf.sprintf "__t%d" !(env.temp_ctr);
+          vid = fresh_vid env;
+          vty = ty;
+          vglob = false;
+          vparam = false;
+          vtemp = true;
+          vaddrof = false;
+        }
+      in
+      f.Ir.slocals <- v :: f.Ir.slocals;
+      v
 
 let rec type_of_lval env loc ((host, offs) : Ir.lval) : Ir.ty =
   ignore env;
@@ -433,7 +434,7 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
         Ir.mk_exp (Ir.Elval lv) ty
       end
       else begin
-        let t = fresh_temp env ty in
+        let t = fresh_temp env loc ty in
         emit acc loc (Ir.Iset ((Ir.Lvar t, []), cur));
         let old = Ir.mk_exp (Ir.Elval (Ir.Lvar t, [])) ty in
         let next = apply_binop env loc op old Ir.one in
@@ -601,7 +602,7 @@ and elab_call env acc loc (f : Ast.expr) (args : Ast.expr list) : Ir.exp option 
       emit acc loc (Ir.Icall (None, target, args'));
       None
   | _ ->
-      let t = fresh_temp env ret_ty in
+      let t = fresh_temp env loc ret_ty in
       emit acc loc (Ir.Icall (Some (Ir.Lvar t, []), target, args'));
       Some (Ir.mk_exp (Ir.Elval (Ir.Lvar t, [])) ret_ty)
 
@@ -869,7 +870,7 @@ let elab_global env ((g, loc) : Ast.global * Loc.t) =
         in
         Hashtbl.replace env.prog.Ir.glob_by_name vname v;
         let init = Option.map (elab_init env loc ty) vinit in
-        env.prog.Ir.globals <- env.prog.Ir.globals @ [ (v, init) ]
+        env.prog.Ir.globals <- (v, init) :: env.prog.Ir.globals
       end
   | Ast.Gfun { fname; fret; fparams; fannots; fbody; fstatic; floc } -> (
       match
@@ -881,7 +882,7 @@ let elab_global env ((g, loc) : Ast.global * Loc.t) =
             fd.Ir.fextern <- false;
             elab_function_body env floc fd fparams fbody;
             fd.Ir.slocals <- List.rev fd.Ir.slocals;
-            env.prog.Ir.funcs <- env.prog.Ir.funcs @ [ fd ]
+            env.prog.Ir.funcs <- fd :: env.prog.Ir.funcs
           end
           else elab_function_body env floc fd fparams None)
 
@@ -926,20 +927,58 @@ let collect_types env (units : Ast.unit_ list) =
         u.Ast.globals)
     units
 
-(* Type-check a list of compilation units into a single program. *)
-let check_units (units : Ast.unit_ list) : Ir.program =
+(* ------------------------------------------------------------------ *)
+(* Units                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One parsed unit with the inputs its parse is a function of:
+   [Parser.parse_unit] reads nothing but the unit's name, its source
+   and the typedef names earlier units put in scope, and the AST has
+   no mutable field. *)
+type unit_parse = { p_name : string; p_source : string; p_typedefs : string list; p_ast : Ast.unit_ }
+type parsed = { p_units : unit_parse list; p_reparsed : int }
+
+let reparsed p = p.p_reparsed
+
+(* Parse (name, source) pairs, threading typedef names through in
+   order. A unit of [prev] whose name, source bytes and typedef names
+   in scope all equal this one's is reused as it is: its parse would
+   produce the same AST, whichever parse it came from. *)
+let parse_units ?prev (sources : (string * string) list) : parsed =
+  let earlier name source typedefs =
+    Option.bind prev (fun p ->
+        List.find_opt
+          (fun u ->
+            String.equal u.p_name name && String.equal u.p_source source
+            && List.equal String.equal u.p_typedefs typedefs)
+          p.p_units)
+  in
+  let _, units, reparsed =
+    List.fold_left
+      (fun (typedefs, units, n) (name, source) ->
+        let u, n =
+          match earlier name source typedefs with
+          | Some u -> (u, n)
+          | None ->
+              let ast = Parser.parse_unit ~typedefs ~name source in
+              ({ p_name = name; p_source = source; p_typedefs = typedefs; p_ast = ast }, n + 1)
+        in
+        (typedefs @ Parser.typedef_names u.p_ast, u :: units, n))
+      ([], [], 0) sources
+  in
+  { p_units = List.rev units; p_reparsed = reparsed }
+
+(* Type-check parsed units into a single program. Pass B conses
+   globals and functions; they are put in program order once here. *)
+let check_units (p : parsed) : Ir.program =
+  let units = List.map (fun u -> u.p_ast) p.p_units in
   let env = make_env () in
   collect_types env units;
   List.iter (fun u -> List.iter (elab_global env) u.Ast.globals) units;
+  env.prog.Ir.globals <- List.rev env.prog.Ir.globals;
+  env.prog.Ir.funcs <- List.rev env.prog.Ir.funcs;
   env.prog
 
-(* Convenience: parse and check a list of (name, source) pairs. *)
+(* The one frontend path: parse, then check. *)
 let check_sources (sources : (string * string) list) : Ir.program =
-  let _, units =
-    List.fold_left
-      (fun (typedefs, units) (name, src) ->
-        let u = Parser.parse_unit ~typedefs ~name src in
-        (typedefs @ Parser.typedef_names u, u :: units))
-      ([], []) sources
-  in
-  check_units (List.rev units)
+  check_units (parse_units sources)

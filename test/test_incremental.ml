@@ -93,6 +93,65 @@ let test_fingerprint_includes_locations () =
     (Engine.Fingerprint.fn (find_fn a "helper"))
     (Engine.Fingerprint.fn (find_fn c "helper"))
 
+(* The streaming serializer writes the reference's bytes: every digest
+   of the corpus, of its instrumented views (checks and refcount
+   updates) and of generated programs is the reference's. *)
+let same_as_reference msg prog =
+  match Ref_fingerprint.mismatch prog with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: %s digest differs from the reference" msg what
+
+let views prog =
+  let ctxt = Engine.Context.create prog in
+  [
+    prog;
+    fst (Engine.Context.instrumented ctxt);
+    (Engine.Context.deputized ctxt).Engine.Context.dprog;
+    (Engine.Context.ccount_discharged ctxt).Engine.Context.cprog;
+  ]
+
+(* Constants at the edges of the integer writer: negative, beyond an
+   OCaml int, [Int64.min_int], in every place a number is written. *)
+let edge_constants =
+  "enum e { NEG = -3, HUGE = 0x7fffffffffffffff };\n\
+   long g1 = 0x8000000000000000;\n\
+   long g2 = -4611686018427387905;\n\
+   int arr[3] = { -1, 2, -3 };\n\
+   int f(int x) __returns_err(-22, -5) __frame_hint(64) {\n\
+  \  switch (x) { case -1: return NEG; case 4611686018427387904: return 2;\n\
+  \    case -4611686018427387904: return 3; default: break; }\n\
+  \  return -4611686018427387904;\n\
+   }\n"
+
+let test_fingerprint_matches_reference () =
+  List.iteri (fun i p -> same_as_reference (Printf.sprintf "edge constants view %d" i) p)
+    (views (parse edge_constants));
+  List.iter
+    (fun (name, sources) ->
+      List.iteri
+        (fun i p -> same_as_reference (Printf.sprintf "%s view %d" name i) p)
+        (views (Kc.Typecheck.check_sources sources)))
+    [ ("corpus", Kernel.Corpus.sources ()); ("workloads", Kernel.Workloads.sources ()) ];
+  let fns = ref 0 in
+  for i = 0 to 499 do
+    let prog = parse (Gen.Prog.render (Gen.Fuzz.case_program ~seed:23 i)) in
+    fns := !fns + List.length prog.Kc.Ir.funcs;
+    List.iter (same_as_reference (Printf.sprintf "case %d" i))
+      (if i mod 10 = 0 then views prog else [ prog ])
+  done;
+  Alcotest.(check bool) "generated programs define functions" true (!fns > 2000)
+
+(* The Printf-based serializer allocated ~8 words per source byte
+   (631 k minor words for the corpus and its workloads). *)
+let test_fingerprint_alloc () =
+  let prog = Kc.Typecheck.check_sources (Kernel.Workloads.sources ()) in
+  ignore (Engine.Fingerprint.table_of prog);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Engine.Fingerprint.table_of prog));
+  let words = Gc.minor_words () -. w0 in
+  if words > 100_000. then
+    Alcotest.failf "table_of on the corpus allocated %.0f minor words (fence: 100k)" words
+
 (* ------------------------------------------------------------------ *)
 (* Warm re-check: the acceptance criterion                            *)
 (* ------------------------------------------------------------------ *)
@@ -430,6 +489,53 @@ let test_corpus_edit_sequence_warm_equals_cold () =
         (List.combine steps cold))
     [ 1; 2 ]
 
+(* Structural equality over everything the program holds: variable
+   and function ids, temporaries and locals included. *)
+let check_same_program msg (a : Kc.Ir.program) (b : Kc.Ir.program) =
+  let sorted h = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []) in
+  Alcotest.(check bool) (msg ^ ": same program") true
+    (a.Kc.Ir.globals = b.Kc.Ir.globals
+    && a.Kc.Ir.funcs = b.Kc.Ir.funcs
+    && sorted a.Kc.Ir.comps = sorted b.Kc.Ir.comps
+    && sorted a.Kc.Ir.enum_items = sorted b.Kc.Ir.enum_items)
+
+(* A parse that reuses units of an earlier one checks to the program a
+   fresh parse does, over a seeded corpus edit sequence; each step
+   reparses only the unit it edited. The last two steps declare a name
+   in the first unit that the last unit casts to, first as a variable
+   and then as a typedef: the last unit's bytes do not change, but its
+   parse does, so reusing it must depend on the typedef names in
+   scope (a new typedef reparses every later unit). *)
+let test_parse_reuse_equals_fresh_parse () =
+  let first = Kernel.Corpus.sources () in
+  let edit_unit k f srcs = List.mapi (fun i (p, s) -> (p, if i = k then f s else s)) srcs in
+  let last = List.length first - 1 in
+  let probe = edit_unit last (fun s -> s ^ "int ivy_probe(int a) { return (ivy_t) - a; }\n") in
+  let seeded = List.map fst (Corpus_edits.steps ~seed:23 ~n:30) in
+  let as_var = probe (edit_unit 0 (fun s -> s ^ "long ivy_t;\n") (List.nth seeded 29)) in
+  let as_type = probe (edit_unit 0 (fun s -> s ^ "typedef int ivy_t;\n") (List.nth seeded 29)) in
+  let prev = Kc.Typecheck.parse_units first in
+  Alcotest.(check int) "a parse without prev parses every unit" (List.length first)
+    (Kc.Typecheck.reparsed prev);
+  ignore
+    (List.fold_left
+      (fun (i, prev) (srcs, expect) ->
+        let p = Kc.Typecheck.parse_units ~prev srcs in
+        let msg = Printf.sprintf "step %d" i in
+        check_same_program msg (Kc.Typecheck.check_sources srcs) (Kc.Typecheck.check_units p);
+        Alcotest.(check int) (msg ^ ": units reparsed") expect (Kc.Typecheck.reparsed p);
+        (i + 1, p))
+      (0, prev)
+      (List.map (fun s -> (s, 1)) seeded
+      @ [ (as_var, 2); (as_type, List.length first); (as_type, 0) ]));
+  let cast prog =
+    Engine.Fingerprint.fn (Option.get (Kc.Ir.find_fun prog "ivy_probe"))
+  in
+  Alcotest.(check bool) "the typedef changes how the last unit parses" false
+    (String.equal
+       (cast (Kc.Typecheck.check_sources as_var))
+       (cast (Kc.Typecheck.check_sources as_type)))
+
 (* Consecutive fuzz cases share a file name and most function names,
    so pushing them through one context exercises changed, added and
    removed functions and header edits, not just body edits. *)
@@ -683,6 +789,9 @@ let () =
             test_fingerprint_stable_across_reparse;
           Alcotest.test_case "arith edit moves one digest" `Quick
             test_fingerprint_arith_edit_moves_one_digest;
+          Alcotest.test_case "digests equal the reference serializer's" `Quick
+            test_fingerprint_matches_reference;
+          Alcotest.test_case "table_of allocation fence" `Quick test_fingerprint_alloc;
           Alcotest.test_case "locations are part of the digest" `Quick
             test_fingerprint_includes_locations;
         ] );
@@ -702,6 +811,8 @@ let () =
             test_callee_annotation_edit_matches_cold;
           Alcotest.test_case "corpus edit sequence: warm equals cold" `Quick
             test_corpus_edit_sequence_warm_equals_cold;
+          Alcotest.test_case "parse reuse equals a fresh parse" `Quick
+            test_parse_reuse_equals_fresh_parse;
           Alcotest.test_case "fuzz case sequence: warm equals cold" `Quick
             test_fuzz_sequence_warm_equals_cold;
           Alcotest.test_case "unchanged update keeps the program object" `Quick

@@ -473,6 +473,26 @@ let test_lex_alloc () =
   if per_token > 12.0 then
     Alcotest.failf "lexing the corpus took %.1f minor words per token (fence: 12)" per_token
 
+(* Type checking allocates the IR it returns, about 6.9 words a token
+   on the corpus (123.6 k reachable words), plus scopes, hoisting lists
+   and conversions. Appending each global and function to the end of
+   the program's lists, quadratic in their number, took it to 15.9. *)
+let test_typecheck_alloc () =
+  let sources = Kernel.Workloads.sources () in
+  let tokens =
+    List.fold_left
+      (fun n (file, src) -> n + Kc.Lexer.length (Kc.Lexer.tokenize ~file src))
+      0 sources
+  in
+  let parsed = Kc.Typecheck.parse_units sources in
+  ignore (Kc.Typecheck.check_units parsed);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Kc.Typecheck.check_units parsed));
+  let per_token = (Gc.minor_words () -. w0) /. float_of_int tokens in
+  if per_token > 14.0 then
+    Alcotest.failf "type checking the corpus took %.1f minor words per token (fence: 14)"
+      per_token
+
 (* ------------------------------------------------------------------ *)
 (* Parser + typechecker acceptance                                    *)
 (* ------------------------------------------------------------------ *)
@@ -596,6 +616,13 @@ let reject_cases =
     check_type_error "return value from void" "void f(void) { return 3; }";
     check_type_error "count on non-integer"
       "int f(int * __count(p) buf, int *p) { return buf[0]; }";
+    Alcotest.test_case "call in a global initializer is located" `Quick (fun () ->
+        match parse_program "int f(void);\nint g = f();" with
+        | _ -> Alcotest.fail "expected a type error"
+        | exception Kc.Typecheck.Type_error (_, loc) ->
+            Alcotest.(check (pair string int)) "at the initializer" ("test.kc", 2)
+              (loc.Kc.Loc.file, loc.Kc.Loc.line));
+    check_type_error "post-increment in a global initializer" "int x;\nint g = x++;";
     check_type_error "call in loop condition"
       "int g(void);\nint f(void) { while (g()) { } return 0; }";
     check_parse_error "unterminated block" "int f(void) { return 0;";
@@ -742,5 +769,6 @@ let () =
           Alcotest.test_case "enum values" `Quick test_enum_values;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "erasure" `Quick test_erasure;
+          Alcotest.test_case "allocation fence" `Quick test_typecheck_alloc;
         ] );
     ]

@@ -110,6 +110,25 @@ let check_request ?(id = 1) ?(program = "p") src =
              ] );
        ])
 
+(* A check of several files. *)
+let sources_request ~id ~program sources =
+  J.render
+    (J.Obj
+       [
+         ("id", J.Num (float_of_int id));
+         ("method", J.Str "check");
+         ( "params",
+           J.Obj
+             [
+               ("program", J.Str program);
+               ( "files",
+                 J.List
+                   (List.map
+                      (fun (path, s) -> J.Obj [ ("path", J.Str path); ("source", J.Str s) ])
+                      sources) );
+             ] );
+       ])
+
 let get path j =
   List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some j) path
 
@@ -297,36 +316,20 @@ let test_serve_frontend_mutants () =
     | 1 -> String.sub src 0 i ^ String.make 1 (byte ()) ^ String.sub src i (n - i)
     | _ -> String.sub src 0 i ^ String.sub src (i + 1) (n - i - 1)
   in
-  let request id src =
-    J.render
-      (J.Obj
-         [
-           ("id", J.Num (float_of_int id));
-           ("method", J.Str "check");
-           ( "params",
-             J.Obj
-               [
-                 ("program", J.Str "mutants");
-                 ( "files",
-                   J.List
-                     (List.map
-                        (fun (path, s) ->
-                          J.Obj
-                            [
-                              ("path", J.Str path);
-                              ("source", J.Str (if path = file then src else s));
-                            ])
-                        sources) );
-               ] );
-         ])
-  in
   let reports = ref 0 and frontend_errors = ref 0 in
   for id = 1 to 200 do
     let rec apply k src = if k = 0 then src else apply (k - 1) (mutate src) in
     let mutant = apply (1 + Random.State.int rng 3) original in
-    let resp, _ = respond t (request id mutant) in
+    let srcs = List.map (fun (path, s) -> (path, if path = file then mutant else s)) sources in
+    let resp, _ = respond t (sources_request ~id ~program:"mutants" srcs) in
     match (get [ "result" ] resp, error_code resp, get [ "error"; "message" ] resp) with
-    | Some _, _, _ -> incr reports
+    | Some _, _, _ -> (
+        incr reports;
+        (* The streaming fingerprint writes the reference's bytes on
+           every mutant that parses, too. *)
+        match Ref_fingerprint.mismatch (Kc.Typecheck.check_sources srcs) with
+        | None -> ()
+        | Some what -> Alcotest.failf "mutant %d: %s digest differs from the reference" id what)
     | None, Some 1, Some (J.Str msg) when names_location ~file msg -> incr frontend_errors
     | _ -> Alcotest.failf "mutant %d: answer is neither a report nor a located frontend error: %s" id
              (J.render resp)
@@ -335,6 +338,53 @@ let test_serve_frontend_mutants () =
   Alcotest.(check bool) "some mutants fail in the frontend" true (!frontend_errors > 0);
   let s, _ = respond t {|{"id":201,"method":"stats"}|} in
   Alcotest.(check bool) "stats answered after the mutants" true (get [ "result"; "requests" ] s <> None)
+
+(* Only the units whose bytes changed are lexed and parsed again: the
+   update object counts them. *)
+let test_serve_reparses_changed_units () =
+  let t = Ivy.Serve.create () in
+  let sources = Kernel.Workloads.sources () in
+  let last = List.length sources - 1 in
+  let touched =
+    List.mapi (fun i (p, s) -> (p, if i = last then s ^ "/* touched */\n" else s)) sources
+  in
+  let send id srcs = fst (respond t (sources_request ~id ~program:"touch" srcs)) in
+  let reparsed r = Option.bind (get [ "result"; "update"; "reparsed" ] r) J.to_int_opt in
+  Alcotest.(check (option int)) "a first check parses every unit" (Some (List.length sources))
+    (reparsed (send 1 sources));
+  let touch = send 2 touched in
+  Alcotest.(check (option int)) "a comment-only touch reparses its unit" (Some 1)
+    (reparsed touch);
+  Alcotest.(check (option bool)) "and builds nothing" (Some true) (result_bool [ "warm" ] touch);
+  Alcotest.(check (option int)) "a byte-identical resubmit parses nothing" (Some 0)
+    (reparsed (send 3 touched))
+
+(* The frontend cannot take the daemon down. A call in a global
+   initializer used to raise [Invalid_argument] out of [handle_line];
+   it is a located type error now. [sizeof(void)] still raises an
+   exception the frontend does not locate, which is answered as an
+   internal error that leaves the program's entry as it was. *)
+let test_serve_survives_frontend_exceptions () =
+  let t = Ivy.Serve.create () in
+  let r, _ =
+    respond t
+      {|{"id":1,"method":"check","params":{"files":[{"path":"a.kc","source":"int f(void); int g = f();"}]}}|}
+  in
+  Alcotest.(check (option int)) "global initializer call: frontend error" (Some 1)
+    (error_code r);
+  (match get [ "error"; "message" ] r with
+  | Some (J.Str m) ->
+      Alcotest.(check bool) "located in a.kc" true (names_location ~file:"a.kc" m)
+  | _ -> Alcotest.fail "error.message missing");
+  let s, _ = respond t {|{"id":2,"method":"stats"}|} in
+  Alcotest.(check bool) "stats answered" true (get [ "result"; "requests" ] s <> None);
+  ignore (respond t (check_request ~id:3 src_v1));
+  let r, _ = respond t (check_request ~id:4 "int f(void) { return sizeof(void); }") in
+  Alcotest.(check (option int)) "unlocated exception: internal error" (Some 4) (error_code r);
+  let r, _ = respond t (check_request ~id:5 src_v1) in
+  Alcotest.(check (option bool)) "entry untouched: the resubmit reuses its source" (Some true)
+    (result_bool [ "reused_source" ] r);
+  Alcotest.(check (option bool)) "and is warm" (Some true) (result_bool [ "warm" ] r)
 
 (* ------------------------------------------------------------------ *)
 (* Socket loop                                                        *)
@@ -402,6 +452,10 @@ let () =
           Alcotest.test_case "batch" `Quick test_serve_batch;
           Alcotest.test_case "mutated sources: located frontend errors" `Quick
             test_serve_frontend_mutants;
+          Alcotest.test_case "reparses only changed units" `Quick
+            test_serve_reparses_changed_units;
+          Alcotest.test_case "survives frontend exceptions" `Quick
+            test_serve_survives_frontend_exceptions;
           Alcotest.test_case "survives an early disconnect" `Quick
             test_serve_survives_early_disconnect;
         ] );
