@@ -432,12 +432,12 @@ let absint_wall_runs = 7
 let absint_wall () =
   let ceiling = read_floor absint_wall_ceiling_file in
   let base = Kernel.Workloads.load ~fresh:true () in
-  let time_run domain =
+  let time_run discharge =
     let prog = Kc.Ir.copy_program base in
     ignore (Deputy.Dreport.deputize ~optimize:true prog);
     Gc.full_major ();
     let t0 = Monotonic_clock.now () in
-    ignore (Absint.Domain.with_domain domain (fun () -> Absint.Discharge.run prog));
+    ignore (discharge prog);
     elapsed_s t0
   in
   let median xs =
@@ -447,8 +447,8 @@ let absint_wall () =
   in
   let runs =
     List.init absint_wall_runs (fun _ ->
-        let p = time_run Absint.Domain.Product in
-        (p, time_run Absint.Domain.Interval_only))
+        let p = time_run (fun prog -> Absint.Discharge.run prog) in
+        (p, time_run (fun prog -> Absint.Discharge.run ~ifaces:Absint.Transfer.interval_only prog)))
   in
   let product = median (List.map fst runs) and interval = median (List.map snd runs) in
   let ratio = product /. interval in

@@ -61,7 +61,7 @@ let provable_checks ~ifaces ~summaries (r : Solver.fresult) :
           (fun (i, _loc) ->
             (match i with
             | I.Icheck (ck, _) -> (
-                match Transfer.provable_why !env ck with
+                match Transfer.provable_why ~ifaces !env ck with
                 | Some p -> removable := (i, p) :: !removable
                 | None -> ())
             | _ -> ());
@@ -158,20 +158,16 @@ let residual_roots (prog : I.program) : string list =
     prog.I.funcs
 
 (* Discharge over every defined function of an (already deputized and
-   Facts-optimized) program, in place.  Under the product domain
-   (default, see {!Domain}) the relational interface summaries are
-   computed first and feed both the interval summaries and the
-   per-function fixpoints; the interval summaries are demanded only
+   Facts-optimized) program, in place.  Without [ifaces] the
+   relational interface summaries are computed first (zone on) and
+   feed both the interval summaries and the per-function fixpoints;
+   the interval summaries are demanded only
    from the functions holding a residual check. Each such function is
    solved over its {!Summary.inputs} through [memo], on the calling
    domain; the pool forces the suspensions, and the verdicts are
    applied serially in program order. *)
 let run ?summaries ?ifaces ?(jobs = 1) ?(memo = Summary.no_memo) (prog : I.program) : stats =
-  let ifaces =
-    match ifaces with
-    | Some i -> i
-    | None -> if Domain.relational () then Relsum.compute prog else Transfer.no_ifaces
-  in
+  let ifaces = match ifaces with Some i -> i | None -> Relsum.compute prog in
   let summaries =
     match summaries with
     | Some s -> s

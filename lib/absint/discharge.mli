@@ -46,10 +46,10 @@ val run :
   ?memo:verdict Summary.memo ->
   Kc.Ir.program ->
   stats
-(** Under the product domain (the default, see {!Domain}) relational
-    interface summaries are computed first ({!Relsum.compute}) and
-    feed both the interval summaries and every per-function fixpoint;
-    [IVY_ABSINT_DOMAIN=interval] reverts to the interval-only stage.
+(** Without [ifaces], relational interface summaries are computed
+    first ({!Relsum.compute}, zone on) and feed both the interval
+    summaries and every per-function fixpoint;
+    [~ifaces:]{!Transfer.interval_only} runs the interval-only stage.
     Without [summaries], only those of {!residual_roots} and their
     direct callees are computed. A given [summaries] must cover at
     least those. Each function that holds a check is solved over its

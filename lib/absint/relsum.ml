@@ -96,7 +96,7 @@ let refine_st st cond branch =
 
 (* Instruction transfer (checks and refcount ops are ignored; plain
    arithmetic cannot touch tracked pointers). *)
-let instr_nn (ifaces : Transfer.ifaces) (nn : IS.t) (i : I.instr) : IS.t =
+let instr_nn (ifaces : Transfer.fn_iface Transfer.SM.t) (nn : IS.t) (i : I.instr) : IS.t =
   match i with
   | I.Iset ((I.Lvar v, []), e) when tracked v ->
       if nonnull_exp nn e then IS.add v.I.vid nn else IS.remove v.I.vid nn
@@ -113,7 +113,7 @@ let instr_nn (ifaces : Transfer.ifaces) (nn : IS.t) (i : I.instr) : IS.t =
   | I.Iset _ | I.Icall _ | I.Icheck _ | I.Irc_inc _ | I.Irc_dec _ | I.Irc_update _ -> nn
 
 type wctx = {
-  ifaces : Transfer.ifaces;
+  ifaces : Transfer.fn_iface Transfer.SM.t;
   ret_ptr : bool; (* does the function return a pointer? *)
   mutable ret_ok : bool; (* every reachable return non-null so far *)
   mutable breaks : st list ref list; (* innermost loop/switch first *)
@@ -206,7 +206,7 @@ and walk_stmt ctx (st : st) (s : I.stmt) : st =
           Unreach
       | I.Sblock b | I.Sdelayed b | I.Strusted b -> walk_block ctx st b)
 
-let summarize_fn (ifaces : Transfer.ifaces) (fd : I.fundec) : Transfer.fn_iface =
+let summarize_fn (ifaces : Transfer.fn_iface Transfer.SM.t) (fd : I.fundec) : Transfer.fn_iface =
   let ret_ptr = I.is_pointer fd.I.fret in
   if not ret_ptr then { Transfer.ret_nonnull = false }
   else begin
@@ -222,33 +222,38 @@ let summarize_fn (ifaces : Transfer.ifaces) (fd : I.fundec) : Transfer.fn_iface 
    re-merge in SCC order — jobs-invariant like Summary.compute. *)
 let compute ?(jobs = 1) (prog : I.program) : Transfer.ifaces =
   let sccs = Summary.sccs_of (List.filter (fun fd -> not fd.I.fextern) prog.I.funcs) in
-  List.fold_left
-    (fun ifaces level ->
-      let solvable, recursive =
-        List.partition
-          (fun scc -> match scc with [ fd ] -> not (Summary.is_self_recursive fd) | _ -> false)
-          level
-      in
-      let solved =
-        Par.map ~jobs
-          (fun scc ->
-            match scc with
-            | [ fd ] -> (fd.I.fname, summarize_fn ifaces fd)
-            | _ -> assert false)
-          solvable
-      in
-      let ifaces =
-        List.fold_left (fun acc (name, f) -> Transfer.SM.add name f acc) ifaces solved
-      in
-      List.fold_left
-        (fun ifaces scc ->
-          List.fold_left
-            (fun ifaces fd ->
-              Transfer.SM.add fd.I.fname { Transfer.ret_nonnull = false } ifaces)
-            ifaces scc)
-        ifaces recursive)
-    Transfer.no_ifaces (Summary.levels_of sccs)
+  let facts =
+    List.fold_left
+      (fun ifaces level ->
+        let solvable, recursive =
+          List.partition
+            (fun scc -> match scc with [ fd ] -> not (Summary.is_self_recursive fd) | _ -> false)
+            level
+        in
+        let solved =
+          Par.map ~jobs
+            (fun scc ->
+              match scc with
+              | [ fd ] -> (fd.I.fname, summarize_fn ifaces fd)
+              | _ -> assert false)
+            solvable
+        in
+        let ifaces =
+          List.fold_left (fun acc (name, f) -> Transfer.SM.add name f acc) ifaces solved
+        in
+        List.fold_left
+          (fun ifaces scc ->
+            List.fold_left
+              (fun ifaces fd ->
+                Transfer.SM.add fd.I.fname { Transfer.ret_nonnull = false } ifaces)
+              ifaces scc)
+          ifaces recursive)
+      Transfer.SM.empty (Summary.levels_of sccs)
+  in
+  { Transfer.facts; zone = true }
 
 (* How many functions carry a positive fact (observability). *)
 let count_nonnull (ifaces : Transfer.ifaces) : int =
-  Transfer.SM.fold (fun _ f acc -> if f.Transfer.ret_nonnull then acc + 1 else acc) ifaces 0
+  Transfer.SM.fold
+    (fun _ f acc -> if f.Transfer.ret_nonnull then acc + 1 else acc)
+    ifaces.Transfer.facts 0

@@ -37,9 +37,9 @@ let transfer ~ifaces summaries (node : Cfg.node) (env : Env.t) : Env.t =
 
 (* Branch conditions refine their outgoing edges: succs of a Tcond are
    [then; else] in that order. *)
-let edge (node : Cfg.node) (idx : int) (out : Env.t) : Env.t =
+let edge ~ifaces (node : Cfg.node) (idx : int) (out : Env.t) : Env.t =
   match node.Cfg.term with
-  | Cfg.Tcond e when List.length node.Cfg.succs = 2 -> Transfer.assume out e (idx = 0)
+  | Cfg.Tcond e when List.length node.Cfg.succs = 2 -> Transfer.assume ~ifaces out e (idx = 0)
   | _ -> out
 
 (* Delay widening for two visits at each widening point: early
@@ -55,7 +55,7 @@ let analyze_cfg ?(summaries = Transfer.no_summaries) ?(ifaces = Transfer.no_ifac
   let widen_at = back_edge_targets cfg in
   let r =
     W.solve cfg ~widen_delay ~widen_at ~init:Env.empty ~transfer:(transfer ~ifaces summaries)
-      ~edge
+      ~edge:(edge ~ifaces)
   in
   {
     cfg;

@@ -106,7 +106,8 @@ let solve_one ~ifaces ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
    summary or interface is looked up only at a direct call
    ({!Transfer.instr}), so the maps restricted to [fd]'s direct callees
    give the same fixpoint. [inputs] renders those values canonically
-   (plus the selected domain), callee by callee: [Aval.to_string] is
+   (after the zone flag, which a leaf's key would otherwise lack),
+   callee by callee: [Aval.to_string] is
    injective and independent of sharing, so equal inputs render
    equally. Absent and present entries render differently, since
    [Transfer.instr] falls back to the callee's type when a summary is
@@ -114,7 +115,7 @@ let solve_one ~ifaces ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
 let inputs ~(summaries : Transfer.summaries) ~(ifaces : Transfer.ifaces) (fd : I.fundec) :
     Transfer.summaries * Transfer.ifaces * string =
   let b = Buffer.create 128 in
-  Buffer.add_string b (Domain.to_string (Domain.current ()));
+  Buffer.add_string b (if ifaces.Transfer.zone then "product" else "interval");
   let sums, ifs =
     List.fold_left
       (fun (sums, ifs) callee ->
@@ -129,17 +130,17 @@ let inputs ~(summaries : Transfer.summaries) ~(ifaces : Transfer.ifaces) (fd : I
           | None -> sums
         in
         let ifs =
-          match Transfer.SM.find_opt callee ifaces with
+          match Transfer.SM.find_opt callee ifaces.Transfer.facts with
           | Some i ->
               Buffer.add_string b (if i.Transfer.ret_nonnull then "!nn" else "!");
               Transfer.SM.add callee i ifs
           | None -> ifs
         in
         (sums, ifs))
-      (Transfer.no_summaries, Transfer.no_ifaces)
+      (Transfer.no_summaries, Transfer.SM.empty)
       (direct_callees fd)
   in
-  (sums, ifs, Buffer.contents b)
+  (sums, { ifaces with Transfer.facts = ifs }, Buffer.contents b)
 
 type 'a memo = I.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
 

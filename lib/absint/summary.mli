@@ -24,9 +24,9 @@ val inputs :
   Kc.Ir.fundec ->
   Transfer.summaries * Transfer.ifaces * string
 (** [inputs ~summaries ~ifaces fd] is everything a fixpoint over [fd]
-    reads of the two maps: both restricted to [fd]'s direct callees,
-    plus a canonical rendering of those values and of the selected
-    {!Domain} — the callee half of a per-function cache key. Equal
+    reads of the two maps: both restricted to [fd]'s direct callees
+    (the zone flag kept), plus a canonical rendering of those values
+    and of the flag — the callee half of a per-function cache key. Equal
     values render equally whatever their sharing (no [Marshal]). A
     solve given the restricted maps cannot read anything the rendering
     does not cover. *)

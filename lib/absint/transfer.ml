@@ -33,9 +33,15 @@ let no_summaries : summaries = SM.empty
    {!Relsum}: currently whether every return provably yields a
    non-null pointer. *)
 type fn_iface = { ret_nonnull : bool }
-type ifaces = fn_iface SM.t
 
-let no_ifaces : ifaces = SM.empty
+(* What the relational layer contributes to a solve: the interface
+   facts, and whether the zone component runs at all. One value feeds
+   summaries and discharge alike, so the two cannot disagree on the
+   domain. *)
+type ifaces = { facts : fn_iface SM.t; zone : bool }
+
+let no_ifaces = { facts = SM.empty; zone = true }
+let interval_only = { facts = SM.empty; zone = false }
 
 (* Allocators yielding non-null chunks, kept in sync with the list the
    Facts-based optimizer trusts (Deputy.Optimize). *)
@@ -290,8 +296,8 @@ let zone_kill (v : I.varinfo) env =
 
 (* Relational refinement under raw [ea op eb] ([op] is Le or Lt): add
    the difference constraint when both sides decompose raw-exactly. *)
-let relational_cmp op (ea : I.exp) (eb : I.exp) env =
-  if (not (Domain.relational ())) || Env.is_unreachable env then env
+let relational_cmp ifaces op (ea : I.exp) (eb : I.exp) env =
+  if (not ifaces.zone) || Env.is_unreachable env then env
   else
     let strict = match op with A.Lt -> true | _ -> false in
     let minus_strict c = if strict then checked_sub c 1L else Some c in
@@ -339,11 +345,11 @@ let set_checked (v : I.varinfo) (a : Aval.t) env =
 (* Refine stable variables under a *raw signed* comparison [a op b]
    known to hold ([op] is Le or Lt). This is exactly the predicate a
    passed Deputy check establishes, so no sign guard is needed. *)
-let refine_signed_cmp op (ea : I.exp) (eb : I.exp) env =
+let refine_signed_cmp ifaces op (ea : I.exp) (eb : I.exp) env =
   match env with
   | Env.Unreachable -> env
   | _ ->
-      let env = relational_cmp op ea eb env in
+      let env = relational_cmp ifaces op ea eb env in
       if Env.is_unreachable env then env
       else
       let va = eval env ea and vb = eval env eb in
@@ -374,20 +380,20 @@ let refine_signed_cmp op (ea : I.exp) (eb : I.exp) env =
         | None -> env
 
 (* Refine under a source-level condition [e] being truthy/falsy. *)
-let rec assume env (e : I.exp) (branch : bool) : Env.t =
+let rec assume ~ifaces env (e : I.exp) (branch : bool) : Env.t =
   match env with
   | Env.Unreachable -> env
   | _ -> (
       match e.I.e with
-      | I.Eunop (A.Lognot, e1) -> assume env e1 (not branch)
-      | I.Ecast (_, e1) when Deputy.Annot.strip_widening e != e -> assume env e1 branch
+      | I.Eunop (A.Lognot, e1) -> assume ~ifaces env e1 (not branch)
+      | I.Ecast (_, e1) when Deputy.Annot.strip_widening e != e -> assume ~ifaces env e1 branch
       | I.Econd (a, b, c) when Deputy.Facts.as_const c = Some 0L ->
           (* a && b *)
-          if branch then assume (assume env a true) b true else env
+          if branch then assume ~ifaces (assume ~ifaces env a true) b true else env
       | I.Econd (a, b, c) when Deputy.Facts.as_const b = Some 1L ->
           (* a || c *)
-          if branch then env else assume (assume env a false) c false
-      | I.Ebinop (op, a, b) -> assume_cmp env op a b branch
+          if branch then env else assume ~ifaces (assume ~ifaces env a false) c false
+      | I.Ebinop (op, a, b) -> assume_cmp ifaces env op a b branch
       | I.Elval _ -> (
           match stable_var e with
           | Some v ->
@@ -400,7 +406,7 @@ let rec assume env (e : I.exp) (branch : bool) : Env.t =
           | None -> env)
       | _ -> env)
 
-and assume_cmp env op a b branch =
+and assume_cmp ifaces env op a b branch =
   let negate = function
     | A.Lt -> Some A.Ge
     | A.Le -> Some A.Gt
@@ -425,8 +431,8 @@ and assume_cmp env op a b branch =
           else
             let env = match stable_var a with Some v -> Env.set v.I.vid m env | None -> env in
             let env = match stable_var b with Some v -> Env.set v.I.vid m env | None -> env in
-            let env = relational_cmp A.Le a b env in
-            if Env.is_unreachable env then env else relational_cmp A.Le b a env
+            let env = relational_cmp ifaces A.Le a b env in
+            if Env.is_unreachable env then env else relational_cmp ifaces A.Le b a env
       | A.Ne ->
           let refine sv other_iv env =
             match sv with
@@ -442,10 +448,10 @@ and assume_cmp env op a b branch =
       | (A.Lt | A.Le | A.Gt | A.Ge) when cmp_refinable a va vb -> (
           (* reduce to Le/Lt with operands ordered small-to-large *)
           match op with
-          | A.Lt -> refine_signed_cmp A.Lt a b env
-          | A.Le -> refine_signed_cmp A.Le a b env
-          | A.Gt -> refine_signed_cmp A.Lt b a env
-          | A.Ge -> refine_signed_cmp A.Le b a env
+          | A.Lt -> refine_signed_cmp ifaces A.Lt a b env
+          | A.Le -> refine_signed_cmp ifaces A.Le a b env
+          | A.Gt -> refine_signed_cmp ifaces A.Lt b a env
+          | A.Ge -> refine_signed_cmp ifaces A.Le b a env
           | _ -> env)
       | _ -> env)
 
@@ -496,13 +502,13 @@ let zone_proves strict (a : I.exp) (b : I.exp) env =
 (* Does the abstract state prove the check can never fire, and which
    component gets the credit? On an unreachable state every check is
    trivially dead. *)
-let provable_why (env : Env.t) (ck : I.check) : proof option =
+let provable_why ~ifaces (env : Env.t) (ck : I.check) : proof option =
   match env with
   | Env.Unreachable -> Some P_interval
   | _ -> (
       let ivl ok = if ok then Some P_interval else None in
       let rel strict a b =
-        if Domain.relational () && zone_proves strict a b env then Some P_relational else None
+        if ifaces.zone && zone_proves strict a b env then Some P_relational else None
       in
       match ck with
       | I.Ck_nonnull e -> ivl (truthiness (eval env e) = Some true)
@@ -524,17 +530,15 @@ let provable_why (env : Env.t) (ck : I.check) : proof option =
           match ivl by_iv with Some p -> Some p | None -> rel true a b)
       | I.Ck_nt_next _ | I.Ck_not_atomic -> None)
 
-let provable (env : Env.t) (ck : I.check) : bool = provable_why env ck <> None
-
 (* A check that executed without trapping establishes its predicate. *)
-let assume_check (env : Env.t) (ck : I.check) : Env.t =
+let assume_check ~ifaces (env : Env.t) (ck : I.check) : Env.t =
   match env with
   | Env.Unreachable -> env
   | _ -> (
       match ck with
-      | I.Ck_nonnull e -> assume env e true
-      | I.Ck_le (a, b) -> refine_signed_cmp A.Le a b env
-      | I.Ck_lt (a, b) -> refine_signed_cmp A.Lt a b env
+      | I.Ck_nonnull e -> assume ~ifaces env e true
+      | I.Ck_le (a, b) -> refine_signed_cmp ifaces A.Le a b env
+      | I.Ck_lt (a, b) -> refine_signed_cmp ifaces A.Lt a b env
       | I.Ck_nt_next _ | I.Ck_not_atomic -> env)
 
 (* ------------------------------------------------------------------ *)
@@ -550,8 +554,8 @@ let degrade ty a = if Aval.is_bot a then of_ty ty else a
    (e.g. [todo = n; if (todo > 512) todo = 512] materializes
    [n >= 513] on the clamped branch before [todo]'s old constraints
    go away). *)
-let zone_assign (v : I.varinfo) (e : I.exp) env =
-  if (not (Domain.relational ())) || Env.is_unreachable env then env
+let zone_assign ifaces (v : I.varinfo) (e : I.exp) env =
+  if (not ifaces.zone) || Env.is_unreachable env then env
   else
     match linear_of_exp env e with
     | Some (w, k) when w.I.vid = v.I.vid ->
@@ -573,7 +577,7 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
       match i with
       | I.Iset ((I.Lvar v, []), e) when Deputy.Facts.stable v ->
           let nv = degrade v.I.vty (norm_aval v.I.vty (eval env e)) in
-          Env.set v.I.vid nv (zone_assign v e env)
+          Env.set v.I.vid nv (zone_assign ifaces v e env)
       | I.Iset (_, _) ->
           (* Stores through memory or to unstable lvalues cannot touch
              stable variables (their address is never taken). *)
@@ -587,7 +591,7 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
           let ret =
             (* relational interface: the callee provably returns a
                non-null pointer on every path *)
-            match SM.find_opt f ifaces with
+            match SM.find_opt f ifaces.facts with
             | Some { ret_nonnull = true } when I.is_pointer v.I.vty ->
                 degrade v.I.vty (Aval.reduce (Aval.meet ret Aval.nonnull))
             | _ -> ret
@@ -596,5 +600,5 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
       | I.Icall (Some (I.Lvar v, []), _, _) when Deputy.Facts.stable v ->
           Env.set v.I.vid (of_ty v.I.vty) (zone_kill v env)
       | I.Icall (_, _, _) -> env
-      | I.Icheck (ck, _) -> assume_check env ck
+      | I.Icheck (ck, _) -> assume_check ~ifaces env ck
       | I.Irc_inc _ | I.Irc_dec _ | I.Irc_update _ -> env)

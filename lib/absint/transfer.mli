@@ -15,9 +15,18 @@ type fn_iface = { ret_nonnull : bool }
     {!Relsum}): [ret_nonnull] when every return provably yields a
     non-null pointer. *)
 
-type ifaces = fn_iface SM.t
+type ifaces = { facts : fn_iface SM.t; zone : bool }
+(** What the relational layer contributes to a solve: the interface
+    facts by function name, and whether the zone component of the
+    product runs. Summaries and discharge given one value run under
+    one domain. *)
 
 val no_ifaces : ifaces
+(** No interface facts, zone on: the product domain. *)
+
+val interval_only : ifaces
+(** No interface facts, zone off: the interval×nullness domain alone. *)
+
 val allocators : string list
 val ty_range : Kc.Ir.ty -> Interval.t
 val of_ty : Kc.Ir.ty -> Aval.t
@@ -30,7 +39,7 @@ val norm_aval : Kc.Ir.ty -> Aval.t -> Aval.t
 val truthiness : Aval.t -> bool option
 val eval : Env.t -> Kc.Ir.exp -> Aval.t
 
-val assume : Env.t -> Kc.Ir.exp -> bool -> Env.t
+val assume : ifaces:ifaces -> Env.t -> Kc.Ir.exp -> bool -> Env.t
 (** Refine the environment under a branch condition being true/false.
     May return [Env.bottom] when the branch is infeasible. *)
 
@@ -41,15 +50,13 @@ val linear_of_exp : Env.t -> Kc.Ir.exp -> (Kc.Ir.varinfo * int64) option
 
 type proof = P_interval | P_relational
 
-val provable_why : Env.t -> Kc.Ir.check -> proof option
+val provable_why : ifaces:ifaces -> Env.t -> Kc.Ir.check -> proof option
 (** Can this Deputy check never fire in any concrete state described
     by the environment — and which component of the product proved it?
     The interval rule is tried first, so [P_relational] marks checks
     only the zone could discharge. *)
 
-val provable : Env.t -> Kc.Ir.check -> bool
-
-val assume_check : Env.t -> Kc.Ir.check -> Env.t
+val assume_check : ifaces:ifaces -> Env.t -> Kc.Ir.check -> Env.t
 (** A check that executed without trapping establishes its predicate. *)
 
 val instr : ?ifaces:ifaces -> summaries -> Env.t -> Kc.Ir.instr -> Env.t

@@ -126,14 +126,10 @@ let cfg (t : t) (fname : string) : Dataflow.Cfg.t option =
 let defined_funcs (t : t) : Kc.Ir.fundec list =
   List.filter (fun (fd : Kc.Ir.fundec) -> not fd.Kc.Ir.fextern) t.prog.Kc.Ir.funcs
 
-(* Relational interface summaries over the base program.  Under
-   IVY_ABSINT_DOMAIN=interval the getter short-circuits to the empty
-   interface map without touching the graph. *)
+(* Relational interface summaries over the base program, zone on. *)
 let relsum_ifaces (t : t) : Absint.Transfer.ifaces =
-  if not (Absint.Domain.relational ()) then Absint.Transfer.no_ifaces
-  else
-    Graph.get t.g relsum_slot Key.relsum ~fp:(program_fingerprint t) (fun () ->
-        Absint.Relsum.compute ~jobs:t.jobs t.prog)
+  Graph.get t.g relsum_slot Key.relsum ~fp:(program_fingerprint t) (fun () ->
+      Absint.Relsum.compute ~jobs:t.jobs t.prog)
 
 (* Instrument + Facts-optimize a shallow copy of the base program,
    once per program version: the summaries read its residual roots,

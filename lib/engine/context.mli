@@ -85,8 +85,7 @@ val blocking : ?mode:Blockstop.Pointsto.mode -> t -> Blockstop.Blocking.t
 val cfg : t -> string -> Dataflow.Cfg.t option
 
 (** Relational interface summaries ({!Absint.Relsum}) over the base
-    program (cached). Returns the empty map (bypassing the graph) when
-    [IVY_ABSINT_DOMAIN] selects the interval-only domain. *)
+    program (cached), zone on: the analyses run the product domain. *)
 val relsum_ifaces : t -> Absint.Transfer.ifaces
 
 (** Interprocedural interval summaries ({!Absint.Summary}) over the

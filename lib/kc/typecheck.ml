@@ -66,6 +66,21 @@ let define_local env (v : Ir.varinfo) =
   | [] -> invalid_arg "define_local: no scope"
   | sc :: _ -> Hashtbl.replace sc v.Ir.vname v
 
+(* [sizeof]: a type without a size is a located type error. *)
+let size_of env loc ty =
+  try Layout.size_of env.prog ty with Layout.Layout_error msg -> err loc "%s" msg
+
+(* A variable or field needs a size: its type may be neither void nor
+   a function type, nor an array of either. *)
+let require_size loc what name (ty : Ir.ty) =
+  let rec sizeless = function
+    | Ir.Tvoid | Ir.Tfun _ -> true
+    | Ir.Tarray (t, _) -> sizeless t
+    | _ -> false
+  in
+  if sizeless ty then
+    err loc "%s %s has type %s, which has no size" what name (Ir.type_to_string ty)
+
 (* ------------------------------------------------------------------ *)
 (* Constant expression evaluation (for array sizes, enums, inits).    *)
 (* ------------------------------------------------------------------ *)
@@ -106,7 +121,7 @@ let rec const_eval env (e : Ast.expr) : int64 =
       | Ast.Logor -> if a <> 0L || b <> 0L then 1L else 0L)
   | Ast.Esizeof_type t ->
       let ty = resolve_type env Loc.dummy t in
-      Int64.of_int (Layout.size_of env.prog ty)
+      Int64.of_int (size_of env loc ty)
   | Ast.Econd (c, a, b) -> if const_eval env c <> 0L then const_eval env a else const_eval env b
   | _ -> err loc "expression is not a compile-time constant"
 
@@ -187,7 +202,7 @@ and elab_annot_exp env (e : Ast.expr) : Ir.exp =
       Ir.mk_exp (Ir.Ebinop (op, a, b)) Ir.long_type
   | Ast.Esizeof_type t ->
       let ty = resolve_type env loc t in
-      Ir.const_int (Int64.of_int (Layout.size_of env.prog ty))
+      Ir.const_int (Int64.of_int (size_of env loc ty))
   | _ -> err loc "unsupported expression form in __count annotation"
 
 (* ------------------------------------------------------------------ *)
@@ -463,13 +478,13 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
       explicit_cast env loc ty v
   | Ast.Esizeof_type t ->
       let ty = resolve_type env loc t in
-      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (Layout.size_of env.prog ty))
+      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (size_of env loc ty))
   | Ast.Esizeof_expr e1 ->
       (* sizeof does not evaluate its argument; elaborate it into a
          scratch accumulator for its type only. *)
       let scratch = ref [] in
       let v = elab_exp env scratch e1 in
-      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (Layout.size_of env.prog v.Ir.ety))
+      Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (size_of env loc v.Ir.ety))
   | Ast.Econd (c, a, b) ->
       let cv = elab_exp env acc c in
       let scratch_a = ref [] and scratch_b = ref [] in
@@ -631,10 +646,7 @@ and elab_stmt env (s : Ast.stmt) : Ir.stmt list =
       List.rev !acc
   | Ast.Sdecl d ->
       let ty = resolve_type env loc d.Ast.dty in
-      (match ty with
-      | Ir.Tvoid -> err loc "variable %s has type void" d.Ast.dname
-      | Ir.Tfun _ -> err loc "local %s has function type" d.Ast.dname
-      | _ -> ());
+      require_size loc "variable" d.Ast.dname ty;
       let v =
         {
           Ir.vname = d.Ast.dname;
@@ -736,10 +748,11 @@ and elab_block env (b : Ast.block) : Ir.block =
 (* Globals.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let elab_field env tag fields (p : Ast.param) : Ir.fieldinfo =
+let elab_field env loc tag fields (p : Ast.param) : Ir.fieldinfo =
   env.field_ctx <- Some (tag, fields);
-  let fty = resolve_type env Loc.dummy p.Ast.pty in
+  let fty = resolve_type env loc p.Ast.pty in
   env.field_ctx <- None;
+  require_size loc "field" (tag ^ "." ^ p.Ast.pname) fty;
   { Ir.fcomp = tag; fname = p.Ast.pname; fty }
 
 let rec elab_init env loc (ty : Ir.ty) (i : Ast.init) : Ir.ginit =
@@ -857,6 +870,7 @@ let elab_global env ((g, loc) : Ast.global * Loc.t) =
       if Hashtbl.mem env.prog.Ir.glob_by_name vname then err loc "global %s redefined" vname
       else begin
         let ty = resolve_type env loc vty in
+        require_size loc "variable" vname ty;
         let v =
           {
             Ir.vname;
@@ -917,13 +931,37 @@ let collect_types env (units : Ast.unit_ list) =
   List.iter
     (fun u ->
       List.iter
-        (fun (g, _loc) ->
+        (fun (g, loc) ->
           match g with
           | Ast.Gcomp (is_struct, tag, fields) ->
-              let fis = List.map (elab_field env tag fields) fields in
+              let fis = List.map (elab_field env loc tag fields) fields in
               Hashtbl.replace env.prog.Ir.comps tag
                 { Ir.cname = tag; cstruct = is_struct; cfields = fis }
           | Ast.Gtag_decl _ | Ast.Gtypedef _ | Ast.Genum _ | Ast.Gvar _ | Ast.Gfun _ -> ())
+        u.Ast.globals)
+    units;
+  (* A3: a struct or union that holds itself by value, directly or
+     through its members, has no size (the layout would recurse
+     forever). [sized] holds the tags already shown to nest finitely. *)
+  let sized = Hashtbl.create 16 in
+  let rec by_value = function
+    | Ir.Tcomp t -> Some t
+    | Ir.Tarray (t, _) -> by_value t
+    | _ -> None
+  in
+  let rec nest loc path tag =
+    if List.mem tag path then err loc "struct/union %s contains itself" tag;
+    if not (Hashtbl.mem sized tag) then begin
+      List.iter
+        (fun (f : Ir.fieldinfo) -> Option.iter (nest loc (tag :: path)) (by_value f.Ir.fty))
+        (Ir.comp_find env.prog tag).Ir.cfields;
+      Hashtbl.replace sized tag ()
+    end
+  in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun (g, loc) -> match g with Ast.Gcomp (_, tag, _) -> nest loc [] tag | _ -> ())
         u.Ast.globals)
     units
 

@@ -1431,6 +1431,9 @@ type uop =
   | Ucheck2 of bool * string * operand * operand (* strict, reason *)
   | Ucknonnull of string * operand
   | Unop (* fuel-only step: dead move, loop-iteration charge *)
+  | Utrap of Trap.kind * string
+    (* a malformed instruction: describing it trapped, and running it
+       raises that trap, as the tree-walker does only when executed *)
 
 let[@inline] ofetch (env : env) (o : operand) : int64 =
   match o with Oc v -> v | Oreg i -> rget env.regs i | Odyn f -> f env
@@ -1536,6 +1539,7 @@ let run_uop (env : env) (u : uop) : unit =
       c_check env;
       if ofetch env o = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason
   | Unop -> ()
+  | Utrap (k, m) -> raise (Trap.Trap (k, m))
 
 (* ------------------------------------------------------------------ *)
 (* Calls (runtime entry points, shared with instruction closures).    *)
@@ -1629,33 +1633,25 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
   let prog = ctx.cc.prog in
   match instr with
   | I.Iset (lv, e) -> (
+      (* Struct assignment, a block copy between lvalues: every other
+         [Iset] describes as a micro-op ([describe_set]). *)
       let ty = lval_type_c lv in
-      match ty with
-      | I.Tcomp _ -> (
-          (* Struct assignment: block copy between lvalues. *)
-          match e.I.e with
-          | I.Elval src_lv ->
-              let cdst = caddr_of ctx lv in
-              let csrc = caddr_of ctx src_lv in
-              let size = Kc.Layout.size_of prog ty in
-              let chg = size / 4 in
-              fun env ->
-                Machine.burn_fuel env.m;
-                let dst = cdst env in
-                let src = csrc env in
-                Cost.charge env.cost chg;
-                Mem.blit_copy env.mem ~src ~dst size
-          | _ ->
-              fun env ->
-                Machine.burn_fuel env.m;
-                Trap.trap Trap.Panic "struct assignment from non-lvalue")
-      | _ ->
-          let ce = cexp ctx e in
-          let cw = cwrite ctx lv in
+      match e.I.e with
+      | I.Elval src_lv ->
+          let cdst = caddr_of ctx lv in
+          let csrc = caddr_of ctx src_lv in
+          let size = Kc.Layout.size_of prog ty in
+          let chg = size / 4 in
           fun env ->
             Machine.burn_fuel env.m;
-            let v = ce env in
-            cw env v)
+            let dst = cdst env in
+            let src = csrc env in
+            Cost.charge env.cost chg;
+            Mem.blit_copy env.mem ~src ~dst size
+      | _ ->
+          fun env ->
+            Machine.burn_fuel env.m;
+            Trap.trap Trap.Panic "struct assignment from non-lvalue")
   | I.Icall (ret, target, args) -> (
       let cargs = Array.of_list (List.map (cexp ctx) args) in
       let nargs = Array.length cargs in
@@ -1830,21 +1826,24 @@ and describe_set ctx (lv : I.lval) (e : I.exp) : uop option =
 and describe_instr ctx (i : I.instr) : uop option =
   match i with
   | I.Iset (lv, e) -> describe_set ctx lv e
-  | I.Icheck (I.Ck_nonnull e, reason) -> Some (Ucknonnull (reason, classify ctx e))
+  (* A check charges before it fetches its operands, so an operand's
+     compile-time trap is deferred into the fetch, after the charge. *)
+  | I.Icheck (I.Ck_nonnull e, reason) -> Some (Ucknonnull (reason, classify_safe ctx e))
   | I.Icheck (I.Ck_le (a, b), reason) ->
-      Some (Ucheck2 (false, reason, classify ctx a, classify ctx b))
+      Some (Ucheck2 (false, reason, classify_safe ctx a, classify_safe ctx b))
   | I.Icheck (I.Ck_lt (a, b), reason) ->
-      Some (Ucheck2 (true, reason, classify ctx a, classify ctx b))
+      Some (Ucheck2 (true, reason, classify_safe ctx a, classify_safe ctx b))
   | _ -> None
 
 (* One micro-op per mid-level item, or [None] where the item has no
    uop form. Described once per block: the flat attempt and the
    per-item fallback share the descriptors, so every specialization
    site is compiled (and counted) once. A compile-time trap while
-   describing yields [None]; the generic closure then defers it. *)
+   describing is kept as [Utrap]: the item burns its fuel, then
+   raises, so dead code stays equivalent. *)
 and describe_mi ctx (item : mi) : uop option =
   match item with
-  | Mi i -> ( try describe_instr ctx i with Trap.Trap _ -> None)
+  | Mi i -> ( try describe_instr ctx i with Trap.Trap (k, m) -> Some (Utrap (k, m)))
   | Mfuel | Mdeadmove -> Some Unop
   | Mscope_enter | Mscope_exit _ | Mretval _ -> None
 
@@ -2047,32 +2046,10 @@ and codegen_block_flat ctx ~self (us : uop option list) (mt : mterm) : (env -> i
                 done;
                 tail env))
 
+(* The checks [describe_instr] has no micro-op for. *)
 and compile_check_generic ctx (ck : I.check) (reason : string) : env -> unit =
   match ck with
-  | I.Ck_nonnull e ->
-      let ce = cexp ctx e in
-      fun env ->
-        Machine.burn_fuel env.m;
-        Cost.op_check env.cost;
-        if ce env = 0L then Trap.trap Trap.Check_failed "null pointer: %s" reason
-  | I.Ck_le (a, b) ->
-      let ca = cexp ctx a in
-      let cb = cexp ctx b in
-      fun env ->
-        Machine.burn_fuel env.m;
-        Cost.op_check env.cost;
-        let x = ca env in
-        let y = cb env in
-        if x > y then Trap.trap Trap.Check_failed "%s (%Ld > %Ld)" reason x y
-  | I.Ck_lt (a, b) ->
-      let ca = cexp ctx a in
-      let cb = cexp ctx b in
-      fun env ->
-        Machine.burn_fuel env.m;
-        Cost.op_check env.cost;
-        let x = ca env in
-        let y = cb env in
-        if x >= y then Trap.trap Trap.Check_failed "%s (%Ld >= %Ld)" reason x y
+  | I.Ck_nonnull _ | I.Ck_le _ | I.Ck_lt _ -> assert false (* [Ucknonnull], [Ucheck2] *)
   | I.Ck_nt_next (e, width) ->
       let ce = cexp ctx e in
       fun env ->

@@ -937,6 +937,80 @@ let test_stats_skip_marker () =
     | [ _; seen; _; iters; _ ] -> seen <> "0" && iters <> "-"
     | _ -> false)
 
+(* ---- the domain is part of the ifaces value ---------------------- *)
+
+(* The checks left in a program's bodies. *)
+let residual_checks (p : Kc.Ir.program) : Kc.Ir.instr list =
+  let acc = ref [] in
+  List.iter
+    (fun (fd : Kc.Ir.fundec) ->
+      Kc.Ir.iter_instrs
+        (fun i -> match i with Kc.Ir.Icheck _ -> acc := i :: !acc | _ -> ())
+        fd.Kc.Ir.fbody)
+    p.Kc.Ir.funcs;
+  !acc
+
+(* On the deputized corpus+workloads unit (as [bench --absint-wall]
+   builds it), discharge under [Transfer.interval_only] credits no
+   relational proof, and every check it proves the product proves too.
+   Both arms' counts are pinned: these are the figures the environment
+   switch the value replaced produced. *)
+let test_interval_only_arm () =
+  let base = Kernel.Workloads.load ~fresh:true () in
+  ignore (Deputy.Dreport.deputize ~optimize:true base);
+  let run ifaces =
+    let p = Kc.Ir.copy_program base in
+    let st = Absint.Discharge.run ~ifaces p in
+    ( Absint.Discharge.
+        (checks_seen st, checks_proved st, checks_proved_iv st, checks_proved_rel st),
+      residual_checks p )
+  in
+  let counts = Alcotest.(pair (pair int int) (pair int int)) in
+  let pairs (a, b, c, d) = ((a, b), (c, d)) in
+  let product, product_left = run (Absint.Relsum.compute base) in
+  let interval, interval_left = run Absint.Transfer.interval_only in
+  Alcotest.check counts "product: seen, proved, interval, relational" ((80, 37), (33, 4))
+    (pairs product);
+  Alcotest.check counts "interval-only: seen, proved, interval, relational" ((80, 29), (29, 0))
+    (pairs interval);
+  Alcotest.(check bool) "every check interval-only proves, the product proves" true
+    (List.for_all (fun c -> List.memq c interval_left) product_left)
+
+(* A leaf's key has no callee part, so only the zone flag in
+   [Summary.inputs] tells its two solves apart: one memo shared by a
+   product and an interval-only computation must give each its own
+   domain's summary. [leaf] returns [a] in [0,50] only through the
+   zone ([a <= b <= 50]); intervals alone keep [0,100]. *)
+let test_shared_memo_keys_domain () =
+  let prog =
+    parse
+      "long leaf(long a, long b) { if (a < 0) return 0; if (a > 100) return 0; if (b < a) \
+       return 0; if (b > 50) return 0; return a; }\n"
+  in
+  let cache = Hashtbl.create 4 and solves = ref 0 in
+  let memo (fd : Kc.Ir.fundec) ~inputs solve =
+    let key = (fd.Kc.Ir.fname, inputs) in
+    match Hashtbl.find_opt cache key with
+    | Some v -> Lazy.from_val v
+    | None ->
+        incr solves;
+        let v = solve () in
+        Hashtbl.replace cache key v;
+        Lazy.from_val v
+  in
+  let leaf memo ifaces =
+    Absint.Aval.to_string (SM.find "leaf" (Absint.Summary.compute ~ifaces ~memo prog))
+  in
+  let fresh = Absint.Summary.no_memo in
+  let product = Absint.Relsum.compute prog and interval = Absint.Transfer.interval_only in
+  Alcotest.(check string) "product through the memo" (leaf fresh product) (leaf memo product);
+  Alcotest.(check string) "interval-only through the same memo" (leaf fresh interval)
+    (leaf memo interval);
+  Alcotest.(check bool) "the domains disagree on the leaf" true
+    (leaf fresh product <> leaf fresh interval);
+  ignore (leaf memo product);
+  Alcotest.(check int) "one solve per domain" 2 !solves
+
 let () =
   let seed =
     match Sys.getenv_opt "QCHECK_SEED" with
@@ -1003,5 +1077,10 @@ let () =
         [
           Alcotest.test_case "corpus: demanded = full" `Quick test_demand_corpus;
           Alcotest.test_case "generated: demanded = full" `Quick test_demand_generated;
+        ] );
+      ( "domain",
+        [
+          Alcotest.test_case "corpus: interval-only arm" `Quick test_interval_only_arm;
+          Alcotest.test_case "shared memo keys the domain" `Quick test_shared_memo_keys_domain;
         ] );
     ]

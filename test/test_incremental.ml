@@ -258,7 +258,8 @@ let test_pointer_edit_matches_cold () =
   let iface ctxt =
     Option.map
       (fun (i : Absint.Transfer.fn_iface) -> i.Absint.Transfer.ret_nonnull)
-      (Absint.Transfer.SM.find_opt "keep" (Engine.Context.relsum_ifaces ctxt))
+      (Absint.Transfer.SM.find_opt "keep"
+         (Engine.Context.relsum_ifaces ctxt).Absint.Transfer.facts)
   in
   let escapes ctxt =
     Option.map
@@ -614,13 +615,12 @@ module Ref_deps = struct
         (fun (fd : Kc.Ir.fundec) -> if fd.Kc.Ir.fextern then None else Some fd.Kc.Ir.fname)
         prog.Kc.Ir.funcs
     in
-    let relsum = if Absint.Domain.relational () then [ K.relsum ] else [] in
     [
       (K.callgraph P.Type_based, [ K.pointsto P.Type_based ]);
       (K.callgraph P.Field_based, [ K.pointsto P.Field_based ]);
       (K.blocking P.Type_based, [ K.callgraph P.Type_based ]);
-      (K.summaries, relsum @ (K.instrumented :: List.map K.cfg defined));
-      (K.deputized, relsum @ [ K.summaries; K.instrumented ]);
+      (K.summaries, K.relsum :: K.instrumented :: List.map K.cfg defined);
+      (K.deputized, [ K.relsum; K.summaries; K.instrumented ]);
       (K.ccount_discharged, [ K.refsafe_summaries ]);
       (K.check "blockstop", [ K.blocking P.Type_based ]);
       (K.check "locksafe", [ K.irq_handlers ]);

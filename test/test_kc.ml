@@ -625,6 +625,15 @@ let reject_cases =
     check_type_error "post-increment in a global initializer" "int x;\nint g = x++;";
     check_type_error "call in loop condition"
       "int g(void);\nint f(void) { while (g()) { } return 0; }";
+    check_type_error "sizeof(void)" "int f(void) { return sizeof(void); }";
+    check_type_error "void struct field"
+      "struct s { void x; }; int f(void) { return sizeof(struct s); }";
+    check_type_error "void global" "void x;\nlong f(void) { return 7; }";
+    check_type_error "array of void, local" "int f(void) { void v[3]; return 0; }";
+    check_type_error "array of void, field" "struct s { void x[2]; };";
+    check_type_error "struct holding itself by value" "struct s { int a; struct s x; };";
+    check_type_error "structs holding each other by value"
+      "struct a { struct b y[2]; }; struct b { struct a x; };";
     check_parse_error "unterminated block" "int f(void) { return 0;";
     check_parse_error "bad token" "int f(void) { return $; }";
     check_parse_error "missing semicolon" "int f(void) { return 0 }";

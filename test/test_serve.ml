@@ -361,9 +361,9 @@ let test_serve_reparses_changed_units () =
 
 (* The frontend cannot take the daemon down. A call in a global
    initializer used to raise [Invalid_argument] out of [handle_line];
-   it is a located type error now. [sizeof(void)] still raises an
-   exception the frontend does not locate, which is answered as an
-   internal error that leaves the program's entry as it was. *)
+   it is a located type error now, as is [sizeof(void)], which used to
+   escape as an unlocated layout error. A failed check leaves the
+   program's entry as it was. *)
 let test_serve_survives_frontend_exceptions () =
   let t = Ivy.Serve.create () in
   let r, _ =
@@ -380,7 +380,7 @@ let test_serve_survives_frontend_exceptions () =
   Alcotest.(check bool) "stats answered" true (get [ "result"; "requests" ] s <> None);
   ignore (respond t (check_request ~id:3 src_v1));
   let r, _ = respond t (check_request ~id:4 "int f(void) { return sizeof(void); }") in
-  Alcotest.(check (option int)) "unlocated exception: internal error" (Some 4) (error_code r);
+  Alcotest.(check (option int)) "sizeof(void): frontend error" (Some 1) (error_code r);
   let r, _ = respond t (check_request ~id:5 src_v1) in
   Alcotest.(check (option bool)) "entry untouched: the resubmit reuses its source" (Some true)
     (result_bool [ "reused_source" ] r);

@@ -25,6 +25,7 @@ type obs = {
   frees : int;
   max_depth : int;
   bad_frees : int;
+  fuel : int; (* fuel left *)
 }
 
 let observe (t : Vm.Interp.t) (fn : string) (args : int64 list) : obs =
@@ -46,12 +47,14 @@ let observe (t : Vm.Interp.t) (fn : string) (args : int64 list) : obs =
     frees = c.Vm.Cost.frees;
     max_depth = t.Vm.Interp.max_call_depth;
     bad_frees = (Vm.Machine.free_census t.Vm.Interp.m).Vm.Machine.bad;
+    fuel = t.Vm.Interp.m.Vm.Machine.fuel_left;
   }
 
 let pp_obs o =
-  Printf.sprintf "{%s cyc=%d ld=%d st=%d call=%d chk=%d rc=%d al=%d fr=%d depth=%d bad=%d}"
+  Printf.sprintf "{%s cyc=%d ld=%d st=%d call=%d chk=%d rc=%d al=%d fr=%d depth=%d bad=%d fuel=%d}"
     (match o.outcome with Ok v -> Printf.sprintf "ok %Ld" v | Error m -> "trap " ^ m)
     o.cycles o.loads o.stores o.calls o.checks o.rc_ops o.allocs o.frees o.max_depth o.bad_frees
+    o.fuel
 
 let check_obs_equal where (tree : obs) (compiled : obs) =
   if tree <> compiled then
@@ -194,6 +197,64 @@ let test_oob_shapes () =
       ("oob-loop", Gen.Prog.F_oob_loop { bound = 5 });
       ("oob-cast", Gen.Prog.F_oob_cast { delta = 9 });
     ]
+
+(* ---- malformed instructions --------------------------------------- *)
+
+(* IR no frontend emits: a store through a non-pointer, and a bound
+   check whose second operand reads through one. Describing either
+   traps at compile time; the compiled engine must raise that trap
+   only when the instruction runs, after exactly the charges the
+   tree-walker makes first (the check's charge and its first
+   operand's load), and must run the function normally when the
+   instruction is dead. *)
+let malformed_cases =
+  let open Kc.Ir in
+  let long n = const_int ~ty:long_type n in
+  let read lv = mk_exp (Elval lv) long_type in
+  [
+    ("store through a non-pointer", fun _ -> Iset ((Lmem (long 8L), []), long 5L));
+    ( "bound check reading through a non-pointer",
+      fun (g : varinfo) ->
+        Icheck (Ck_le (read (Lvar g, []), read (Lmem (long 8L), [])), "malformed bound") );
+  ]
+
+(* [x = 3] under [if (live)] becomes the malformed instruction. *)
+let malformed_prog mk () =
+  let open Kc.Ir in
+  let p =
+    Kc.Typecheck.check_sources
+      [
+        ( "malformed.kc",
+          "long g;\nlong main(long live) { long x; x = 1; if (live) { x = 3; } return x + g; }\n"
+        );
+      ]
+  in
+  let g = fst (List.find (fun ((v : varinfo), _) -> v.vname = "g") p.globals) in
+  let fd = Option.get (find_fun p "main") in
+  let replaced = ref 0 in
+  fd.fbody <-
+    List.map
+      (fun s ->
+        match s.sk with
+        | Sif (c, [ t ], e) ->
+            incr replaced;
+            { s with sk = Sif (c, [ { t with sk = Sinstr (mk g) } ], e) }
+        | _ -> s)
+      fd.fbody;
+  Alcotest.(check int) "one branch rewritten" 1 !replaced;
+  p
+
+let test_malformed_instrs () =
+  List.iter
+    (fun (name, mk) ->
+      (* dead first, then live, on one machine per engine *)
+      differential name (malformed_prog mk) [ ("main", [ 0L ]); ("main", [ 1L ]) ];
+      let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled (malformed_prog mk ()) in
+      Alcotest.(check int64) (name ^ ": dead run completes") 1L (Vm.Interp.run t "main" [ 0L ]);
+      match Vm.Interp.run t "main" [ 1L ] with
+      | v -> Alcotest.failf "%s: live run returned %Ld, expected a trap" name v
+      | exception Vm.Trap.Trap (Vm.Trap.Panic, _) -> ())
+    malformed_cases
 
 (* ---- recursion depth ---------------------------------------------- *)
 
@@ -417,6 +478,7 @@ let () =
           Alcotest.test_case "fuzz batch" `Quick test_fuzz_batch;
           Alcotest.test_case "oob shapes" `Quick test_oob_shapes;
           Alcotest.test_case "recursion depth" `Quick test_call_depth;
+          Alcotest.test_case "malformed instructions" `Quick test_malformed_instrs;
         ] );
       ( "superinstructions",
         [
