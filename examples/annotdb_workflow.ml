@@ -12,19 +12,22 @@
 
 let () =
   let prog = Kernel.Corpus.load () in
+  let ctxt = Engine.Context.create prog in
 
   (* Group A cares about concurrency: they run BlockStop and record
      what may block, plus the annotations they wrote by hand. *)
   let db_a = Annotdb.create () in
   Annotdb.add_source_annotations db_a prog;
-  let cg = Blockstop.Callgraph.build prog in
-  Annotdb.add_blockstop_facts db_a (Blockstop.Blocking.compute cg);
+  Annotdb.add_blockstop_facts db_a (Engine.Context.blocking ctxt);
   Printf.printf "group A (concurrency): %d facts\n" (Annotdb.size db_a);
 
   (* Group B cares about resources: stack budgets and error codes,
      plus Deputy's annotation suggestions for the unannotated code. *)
   let db_b = Annotdb.create () in
-  Annotdb.add_stackcheck_facts db_b (Stackcheck.analyze prog);
+  Annotdb.add_stackcheck_facts db_b
+    (Stackcheck.analyze
+       ~cg:(Engine.Context.callgraph ~mode:Blockstop.Pointsto.Field_based ctxt)
+       prog);
   Annotdb.add_errcheck_facts db_b (Errcheck.analyze prog);
   Annotdb.add_infer_facts db_b prog;
   Printf.printf "group B (resources):   %d facts\n" (Annotdb.size db_b);

@@ -161,7 +161,7 @@ int harness(void) {
   (* ---------- BlockStop: allocation under the lock ---------- *)
   banner "BlockStop: GFP_KERNEL under a spinlock";
   let prog_b = Kc.Typecheck.check_sources [ ("chr.kc", driver_src ~fixed:true) ] in
-  let r = Blockstop.Breport.analyze prog_b in
+  let r = Blockstop.Breport.analyze (Engine.Context.callgraph (Engine.Context.create prog_b)) in
   List.iter
     (fun (f, c) -> Printf.printf "static warning: %s may block inside %s\n" c f)
     (Blockstop.Breport.distinct_warnings r);

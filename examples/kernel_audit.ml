@@ -8,6 +8,9 @@ let banner title =
 
 let () =
   let prog = Kernel.Corpus.load () in
+  (* One engine context: the analyses below share its call graphs and
+     interrupt-handler facts, as `ivy check` does. *)
+  let ctxt = Engine.Context.create prog in
   Printf.printf "auditing the mini-kernel: %d lines, %d functions\n"
     (Kernel.Corpus.line_count ())
     (List.length prog.Kc.Ir.funcs);
@@ -31,27 +34,29 @@ let () =
     t.Vm.Interp.m.Vm.Machine.bad_frees;
 
   banner "3. BlockStop (blocking in atomic context)";
-  let bprog = Kernel.Corpus.load () in
-  let braw = Blockstop.Breport.analyze bprog in
+  let cg = Engine.Context.callgraph ctxt in
+  let braw = Blockstop.Breport.analyze cg in
   Format.printf "%a@." Blockstop.Breport.pp braw;
   List.iter
     (fun (f, c) ->
       let mark = if List.mem (f, c) Kernel.Corpus.blockstop_true_bugs then "BUG" else "fp?" in
       Printf.printf "  [%s] %s -> %s\n" mark f c)
     (Blockstop.Breport.distinct_warnings braw);
-  let bguard =
-    Blockstop.Breport.analyze ~guard:Kernel.Corpus.blockstop_guards bprog
-  in
+  let bguard = Blockstop.Breport.analyze ~guard:Kernel.Corpus.blockstop_guards cg in
   Printf.printf "after %d runtime-check guards: %d warnings (the real bugs)\n"
     (List.length Kernel.Corpus.blockstop_guards)
     (List.length (Blockstop.Breport.distinct_warnings bguard));
 
   banner "4. Locksafe (deadlock order, irq spinlocks)";
-  let lreport = Locksafe.analyze prog in
+  let lreport = Locksafe.analyze ~handlers:(Engine.Context.irq_handlers ctxt) prog in
   Format.printf "%a@." Locksafe.pp lreport;
 
   banner "5. Stackcheck (stack budgets)";
-  let sreport = Stackcheck.analyze prog in
+  let sreport =
+    Stackcheck.analyze
+      ~cg:(Engine.Context.callgraph ~mode:Blockstop.Pointsto.Field_based ctxt)
+      prog
+  in
   Format.printf "%a@." Stackcheck.pp sreport;
   Printf.printf "boot fits 4 kB: %b\n"
     (Stackcheck.fits sreport ~entry:"start_kernel" ~budget:4096);

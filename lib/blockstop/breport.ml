@@ -12,21 +12,15 @@ type report = {
   guarded : SS.t;
 }
 
-(* Run the whole BlockStop pipeline. [guard] names functions that get
-   the manual runtime check (and are excluded from propagation). A
-   caller already holding a call graph (the engine) passes it via [cg]
-   and pays no rebuild; the report's mode is then the prebuilt graph's
+(* Blocking propagation and the atomic-region analysis over [cg].
+   [guard] names functions that get the manual runtime check (and are
+   excluded from propagation). The report's mode is the graph's
    points-to mode. *)
-let analyze ?(mode = Pointsto.Type_based) ?cg ?(guard = []) (prog : I.program) : report =
-  let cg, mode =
-    match cg with
-    | Some cg -> (cg, cg.Callgraph.pointsto.Pointsto.mode)
-    | None -> (Callgraph.build ~mode prog, mode)
-  in
+let analyze ?(guard = []) (cg : Callgraph.t) : report =
   let bl = Blocking.compute ~guarded:(SS.of_list guard) cg in
   let result = Atomic.analyze bl in
   {
-    mode;
+    mode = cg.Callgraph.pointsto.Pointsto.mode;
     edges = Callgraph.n_edges cg;
     blocking_functions = Blocking.blocking_count bl;
     warnings = result.Atomic.warnings;

@@ -11,19 +11,13 @@ type report = {
   guarded : SS.t;
 }
 
-(** Run the whole pipeline: points-to, call graph, blocking
-    propagation, atomic-region analysis. [guard] names functions that
+(** Blocking propagation and the atomic-region analysis over a call
+    graph (an engine context's [Context.callgraph]); the report's
+    [mode] is the graph's points-to mode. [guard] names functions that
     carry the manual [assert_not_atomic] runtime check (excluded from
     propagation; {!Bcheck.guard_functions} compiles the checks into
-    the program for the VM). [cg] supplies a prebuilt call graph (e.g.
-    the engine's cached one) so callers holding one don't pay a
-    rebuild; the report's [mode] then comes from the prebuilt graph. *)
-val analyze :
-  ?mode:Pointsto.mode ->
-  ?cg:Callgraph.t ->
-  ?guard:string list ->
-  Kc.Ir.program ->
-  report
+    the program for the VM). *)
+val analyze : ?guard:string list -> Callgraph.t -> report
 
 (** Warnings deduplicated to (containing function, callee) pairs. *)
 val distinct_warnings : report -> (string * string) list

@@ -135,13 +135,14 @@ type e4 = {
 }
 
 let e4_blockstop () : e4 =
-  let prog = Kernel.Workloads.load () in
-  let unguarded = Blockstop.Breport.analyze ~mode:Blockstop.Pointsto.Type_based prog in
+  let ctxt = Engine.Context.create (Kernel.Workloads.load ()) in
+  let cg mode = Engine.Context.callgraph ~mode ctxt in
+  let unguarded = Blockstop.Breport.analyze (cg Blockstop.Pointsto.Type_based) in
   let guarded =
-    Blockstop.Breport.analyze ~mode:Blockstop.Pointsto.Type_based
-      ~guard:Kernel.Corpus.blockstop_guards prog
+    Blockstop.Breport.analyze ~guard:Kernel.Corpus.blockstop_guards
+      (cg Blockstop.Pointsto.Type_based)
   in
-  let field_based = Blockstop.Breport.analyze ~mode:Blockstop.Pointsto.Field_based prog in
+  let field_based = Blockstop.Breport.analyze (cg Blockstop.Pointsto.Field_based) in
   let distinct = Blockstop.Breport.distinct_warnings unguarded in
   let true_bugs = Kernel.Corpus.blockstop_true_bugs in
   let is_true (f, c) = List.mem (f, c) true_bugs in
@@ -283,11 +284,14 @@ int stage_init(void) {
   )
 
 let x1_locksafe () : x1 =
-  let corpus_report = Locksafe.analyze (Kernel.Corpus.load ()) in
-  let seeded =
-    Kc.Typecheck.check_sources (Kernel.Corpus.sources () @ [ locksafe_seed_unit ])
+  let locksafe prog =
+    Locksafe.analyze ~handlers:(Engine.Context.irq_handlers (Engine.Context.create prog)) prog
   in
-  { corpus_report; seeded_report = Locksafe.analyze seeded }
+  {
+    corpus_report = locksafe (Kernel.Corpus.load ());
+    seeded_report =
+      locksafe (Kc.Typecheck.check_sources (Kernel.Corpus.sources () @ [ locksafe_seed_unit ]));
+  }
 
 type x2 = {
   stack : Stackcheck.result;
@@ -296,8 +300,12 @@ type x2 = {
 }
 
 let x2_stackcheck () : x2 =
-  let prog = Kernel.Workloads.load () in
-  let stack = Stackcheck.analyze prog in
+  let ctxt = Engine.Context.create (Kernel.Workloads.load ()) in
+  let stack =
+    Stackcheck.analyze
+      ~cg:(Engine.Context.callgraph ~mode:Blockstop.Pointsto.Field_based ctxt)
+      (Engine.Context.program ctxt)
+  in
   {
     stack;
     fits_4k = Stackcheck.fits stack ~entry:Kernel.Corpus.boot_entry ~budget:4096;

@@ -70,6 +70,11 @@ let define_local env (v : Ir.varinfo) =
 let size_of env loc ty =
   try Layout.size_of env.prog ty with Layout.Layout_error msg -> err loc "%s" msg
 
+(* Pointer arithmetic steps by the pointee's size, so [void *] and
+   function pointers take none. *)
+let require_step env loc (p : Ir.exp) =
+  match p.Ir.ety with Ir.Tptr (t, _) -> ignore (size_of env loc t) | _ -> ()
+
 (* A variable or field needs a size: its type may be neither void nor
    a function type, nor an array of either. *)
 let require_size loc what name (ty : Ir.ty) =
@@ -343,7 +348,9 @@ and elab_lval env acc (e : Ast.expr) : Ir.lval =
          arithmetic then Lmem. *)
       match classify_array_or_ptr env acc arr with
       | `Array lv -> (fst lv, snd lv @ [ Ir.Oindex i ])
-      | `Ptr p -> (Ir.Lmem (Ir.mk_exp (Ir.Ebinop (Ast.Add, p, i)) p.Ir.ety), []))
+      | `Ptr p ->
+          require_step env loc p;
+          (Ir.Lmem (Ir.mk_exp (Ir.Ebinop (Ast.Add, p, i)) p.Ir.ety), []))
   | Ast.Efield (e1, fname) -> (
       let lv = elab_lval env acc e1 in
       match type_of_lval env loc lv with
@@ -523,10 +530,14 @@ and apply_binop env loc op (a : Ir.exp) (b : Ir.exp) : Ir.exp =
   | Ast.Add | Ast.Sub -> (
       match (a.Ir.ety, b.Ir.ety) with
       | Ir.Tptr _, Ir.Tint _ ->
+          require_step env loc a;
           Ir.mk_exp (Ir.Ebinop (op, a, convert env loc Ir.long_type b)) a.Ir.ety
       | Ir.Tint _, Ir.Tptr _ when op = Ast.Add ->
+          require_step env loc b;
           Ir.mk_exp (Ir.Ebinop (op, b, convert env loc Ir.long_type a)) b.Ir.ety
       | Ir.Tptr _, Ir.Tptr _ when op = Ast.Sub ->
+          require_step env loc a;
+          require_step env loc b;
           Ir.mk_exp (Ir.Ebinop (op, a, b)) Ir.long_type
       | Ir.Tint _, Ir.Tint _ ->
           let ty = common_int_type loc a.Ir.ety b.Ir.ety in
@@ -777,9 +788,15 @@ let rec elab_init env loc (ty : Ir.ty) (i : Ast.init) : Ir.ginit =
            items)
   | Ast.Ilist _, _ -> err loc "brace initializer for scalar type"
 
-let declare_function env loc (fname : string) fret fparams fannots fstatic ~has_body =
+(* A definition completes an earlier prototype; it comes back with the
+   prototype's parameter types, which the definition's must match (the
+   return types are compared here). *)
+let declare_function env loc (fname : string) fret fannots fstatic ~has_body =
   match Ir.find_fun env.prog fname with
-  | Some existing when has_body && existing.Ir.fextern -> Some existing
+  | Some existing when has_body && existing.Ir.fextern ->
+      if not (Ir.eq_erased (resolve_type env loc fret) existing.Ir.fret) then
+        err loc "conflicting types for %s" fname;
+      Some (existing, Some (List.map (fun (v : Ir.varinfo) -> v.Ir.vty) existing.Ir.sformals))
   | Some _ when not has_body -> None (* redeclaration *)
   | Some _ -> err loc "function %s is defined twice" fname
   | None ->
@@ -799,11 +816,10 @@ let declare_function env loc (fname : string) fret fparams fannots fstatic ~has_
         }
       in
       Hashtbl.replace env.prog.Ir.fun_by_name fname fd;
-      ignore fparams;
-      Some fd
+      Some (fd, None)
 
-let elab_function_body env loc (fd : Ir.fundec) (fparams : Ast.param list) (body : Ast.block option)
-    =
+let elab_function_body ?proto env loc (fd : Ir.fundec) (fparams : Ast.param list)
+    (body : Ast.block option) =
   (* Formals: declared in scope before their (possibly dependent)
      types are resolved, so __count may reference any parameter. *)
   push_scope env;
@@ -832,6 +848,13 @@ let elab_function_body env loc (fd : Ir.fundec) (fparams : Ast.param list) (body
       let ty = match ty with Ir.Tarray (t, _) -> Ir.Tptr (t, Ir.no_annots) | t -> t in
       v.Ir.vty <- ty)
     formals fparams;
+  Option.iter
+    (fun ptys ->
+      if
+        List.compare_lengths ptys formals <> 0
+        || not (List.for_all2 (fun t (v : Ir.varinfo) -> Ir.eq_erased t v.Ir.vty) ptys formals)
+      then err loc "conflicting types for %s" fd.Ir.fname)
+    proto;
   (* Annotation expressions were elaborated against placeholder formal
      types; re-validate them now that every formal has its real type. *)
   let validate_count_exp (e : Ir.exp) =
@@ -887,14 +910,12 @@ let elab_global env ((g, loc) : Ast.global * Loc.t) =
         env.prog.Ir.globals <- (v, init) :: env.prog.Ir.globals
       end
   | Ast.Gfun { fname; fret; fparams; fannots; fbody; fstatic; floc } -> (
-      match
-        declare_function env floc fname fret fparams fannots fstatic ~has_body:(fbody <> None)
-      with
+      match declare_function env floc fname fret fannots fstatic ~has_body:(fbody <> None) with
       | None -> ()
-      | Some fd ->
+      | Some (fd, proto) ->
           if fbody <> None then begin
             fd.Ir.fextern <- false;
-            elab_function_body env floc fd fparams fbody;
+            elab_function_body ?proto env floc fd fparams fbody;
             fd.Ir.slocals <- List.rev fd.Ir.slocals;
             env.prog.Ir.funcs <- fd :: env.prog.Ir.funcs
           end

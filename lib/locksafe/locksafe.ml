@@ -121,10 +121,7 @@ let scan_function (prog : I.program) (fd : I.fundec) ~(entry_held : SS.t) ~(in_i
   ignore (walk_block entry_held fd.I.fbody);
   !sites
 
-let analyze ?handlers (prog : I.program) : report =
-  let handlers =
-    match handlers with Some h -> h | None -> Blockstop.Atomic.irq_handlers prog
-  in
+let analyze ~handlers (prog : I.program) : report =
   (* Fixpoint: (held-at-entry, irq-reachable) per function. *)
   let entry_held : (string, SS.t) Hashtbl.t = Hashtbl.create 64 in
   let irq_reach = ref (SS.union handlers SS.empty) in

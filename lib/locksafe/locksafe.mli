@@ -32,7 +32,7 @@ type report = {
       (** irq-context locks also taken in process context without irqsave *)
 }
 
-(** [handlers] supplies precomputed interrupt-handler facts (e.g. the
-    engine's cached {!Blockstop.Atomic.irq_handlers}). *)
-val analyze : ?handlers:SS.t -> Kc.Ir.program -> report
+(** [handlers] are the program's interrupt handlers (an engine
+    context's [Context.irq_handlers]). *)
+val analyze : handlers:SS.t -> Kc.Ir.program -> report
 val pp : Format.formatter -> report -> unit

@@ -51,8 +51,7 @@ type result = {
 
 (* Max-depth over the call graph with cycle detection (DFS, memoized).
    Depth of f = frame(f) + max over callees. Unbounded if recursive. *)
-let analyze ?(mode = Blockstop.Pointsto.Field_based) ?cg (prog : I.program) : result =
-  let cg = match cg with Some cg -> cg | None -> Blockstop.Callgraph.build ~mode prog in
+let analyze ~(cg : Blockstop.Callgraph.t) (prog : I.program) : result =
   let frames =
     List.fold_left
       (fun m (fd : I.fundec) -> SM.add fd.I.fname (frame_size prog fd) m)

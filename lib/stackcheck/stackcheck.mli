@@ -22,11 +22,10 @@ type result = {
   worst_bytes : int;
 }
 
-(** Analyze with the given points-to precision for function-pointer
-    calls (default field-based). [cg] supplies a prebuilt call graph
-    (e.g. the engine's cached one); [mode] is then ignored. *)
-val analyze :
-  ?mode:Blockstop.Pointsto.mode -> ?cg:Blockstop.Callgraph.t -> Kc.Ir.program -> result
+(** Analyze over [cg], whose points-to precision resolves
+    function-pointer calls (an engine context's field-based
+    [Context.callgraph], as [ivy check] uses). *)
+val analyze : cg:Blockstop.Callgraph.t -> Kc.Ir.program -> result
 
 (** Does every chain from [entry] fit in [budget] bytes? *)
 val fits : result -> entry:string -> budget:int -> bool

@@ -23,7 +23,11 @@ let preamble =
 
 let p src = preamble ^ src
 
-let analyze ?mode ?guard src = Blockstop.Breport.analyze ?mode ?guard (parse src)
+(* BlockStop over an engine context's call graph, as [ivy check] runs
+   it (type-based by default). *)
+let analyze ?mode ?guard src =
+  let ctxt = Engine.Context.create (parse src) in
+  Blockstop.Breport.analyze ?guard (Engine.Context.callgraph ?mode ctxt)
 
 let warn_pairs r = Blockstop.Breport.distinct_warnings r
 

@@ -125,15 +125,17 @@ let test_breport_reuses_prebuilt_callgraph () =
   let prog = small_prog () in
   let ctxt = Engine.Context.create prog in
   let cg = Engine.Context.callgraph ctxt in
-  let r = Blockstop.Breport.analyze ~cg prog in
+  let r = Blockstop.Breport.analyze cg in
   Alcotest.(check int) "edges from the prebuilt graph"
     (Blockstop.Callgraph.n_edges cg) r.Blockstop.Breport.edges;
   Alcotest.(check int) "no extra callgraph build" 1
     (stat ctxt "callgraph(type-based)").Engine.Context.builds;
-  (* The prebuilt graph's mode wins over the [mode] argument. *)
-  let r2 = Blockstop.Breport.analyze ~mode:Blockstop.Pointsto.Field_based ~cg prog in
+  (* The report's mode is the graph's. *)
+  let r2 =
+    Blockstop.Breport.analyze (Engine.Context.callgraph ~mode:Blockstop.Pointsto.Field_based ctxt)
+  in
   Alcotest.(check bool) "report mode comes from the prebuilt graph" true
-    (r2.Blockstop.Breport.mode = Blockstop.Pointsto.Type_based)
+    (r2.Blockstop.Breport.mode = Blockstop.Pointsto.Field_based)
 
 (* ------------------------------------------------------------------ *)
 (* Unified diagnostics                                                *)

@@ -15,13 +15,26 @@ let preamble =
 
 let p src = preamble ^ src
 
+(* Locksafe over an engine context's interrupt-handler facts, as
+   [ivy check] runs it. *)
+let locksafe prog =
+  Locksafe.analyze ~handlers:(Engine.Context.irq_handlers (Engine.Context.create prog)) prog
+
+(* Stackcheck over an engine context's field-based call graph, as
+   [ivy check] runs it. *)
+let stackcheck prog =
+  Stackcheck.analyze
+    ~cg:
+      (Engine.Context.callgraph ~mode:Blockstop.Pointsto.Field_based (Engine.Context.create prog))
+    prog
+
 (* ------------------------------------------------------------------ *)
 (* Locksafe                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_lock_order_inversion () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long lock_a;\nlong lock_b;\n\
@@ -34,7 +47,7 @@ let test_lock_order_inversion () =
 
 let test_consistent_order_clean () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long lock_a;\nlong lock_b;\n\
@@ -47,7 +60,7 @@ let test_consistent_order_clean () =
 let test_interprocedural_inversion () =
   (* The second lock is taken inside a helper. *)
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long lock_a;\nlong lock_b;\n\
@@ -64,7 +77,7 @@ let test_irq_spinlock_invariant () =
   (* A lock taken in an interrupt handler and with plain spin_lock in
      process context: the paper's Linux-specific invariant. *)
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long dev_lock;\n\
@@ -77,7 +90,7 @@ let test_irq_spinlock_invariant () =
 
 let test_irqsave_is_fine () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long dev_lock;\n\
@@ -91,7 +104,7 @@ let test_irqsave_is_fine () =
 
 let test_corpus_locks_consistent () =
   let prog = Kernel.Corpus.load () in
-  let r = Locksafe.analyze prog in
+  let r = locksafe prog in
   Alcotest.(check int) "corpus has a consistent lock order" 0
     (List.length r.Locksafe.deadlock_cycles);
   Alcotest.(check bool) "corpus locks discovered" true (List.length r.Locksafe.locks >= 3)
@@ -106,7 +119,7 @@ let test_frame_sizes () =
       "int leafy(void) { char buf[256]; buf[0] = 1; return buf[0]; }\n\
        int tiny(int x) { return x + 1; }"
   in
-  let r = Stackcheck.analyze prog in
+  let r = stackcheck prog in
   let frame f = Stackcheck.SM.find f r.Stackcheck.frames in
   Alcotest.(check bool) "array counted in frame" true (frame "leafy" >= 256);
   Alcotest.(check bool) "scalar-only frame is small" true (frame "tiny" < 64)
@@ -118,7 +131,7 @@ let test_depth_accumulates () =
        int b_(void) { char b[1024]; b[0] = 1; return b[0] + c(); }\n\
        int a(void) { return b_(); }"
   in
-  let r = Stackcheck.analyze prog in
+  let r = stackcheck prog in
   let depth f = Stackcheck.SM.find f r.Stackcheck.depths in
   Alcotest.(check bool) "a deeper than b_" true (depth "a" > depth "b_");
   Alcotest.(check bool) "b_ deeper than c" true (depth "b_" > depth "c");
@@ -128,7 +141,7 @@ let test_depth_accumulates () =
 
 let test_recursion_needs_runtime_check () =
   let prog = parse "int f(int n) { if (n <= 0) { return 0; } return f(n - 1); }" in
-  let r = Stackcheck.analyze prog in
+  let r = stackcheck prog in
   Alcotest.(check (list string)) "recursive entry flagged" [ "f" ]
     (Stackcheck.needs_runtime_check r);
   Alcotest.(check bool) "depth unbounded" true (Stackcheck.SM.find "f" r.Stackcheck.depths = -1)
@@ -141,19 +154,19 @@ let test_fptr_calls_counted () =
        struct ops tbl = { deep };\n\
        int dispatch(void) { return tbl.op(1); }"
   in
-  let r = Stackcheck.analyze prog in
+  let r = stackcheck prog in
   Alcotest.(check bool) "indirect call adds callee frame" true
     (Stackcheck.SM.find "dispatch" r.Stackcheck.depths >= 2048)
 
 let test_frame_hint () =
   let prog = parse "int asmish(void) __frame_hint(512) { return 1; }" in
-  let r = Stackcheck.analyze prog in
+  let r = stackcheck prog in
   Alcotest.(check bool) "__frame_hint added" true
     (Stackcheck.SM.find "asmish" r.Stackcheck.frames >= 512)
 
 let test_corpus_stack_budget () =
   let prog = Kernel.Corpus.load () in
-  let r = Stackcheck.analyze prog in
+  let r = stackcheck prog in
   Alcotest.(check bool) "corpus has no recursion" true (r.Stackcheck.recursive = Stackcheck.SS.empty);
   Alcotest.(check bool)
     (Printf.sprintf "worst chain (%d bytes) fits the 8 kB budget" r.Stackcheck.worst_bytes)

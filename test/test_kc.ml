@@ -24,6 +24,17 @@ let check_type_error name src =
       | () -> Alcotest.failf "expected a type error, but %s checked" name
       | exception Kc.Typecheck.Type_error _ -> ())
 
+(* Each source must fail type checking with [msg] on [line]. *)
+let check_located name cases =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun (msg, line, src) ->
+          match ignore (parse_program src) with
+          | () -> Alcotest.failf "expected %S, but %S checked" msg src
+          | exception Kc.Typecheck.Type_error (m, loc) ->
+              Alcotest.(check (pair string int)) src (msg, line) (m, loc.Kc.Loc.line))
+        cases)
+
 let check_parse_error name src =
   Alcotest.test_case name `Quick (fun () ->
       match ignore (parse_program src) with
@@ -598,6 +609,9 @@ let accept_cases =
     check_ok "unsigned comparisons"
       "int f(unsigned int a, unsigned int b) { if (a < b) { return -1; } if (a > b) { return 1; } return 0; }";
     check_ok "empty statement and empty blocks" "int f(void) { ; { } ; return 0; }";
+    check_ok "definition matching its prototype"
+      "int f(int a, char *p);\nint f(int a, char *p) { return a; }\n\
+       int g(void);\nint g(void) { return f(1, 0); }";
   ]
 
 let reject_cases =
@@ -634,6 +648,34 @@ let reject_cases =
     check_type_error "struct holding itself by value" "struct s { int a; struct s x; };";
     check_type_error "structs holding each other by value"
       "struct a { struct b y[2]; }; struct b { struct a x; };";
+    (* The VM steps a pointer by its pointee's size, which void and
+       function types do not have. *)
+    check_located "pointer arithmetic needs a sized pointee"
+      (List.map
+         (fun body ->
+           ("sizeof(void)", 1, "long f(void) { char buf[4]; void *p; void *q; p = buf; q = buf; "
+                               ^ body ^ " return 0; }"))
+         [ "p = p + 1;"; "p = 1 + p;"; "p = p - 1;"; "p[1];"; "p++;"; "--p;"; "p += 1;"; "p - q;" ]
+      @ [
+          ( "sizeof(function)",
+            2,
+            "int g(int x) { return x; }
+long f(void) { int (*h)(int); h = g; h = h + 1; return 0; }"
+          );
+        ]);
+    check_located "definition conflicts with its prototype"
+      [
+        ("conflicting types for f", 2, "int f(int a);
+int f(int a, int b) { return a + b; }");
+        ("conflicting types for f", 2, "int f(int a, int b);
+int f(int a) { return a; }");
+        ("conflicting types for f", 2, "int f(void);
+long f(void) { return 1; }");
+        ("conflicting types for f", 2, "int f(int a);
+int f(long a) { return 1; }");
+        ("conflicting types for f", 2, "int f(char *p);
+int f(long *p) { return 1; }");
+      ];
     check_parse_error "unterminated block" "int f(void) { return 0;";
     check_parse_error "bad token" "int f(void) { return $; }";
     check_parse_error "missing semicolon" "int f(void) { return 0 }";

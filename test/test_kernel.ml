@@ -311,8 +311,9 @@ let test_guards_hold_at_runtime () =
    plus warnings on the guarded functions, and applying the guard list
    silences everything except the true bugs. *)
 let test_blockstop_table1_invariant () =
-  let prog = Kernel.Corpus.load ~fixed_frees:false () in
-  let unguarded = Blockstop.Breport.analyze prog in
+  let ctxt = Engine.Context.create (Kernel.Corpus.load ~fixed_frees:false ()) in
+  let cg = Engine.Context.callgraph ctxt in
+  let unguarded = Blockstop.Breport.analyze cg in
   let distinct = Blockstop.Breport.distinct_warnings unguarded in
   List.iter
     (fun bug ->
@@ -322,8 +323,7 @@ let test_blockstop_table1_invariant () =
     Kernel.Corpus.blockstop_true_bugs;
   Alcotest.(check bool) "the unguarded run also has false positives" true
     (List.exists (fun w -> not (List.mem w Kernel.Corpus.blockstop_true_bugs)) distinct);
-  let prog = Kernel.Corpus.load ~fixed_frees:false () in
-  let guarded = Blockstop.Breport.analyze ~guard:Kernel.Corpus.blockstop_guards prog in
+  let guarded = Blockstop.Breport.analyze ~guard:Kernel.Corpus.blockstop_guards cg in
   Alcotest.(check (list (pair string string)))
     "guards leave exactly the seeded true bugs"
     (List.sort compare Kernel.Corpus.blockstop_true_bugs)

@@ -14,11 +14,16 @@ let preamble =
 
 let p src = preamble ^ src
 
+(* Locksafe over an engine context's interrupt-handler facts, as
+   [ivy check] runs it. *)
+let locksafe prog =
+  Locksafe.analyze ~handlers:(Engine.Context.irq_handlers (Engine.Context.create prog)) prog
+
 (* ---- positive: bugs the analysis must report ---- *)
 
 let test_inversion_flagged () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long la;\nlong lb;\n\
@@ -31,7 +36,7 @@ let test_inversion_flagged () =
 let test_same_function_inversion_flagged () =
   (* both orders inside a single function body *)
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long la;\nlong lb;\n\
@@ -45,7 +50,7 @@ let test_same_function_inversion_flagged () =
 
 let test_irq_unsafe_flagged () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long dl;\n\
@@ -60,7 +65,7 @@ let test_irq_unsafe_flagged () =
 
 let test_consistent_order_clean () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long la;\nlong lb;\n\
@@ -72,7 +77,7 @@ let test_consistent_order_clean () =
 
 let test_irqsave_clean () =
   let r =
-    Locksafe.analyze
+    locksafe
       (parse
          (p
             "long dl;\n\

@@ -667,7 +667,10 @@ long glock2;
         ^ String.concat "
 " (List.mapi fn_src fns)
       in
-      let r = Locksafe.analyze (parse src) in
+      let prog = parse src in
+      let r =
+        Locksafe.analyze ~handlers:(Engine.Context.irq_handlers (Engine.Context.create prog)) prog
+      in
       r.Locksafe.deadlock_cycles = [])
 
 (* ------------------------------------------------------------------ *)

@@ -386,6 +386,24 @@ let test_serve_survives_frontend_exceptions () =
     (result_bool [ "reused_source" ] r);
   Alcotest.(check (option bool)) "and is warm" (Some true) (result_bool [ "warm" ] r)
 
+(* Pointer arithmetic on [void *] and a definition that conflicts with
+   its prototype are located type errors, not programs that check and
+   later fail in the VM or run under the wrong signature. *)
+let test_serve_rejects_unsound_programs () =
+  let t = Ivy.Serve.create () in
+  List.iteri
+    (fun i src ->
+      let r, _ = respond t (check_request ~id:i src) in
+      Alcotest.(check (option int)) src (Some 1) (error_code r);
+      match get [ "error"; "message" ] r with
+      | Some (J.Str m) -> Alcotest.(check bool) "located" true (names_location ~file:"t.kc" m)
+      | _ -> Alcotest.fail "error.message missing")
+    [
+      "long f(void) { char buf[4]; void *p; p = buf; p = p + 1; return 0; }";
+      "int f(int a);\nint f(int a, int b) { return a + b; }";
+      "int f(void);\nlong f(void) { return 1; }";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Socket loop                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -456,6 +474,8 @@ let () =
             test_serve_reparses_changed_units;
           Alcotest.test_case "survives frontend exceptions" `Quick
             test_serve_survives_frontend_exceptions;
+          Alcotest.test_case "rejects void arithmetic and prototype conflicts" `Quick
+            test_serve_rejects_unsound_programs;
           Alcotest.test_case "survives an early disconnect" `Quick
             test_serve_survives_early_disconnect;
         ] );
