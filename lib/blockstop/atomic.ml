@@ -1,15 +1,17 @@
 (* Atomic-region analysis: where are interrupts disabled, and which
    calls made there may block?
 
-   Intra-procedurally, a structured walk tracks the interrupt-disable
-   depth (spin_lock / local_irq_disable increment it, the unlock /
-   enable calls decrement). Branches that disagree keep the larger
-   depth — conservative, and one of the sources of false positives
-   the paper resolves with runtime checks.
-
-   Inter-procedurally, a fixpoint computes which functions can be
-   *entered* in atomic context: interrupt handlers (functions passed
-   to [request_irq]) and functions called from atomic sites. *)
+   The interrupt-disable depth is a {!Dataflow.Fsm} state over each
+   function's CFG, solved from 0: spin_lock / local_irq_disable add
+   one, the unlock / enable calls take one off (name lists read only
+   for externs), and a call to a defined function adds its net depth.
+   Paths that disagree keep the larger depth — conservative, and one
+   source of the false positives the paper resolves with runtime
+   checks. At [cap] the count is lost, so an enable keeps the depth
+   there. The depth does not depend on how a function is entered, so
+   each is solved once; the functions *entered* in atomic context —
+   irq handlers (passed to [request_irq]) and callees of atomic sites
+   — then close over the solved call sites. *)
 
 module I = Kc.Ir
 module SS = Set.Make (String)
@@ -29,85 +31,35 @@ let enablers = [ "spin_unlock"; "spin_unlock_irqrestore"; "local_irq_enable" ]
 (* Functions registered as interrupt handlers. *)
 let irq_handlers (prog : I.program) : SS.t =
   let handlers = ref SS.empty in
+  let add () (e : I.exp) = match e.I.e with I.Efun f -> handlers := SS.add f !handlers | _ -> () in
   List.iter
     (fun (fd : I.fundec) ->
       I.iter_instrs
-        (fun instr ->
-          match instr with
-          | I.Icall (_, I.Direct "request_irq", args) ->
-              List.iter
-                (fun (a : I.exp) ->
-                  I.fold_exp
-                    (fun () sub ->
-                      match sub.I.e with
-                      | I.Efun f -> handlers := SS.add f !handlers
-                      | _ -> ())
-                    () a)
-                args
+        (function
+          | I.Icall (_, I.Direct "request_irq", args) -> List.iter (I.fold_exp add ()) args
           | _ -> ())
         fd.I.fbody)
     prog.I.funcs;
   !handlers
 
-(* One pass over a function body. [entry_atomic] poisons the whole
-   body. Returns collected (callee, atomic?) pairs for the
-   inter-procedural fixpoint and emits warnings via [warn]. *)
-let scan_function (bl : Blocking.t) (fd : I.fundec) ~(entry_atomic : bool)
-    ~(warn : warning -> unit) : (Callgraph.edge * bool) list =
-  let cg = bl.Blocking.cg in
-  let sites = ref [] in
-  (* Edges of this function indexed by location for via/target info. *)
-  let edges_at : (Kc.Loc.t, Callgraph.edge list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Callgraph.edge) ->
-      let cur = match Hashtbl.find_opt edges_at e.Callgraph.loc with Some l -> l | None -> [] in
-      Hashtbl.replace edges_at e.Callgraph.loc (e :: cur))
-    (Callgraph.callees cg fd.I.fname);
-  let rec walk_block depth (b : I.block) : int =
-    List.fold_left walk_stmt depth b
-  and walk_stmt depth (s : I.stmt) : int =
-    match s.I.sk with
-    | I.Sinstr (I.Icall (_, target, _)) ->
-        let dname = match target with I.Direct n -> Some n | I.Indirect _ -> None in
-        let depth' =
-          match dname with
-          | Some n when List.mem n disablers -> depth + 1
-          | Some n when List.mem n enablers -> max 0 (depth - 1)
-          | _ -> depth
-        in
-        let atomic = entry_atomic || depth > 0 in
-        List.iter
-          (fun (e : Callgraph.edge) ->
-            sites := (e, atomic) :: !sites;
-            if atomic && Blocking.call_may_block bl e then
-              warn
-                {
-                  w_in = fd.I.fname;
-                  w_callee = e.Callgraph.callee;
-                  w_loc = e.Callgraph.loc;
-                  w_via = e.Callgraph.via;
-                  w_entry_atomic = entry_atomic && depth = 0;
-                  w_witness = Blocking.witness bl e.Callgraph.callee;
-                })
-          (match Hashtbl.find_opt edges_at s.I.sloc with Some l -> l | None -> []);
-        depth'
-    | I.Sinstr _ -> depth
-    | I.Sif (_, b1, b2) ->
-        let d1 = walk_block depth b1 and d2 = walk_block depth b2 in
-        max d1 d2
-    | I.Swhile (_, body, step) ->
-        let d = walk_block depth (body @ step) in
-        max depth d
-    | I.Sdowhile (body, _) ->
-        let d = walk_block depth body in
-        max depth d
-    | I.Sswitch (_, cases) ->
-        List.fold_left (fun acc (c : I.case) -> max acc (walk_block depth c.I.cbody)) depth cases
-    | I.Sbreak | I.Scontinue | I.Sreturn _ -> depth
-    | I.Sblock b | I.Sdelayed b | I.Strusted b -> walk_block depth b
-  in
-  ignore (walk_block 0 fd.I.fbody);
-  !sites
+let cap = 4
+
+(* The irq-disable depth, -1 where not reached. *)
+module F = Dataflow.Fsm.Make (struct
+  type t = int
+
+  let bottom = -1 and entry = 0 and equal = Int.equal and join = max
+end)
+
+let step ~effect instr d =
+  match instr with
+  | I.Icall (_, I.Direct n, _) -> (
+      match effect n with
+      | Some e -> min cap (d + e)
+      | None when List.mem n disablers -> min cap (d + 1)
+      | None when List.mem n enablers && d < cap -> max 0 (d - 1)
+      | None -> d)
+  | _ -> d
 
 type result = {
   warnings : warning list;
@@ -115,44 +67,49 @@ type result = {
   handlers : SS.t;
 }
 
-let analyze (bl : Blocking.t) : result =
-  let prog = bl.Blocking.cg.Callgraph.prog in
-  let handlers = irq_handlers prog in
+let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
+  let cg = bl.Blocking.cg and guarded = bl.Blocking.guarded in
+  let handlers = irq_handlers cg.Callgraph.prog in
+  (* Each function's call-graph edges, with the depth before the call. *)
+  let sites =
+    List.map
+      (fun ((fd : I.fundec), instrs) ->
+        let edges_at = Hashtbl.create 8 in
+        List.iter
+          (fun (e : Callgraph.edge) -> Hashtbl.add edges_at e.Callgraph.loc e)
+          (Callgraph.callees cg fd.I.fname);
+        ( fd.I.fname,
+          List.concat_map
+            (fun (_, loc, d) -> List.map (fun e -> (e, d)) (Hashtbl.find_all edges_at loc))
+            instrs ))
+      (F.solve ~cfg_of ~step cg.Callgraph.prog)
+  in
+  let sites_of = Hashtbl.of_seq (List.to_seq sites) in
   (* A guarded function carries the assert_not_atomic runtime check:
      the assertion says it is never entered in atomic context, so it
-     never joins the atomic-entry set. *)
-  let guarded = bl.Blocking.guarded in
-  (* Fixpoint on the atomic-entry set. *)
-  let atomic_entry = ref (SS.diff handlers guarded) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (fd : I.fundec) ->
-        let entry_atomic = SS.mem fd.I.fname !atomic_entry in
-        let sites = scan_function bl fd ~entry_atomic ~warn:(fun _ -> ()) in
-        List.iter
-          (fun ((e : Callgraph.edge), atomic) ->
-            if
-              atomic
-              && (not (SS.mem e.Callgraph.callee !atomic_entry))
-              && not (SS.mem e.Callgraph.callee guarded)
-            then begin
-              (* Only defined functions matter for entry contexts. *)
-              match I.find_fun prog e.Callgraph.callee with
-              | Some fd2 when not fd2.I.fextern ->
-                  atomic_entry := SS.add e.Callgraph.callee !atomic_entry;
-                  changed := true
-              | _ -> ()
-            end)
-          sites)
-      prog.I.funcs
-  done;
-  (* Final pass collecting warnings. *)
-  let warnings = ref [] in
-  List.iter
-    (fun (fd : I.fundec) ->
-      let entry_atomic = SS.mem fd.I.fname !atomic_entry in
-      ignore (scan_function bl fd ~entry_atomic ~warn:(fun w -> warnings := w :: !warnings)))
-    prog.I.funcs;
-  { warnings = List.rev !warnings; atomic_entry = !atomic_entry; handlers }
+     never joins the atomic-entry set; nor does an extern. *)
+  let rec enter acc f =
+    if SS.mem f acc then acc
+    else
+      List.fold_left
+        (fun acc ((e : Callgraph.edge), _) -> visit acc e.Callgraph.callee)
+        (SS.add f acc)
+        (Option.value ~default:[] (Hashtbl.find_opt sites_of f))
+  and visit acc g = if SS.mem g guarded || not (Hashtbl.mem sites_of g) then acc else enter acc g in
+  let atomic_entry =
+    List.fold_left
+      (fun acc ((e : Callgraph.edge), d) -> if d > 0 then visit acc e.Callgraph.callee else acc)
+      (SS.fold (fun h acc -> enter acc h) (SS.diff handlers guarded) SS.empty)
+      (List.concat_map snd sites)
+  in
+  let warning f entry_atomic ((e : Callgraph.edge), d) =
+    if (entry_atomic || d > 0) && Blocking.call_may_block bl e then
+      let callee = e.Callgraph.callee in
+      Some { w_in = f; w_callee = callee; w_loc = e.Callgraph.loc; w_via = e.Callgraph.via;
+             w_entry_atomic = entry_atomic && d = 0; w_witness = Blocking.witness bl callee }
+    else None
+  in
+  let warnings =
+    List.concat_map (fun (f, ss) -> List.filter_map (warning f (SS.mem f atomic_entry)) ss) sites
+  in
+  { warnings; atomic_entry; handlers }

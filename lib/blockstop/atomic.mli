@@ -1,6 +1,7 @@
-(** Atomic-region analysis: interrupt-disable depth tracked
-    intra-procedurally (spin_lock / local_irq_disable increment it),
-    and an inter-procedural fixpoint for which functions can be
+(** Atomic-region analysis: interrupt-disable depth solved over each
+    function's CFG by {!Dataflow.Fsm} (spin_lock / local_irq_disable
+    increment it, saturating at [cap]; a call to a defined function
+    adds its net depth), and the closure of which functions can be
     *entered* in atomic context (interrupt handlers and functions
     called from atomic sites). A call that may block from an atomic
     point is a warning. *)
@@ -16,9 +17,6 @@ type warning = {
   w_witness : string list;  (** chain to a blocking leaf *)
 }
 
-val disablers : string list
-val enablers : string list
-
 (** Functions registered via [request_irq]. *)
 val irq_handlers : Kc.Ir.program -> SS.t
 
@@ -28,4 +26,6 @@ type result = {
   handlers : SS.t;
 }
 
-val analyze : Blocking.t -> result
+(** [cfg_of] supplies each defined function's CFG (an engine context's
+    [Context.cfg]); it defaults to {!Dataflow.Cfg.build}. *)
+val analyze : ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) -> Blocking.t -> result

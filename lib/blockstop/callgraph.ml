@@ -21,7 +21,6 @@ type edge = {
   via : via;
   loc : Kc.Loc.t;
   gfp : gfp_info;
-  in_delayed : bool; (* inside __delayed_free (irrelevant here, kept for reuse) *)
 }
 
 type t = {
@@ -29,7 +28,6 @@ type t = {
   pointsto : Pointsto.t;
   edges : edge list;
   callees_of : (string, edge list) Hashtbl.t;
-  callers_of : (string, edge list) Hashtbl.t;
 }
 
 (* Position of a gfp-flags parameter of a callee, by declaration: the
@@ -90,7 +88,6 @@ let build ?(mode = Pointsto.Type_based) ?pointsto (prog : I.program) : t =
                       via = Direct;
                       loc = s.I.sloc;
                       gfp = gfp_of_call prog callee args;
-                      in_delayed = false;
                     }
                     :: !edges
               | I.Indirect fe ->
@@ -103,36 +100,24 @@ let build ?(mode = Pointsto.Type_based) ?pointsto (prog : I.program) : t =
                           via = Via_fptr;
                           loc = s.I.sloc;
                           gfp = gfp_of_call prog callee args;
-                          in_delayed = false;
                         }
                         :: !edges)
                     (Pointsto.targets pointsto fe))
           | _ -> ())
         fd.I.fbody)
     prog.I.funcs;
-  let callees_of = Hashtbl.create 64 and callers_of = Hashtbl.create 64 in
+  let callees_of = Hashtbl.create 64 in
   List.iter
     (fun e ->
-      let add tbl key =
-        let cur = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
-        Hashtbl.replace tbl key (e :: cur)
-      in
-      add callees_of e.caller;
-      add callers_of e.callee)
+      let cur = match Hashtbl.find_opt callees_of e.caller with Some l -> l | None -> [] in
+      Hashtbl.replace callees_of e.caller (e :: cur))
     !edges;
-  { prog; pointsto; edges = !edges; callees_of; callers_of }
+  { prog; pointsto; edges = !edges; callees_of }
 
 let callees (t : t) (fname : string) : edge list =
   match Hashtbl.find_opt t.callees_of fname with Some l -> l | None -> []
 
-let callers (t : t) (fname : string) : edge list =
-  match Hashtbl.find_opt t.callers_of fname with Some l -> l | None -> []
-
 let n_edges t = List.length t.edges
-
-(* All function names known to the graph (defined or extern). *)
-let all_functions (t : t) : string list =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.prog.I.fun_by_name [] |> List.sort compare
 
 (* Is [callee] reachable from [caller]? For tests and reports. *)
 let reachable (t : t) ~from : SS.t =

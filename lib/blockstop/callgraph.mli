@@ -18,7 +18,6 @@ type edge = {
   via : via;
   loc : Kc.Loc.t;
   gfp : gfp_info;
-  in_delayed : bool;
 }
 
 type t = {
@@ -26,7 +25,6 @@ type t = {
   pointsto : Pointsto.t;
   edges : edge list;
   callees_of : (string, edge list) Hashtbl.t;
-  callers_of : (string, edge list) Hashtbl.t;
 }
 
 (** Build the graph. [pointsto] supplies prebuilt points-to facts
@@ -34,9 +32,7 @@ type t = {
     favour of the prebuilt result's own mode. *)
 val build : ?mode:Pointsto.mode -> ?pointsto:Pointsto.t -> Kc.Ir.program -> t
 val callees : t -> string -> edge list
-val callers : t -> string -> edge list
 val n_edges : t -> int
-val all_functions : t -> string list
 
 (** Names reachable from [from] through the graph. *)
 val reachable : t -> from:string -> SS.t

@@ -26,9 +26,6 @@ type t = {
 
 val build : ?mode:mode -> Kc.Ir.program -> t
 
-(** Candidate targets by signature among address-taken functions. *)
-val type_based_targets : t -> Kc.Ir.ty -> SS.t
-
 (** Possible targets of an indirect call through the given function
     pointer expression. *)
 val targets : t -> Kc.Ir.exp -> SS.t

@@ -172,27 +172,3 @@ let reachable (cfg : t) : bool array =
   in
   dfs cfg.entry;
   seen
-
-(* All instructions of the CFG with their node ids. *)
-let all_instrs (cfg : t) : (int * Kc.Ir.instr * Kc.Loc.t) list =
-  Array.to_list cfg.nodes
-  |> List.concat_map (fun n -> List.map (fun (i, loc) -> (n.nid, i, loc)) n.instrs)
-
-let to_dot (cfg : t) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %S {\n" cfg.fname);
-  Array.iter
-    (fun n ->
-      let label =
-        Printf.sprintf "B%d (%d instrs)%s" n.nid (List.length n.instrs)
-          (match n.term with
-          | Tjump -> ""
-          | Tcond _ -> " if"
-          | Tswitch _ -> " switch"
-          | Treturn _ -> " ret")
-      in
-      Buffer.add_string buf (Printf.sprintf "  n%d [label=%S];\n" n.nid label);
-      List.iter (fun s -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" n.nid s)) n.succs)
-    cfg.nodes;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -31,7 +31,3 @@ val node : t -> int -> node
 val reverse_postorder : t -> int list
 
 val reachable : t -> bool array
-val all_instrs : t -> (int * Kc.Ir.instr * Kc.Loc.t) list
-
-(** Graphviz rendering, for debugging. *)
-val to_dot : t -> string

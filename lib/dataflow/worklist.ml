@@ -1,8 +1,7 @@
-(* Generic worklist dataflow solver over {!Cfg}.
+(* Generic forward worklist dataflow solvers over {!Cfg}.
 
-   Instantiated with a join-semilattice; supports forward and backward
-   problems. The solver returns the fixpoint state at the entry of
-   each node (forward) or at the exit of each node (backward). *)
+   [Make] is instantiated with a join-semilattice of finite height and
+   returns the fixpoint state at the entry and exit of each node. *)
 
 module type LATTICE = sig
   type t
@@ -12,23 +11,15 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
 module Make (L : LATTICE) = struct
   type result = { before : L.t array; after : L.t array }
 
-  (* [transfer node state] maps the state at a node's input to the
-     state at its output (input = entry for forward, exit for
-     backward). *)
-  let solve ?(dir = Forward) (cfg : Cfg.t) ~(init : L.t) ~(transfer : Cfg.node -> L.t -> L.t) :
-      result =
+  (* [transfer node state] maps the state at a node's entry to the
+     state at its exit. *)
+  let solve (cfg : Cfg.t) ~(init : L.t) ~(transfer : Cfg.node -> L.t -> L.t) : result =
     let n = Cfg.n_nodes cfg in
     let before = Array.make n L.bottom and after = Array.make n L.bottom in
-    let start, inputs, outputs =
-      match dir with
-      | Forward -> (cfg.Cfg.entry, (fun i -> (Cfg.node cfg i).Cfg.preds), fun i -> (Cfg.node cfg i).Cfg.succs)
-      | Backward -> (cfg.Cfg.exit_, (fun i -> (Cfg.node cfg i).Cfg.succs), fun i -> (Cfg.node cfg i).Cfg.preds)
-    in
+    let start = cfg.Cfg.entry in
     before.(start) <- init;
     let queue = Queue.create () in
     let on_queue = Array.make n false in
@@ -42,15 +33,18 @@ module Make (L : LATTICE) = struct
     while not (Queue.is_empty queue) do
       let i = Queue.take queue in
       on_queue.(i) <- false;
+      let nd = Cfg.node cfg i in
       let in_state =
-        if i = start then L.join init (List.fold_left (fun acc p -> L.join acc after.(p)) L.bottom (inputs i))
-        else List.fold_left (fun acc p -> L.join acc after.(p)) L.bottom (inputs i)
+        List.fold_left
+          (fun acc p -> L.join acc after.(p))
+          (if i = start then init else L.bottom)
+          nd.Cfg.preds
       in
       before.(i) <- in_state;
-      let out_state = transfer (Cfg.node cfg i) in_state in
+      let out_state = transfer nd in_state in
       if not (L.equal out_state after.(i)) then begin
         after.(i) <- out_state;
-        List.iter push (outputs i)
+        List.iter push nd.Cfg.succs
       end
     done;
     { before; after }
@@ -176,23 +170,4 @@ module Make_widening (L : WIDEN_LATTICE) = struct
         rpo
     done;
     { before; after; iterations = !iterations }
-end
-
-(* A ready-made lattice of integer sets (variable ids, node ids...). *)
-module Int_set = struct
-  include Set.Make (Int)
-
-  let bottom = empty
-  let join = union
-end
-
-(* Powerset lattice over an arbitrary ordered element. *)
-module Set_lattice (O : Set.OrderedType) = struct
-  module S = Set.Make (O)
-
-  type t = S.t
-
-  let bottom = S.empty
-  let equal = S.equal
-  let join = S.union
 end

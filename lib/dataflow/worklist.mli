@@ -1,5 +1,5 @@
-(** Generic worklist dataflow solver over {!Cfg}, parameterized by a
-    join-semilattice; supports forward and backward problems. *)
+(** Generic forward worklist dataflow solvers over {!Cfg},
+    parameterized by a join-semilattice. *)
 
 module type LATTICE = sig
   type t
@@ -9,16 +9,13 @@ module type LATTICE = sig
   val join : t -> t -> t
 end
 
-type direction = Forward | Backward
-
 module Make (L : LATTICE) : sig
   type result = { before : L.t array; after : L.t array }
 
-  (** [solve ~dir cfg ~init ~transfer]: [transfer node state] maps a
-      node's input state to its output (input = entry for forward,
-      exit for backward). Returns the fixpoint per node. *)
-  val solve :
-    ?dir:direction -> Cfg.t -> init:L.t -> transfer:(Cfg.node -> L.t -> L.t) -> result
+  (** [solve cfg ~init ~transfer]: [transfer node state] maps a node's
+      entry state to its exit state; [init] enters at [cfg.entry].
+      Returns the fixpoint per node. *)
+  val solve : Cfg.t -> init:L.t -> transfer:(Cfg.node -> L.t -> L.t) -> result
 end
 
 (** A lattice of possibly infinite height, equipped with widening (to
@@ -57,23 +54,4 @@ module Make_widening (L : WIDEN_LATTICE) : sig
     transfer:(Cfg.node -> L.t -> L.t) ->
     edge:(Cfg.node -> int -> L.t -> L.t) ->
     result
-end
-
-(** Ready-made integer-set lattice (variable ids, node ids, ...). *)
-module Int_set : sig
-  include Set.S with type elt = int and type t = Set.Make(Int).t
-
-  val bottom : t
-  val join : t -> t -> t
-end
-
-(** Powerset lattice over an ordered element type. *)
-module Set_lattice (O : Set.OrderedType) : sig
-  module S : Set.S with type elt = O.t
-
-  type t = S.t
-
-  val bottom : t
-  val equal : t -> t -> bool
-  val join : t -> t -> t
 end

@@ -8,6 +8,10 @@
 module Context = Engine.Context
 module Diag = Engine.Diag
 
+(* The context's memoized CFGs, so a check records an edge to each. *)
+let cfg_of ctxt (fd : Kc.Ir.fundec) =
+  match Context.cfg ctxt fd.Kc.Ir.fname with Some c -> c | None -> Dataflow.Cfg.build fd
+
 (* ---- blockstop: may-block calls reachable in atomic context ---- *)
 
 let blockstop : Engine.Analysis.t =
@@ -17,7 +21,7 @@ let blockstop : Engine.Analysis.t =
 
     let run ctxt =
       let bl = Context.blocking ctxt in
-      let result = Blockstop.Atomic.analyze bl in
+      let result = Blockstop.Atomic.analyze ~cfg_of:(cfg_of ctxt) bl in
       (* One diagnostic per (site, containing function, callee): several
          witness paths through the same call site count once. *)
       let sites =
@@ -52,7 +56,9 @@ let locksafe : Engine.Analysis.t =
 
     let run ctxt =
       let prog = Context.program ctxt in
-      let r = Locksafe.analyze ~handlers:(Context.irq_handlers ctxt) prog in
+      let r =
+        Locksafe.analyze ~cfg_of:(cfg_of ctxt) ~handlers:(Context.irq_handlers ctxt) prog
+      in
       let edge_loc a b =
         match
           List.find_opt
@@ -245,12 +251,7 @@ let refsafe : Engine.Analysis.t =
     let run ctxt =
       let summaries = Context.refsafe_summaries ctxt in
       let prog = Context.program ctxt in
-      let cfg_of (fd : Kc.Ir.fundec) =
-        match Context.cfg ctxt fd.Kc.Ir.fname with
-        | Some c -> c
-        | None -> Dataflow.Cfg.build fd
-      in
-      let findings = Refsafe.Ownership.check_program ~cfg_of summaries prog in
+      let findings = Refsafe.Ownership.check_program ~cfg_of:(cfg_of ctxt) summaries prog in
       let warnings =
         List.map
           (fun (f : Refsafe.Ownership.finding) ->

@@ -434,6 +434,8 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
   | Ast.Eassign (lhs, rhs) ->
       let lv = elab_lval env acc lhs in
       let ty = type_of_lval env loc lv in
+      (* The store writes [sizeof] the lvalue's type: none through [void *]. *)
+      ignore (size_of env loc ty);
       let v = convert env loc ty (elab_exp env acc rhs) in
       emit acc loc (Ir.Iset (lv, v));
       Ir.mk_exp (Ir.Elval lv) ty
@@ -788,16 +790,43 @@ let rec elab_init env loc (ty : Ir.ty) (i : Ast.init) : Ir.ginit =
            items)
   | Ast.Ilist _, _ -> err loc "brace initializer for scalar type"
 
+(* Pointer annotations dropped: two declarations of a function are
+   compared on erased types, and a prototype's [__count] may name a
+   parameter that is not in scope here. *)
+let rec erase_annots : Ast.ty -> Ast.ty = function
+  | Ast.Tptr (t, _) -> Ast.Tptr (erase_annots t, [])
+  | Ast.Tarray (t, n) -> Ast.Tarray (erase_annots t, n)
+  | Ast.Tfun (r, ps, v) ->
+      Ast.Tfun (erase_annots r, List.map (fun p -> { p with Ast.pty = erase_annots p.Ast.pty }) ps, v)
+  | t -> t
+
 (* A definition completes an earlier prototype; it comes back with the
    prototype's parameter types, which the definition's must match (the
-   return types are compared here). *)
-let declare_function env loc (fname : string) fret fannots fstatic ~has_body =
+   return types are compared here). A second prototype must match the
+   declaration before it. *)
+let declare_function env loc (fname : string) fret fparams fannots fstatic ~has_body =
   match Ir.find_fun env.prog fname with
   | Some existing when has_body && existing.Ir.fextern ->
       if not (Ir.eq_erased (resolve_type env loc fret) existing.Ir.fret) then
         err loc "conflicting types for %s" fname;
       Some (existing, Some (List.map (fun (v : Ir.varinfo) -> v.Ir.vty) existing.Ir.sformals))
-  | Some _ when not has_body -> None (* redeclaration *)
+  | Some existing when not has_body ->
+      let ptys =
+        List.map
+          (fun (p : Ast.param) ->
+            match resolve_type env loc (erase_annots p.Ast.pty) with
+            | Ir.Tarray (t, _) -> Ir.Tptr (t, Ir.no_annots)
+            | t -> t)
+          fparams
+      in
+      if
+        not
+          (Ir.eq_erased (resolve_type env loc fret) existing.Ir.fret
+          && List.compare_lengths ptys existing.Ir.sformals = 0
+          && List.for_all2 (fun t (v : Ir.varinfo) -> Ir.eq_erased t v.Ir.vty) ptys
+               existing.Ir.sformals)
+      then err loc "conflicting types for %s" fname;
+      None
   | Some _ -> err loc "function %s is defined twice" fname
   | None ->
       let ret = resolve_type env loc fret in
@@ -910,7 +939,9 @@ let elab_global env ((g, loc) : Ast.global * Loc.t) =
         env.prog.Ir.globals <- (v, init) :: env.prog.Ir.globals
       end
   | Ast.Gfun { fname; fret; fparams; fannots; fbody; fstatic; floc } -> (
-      match declare_function env floc fname fret fannots fstatic ~has_body:(fbody <> None) with
+      match
+        declare_function env floc fname fret fparams fannots fstatic ~has_body:(fbody <> None)
+      with
       | None -> ()
       | Some (fd, proto) ->
           if fbody <> None then begin

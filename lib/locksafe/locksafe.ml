@@ -13,8 +13,11 @@
    Locks are named: a lock is a global [long] whose address flows into
    [spin_lock] / [spin_lock_irqsave], exactly the paper's "light
    annotations will be used to name the locks" (the global's name is
-   the annotation). [__acquires]/[__releases] function annotations
-   summarize wrappers. *)
+   the annotation). The held set, joined by union, is a {!Dataflow.Fsm}
+   state over each function's CFG, solved once from no locks; the
+   locks held at its call sites are added after. A defined callee
+   applies its computed effect; [__acquires]/[__releases] summarize
+   externs. *)
 
 module I = Kc.Ir
 module SS = Set.Make (String)
@@ -40,7 +43,6 @@ type report = {
 
 let lock_arg_name (e : I.exp) : string option =
   match e.I.e with
-  | I.Eaddrof (I.Lvar v, []) when v.I.vglob -> Some v.I.vname
   | I.Eaddrof ((I.Lvar v, offs)) when v.I.vglob -> (
       (* &some_global.field_lock names the field path *)
       match List.rev offs with
@@ -51,154 +53,103 @@ let lock_arg_name (e : I.exp) : string option =
 let is_lock_fn = function "spin_lock" | "spin_lock_irqsave" -> true | _ -> false
 let is_unlock_fn = function "spin_unlock" | "spin_unlock_irqrestore" -> true | _ -> false
 
-(* Function-level lock summaries from __acquires/__releases. *)
-let annot_summary (fd : I.fundec) : string list * string list =
-  List.fold_left
-    (fun (acq, rel) a ->
-      match a with
-      | Kc.Ast.Facquires l -> (l :: acq, rel)
-      | Kc.Ast.Freleases l -> (acq, l :: rel)
-      | _ -> (acq, rel))
-    ([], []) fd.I.fannots
+(* Locks held since entry, and locks released on every path; [None] where not reached. *)
+type locks = { held : SS.t; rel : SS.t }
 
-(* Walk one function with a held-set, collecting acquires and edges.
-   [entry_held] are locks held when the function is entered;
-   [in_irq] marks interrupt-context reachability. *)
-let scan_function (prog : I.program) (fd : I.fundec) ~(entry_held : SS.t) ~(in_irq : bool)
-    ~(emit : acquire -> unit) ~(edge : order_edge -> unit) :
-    (string * SS.t) list (* callsites: callee, held set *) =
-  let sites = ref [] in
-  let rec walk_block held (b : I.block) : SS.t = List.fold_left walk_stmt held b
-  and walk_stmt held (s : I.stmt) : SS.t =
-    match s.I.sk with
-    | I.Sinstr (I.Icall (_, I.Direct name, args)) when is_lock_fn name -> (
-        match args with
-        | a :: _ -> (
-            match lock_arg_name a with
-            | Some lock ->
-                emit
-                  {
-                    a_lock = lock;
-                    a_in = fd.I.fname;
-                    a_loc = s.I.sloc;
-                    a_irqsave = name = "spin_lock_irqsave";
-                    a_held = held;
-                    a_in_irq = in_irq;
-                  };
-                SS.iter
-                  (fun h ->
-                    if h <> lock then
-                      edge { from_lock = h; to_lock = lock; where = s.I.sloc; in_fn = fd.I.fname })
-                  held;
-                SS.add lock held
-            | None -> held)
-        | [] -> held)
-    | I.Sinstr (I.Icall (_, I.Direct name, args)) when is_unlock_fn name -> (
-        match args with
-        | a :: _ -> (
-            match lock_arg_name a with Some lock -> SS.remove lock held | None -> held)
-        | [] -> held)
-    | I.Sinstr (I.Icall (_, I.Direct name, _)) -> (
-        sites := (name, held) :: !sites;
-        (* Apply the callee's __acquires/__releases summary. *)
-        match I.find_fun prog name with
-        | Some callee ->
-            let acq, rel = annot_summary callee in
-            let held = List.fold_left (fun h l -> SS.add l h) held acq in
-            List.fold_left (fun h l -> SS.remove l h) held rel
-        | None -> held)
-    | I.Sinstr _ -> held
-    | I.Sif (_, b1, b2) ->
-        let h1 = walk_block held b1 and h2 = walk_block held b2 in
-        SS.union h1 h2
-    | I.Swhile (_, body, step) -> SS.union held (walk_block held (body @ step))
-    | I.Sdowhile (body, _) -> SS.union held (walk_block held body)
-    | I.Sswitch (_, cases) ->
-        List.fold_left (fun acc (c : I.case) -> SS.union acc (walk_block held c.I.cbody)) held cases
-    | I.Sbreak | I.Scontinue | I.Sreturn _ -> held
-    | I.Sblock b | I.Sdelayed b | I.Strusted b -> walk_block held b
-  in
-  ignore (walk_block entry_held fd.I.fbody);
-  !sites
+module F = Dataflow.Fsm.Make (struct
+  type t = locks option
 
-let analyze ~handlers (prog : I.program) : report =
-  (* Fixpoint: (held-at-entry, irq-reachable) per function. *)
-  let entry_held : (string, SS.t) Hashtbl.t = Hashtbl.create 64 in
-  let irq_reach = ref (SS.union handlers SS.empty) in
-  let get_held f = match Hashtbl.find_opt entry_held f with Some s -> s | None -> SS.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let bottom = None and entry = Some { held = SS.empty; rel = SS.empty }
+  let equal = Option.equal (fun a b -> SS.equal a.held b.held && SS.equal a.rel b.rel)
+
+  let join a b =
+    match (a, b) with
+    | Some a, Some b -> Some { held = SS.union a.held b.held; rel = SS.inter a.rel b.rel }
+    | None, s | s, None -> s
+end)
+
+let locks args = SS.of_list (Option.to_list (Option.bind (List.nth_opt args 0) lock_arg_name))
+
+(* A call's effect: it releases [rel], then acquires [acq]. *)
+let apply s ~acq ~rel = { held = SS.union (SS.diff s.held rel) acq; rel = SS.union s.rel rel }
+
+(* A defined callee applies its computed effect; an extern is a lock
+   primitive or carries [__acquires]/[__releases] annotations. *)
+let step prog ~effect instr s =
+  match (instr, s) with
+  | I.Icall (_, I.Direct name, args), Some st -> (
+      match effect name with
+      | Some e -> Option.fold ~none:s ~some:(fun e -> Some (apply st ~acq:e.held ~rel:e.rel)) e
+      | None when is_lock_fn name -> Some (apply st ~acq:(locks args) ~rel:SS.empty)
+      | None when is_unlock_fn name -> Some (apply st ~acq:SS.empty ~rel:(locks args))
+      | None -> (
+          match I.find_fun prog name with
+          | Some { I.fannots = _ :: _ as annots; _ } ->
+              let named f = SS.of_list (List.filter_map f annots) in
+              Some
+                (apply st
+                   ~acq:(named (function Kc.Ast.Facquires l -> Some l | _ -> None))
+                   ~rel:(named (function Kc.Ast.Freleases l -> Some l | _ -> None)))
+          | _ -> s))
+  | _ -> s
+
+let analyze ?(cfg_of = Dataflow.Cfg.build) ~handlers (prog : I.program) : report =
+  let solved = F.solve ~cfg_of ~step:(step prog) prog in
+  let calls_of = Hashtbl.create (List.length solved) in
+  List.iter (fun ((fd : I.fundec), calls) -> Hashtbl.replace calls_of fd.I.fname calls) solved;
+  (* A lock held at a call to a defined function is held at its entry
+     (on some path), and a callee in interrupt context is in it too. *)
+  let entry_held = Hashtbl.create 16 and irq_reach = ref handlers in
+  let get_held f = Option.value ~default:SS.empty (Hashtbl.find_opt entry_held f) in
+  let held_at f s = SS.union (SS.diff (get_held f) s.rel) s.held in
+  let rec enter g held in_irq =
+    let cur = get_held g in
+    if (not (SS.subset held cur)) || (in_irq && not (SS.mem g !irq_reach)) then begin
+      Hashtbl.replace entry_held g (SS.union cur held);
+      if in_irq then irq_reach := SS.add g !irq_reach;
+      spread g
+    end
+  and spread f =
     List.iter
-      (fun (fd : I.fundec) ->
-        let in_irq = SS.mem fd.I.fname !irq_reach in
-        let sites =
-          scan_function prog fd ~entry_held:(get_held fd.I.fname) ~in_irq
-            ~emit:(fun _ -> ())
-            ~edge:(fun _ -> ())
-        in
-        List.iter
-          (fun (callee, held) ->
-            match I.find_fun prog callee with
-            | Some cfd when not cfd.I.fextern ->
-                let cur = get_held callee in
-                (* Meet: a lock counts as held at entry only if held on
-                   some path; for bug-finding we take the union. *)
-                let next = SS.union cur held in
-                if not (SS.equal cur next) then begin
-                  Hashtbl.replace entry_held callee next;
-                  changed := true
-                end;
-                if in_irq && not (SS.mem callee !irq_reach) then begin
-                  irq_reach := SS.add callee !irq_reach;
-                  changed := true
-                end
-            | _ -> ())
-          sites)
-      prog.I.funcs
-  done;
-  (* Final pass collecting acquires and order edges. *)
-  let acquires = ref [] and edges = ref [] in
-  List.iter
-    (fun (fd : I.fundec) ->
-      ignore
-        (scan_function prog fd ~entry_held:(get_held fd.I.fname)
-           ~in_irq:(SS.mem fd.I.fname !irq_reach)
-           ~emit:(fun a -> acquires := a :: !acquires)
-           ~edge:(fun e -> edges := e :: !edges)))
-    prog.I.funcs;
-  let acquires = List.rev !acquires and edges = List.rev !edges in
-  (* Deadlock: pair (a, b) with edges both ways. *)
-  let edge_set =
-    List.fold_left (fun s e -> SS.add (e.from_lock ^ ">" ^ e.to_lock) s) SS.empty edges
+      (function
+        | I.Icall (_, I.Direct g, _), _, Some s when Hashtbl.mem calls_of g ->
+            enter g (held_at f s) (SS.mem f !irq_reach)
+        | _ -> ())
+      (Hashtbl.find calls_of f)
   in
+  List.iter (fun ((fd : I.fundec), _) -> spread fd.I.fname) solved;
+  let acquire f = function
+    | I.Icall (_, I.Direct name, args), loc, Some s
+      when is_lock_fn name && not (Hashtbl.mem calls_of name) ->
+        List.map
+          (fun lock ->
+            { a_lock = lock; a_in = f; a_loc = loc; a_irqsave = name = "spin_lock_irqsave";
+              a_held = held_at f s; a_in_irq = SS.mem f !irq_reach })
+          (SS.elements (locks args))
+    | _ -> []
+  in
+  let acquires =
+    List.concat_map (fun ((fd : I.fundec), c) -> List.concat_map (acquire fd.I.fname) c) solved
+  in
+  let edge a h = { from_lock = h; to_lock = a.a_lock; where = a.a_loc; in_fn = a.a_in } in
+  let edges =
+    List.concat_map (fun a -> List.map (edge a) (SS.elements (SS.remove a.a_lock a.a_held)))
+      acquires
+  in
+  (* Deadlock: a pair of locks with order edges both ways. *)
+  let pairs = Hashtbl.create 16 in
+  List.iter (fun e -> Hashtbl.replace pairs (e.from_lock, e.to_lock) ()) edges;
+  let both e = e.from_lock < e.to_lock && Hashtbl.mem pairs (e.to_lock, e.from_lock) in
   let cycles =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun e ->
-           if e.from_lock < e.to_lock && SS.mem (e.to_lock ^ ">" ^ e.from_lock) edge_set then
-             Some (e.from_lock, e.to_lock)
-           else if e.to_lock < e.from_lock && SS.mem (e.to_lock ^ ">" ^ e.from_lock) edge_set then
-             Some (e.to_lock, e.from_lock)
-           else None)
-         edges)
+    List.sort_uniq compare (List.map (fun e -> (e.from_lock, e.to_lock)) (List.filter both edges))
   in
   (* IRQ invariant: a lock acquired in irq context must only ever be
      acquired with interrupts disabled in process context. *)
-  let irq_locks =
-    List.fold_left (fun s a -> if a.a_in_irq then SS.add a.a_lock s else s) SS.empty acquires
-  in
-  let irq_unsafe =
-    List.filter_map
-      (fun a ->
-        if (not a.a_in_irq) && (not a.a_irqsave) && SS.mem a.a_lock irq_locks then
-          Some (a.a_lock, a)
-        else None)
-      acquires
-  in
-  let locks =
-    List.sort_uniq compare (List.map (fun a -> a.a_lock) acquires)
-  in
+  let in_irq = List.filter (fun a -> a.a_in_irq) acquires in
+  let irq_locks = SS.of_list (List.map (fun a -> a.a_lock) in_irq) in
+  let unsafe a = (not (a.a_in_irq || a.a_irqsave)) && SS.mem a.a_lock irq_locks in
+  let irq_unsafe = List.map (fun a -> (a.a_lock, a)) (List.filter unsafe acquires) in
+  let locks = List.sort_uniq compare (List.map (fun a -> a.a_lock) acquires) in
   { locks; acquires; order_edges = edges; deadlock_cycles = cycles; irq_unsafe }
 
 let pp fmt (r : report) =

@@ -4,8 +4,11 @@
     in process context with interrupts enabled.
 
     Locks are named globals (or global.field paths) whose address
-    flows into [spin_lock] / [spin_lock_irqsave]; [__acquires] /
-    [__releases] annotations summarize wrapper functions. *)
+    flows into [spin_lock] / [spin_lock_irqsave]. The held locks are
+    solved over each function's CFG by {!Dataflow.Fsm}; a call to a
+    defined function applies its computed effect (locks released,
+    then acquired), and [__acquires] / [__releases] annotations
+    summarize externs. *)
 
 module SS : Set.S with type elt = string and type t = Set.Make(String).t
 
@@ -33,6 +36,9 @@ type report = {
 }
 
 (** [handlers] are the program's interrupt handlers (an engine
-    context's [Context.irq_handlers]). *)
-val analyze : handlers:SS.t -> Kc.Ir.program -> report
+    context's [Context.irq_handlers]); [cfg_of] supplies each defined
+    function's CFG (its [Context.cfg]) and defaults to
+    {!Dataflow.Cfg.build}. *)
+val analyze :
+  ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) -> handlers:SS.t -> Kc.Ir.program -> report
 val pp : Format.formatter -> report -> unit

@@ -226,6 +226,46 @@ let test_callee_entered_atomic () =
   Alcotest.(check bool) "helper call flagged somewhere" true
     (List.exists (fun (_, c) -> c = "helper" || c = "schedule") pairs)
 
+(* Control flow the atomic region must follow: state carried around a
+   loop, out of a [break], and out of a wrapper that disables
+   interrupts. Each program traps in the VM at its [msleep]. *)
+let probe_loop =
+  p
+    "int f(int n) {\n\
+     int i;\n\
+     for (i = 0; i < n; i++) { msleep(1); local_irq_disable(); }\n\
+     local_irq_enable();\n\
+     return 0; }\n"
+
+let probe_break =
+  p
+    "int f(int n) {\n\
+     while (1) { local_irq_disable(); if (n > 0) { break; } local_irq_enable(); }\n\
+     msleep(1);\n\
+     return 0; }\n"
+
+let probe_wrapper =
+  p
+    "void my_disable(void) { local_irq_disable(); }\n\
+     int f(int n) { my_disable(); msleep(1); return 0; }\n"
+
+let flags_msleep_in_f src () =
+  Alcotest.(check (list (pair string string))) "msleep flagged in f" [ ("f", "msleep") ]
+    (warn_pairs (analyze src))
+
+(* A return while atomic leaves the function: the path after the
+   branch stays non-atomic. *)
+let test_return_leaves_region () =
+  let r =
+    analyze
+      (p
+         "int f(int n) {\n\
+          if (n > 0) { local_irq_disable(); return 1; }\n\
+          msleep(1);\n\
+          return 0; }\n")
+  in
+  Alcotest.(check (list (pair string string))) "no warnings" [] (warn_pairs r)
+
 (* ------------------------------------------------------------------ *)
 (* False positives and runtime checks                                  *)
 (* ------------------------------------------------------------------ *)
@@ -340,6 +380,10 @@ let () =
           Alcotest.test_case "clean code clean" `Quick test_no_warning_when_clean;
           Alcotest.test_case "irq handler atomic" `Quick test_interrupt_handler_entry_atomic;
           Alcotest.test_case "callee entered atomic" `Quick test_callee_entered_atomic;
+          Alcotest.test_case "loop-carried disable" `Quick (flags_msleep_in_f probe_loop);
+          Alcotest.test_case "break out while atomic" `Quick (flags_msleep_in_f probe_break);
+          Alcotest.test_case "disabling wrapper" `Quick (flags_msleep_in_f probe_wrapper);
+          Alcotest.test_case "return leaves the region" `Quick test_return_leaves_region;
         ] );
       ( "false-positives",
         [

@@ -1,4 +1,4 @@
-(* Tests for CFG construction and the dataflow analyses. *)
+(* Tests for CFG construction. *)
 
 let parse src = Kc.Typecheck.check_sources [ ("t.kc", src) ]
 
@@ -75,103 +75,6 @@ let test_unreachable_after_return () =
   let unreachable = Array.to_list reach |> List.filter not |> List.length in
   Alcotest.(check bool) "continuation node is unreachable" true (unreachable >= 1)
 
-(* ------------------------------------------------------------------ *)
-(* Liveness                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_liveness_param_live () =
-  let prog = parse "int f(int a, int b) { return a; }" in
-  let fd = fn prog "f" in
-  let cfg = Dataflow.Cfg.build fd in
-  let live_in = Dataflow.Liveness.analyze cfg in
-  let a = List.nth fd.Kc.Ir.sformals 0 and b = List.nth fd.Kc.Ir.sformals 1 in
-  Alcotest.(check bool) "a live at entry" true
-    (Dataflow.Liveness.live_at live_in cfg.Dataflow.Cfg.entry a);
-  Alcotest.(check bool) "b dead at entry" false
-    (Dataflow.Liveness.live_at live_in cfg.Dataflow.Cfg.entry b)
-
-let test_liveness_kill () =
-  let prog = parse "int f(int a) { a = 3; return a; }" in
-  let fd = fn prog "f" in
-  let cfg = Dataflow.Cfg.build fd in
-  let live_in = Dataflow.Liveness.analyze cfg in
-  let a = List.hd fd.Kc.Ir.sformals in
-  (* a is redefined before any use, so the incoming value is dead. *)
-  Alcotest.(check bool) "incoming a dead" false
-    (Dataflow.Liveness.live_at live_in cfg.Dataflow.Cfg.entry a)
-
-let test_liveness_loop () =
-  let prog = parse "int f(int n) { int s = 0; int i; for (i = 0; i < n; i++) { s += i; } return s; }" in
-  let fd = fn prog "f" in
-  let cfg = Dataflow.Cfg.build fd in
-  let live_in = Dataflow.Liveness.analyze cfg in
-  let n = List.hd fd.Kc.Ir.sformals in
-  Alcotest.(check bool) "n live at entry" true
-    (Dataflow.Liveness.live_at live_in cfg.Dataflow.Cfg.entry n)
-
-(* ------------------------------------------------------------------ *)
-(* Reaching definitions                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_reaching () =
-  let prog = parse "int f(int c) { int x = 1; if (c) { x = 2; } return x; }" in
-  let fd = fn prog "f" in
-  let cfg = Dataflow.Cfg.build fd in
-  let res = Dataflow.Reaching.analyze cfg in
-  (* At the node containing `return x`, two defs of x reach. *)
-  let x =
-    match List.find_opt (fun (v : Kc.Ir.varinfo) -> v.Kc.Ir.vname = "x") fd.Kc.Ir.slocals with
-    | Some v -> v
-    | None -> Alcotest.fail "no local x"
-  in
-  let return_node =
-    Array.to_list cfg.Dataflow.Cfg.nodes
-    |> List.find_opt (fun (n : Dataflow.Cfg.node) ->
-           match n.Dataflow.Cfg.term with
-           | Dataflow.Cfg.Treturn (Some _) -> true
-           | _ -> false)
-  in
-  match return_node with
-  | None -> Alcotest.fail "no return node"
-  | Some n ->
-      let defs = Dataflow.Reaching.reaching_defs_of res n.Dataflow.Cfg.nid x.Kc.Ir.vid in
-      Alcotest.(check int) "two defs of x reach the return" 2 (List.length defs)
-
-(* ------------------------------------------------------------------ *)
-(* Dominators                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_dominators () =
-  let cfg = cfg_of "int f(int c) { int r = 0; if (c) { r = 1; } else { r = 2; } return r; }" "f" in
-  let dom = Dataflow.Dominator.compute cfg in
-  let entry = cfg.Dataflow.Cfg.entry in
-  Array.iter
-    (fun (n : Dataflow.Cfg.node) ->
-      if (Dataflow.Cfg.reachable cfg).(n.Dataflow.Cfg.nid) then
-        Alcotest.(check bool)
-          (Printf.sprintf "entry dominates %d" n.Dataflow.Cfg.nid)
-          true
-          (Dataflow.Dominator.dominates dom entry n.Dataflow.Cfg.nid))
-    cfg.Dataflow.Cfg.nodes;
-  (* Branch arms do not dominate the join. *)
-  let entry_node = Dataflow.Cfg.node cfg entry in
-  match entry_node.Dataflow.Cfg.succs with
-  | [ t; e ] ->
-      let join =
-        List.find (fun s -> s <> t && s <> e) (Dataflow.Cfg.node cfg t).Dataflow.Cfg.succs
-      in
-      Alcotest.(check bool) "then-arm does not dominate join" false
-        (Dataflow.Dominator.dominates dom t join);
-      Alcotest.(check bool) "else-arm does not dominate join" false
-        (Dataflow.Dominator.dominates dom e join)
-  | _ -> Alcotest.fail "if node should have 2 successors"
-
-let test_idom_of_entry () =
-  let cfg = cfg_of "int f(void) { return 0; }" "f" in
-  let dom = Dataflow.Dominator.compute cfg in
-  Alcotest.(check bool) "entry has no idom" true
-    (dom.Dataflow.Dominator.idom.(cfg.Dataflow.Cfg.entry) = None)
-
 let () =
   Alcotest.run "dataflow"
     [
@@ -182,17 +85,5 @@ let () =
           Alcotest.test_case "loop back edge" `Quick test_loop_back_edge;
           Alcotest.test_case "switch" `Quick test_switch_cfg;
           Alcotest.test_case "unreachable after return" `Quick test_unreachable_after_return;
-        ] );
-      ( "liveness",
-        [
-          Alcotest.test_case "param live" `Quick test_liveness_param_live;
-          Alcotest.test_case "kill" `Quick test_liveness_kill;
-          Alcotest.test_case "loop" `Quick test_liveness_loop;
-        ] );
-      ("reaching", [ Alcotest.test_case "two defs" `Quick test_reaching ]);
-      ( "dominators",
-        [
-          Alcotest.test_case "entry dominates all" `Quick test_dominators;
-          Alcotest.test_case "idom of entry" `Quick test_idom_of_entry;
         ] );
     ]

@@ -130,6 +130,41 @@ let test_oob_cast_shape_detected () =
         (List.length v.Gen.Oracle.detected))
     [ 8; 9; 10; 11; 12 ]
 
+(* Atomic regions that only a CFG-following BlockStop sees: each
+   program's [main] traps in the base VM at the [msleep] in [f], and
+   blockstop must flag [f]. *)
+let atomic_probes =
+  [
+    ( "loop-carried disable",
+      "int f(int n) {\n\
+       \  int i;\n\
+       \  for (i = 0; i < n; i++) { msleep(1); local_irq_disable(); }\n\
+       \  local_irq_enable();\n\
+       \  return 0; }\n" );
+    ( "break out while atomic",
+      "int f(int n) {\n\
+       \  while (1) { local_irq_disable(); if (n > 0) { break; } local_irq_enable(); }\n\
+       \  msleep(1);\n\
+       \  return 0; }\n" );
+    ( "disabling wrapper",
+      "void my_disable(void) { local_irq_disable(); }\n\
+       int f(int n) { my_disable(); msleep(1); return 0; }\n" );
+  ]
+
+let test_atomic_probes_detected () =
+  List.iter
+    (fun (what, body) ->
+      let src =
+        "void local_irq_disable(void);\n\
+         void local_irq_enable(void);\n\
+         void msleep(int ms) __blocking;\n"
+        ^ body ^ "int main(void) { return f(2); }\n"
+      in
+      let v = Gen.Oracle.check_source ~name:"probe.kc" src [ (Gen.Fault.Atomic_block, "f") ] in
+      Alcotest.(check (list string)) what []
+        (List.map Gen.Oracle.violation_to_string v.Gen.Oracle.violations))
+    atomic_probes
+
 (* ---- one analysis pass per case ---- *)
 
 let case_context i =
@@ -340,6 +375,7 @@ let () =
           Alcotest.test_case "injector labels" `Quick test_injector_labels;
           Alcotest.test_case "every kind detected" `Slow test_every_fault_kind_detected;
           Alcotest.test_case "oob-cast shape detected" `Slow test_oob_cast_shape_detected;
+          Alcotest.test_case "atomic probes detected" `Quick test_atomic_probes_detected;
           Alcotest.test_case "one analysis pass per case" `Quick test_one_analysis_pass;
           Alcotest.test_case "matches the reference oracle" `Slow test_matches_reference_oracle;
         ] );

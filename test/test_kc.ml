@@ -612,6 +612,9 @@ let accept_cases =
     check_ok "definition matching its prototype"
       "int f(int a, char *p);\nint f(int a, char *p) { return a; }\n\
        int g(void);\nint g(void) { return f(1, 0); }";
+    check_ok "repeated matching prototypes"
+      "int f(int a, char * __nullterm p);\nint f(int b, char *q);\n\
+       int f(int a, char *p) { return a; }\nint f(int a, char *p);";
   ]
 
 let reject_cases =
@@ -663,6 +666,16 @@ let reject_cases =
 long f(void) { int (*h)(int); h = g; h = h + 1; return 0; }"
           );
         ]);
+    check_located "store through void pointer"
+      [ ("sizeof(void)", 1, "long f(void) { char buf[4]; void *p; p = buf; *p = 1; return 0; }") ];
+    check_located "second prototype conflicts with the first"
+      [
+        ("conflicting types for f", 2, "int f(int a);\nlong f(int a, int b);");
+        ("conflicting types for f", 2, "int f(int a);\nlong f(int a);");
+        ("conflicting types for f", 2, "int f(int a, int b);\nint f(int a);");
+        ("conflicting types for f", 2, "int f(char *p);\nint f(long *p);");
+        ("conflicting types for f", 2, "int f(int a) { return a; }\nint f(long a);");
+      ];
     check_located "definition conflicts with its prototype"
       [
         ("conflicting types for f", 2, "int f(int a);

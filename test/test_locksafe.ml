@@ -61,6 +61,41 @@ let test_irq_unsafe_flagged () =
   Alcotest.(check bool) "plain spin_lock of an irq lock reported" true
     (List.exists (fun (l, _) -> l = "dl") r.Locksafe.irq_unsafe)
 
+let test_wrapper_inversion_flagged () =
+  (* [two] takes lb through an unannotated wrapper, then la *)
+  let r =
+    locksafe
+      (parse
+         (p
+            "long la;\nlong lb;\n\
+             void take_b(void) { spin_lock(&lb); }\n\
+             int one(void) { spin_lock(&la); spin_lock(&lb); spin_unlock(&lb); spin_unlock(&la); return 0; }\n\
+             int two(void) { take_b(); spin_lock(&la); spin_unlock(&la); spin_unlock(&lb); return 0; }"))
+  in
+  Alcotest.(check (list (pair string string))) "inversion through the wrapper reported"
+    [ ("la", "lb") ] r.Locksafe.deadlock_cycles
+
+let test_loop_carried_inversion_flagged () =
+  (* each round takes la while still holding the previous round's lb *)
+  let r =
+    locksafe
+      (parse
+         (p
+            "long la;\nlong lb;\n\
+             int chain(int n) {\n\
+             \  int i;\n\
+             \  for (i = 0; i < n; i++) {\n\
+             \    spin_lock(&la);\n\
+             \    if (i > 0) { spin_unlock(&lb); }\n\
+             \    spin_lock(&lb);\n\
+             \    spin_unlock(&la);\n\
+             \  }\n\
+             \  if (n > 0) { spin_unlock(&lb); }\n\
+             \  return 0; }"))
+  in
+  Alcotest.(check (list (pair string string))) "loop-carried inversion reported"
+    [ ("la", "lb") ] r.Locksafe.deadlock_cycles
+
 (* ---- clean: correct locking draws no report ---- *)
 
 let test_consistent_order_clean () =
@@ -74,6 +109,22 @@ let test_consistent_order_clean () =
   in
   Alcotest.(check int) "no deadlock pairs" 0 (List.length r.Locksafe.deadlock_cycles);
   Alcotest.(check int) "no irq-unsafe acquires" 0 (List.length r.Locksafe.irq_unsafe)
+
+let test_wrapper_pair_clean () =
+  (* lb is released by a wrapper before la is taken *)
+  let r =
+    locksafe
+      (parse
+         (p
+            "long la;\nlong lb;\n\
+             void take_b(void) { spin_lock(&lb); }\n\
+             void drop_b(void) { spin_unlock(&lb); }\n\
+             int one(void) { spin_lock(&la); take_b(); drop_b(); spin_unlock(&la); return 0; }\n\
+             int two(void) { take_b(); drop_b(); spin_lock(&la); spin_unlock(&la); return 0; }"))
+  in
+  Alcotest.(check int) "no order edge from lb" 0
+    (List.length (List.filter (fun (e : Locksafe.order_edge) -> e.Locksafe.from_lock = "lb") r.Locksafe.order_edges));
+  Alcotest.(check int) "no deadlock pairs" 0 (List.length r.Locksafe.deadlock_cycles)
 
 let test_irqsave_clean () =
   let r =
@@ -115,11 +166,14 @@ let () =
           Alcotest.test_case "cross-function inversion" `Quick test_inversion_flagged;
           Alcotest.test_case "same-function inversion" `Quick test_same_function_inversion_flagged;
           Alcotest.test_case "irq-unsafe acquire" `Quick test_irq_unsafe_flagged;
+          Alcotest.test_case "wrapper inversion" `Quick test_wrapper_inversion_flagged;
+          Alcotest.test_case "loop-carried inversion" `Quick test_loop_carried_inversion_flagged;
         ] );
       ( "clean",
         [
           Alcotest.test_case "consistent order" `Quick test_consistent_order_clean;
           Alcotest.test_case "irqsave" `Quick test_irqsave_clean;
+          Alcotest.test_case "wrapper pair" `Quick test_wrapper_pair_clean;
         ] );
       ("engine", [ Alcotest.test_case "error severity" `Quick test_engine_diag_is_error ]);
     ]
