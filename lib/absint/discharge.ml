@@ -158,16 +158,15 @@ let residual_roots (prog : I.program) : string list =
     prog.I.funcs
 
 (* Discharge over every defined function of an (already deputized and
-   Facts-optimized) program, in place.  Without [ifaces] the
-   relational interface summaries are computed first (zone on) and
-   feed both the interval summaries and the per-function fixpoints;
-   the interval summaries are demanded only
-   from the functions holding a residual check. Each such function is
-   solved over its {!Summary.inputs} through [memo], on the calling
-   domain; the pool forces the suspensions, and the verdicts are
-   applied serially in program order. *)
-let run ?summaries ?ifaces ?(jobs = 1) ?(memo = Summary.no_memo) (prog : I.program) : stats =
-  let ifaces = match ifaces with Some i -> i | None -> Relsum.compute prog in
+   Facts-optimized) program, in place, under one domain ([ifaces],
+   the product by default) for summaries and fixpoints alike; the
+   summaries are demanded only from the functions holding a residual
+   check. Each such function is solved over its {!Summary.inputs}
+   through [memo], on the calling domain; the pool forces the
+   suspensions, and the verdicts are applied serially in program
+   order. *)
+let run ?summaries ?(ifaces = Transfer.no_ifaces) ?(jobs = 1) ?(memo = Summary.no_memo)
+    (prog : I.program) : stats =
   let summaries =
     match summaries with
     | Some s -> s
@@ -180,7 +179,7 @@ let run ?summaries ?ifaces ?(jobs = 1) ?(memo = Summary.no_memo) (prog : I.progr
         else if checks_of fd.I.fbody = [] then
           Some (fd, Lazy.from_val (verdict ~summaries fd))
         else
-          let summaries, ifaces, inputs = Summary.inputs ~summaries ~ifaces fd in
+          let summaries, inputs = Summary.inputs ~summaries ~ifaces fd in
           Some (fd, memo fd ~inputs (fun () -> verdict ~ifaces ~summaries fd)))
       prog.I.funcs
   in

@@ -46,9 +46,8 @@ val run :
   ?memo:verdict Summary.memo ->
   Kc.Ir.program ->
   stats
-(** Without [ifaces], relational interface summaries are computed
-    first ({!Relsum.compute}, zone on) and feed both the interval
-    summaries and every per-function fixpoint;
+(** [ifaces] (default {!Transfer.no_ifaces}, the product domain) is
+    the domain of both the summaries and every per-function fixpoint;
     [~ifaces:]{!Transfer.interval_only} runs the interval-only stage.
     Without [summaries], only those of {!residual_roots} and their
     direct callees are computed. A given [summaries] must cover at

@@ -69,15 +69,17 @@ let analyze ?summaries ?ifaces (fd : I.fundec) : fresult =
   analyze_cfg ?summaries ?ifaces (Cfg.build fd)
 
 (* Join of the abstract values flowing into every reachable return of
-   [fd], normed to the return type; used to summarize calls. *)
+   [fd], normed to the return type; used to summarize calls. A
+   [return;] or falling off the end yields 0, as in the VM. *)
 let return_aval (fd : I.fundec) (r : fresult) : Aval.t =
   let acc = ref Aval.bottom in
   Array.iter
     (fun (node : Cfg.node) ->
+      let env = r.after.(node.Cfg.nid) in
       match node.Cfg.term with
-      | Cfg.Treturn (Some e) ->
-          let env = r.after.(node.Cfg.nid) in
-          if not (Env.is_unreachable env) then acc := Aval.join !acc (Transfer.eval env e)
+      | Cfg.Treturn e when not (Env.is_unreachable env) ->
+          let v = match e with Some e -> Transfer.eval env e | None -> Aval.of_const 0L in
+          acc := Aval.join !acc v
       | _ -> ())
     r.cfg.Cfg.nodes;
   if Aval.is_bot !acc then Transfer.of_ty fd.I.fret

@@ -18,5 +18,6 @@ val analyze_cfg :
 val analyze : ?summaries:Transfer.summaries -> ?ifaces:Transfer.ifaces -> Kc.Ir.fundec -> fresult
 
 val return_aval : Kc.Ir.fundec -> fresult -> Aval.t
-(** Join over all reachable [return e] sites, normed to the return
-    type; the function's summary. *)
+(** Join over all reachable returns, normed to the return type; the
+    function's summary. A reachable [return;] or fall-off contributes
+    0, the value the VM returns there. *)

@@ -102,45 +102,33 @@ let solve_one ~ifaces ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
   let ret = Solver.return_aval fd r in
   if Aval.is_bot ret then Transfer.of_ty fd.I.fret else ret
 
-(* What a fixpoint over [fd] reads of the interprocedural maps: a
-   summary or interface is looked up only at a direct call
-   ({!Transfer.instr}), so the maps restricted to [fd]'s direct callees
-   give the same fixpoint. [inputs] renders those values canonically
-   (after the zone flag, which a leaf's key would otherwise lack),
-   callee by callee: [Aval.to_string] is
-   injective and independent of sharing, so equal inputs render
-   equally. Absent and present entries render differently, since
-   [Transfer.instr] falls back to the callee's type when a summary is
-   missing. *)
+(* What a fixpoint over [fd] reads of the interprocedural map: a
+   summary is looked up only at a direct call ({!Transfer.instr}), so
+   the map restricted to [fd]'s direct callees gives the same fixpoint.
+   [inputs] renders the zone flag (which a leaf's key would otherwise
+   lack) and those values canonically, callee by callee:
+   [Aval.to_string] is injective and independent of sharing, so equal
+   inputs render equally. Absent and present entries render
+   differently, since [Transfer.instr] falls back to the callee's type
+   when a summary is missing. *)
 let inputs ~(summaries : Transfer.summaries) ~(ifaces : Transfer.ifaces) (fd : I.fundec) :
-    Transfer.summaries * Transfer.ifaces * string =
+    Transfer.summaries * string =
   let b = Buffer.create 128 in
   Buffer.add_string b (if ifaces.Transfer.zone then "product" else "interval");
-  let sums, ifs =
+  let sums =
     List.fold_left
-      (fun (sums, ifs) callee ->
+      (fun sums callee ->
         Buffer.add_char b ';';
         Buffer.add_string b callee;
-        let sums =
-          match Transfer.SM.find_opt callee summaries with
-          | Some a ->
-              Buffer.add_char b '=';
-              Buffer.add_string b (Aval.to_string a);
-              Transfer.SM.add callee a sums
-          | None -> sums
-        in
-        let ifs =
-          match Transfer.SM.find_opt callee ifaces.Transfer.facts with
-          | Some i ->
-              Buffer.add_string b (if i.Transfer.ret_nonnull then "!nn" else "!");
-              Transfer.SM.add callee i ifs
-          | None -> ifs
-        in
-        (sums, ifs))
-      (Transfer.no_summaries, Transfer.SM.empty)
-      (direct_callees fd)
+        match Transfer.SM.find_opt callee summaries with
+        | Some a ->
+            Buffer.add_char b '=';
+            Buffer.add_string b (Aval.to_string a);
+            Transfer.SM.add callee a sums
+        | None -> sums)
+      Transfer.no_summaries (direct_callees fd)
   in
-  (sums, { ifaces with Transfer.facts = ifs }, Buffer.contents b)
+  (sums, Buffer.contents b)
 
 type 'a memo = I.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
 
@@ -181,7 +169,6 @@ let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
      unchanged. *)
   let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
   let sccs = sccs_of (match roots with None -> defined | Some r -> demanded defined r) in
-  let all_ifaces = ifaces in
   List.fold_left
     (fun summaries level ->
       (* A function in this level only reads summaries of strictly
@@ -202,7 +189,7 @@ let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
           (fun scc ->
             match scc with
             | [ fd ] ->
-                let summaries, ifaces, inputs = inputs ~summaries ~ifaces:all_ifaces fd in
+                let summaries, inputs = inputs ~summaries ~ifaces fd in
                 (fd.I.fname, memo fd ~inputs (fun () -> solve_one ~ifaces ~summaries ~cfg_of fd))
             | _ -> assert false)
           solvable

@@ -10,7 +10,8 @@ val sccs_of : Kc.Ir.fundec list -> Kc.Ir.fundec list list
     Exposed for tests. *)
 
 val is_self_recursive : Kc.Ir.fundec -> bool
-(** Does the function call itself directly? Shared with {!Relsum}. *)
+(** Does the function call itself directly? Shared with refsafe's
+    summaries. *)
 
 val levels_of : Kc.Ir.fundec list list -> Kc.Ir.fundec list list list
 (** Group topologically ordered SCCs ({i callees first}) into
@@ -22,14 +23,14 @@ val inputs :
   summaries:Transfer.summaries ->
   ifaces:Transfer.ifaces ->
   Kc.Ir.fundec ->
-  Transfer.summaries * Transfer.ifaces * string
+  Transfer.summaries * string
 (** [inputs ~summaries ~ifaces fd] is everything a fixpoint over [fd]
-    reads of the two maps: both restricted to [fd]'s direct callees
-    (the zone flag kept), plus a canonical rendering of those values
-    and of the flag — the callee half of a per-function cache key. Equal
-    values render equally whatever their sharing (no [Marshal]). A
-    solve given the restricted maps cannot read anything the rendering
-    does not cover. *)
+    reads of [summaries]: the map restricted to [fd]'s direct callees,
+    plus a canonical rendering of the zone flag and of those values —
+    the callee half of a per-function cache key. Equal values render
+    equally whatever their sharing (no [Marshal]). A solve given the
+    restricted map and [ifaces] cannot read anything the rendering does
+    not cover. *)
 
 type 'a memo = Kc.Ir.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
 (** A per-function memo: [memo fd ~inputs solve] returns a cached

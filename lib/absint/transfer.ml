@@ -29,19 +29,14 @@ type summaries = Aval.t SM.t
 
 let no_summaries : summaries = SM.empty
 
-(* Relational (pointer-flow) interface facts per function, see
-   {!Relsum}: currently whether every return provably yields a
-   non-null pointer. *)
-type fn_iface = { ret_nonnull : bool }
+(* What the relational layer contributes to a solve: whether the zone
+   component runs at all. One value feeds summaries and discharge
+   alike, so the two cannot disagree on the domain. A callee's
+   nullness comes from its summary alone. *)
+type ifaces = { zone : bool }
 
-(* What the relational layer contributes to a solve: the interface
-   facts, and whether the zone component runs at all. One value feeds
-   summaries and discharge alike, so the two cannot disagree on the
-   domain. *)
-type ifaces = { facts : fn_iface SM.t; zone : bool }
-
-let no_ifaces = { facts = SM.empty; zone = true }
-let interval_only = { facts = SM.empty; zone = false }
+let no_ifaces = { zone = true }
+let interval_only = { zone = false }
 
 (* Allocators yielding non-null chunks, kept in sync with the list the
    Facts-based optimizer trusts (Deputy.Optimize). *)
@@ -587,14 +582,6 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
             match SM.find_opt f summaries with
             | Some a -> degrade v.I.vty (norm_aval v.I.vty a)
             | None -> if List.mem f allocators then Aval.nonnull else of_ty v.I.vty
-          in
-          let ret =
-            (* relational interface: the callee provably returns a
-               non-null pointer on every path *)
-            match SM.find_opt f ifaces.facts with
-            | Some { ret_nonnull = true } when I.is_pointer v.I.vty ->
-                degrade v.I.vty (Aval.reduce (Aval.meet ret Aval.nonnull))
-            | _ -> ret
           in
           Env.set v.I.vid ret (zone_kill v env)
       | I.Icall (Some (I.Lvar v, []), _, _) when Deputy.Facts.stable v ->

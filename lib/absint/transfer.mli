@@ -10,22 +10,17 @@ type summaries = Aval.t SM.t
 
 val no_summaries : summaries
 
-type fn_iface = { ret_nonnull : bool }
-(** Skeleton-derived relational interface of a function (see
-    {!Relsum}): [ret_nonnull] when every return provably yields a
-    non-null pointer. *)
-
-type ifaces = { facts : fn_iface SM.t; zone : bool }
-(** What the relational layer contributes to a solve: the interface
-    facts by function name, and whether the zone component of the
-    product runs. Summaries and discharge given one value run under
-    one domain. *)
+type ifaces = { zone : bool }
+(** What the relational layer contributes to a solve: whether the zone
+    component of the product runs. Summaries and discharge given one
+    value run under one domain. A callee's nullness comes from its
+    summary ({!summaries}) alone. *)
 
 val no_ifaces : ifaces
-(** No interface facts, zone on: the product domain. *)
+(** Zone on: the product domain. *)
 
 val interval_only : ifaces
-(** No interface facts, zone off: the interval×nullness domain alone. *)
+(** Zone off: the interval×nullness domain alone. *)
 
 val allocators : string list
 val ty_range : Kc.Ir.ty -> Interval.t

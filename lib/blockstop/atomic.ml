@@ -2,16 +2,20 @@
    calls made there may block?
 
    The interrupt-disable depth is a {!Dataflow.Fsm} state over each
-   function's CFG, solved from 0: spin_lock / local_irq_disable add
-   one, the unlock / enable calls take one off (name lists read only
-   for externs), and a call to a defined function adds its net depth.
-   Paths that disagree keep the larger depth — conservative, and one
-   source of the false positives the paper resolves with runtime
-   checks. At [cap] the count is lost, so an enable keeps the depth
-   there. The depth does not depend on how a function is entered, so
-   each is solved once; the functions *entered* in atomic context —
-   irq handlers (passed to [request_irq]) and callees of atomic sites
-   — then close over the solved call sites. *)
+   function's CFG. The state is an effect on the depth the function was
+   entered with, a pair (down, up): the depth drops by [down] (not
+   below 0), then rises by [up]. spin_lock / local_irq_disable rise by
+   one, the unlock / enable calls drop by one (name lists read only for
+   externs), and a call to a defined function applies its own effect;
+   pairs compose under sequencing, so a wrapper that only unlocks ends
+   its caller's region. Paths that disagree keep the smaller drop and
+   the larger rise — conservative, and one source of the false
+   positives the paper resolves with runtime checks. At [cap] the count
+   is lost, so nothing takes the depth back down there. Entered at
+   depth 0, the depth at a point is its [up], so each function is
+   solved once; the functions *entered* in atomic context — irq
+   handlers (passed to [request_irq]) and callees of atomic sites —
+   then close over the solved call sites. *)
 
 module I = Kc.Ir
 module SS = Set.Make (String)
@@ -44,22 +48,35 @@ let irq_handlers (prog : I.program) : SS.t =
 
 let cap = 4
 
-(* The irq-disable depth, -1 where not reached. *)
+(* The effect (down, up) since entry, [None] where not reached. *)
 module F = Dataflow.Fsm.Make (struct
-  type t = int
+  type t = (int * int) option
 
-  let bottom = -1 and entry = 0 and equal = Int.equal and join = max
+  let bottom = None and entry = Some (0, 0) and equal = ( = )
+
+  let join a b =
+    match (a, b) with
+    | None, s | s, None -> s
+    | Some (d1, u1), Some (d2, u2) -> Some (min d1 d2, max u1 u2)
 end)
 
-let step ~effect instr d =
-  match instr with
-  | I.Icall (_, I.Direct n, _) -> (
+(* [(d1, u1)] followed by [(d2, u2)]. *)
+let seq (d1, u1) (d2, u2) =
+  if u1 >= cap then (d1, cap)
+  else (min cap (d1 + max 0 (d2 - u1)), min cap (u2 + max 0 (u1 - d2)))
+
+let step ~effect instr s =
+  match (instr, s) with
+  | I.Icall (_, I.Direct n, _), Some e1 -> (
       match effect n with
-      | Some e -> min cap (d + e)
-      | None when List.mem n disablers -> min cap (d + 1)
-      | None when List.mem n enablers && d < cap -> max 0 (d - 1)
-      | None -> d)
-  | _ -> d
+      | Some e2 -> Option.map (seq e1) e2
+      | None when List.mem n disablers -> Some (seq e1 (0, 1))
+      | None when List.mem n enablers -> Some (seq e1 (1, 0))
+      | None -> s)
+  | _ -> s
+
+(* The depth at a point of a function entered at depth 0. *)
+let depth = function Some (_, up) -> up | None -> 0
 
 type result = {
   warnings : warning list;
@@ -80,7 +97,7 @@ let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
           (Callgraph.callees cg fd.I.fname);
         ( fd.I.fname,
           List.concat_map
-            (fun (_, loc, d) -> List.map (fun e -> (e, d)) (Hashtbl.find_all edges_at loc))
+            (fun (_, loc, s) -> List.map (fun e -> (e, depth s)) (Hashtbl.find_all edges_at loc))
             instrs ))
       (F.solve ~cfg_of ~step cg.Callgraph.prog)
   in

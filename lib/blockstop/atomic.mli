@@ -1,10 +1,11 @@
 (** Atomic-region analysis: interrupt-disable depth solved over each
     function's CFG by {!Dataflow.Fsm} (spin_lock / local_irq_disable
-    increment it, saturating at [cap]; a call to a defined function
-    adds its net depth), and the closure of which functions can be
-    *entered* in atomic context (interrupt handlers and functions
-    called from atomic sites). A call that may block from an atomic
-    point is a warning. *)
+    increment it, saturating at [cap]; the unlock / enable calls
+    decrement it; a call to a defined function applies its effect, the
+    drop below the entry depth and the rise after it), and the closure
+    of which functions can be *entered* in atomic context (interrupt
+    handlers and functions called from atomic sites). A call that may
+    block from an atomic point is a warning. *)
 
 module SS : Set.S with type elt = string and type t = Set.Make(String).t
 

@@ -29,7 +29,8 @@ module Make (L : LATTICE) = struct
         Queue.add i queue
       end
     in
-    Array.iter (fun (nd : Cfg.node) -> push nd.Cfg.nid) cfg.Cfg.nodes;
+    (* Unreachable nodes keep [bottom]. *)
+    List.iter push (Cfg.reverse_postorder cfg);
     while not (Queue.is_empty queue) do
       let i = Queue.take queue in
       on_queue.(i) <- false;

@@ -14,7 +14,9 @@ module Make (L : LATTICE) : sig
 
   (** [solve cfg ~init ~transfer]: [transfer node state] maps a node's
       entry state to its exit state; [init] enters at [cfg.entry].
-      Returns the fixpoint per node. *)
+      Returns the fixpoint per node, seeded in reverse postorder from
+      the entry: a node unreachable from it is never evaluated and
+      keeps [bottom] at both ends. *)
   val solve : Cfg.t -> init:L.t -> transfer:(Cfg.node -> L.t -> L.t) -> result
 end
 

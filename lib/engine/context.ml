@@ -72,7 +72,6 @@ module Key = struct
   let summary fname = Graph.key ~param:fname "absint-summary"
   let discharge fname = Graph.key ~param:fname "absint-discharge"
   let instrumented = Graph.key "deputy-instrumented"
-  let relsum = Graph.key "relsum-ifaces"
   let deputized = Graph.key "deputized(absint)"
   let vm_compiled = Graph.key "vm-compiled"
   let irq_handlers = Graph.key "irq-handlers"
@@ -92,7 +91,6 @@ let summaries_slot : Absint.Transfer.summaries Graph.slot = Graph.slot ()
 let summary_slot : Absint.Aval.t Lazy.t Graph.slot = Graph.slot ()
 let discharge_slot : Absint.Discharge.verdict Lazy.t Graph.slot = Graph.slot ()
 let instrumented_slot : (Kc.Ir.program * Deputy.Dreport.report) Graph.slot = Graph.slot ()
-let relsum_slot : Absint.Transfer.ifaces Graph.slot = Graph.slot ()
 let deputized_slot : deputized Graph.slot = Graph.slot ()
 let vm_compiled_slot : Vm.Compile.t Graph.slot = Graph.slot ()
 let refsafe_summaries_slot : Refsafe.Summary.summaries Graph.slot = Graph.slot ()
@@ -126,10 +124,8 @@ let cfg (t : t) (fname : string) : Dataflow.Cfg.t option =
 let defined_funcs (t : t) : Kc.Ir.fundec list =
   List.filter (fun (fd : Kc.Ir.fundec) -> not fd.Kc.Ir.fextern) t.prog.Kc.Ir.funcs
 
-(* Relational interface summaries over the base program, zone on. *)
-let relsum_ifaces (t : t) : Absint.Transfer.ifaces =
-  Graph.get t.g relsum_slot Key.relsum ~fp:(program_fingerprint t) (fun () ->
-      Absint.Relsum.compute ~jobs:t.jobs t.prog)
+(* The product domain; a constant, kept for perfbench's layer probe. *)
+let relsum_ifaces (_ : t) = Absint.Transfer.no_ifaces
 
 (* Instrument + Facts-optimize a shallow copy of the base program,
    once per program version: the summaries read its residual roots,
@@ -163,7 +159,6 @@ let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
    summaries warm; this artifact only assembles them. *)
 let absint_summaries (t : t) : Absint.Transfer.summaries =
   Graph.get t.g summaries_slot Key.summaries ~fp:(program_fingerprint t) (fun () ->
-      let ifaces = relsum_ifaces t in
       let iprog, _ = instrumented t in
       (* Populate the CFG artifacts serially (the graph is
          single-domain), then fan the summary solve out over an
@@ -187,7 +182,7 @@ let absint_summaries (t : t) : Absint.Transfer.summaries =
         fn_memo t summary_slot ~key:Key.summary ~digest:(fun (fd : Kc.Ir.fundec) ->
             fn_fingerprint t fd.Kc.Ir.fname)
       in
-      Absint.Summary.compute ~cfg_of ~jobs:t.jobs ~ifaces
+      Absint.Summary.compute ~cfg_of ~jobs:t.jobs
         ~roots:(Absint.Discharge.residual_roots iprog) ~memo t.prog)
 
 (* The deputized view: absint-discharge a shallow copy of the
@@ -198,12 +193,11 @@ let absint_summaries (t : t) : Absint.Transfer.summaries =
    changes that body even when the caller's own source is unchanged. *)
 let deputized (t : t) : deputized =
   Graph.get t.g deputized_slot Key.deputized ~fp:(program_fingerprint t) (fun () ->
-      let ifaces = relsum_ifaces t in
       let summaries = absint_summaries t in
       let iprog, dreport = instrumented t in
       let dprog = Kc.Ir.copy_program iprog in
       let memo = fn_memo t discharge_slot ~key:Key.discharge ~digest:Fingerprint.fn in
-      let dstats = Absint.Discharge.run ~summaries ~ifaces ~jobs:t.jobs ~memo dprog in
+      let dstats = Absint.Discharge.run ~summaries ~jobs:t.jobs ~memo dprog in
       { dprog; dreport; dstats })
 
 (* Refsafe ownership summaries: flow-insensitive per-function alias

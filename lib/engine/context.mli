@@ -60,7 +60,6 @@ module Key : sig
   (** [deputy-instrumented]: the base program instrumented and
       Facts-optimized, once per program version. *)
 
-  val relsum : Graph.key
   val deputized : Graph.key
   val vm_compiled : Graph.key
   val irq_handlers : Graph.key
@@ -84,21 +83,21 @@ val blocking : ?mode:Blockstop.Pointsto.mode -> t -> Blockstop.Blocking.t
     hash. *)
 val cfg : t -> string -> Dataflow.Cfg.t option
 
-(** Relational interface summaries ({!Absint.Relsum}) over the base
-    program (cached), zone on: the analyses run the product domain. *)
+(** {!Absint.Transfer.no_ifaces}, the product domain the analyses run:
+    a constant, not an artifact. It stays only because the benchmark's
+    layer probe ([perfbench/layers.ml]) times it as [absint.relsum_ms]. *)
 val relsum_ifaces : t -> Absint.Transfer.ifaces
 
 (** Interprocedural interval summaries ({!Absint.Summary}) over the
     base program, sharing the memoized CFGs (cached; reads every
-    per-function CFG artifact, the relational interfaces and
-    [Key.instrumented]). Only the summaries the deputized view's
+    per-function CFG artifact and [Key.instrumented]). Only the summaries the deputized view's
     discharge reads are present: those of functions reachable through
     direct calls from one that still holds a check after Deputy and
     Facts ({!Absint.Discharge.residual_roots} of [Key.instrumented]).
     Keyed on the program digest, it only assembles: each non-recursive
     function's summary is its own [Key.summary] node, keyed on the
     header digest, the function's digest and its direct callees'
-    summary and interface values, and solved over exactly those
+    summary values, and solved over exactly those
     ({!Absint.Summary.inputs}). An edit that leaves a summary's value
     unchanged leaves its callers' nodes warm (early cutoff). *)
 val absint_summaries : t -> Absint.Transfer.summaries
@@ -115,7 +114,7 @@ val instrumented : t -> Kc.Ir.program * Deputy.Dreport.report
     assembles: each function that still holds a check has its own
     [Key.discharge] node, keyed on the header digest, the digest of its
     {e instrumented} body (so a callee annotation edit re-keys it) and
-    its direct callees' summary and interface values. A node stores
+    its direct callees' summary values. A node stores
     the proved checks' ordinals, never IR, and they are re-applied to
     the freshly instrumented body. *)
 type deputized = {

@@ -476,9 +476,6 @@ let summarize (summaries : summaries) (prog : I.program) (fd : I.fundec) : fsum 
 
 (* ---- bottom-up computation over SCC levels ------------------------ *)
 
-let is_self_recursive (fd : I.fundec) =
-  List.mem fd.I.fname (Absint.Summary.direct_callees fd)
-
 let compute ?(jobs = 1) (prog : I.program) : summaries =
   let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
   let sccs = Absint.Summary.sccs_of defined in
@@ -489,7 +486,7 @@ let compute ?(jobs = 1) (prog : I.program) : summaries =
          in SCC order, identical to the serial result. *)
       let solvable, recursive =
         List.partition
-          (fun scc -> match scc with [ fd ] -> not (is_self_recursive fd) | _ -> false)
+          (fun scc -> match scc with [ fd ] -> not (Absint.Summary.is_self_recursive fd) | _ -> false)
           level
       in
       let solved =

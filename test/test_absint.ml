@@ -799,6 +799,27 @@ let test_discharge_summary () =
   let t = Vm.Builtins.boot prog in
   Alcotest.(check int64) "result preserved" 7L (Vm.Interp.run t "main" [])
 
+(* Falling off the end of [pick] returns 0 in the VM, so its summary
+   must hold 0 and [pick(c) - 1] may be -1: the lower-bound check stays
+   and traps, as under the full Deputy run. *)
+let test_summary_fall_off () =
+  let src =
+    "long pick(long c) { if (c) { return 1; } }\n\
+     long f(long c) { long a[2]; a[0] = 7; a[1] = 9; return a[pick(c) - 1]; }\n\
+     long main(void) { return f(0); }\n"
+  in
+  let pick = Absint.Transfer.SM.find "pick" (Absint.Summary.compute (parse src)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "pick's summary %s holds 0" (Absint.Aval.to_string pick))
+    true
+    (Absint.Aval.leq (Absint.Aval.of_const 0L) pick);
+  let prog, _report, stats = deputize_discharge src in
+  Alcotest.(check bool) "a check stays" true
+    (Absint.Discharge.checks_proved stats < Absint.Discharge.checks_seen stats);
+  match Vm.Interp.run (Vm.Builtins.boot prog) "main" [] with
+  | v -> Alcotest.failf "deputized run returned %Ld instead of trapping" v
+  | exception Vm.Trap.Trap _ -> ()
+
 (* On the synthetic kernel corpus, Facts+absint discharges strictly
    more than Facts alone (which left these residual checks behind). *)
 let test_corpus_strictly_more () =
@@ -867,9 +888,8 @@ module SM = Absint.Transfer.SM
    summary counts. *)
 let check_demand_equivalence label (prog : Kc.Ir.program) : int * int =
   let roots = Absint.Discharge.residual_roots (deputized_copy prog) in
-  let ifaces = Absint.Relsum.compute prog in
-  let full = Absint.Summary.compute ~ifaces prog in
-  let demanded = Absint.Summary.compute ~ifaces ~roots prog in
+  let full = Absint.Summary.compute prog in
+  let demanded = Absint.Summary.compute ~roots prog in
   SM.iter
     (fun f v ->
       match SM.find_opt f full with
@@ -895,8 +915,7 @@ let check_demand_equivalence label (prog : Kc.Ir.program) : int * int =
   in
   let with_full =
     let p = deputized_copy prog in
-    let ifaces = Absint.Relsum.compute p in
-    Absint.Discharge.run ~ifaces ~summaries:(Absint.Summary.compute ~ifaces p) p
+    Absint.Discharge.run ~summaries:(Absint.Summary.compute p) p
   in
   let with_demanded = Absint.Discharge.run (deputized_copy prog) in
   Alcotest.(check bool) (label ^ ": identical fstats for every function with checks") true
@@ -967,7 +986,7 @@ let test_interval_only_arm () =
   in
   let counts = Alcotest.(pair (pair int int) (pair int int)) in
   let pairs (a, b, c, d) = ((a, b), (c, d)) in
-  let product, product_left = run (Absint.Relsum.compute base) in
+  let product, product_left = run Absint.Transfer.no_ifaces in
   let interval, interval_left = run Absint.Transfer.interval_only in
   Alcotest.check counts "product: seen, proved, interval, relational" ((80, 37), (33, 4))
     (pairs product);
@@ -1002,7 +1021,7 @@ let test_shared_memo_keys_domain () =
     Absint.Aval.to_string (SM.find "leaf" (Absint.Summary.compute ~ifaces ~memo prog))
   in
   let fresh = Absint.Summary.no_memo in
-  let product = Absint.Relsum.compute prog and interval = Absint.Transfer.interval_only in
+  let product = Absint.Transfer.no_ifaces and interval = Absint.Transfer.interval_only in
   Alcotest.(check string) "product through the memo" (leaf fresh product) (leaf memo product);
   Alcotest.(check string) "interval-only through the same memo" (leaf fresh interval)
     (leaf memo interval);
@@ -1068,6 +1087,7 @@ let () =
           Alcotest.test_case "keeps OOB behind unsigned cast guard" `Quick
             test_discharge_keeps_cast_oob;
           Alcotest.test_case "interprocedural summary" `Quick test_discharge_summary;
+          Alcotest.test_case "summary holds the fall-off return" `Quick test_summary_fall_off;
           Alcotest.test_case "corpus: strictly more than Facts" `Quick test_corpus_strictly_more;
           Alcotest.test_case "corpus: fewer dynamic checks" `Quick test_fewer_dynamic_checks;
           Alcotest.test_case "stats: skipped functions" `Quick test_stats_skip_marker;

@@ -266,6 +266,22 @@ let test_return_leaves_region () =
   in
   Alcotest.(check (list (pair string string))) "no warnings" [] (warn_pairs r)
 
+(* A defined wrapper that only releases ends its caller's region:
+   nothing is atomic at the [msleep], and the VM runs [f] to the end. *)
+let unlock_wrapper =
+  "long lk;\n\
+   void my_unlock(void) { spin_unlock(&lk); }\n\
+   int f(void) { spin_lock(&lk); my_unlock(); msleep(1); return 0; }\n"
+
+let enable_wrapper =
+  "void my_enable(void) { local_irq_enable(); }\n\
+   int f(void) { local_irq_disable(); my_enable(); msleep(1); return 0; }\n"
+
+let test_release_wrapper_ends_region body () =
+  let src = p body in
+  Alcotest.(check (list (pair string string))) "no warnings" [] (warn_pairs (analyze src));
+  Alcotest.(check int64) "f completes" 0L (Vm.Interp.run (Vm.Builtins.boot (parse src)) "f" [])
+
 (* ------------------------------------------------------------------ *)
 (* False positives and runtime checks                                  *)
 (* ------------------------------------------------------------------ *)
@@ -384,6 +400,10 @@ let () =
           Alcotest.test_case "break out while atomic" `Quick (flags_msleep_in_f probe_break);
           Alcotest.test_case "disabling wrapper" `Quick (flags_msleep_in_f probe_wrapper);
           Alcotest.test_case "return leaves the region" `Quick test_return_leaves_region;
+          Alcotest.test_case "unlock wrapper ends the region" `Quick
+            (test_release_wrapper_ends_region unlock_wrapper);
+          Alcotest.test_case "irq-enable wrapper ends the region" `Quick
+            (test_release_wrapper_ends_region enable_wrapper);
         ] );
       ( "false-positives",
         [

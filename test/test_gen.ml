@@ -165,6 +165,20 @@ let test_atomic_probes_detected () =
         (List.map Gen.Oracle.violation_to_string v.Gen.Oracle.violations))
     atomic_probes
 
+(* A summary that drops [pick]'s fall-off (which returns 0) lets absint
+   discharge the lower-bound check of [a[pick(c) - 1]], which the full
+   Deputy run trips: the oracle must see the two runs agree. *)
+let test_fall_off_discharge_sound () =
+  let src =
+    "long pick(long c) { if (c) { return 1; } }\n\
+     long f(long c) { long a[2]; a[0] = 7; a[1] = 9; return a[pick(c) - 1]; }\n\
+     long main(void) { return f(0); }\n"
+  in
+  let v = Gen.Oracle.check_source ~name:"falloff.kc" src [] in
+  let discharge_unsound = function Gen.Oracle.Discharge_unsound _ -> true | _ -> false in
+  Alcotest.(check (list string)) "no unsound discharge" []
+    (List.map Gen.Oracle.violation_to_string (List.filter discharge_unsound v.Gen.Oracle.violations))
+
 (* ---- one analysis pass per case ---- *)
 
 let case_context i =
@@ -376,6 +390,8 @@ let () =
           Alcotest.test_case "every kind detected" `Slow test_every_fault_kind_detected;
           Alcotest.test_case "oob-cast shape detected" `Slow test_oob_cast_shape_detected;
           Alcotest.test_case "atomic probes detected" `Quick test_atomic_probes_detected;
+          Alcotest.test_case "fall-off return discharge is sound" `Quick
+            test_fall_off_discharge_sound;
           Alcotest.test_case "one analysis pass per case" `Quick test_one_analysis_pass;
           Alcotest.test_case "matches the reference oracle" `Slow test_matches_reference_oracle;
         ] );
