@@ -89,7 +89,9 @@ let jobs_t =
     & opt int (Par.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains (default: the host's recommended domain count). Output is \
+          "Worker domains (default: the host's recommended domain count) for work that splits \
+           into independent programs: several FILE arguments to check, fuzz cases, and the \
+           parses of a serve batch. One program is always analysed on one domain. Output is \
            byte-identical for every value of $(docv).")
 
 (* ---- boot ---- *)
@@ -260,8 +262,8 @@ let stats_t =
    one JSON line), with absint's per-function discharge table appended
    under text --stats, plus the context's artifact counters and whether
    any diagnostic is an error. *)
-let check_program ~only ~jobs ~json ~stats files =
-  let ctxt = Engine.Context.create ~jobs (load_files files ~fixed_frees:true) in
+let check_program ~only ~json ~stats files =
+  let ctxt = Engine.Context.create (load_files files ~fixed_frees:true) in
   let results = Ivy.Checks.run_all ~only ctxt in
   let absint_ran = List.mem_assoc "absint" results in
   let report =
@@ -304,14 +306,14 @@ let run_check ~only files jobs json stats =
       let per_file =
         match files with
         | [] | [ _ ] ->
-            (* One program: --jobs parallelizes inside the context
-               (per-SCC-level absint summary solving). *)
-            [ check_program ~only ~jobs ~json ~stats files ]
+            (* One program is analysed on this domain; --jobs does
+               nothing here. *)
+            [ check_program ~only ~json ~stats files ]
         | _ ->
             (* Several inputs shard per file: each worker owns one
                program and one context (contexts memoize in plain
                Hashtbls, so they are never shared across domains). *)
-            Par.map ~jobs (fun path -> check_program ~only ~jobs:1 ~json ~stats [ path ]) files
+            Par.map ~jobs (fun path -> check_program ~only ~json ~stats [ path ]) files
       in
       let reports = List.map (fun (r, _, _) -> r) per_file in
       (match files with

@@ -158,40 +158,33 @@ let residual_roots (prog : I.program) : string list =
     prog.I.funcs
 
 (* Discharge over every defined function of an (already deputized and
-   Facts-optimized) program, in place, under one domain ([ifaces],
-   the product by default) for summaries and fixpoints alike; the
-   summaries are demanded only from the functions holding a residual
-   check. Each such function is solved over its {!Summary.inputs}
-   through [memo], on the calling domain; the pool forces the
-   suspensions, and the verdicts are applied serially in program
-   order. *)
-let run ?summaries ?(ifaces = Transfer.no_ifaces) ?(jobs = 1) ?(memo = Summary.no_memo)
-    (prog : I.program) : stats =
+   Facts-optimized) program, in place and in program order, under one
+   domain ([ifaces], the product by default) for summaries and
+   fixpoints alike; the summaries are demanded only from the functions
+   holding a residual check. Each such function is solved over its
+   {!Summary.inputs} through [memo]. *)
+let run ?summaries ?(ifaces = Transfer.no_ifaces) ?(memo = Summary.no_memo) (prog : I.program) :
+    stats =
   let summaries =
     match summaries with
     | Some s -> s
     | None -> Summary.compute ~ifaces ~roots:(residual_roots prog) prog
   in
-  let pending =
-    List.filter_map
-      (fun fd ->
-        if fd.I.fextern then None
-        else if checks_of fd.I.fbody = [] then
-          Some (fd, Lazy.from_val (verdict ~summaries fd))
-        else
-          let summaries, inputs = Summary.inputs ~summaries ~ifaces fd in
-          Some (fd, memo fd ~inputs (fun () -> verdict ~ifaces ~summaries fd)))
-      prog.I.funcs
-  in
-  Summary.force_misses ~jobs (List.map snd pending);
   {
     fstats =
-      List.map
-        (fun (fd, v) ->
-          let v = Lazy.force v in
-          apply fd v;
-          v.fstat)
-        pending;
+      List.filter_map
+        (fun fd ->
+          if fd.I.fextern then None
+          else
+            let v =
+              if checks_of fd.I.fbody = [] then verdict ~summaries fd
+              else
+                let summaries, inputs = Summary.inputs ~summaries ~ifaces fd in
+                memo fd ~inputs (fun () -> verdict ~ifaces ~summaries fd)
+            in
+            apply fd v;
+            Some v.fstat)
+        prog.I.funcs;
   }
 
 let render_stats (stats : stats) : string =

@@ -42,7 +42,6 @@ val residual_roots : Kc.Ir.program -> string list
 val run :
   ?summaries:Transfer.summaries ->
   ?ifaces:Transfer.ifaces ->
-  ?jobs:int ->
   ?memo:verdict Summary.memo ->
   Kc.Ir.program ->
   stats
@@ -52,9 +51,8 @@ val run :
     Without [summaries], only those of {!residual_roots} and their
     direct callees are computed. A given [summaries] must cover at
     least those. Each function that holds a check is solved over its
-    {!Summary.inputs} through [memo] (default {!Summary.no_memo});
-    [jobs] (default 1) forces the solves on a {!Par} pool. Verdicts are
-    applied in place, so the result is jobs-invariant. *)
+    {!Summary.inputs} through [memo] (default {!Summary.no_memo}).
+    Verdicts are applied in place, in program order. *)
 
 val render_stats : stats -> string
 (** The per-function table; functions with no residual check show [-]

@@ -64,39 +64,6 @@ let sccs_of (funcs : I.fundec list) : I.fundec list list =
 
 let is_self_recursive (fd : I.fundec) = List.mem fd.I.fname (direct_callees fd)
 
-(* Group the topologically ordered SCCs into bottom-up levels:
-   level(scc) = 1 + max level of its callee SCCs. Every component in a
-   level depends only on strictly lower levels, so the components of
-   one level are independent of each other — the unit of parallelism.
-   Levels come back lowest first, each preserving SCC emission order. *)
-let levels_of (sccs : I.fundec list list) : I.fundec list list list =
-  let scc_of_fun = Hashtbl.create 64 in
-  List.iteri
-    (fun idx scc -> List.iter (fun fd -> Hashtbl.replace scc_of_fun fd.I.fname idx) scc)
-    sccs;
-  let level_of_scc = Hashtbl.create 64 in
-  let by_level = Hashtbl.create 16 in
-  List.iteri
-    (fun idx scc ->
-      let lvl =
-        List.fold_left
-          (fun acc fd ->
-            List.fold_left
-              (fun acc callee ->
-                match Hashtbl.find_opt scc_of_fun callee with
-                | Some cidx when cidx <> idx -> max acc (1 + Hashtbl.find level_of_scc cidx)
-                | _ -> acc)
-              acc (direct_callees fd))
-          0 scc
-      in
-      Hashtbl.replace level_of_scc idx lvl;
-      let prev = Option.value (Hashtbl.find_opt by_level lvl) ~default:[] in
-      Hashtbl.replace by_level lvl (scc :: prev))
-    sccs;
-  let max_level = Hashtbl.fold (fun _ l acc -> max l acc) level_of_scc (-1) in
-  List.init (max_level + 1) (fun l ->
-      List.rev (Option.value (Hashtbl.find_opt by_level l) ~default:[]))
-
 let solve_one ~ifaces ~summaries ~cfg_of (fd : I.fundec) : Aval.t =
   let r = Solver.analyze_cfg ~summaries ~ifaces (cfg_of fd) in
   let ret = Solver.return_aval fd r in
@@ -130,14 +97,9 @@ let inputs ~(summaries : Transfer.summaries) ~(ifaces : Transfer.ifaces) (fd : I
   in
   (sums, Buffer.contents b)
 
-type 'a memo = I.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
+type 'a memo = I.fundec -> inputs:string -> (unit -> 'a) -> 'a
 
-let no_memo _ ~inputs:_ solve = Lazy.from_fun solve
-
-(* Force on the pool only what a memo left unsolved; a warm run with
-   one miss never starts it. *)
-let force_misses ~jobs (ls : 'a Lazy.t list) : unit =
-  ignore (Par.map ~jobs Lazy.force (List.filter (fun l -> not (Lazy.is_val l)) ls))
+let no_memo _ ~inputs:_ solve = solve ()
 
 (* The defined functions reachable from [roots] through one or more
    direct calls, in program order: the summaries the fixpoints of
@@ -159,51 +121,26 @@ let demanded (defined : I.fundec list) (roots : string list) : I.fundec list =
     roots;
   List.filter (fun fd -> Hashtbl.mem seen fd.I.fname) defined
 
-let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(jobs = 1)
-    ?(ifaces = Transfer.no_ifaces) ?roots ?(memo = no_memo) (prog : I.program) :
-    Transfer.summaries =
+let compute ?(cfg_of = fun fd -> Dataflow.Cfg.build fd) ?(ifaces = Transfer.no_ifaces) ?roots
+    ?(memo = no_memo) (prog : I.program) : Transfer.summaries =
   (* Externs have no body to summarize; leaving them out also keeps
      the allocator special-case in Transfer.instr in charge. A summary
      reads only its direct callees' summaries, so restricting the solve
      to the callee closure of [roots] leaves each summary in it
-     unchanged. *)
+     unchanged. Callees come first, so each solve finds them in the
+     map. *)
   let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
-  let sccs = sccs_of (match roots with None -> defined | Some r -> demanded defined r) in
   List.fold_left
-    (fun summaries level ->
-      (* A function in this level only reads summaries of strictly
-         lower levels, so the pool members never observe each other;
-         [cfg_of] must therefore be pure or pre-populated (the engine
-         context prefetches its CFG cache before going parallel). The
-         [memo] lookups run here, on the calling domain; the pool only
-         forces what they left unsolved. The fold below re-merges in
-         SCC order, identical to the serial one-SCC-at-a-time
-         result. *)
-      let solvable, recursive =
-        List.partition
-          (fun scc -> match scc with [ fd ] -> not (is_self_recursive fd) | _ -> false)
-          level
-      in
-      let pending =
-        List.map
-          (fun scc ->
-            match scc with
-            | [ fd ] ->
-                let summaries, inputs = inputs ~summaries ~ifaces fd in
-                (fd.I.fname, memo fd ~inputs (fun () -> solve_one ~ifaces ~summaries ~cfg_of fd))
-            | _ -> assert false)
-          solvable
-      in
-      force_misses ~jobs (List.map snd pending);
-      let summaries =
-        List.fold_left
-          (fun acc (name, ret) -> Transfer.SM.add name (Lazy.force ret) acc)
-          summaries pending
-      in
-      List.fold_left
-        (fun summaries scc ->
+    (fun summaries scc ->
+      match scc with
+      | [ fd ] when not (is_self_recursive fd) ->
+          let callees, inputs = inputs ~summaries ~ifaces fd in
+          Transfer.SM.add fd.I.fname
+            (memo fd ~inputs (fun () -> solve_one ~ifaces ~summaries:callees ~cfg_of fd))
+            summaries
+      | _ ->
           List.fold_left
             (fun summaries fd -> Transfer.SM.add fd.I.fname (Transfer.of_ty fd.I.fret) summaries)
             summaries scc)
-        summaries recursive)
-    Transfer.no_summaries (levels_of sccs)
+    Transfer.no_summaries
+    (sccs_of (match roots with None -> defined | Some r -> demanded defined r))

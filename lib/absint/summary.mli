@@ -13,12 +13,6 @@ val is_self_recursive : Kc.Ir.fundec -> bool
 (** Does the function call itself directly? Shared with refsafe's
     summaries. *)
 
-val levels_of : Kc.Ir.fundec list list -> Kc.Ir.fundec list list list
-(** Group topologically ordered SCCs ({i callees first}) into
-    bottom-up dependency levels: every component of a level calls only
-    into strictly lower levels, so one level's components can be
-    solved in parallel. Exposed for tests. *)
-
 val inputs :
   summaries:Transfer.summaries ->
   ifaces:Transfer.ifaces ->
@@ -32,34 +26,23 @@ val inputs :
     restricted map and [ifaces] cannot read anything the rendering does
     not cover. *)
 
-type 'a memo = Kc.Ir.fundec -> inputs:string -> (unit -> 'a) -> 'a Lazy.t
+type 'a memo = Kc.Ir.fundec -> inputs:string -> (unit -> 'a) -> 'a
 (** A per-function memo: [memo fd ~inputs solve] returns a cached
-    result for [fd] under [inputs], or [solve] suspended. It is called
-    on the calling domain, once per function; the suspensions may be
-    forced on a {!Par} pool. *)
+    result for [fd] under [inputs], or runs [solve]. *)
 
 val no_memo : 'a memo
 (** Always solves. *)
 
-val force_misses : jobs:int -> 'a Lazy.t list -> unit
-(** Force the suspensions a memo left unsolved on a [jobs]-wide {!Par}
-    pool (none started for fewer than two). *)
-
 val compute :
   ?cfg_of:(Kc.Ir.fundec -> Dataflow.Cfg.t) ->
-  ?jobs:int ->
   ?ifaces:Transfer.ifaces ->
   ?roots:string list ->
   ?memo:Aval.t memo ->
   Kc.Ir.program ->
   Transfer.summaries
 (** [cfg_of] lets a caller (the engine context) share memoized CFGs;
-    defaults to {!Dataflow.Cfg.build}. [jobs] (default 1) solves the
-    components of one SCC level on a {!Par} pool — components within a
-    level are mutually independent, and levels stay bottom-up, so the
-    summaries are identical to the serial computation. With [jobs > 1]
-    the caller must pass a [cfg_of] that is safe to call from several
-    domains (pure, or fully pre-populated). With [roots], only the
+    defaults to {!Dataflow.Cfg.build}. The components are solved one at
+    a time, callees first ({!sccs_of}). With [roots], only the
     summaries the fixpoints of [roots] read are solved: those of the
     defined functions reachable from [roots] through one or more direct
     calls (a root itself only when one of them calls it). Each equals

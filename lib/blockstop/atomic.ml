@@ -11,11 +11,12 @@
    its caller's region. Paths that disagree keep the smaller drop and
    the larger rise — conservative, and one source of the false
    positives the paper resolves with runtime checks. At [cap] the count
-   is lost, so nothing takes the depth back down there. Entered at
-   depth 0, the depth at a point is its [up], so each function is
-   solved once; the functions *entered* in atomic context — irq
-   handlers (passed to [request_irq]) and callees of atomic sites —
-   then close over the solved call sites. *)
+   is lost, so nothing takes the depth back down there. Each function
+   is solved once, as an effect; entered at depth [e], the depth at a
+   point with effect (down, up) is [max 0 (e - down) + up]. A
+   function's entry depth is the largest depth at any call to it, and
+   at least 1 for an irq handler (passed to [request_irq]); it is
+   closed to a fixpoint over the solved call sites. *)
 
 module I = Kc.Ir
 module SS = Set.Make (String)
@@ -75,8 +76,10 @@ let step ~effect instr s =
       | None -> s)
   | _ -> s
 
-(* The depth at a point of a function entered at depth 0. *)
-let depth = function Some (_, up) -> up | None -> 0
+(* The depth at a point of a function entered at depth [entry]. *)
+let depth entry = function
+  | Some (down, up) -> min cap (max 0 (entry - down) + up)
+  | None -> 0
 
 type result = {
   warnings : warning list;
@@ -87,7 +90,7 @@ type result = {
 let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
   let cg = bl.Blocking.cg and guarded = bl.Blocking.guarded in
   let handlers = irq_handlers cg.Callgraph.prog in
-  (* Each function's call-graph edges, with the depth before the call. *)
+  (* Each function's call-graph edges, with the effect before the call. *)
   let sites =
     List.map
       (fun ((fd : I.fundec), instrs) ->
@@ -97,36 +100,42 @@ let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
           (Callgraph.callees cg fd.I.fname);
         ( fd.I.fname,
           List.concat_map
-            (fun (_, loc, s) -> List.map (fun e -> (e, depth s)) (Hashtbl.find_all edges_at loc))
+            (fun (_, loc, s) -> List.map (fun e -> (e, s)) (Hashtbl.find_all edges_at loc))
             instrs ))
       (F.solve ~cfg_of ~step cg.Callgraph.prog)
   in
-  let sites_of = Hashtbl.of_seq (List.to_seq sites) in
-  (* A guarded function carries the assert_not_atomic runtime check:
-     the assertion says it is never entered in atomic context, so it
-     never joins the atomic-entry set; nor does an extern. *)
-  let rec enter acc f =
-    if SS.mem f acc then acc
-    else
-      List.fold_left
-        (fun acc ((e : Callgraph.edge), _) -> visit acc e.Callgraph.callee)
-        (SS.add f acc)
-        (Option.value ~default:[] (Hashtbl.find_opt sites_of f))
-  and visit acc g = if SS.mem g guarded || not (Hashtbl.mem sites_of g) then acc else enter acc g in
-  let atomic_entry =
-    List.fold_left
-      (fun acc ((e : Callgraph.edge), d) -> if d > 0 then visit acc e.Callgraph.callee else acc)
-      (SS.fold (fun h acc -> enter acc h) (SS.diff handlers guarded) SS.empty)
-      (List.concat_map snd sites)
+  (* Entry depths, raised to a fixpoint (bounded by [cap]). A guarded
+     function carries the assert_not_atomic runtime check: the
+     assertion says it is never entered in atomic context, so it stays
+     at 0; so does an extern, which has no sites. *)
+  let defined = Hashtbl.of_seq (Seq.map (fun (f, _) -> (f, ())) (List.to_seq sites)) in
+  let entry = Hashtbl.create 64 in
+  let entry_of f = Option.value ~default:0 (Hashtbl.find_opt entry f) in
+  let raise_to g d =
+    let enterable = Hashtbl.mem defined g && not (SS.mem g guarded) in
+    enterable && d > entry_of g && (Hashtbl.replace entry g d; true)
   in
-  let warning f entry_atomic ((e : Callgraph.edge), d) =
-    if (entry_atomic || d > 0) && Blocking.call_may_block bl e then
+  SS.iter (fun h -> ignore (raise_to h 1)) handlers;
+  let rec close () =
+    let changed =
+      List.fold_left
+        (fun changed (f, ss) ->
+          List.fold_left
+            (fun changed ((e : Callgraph.edge), s) ->
+              raise_to e.Callgraph.callee (depth (entry_of f) s) || changed)
+            changed ss)
+        false sites
+    in
+    if changed then close ()
+  in
+  close ();
+  let warning f ((e : Callgraph.edge), s) =
+    if depth (entry_of f) s > 0 && Blocking.call_may_block bl e then
       let callee = e.Callgraph.callee in
       Some { w_in = f; w_callee = callee; w_loc = e.Callgraph.loc; w_via = e.Callgraph.via;
-             w_entry_atomic = entry_atomic && d = 0; w_witness = Blocking.witness bl callee }
+             w_entry_atomic = depth 0 s = 0; w_witness = Blocking.witness bl callee }
     else None
   in
-  let warnings =
-    List.concat_map (fun (f, ss) -> List.filter_map (warning f (SS.mem f atomic_entry)) ss) sites
-  in
+  let warnings = List.concat_map (fun (f, ss) -> List.filter_map (warning f) ss) sites in
+  let atomic_entry = Hashtbl.fold (fun f _ acc -> SS.add f acc) entry SS.empty in
   { warnings; atomic_entry; handlers }

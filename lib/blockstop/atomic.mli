@@ -2,10 +2,11 @@
     function's CFG by {!Dataflow.Fsm} (spin_lock / local_irq_disable
     increment it, saturating at [cap]; the unlock / enable calls
     decrement it; a call to a defined function applies its effect, the
-    drop below the entry depth and the rise after it), and the closure
-    of which functions can be *entered* in atomic context (interrupt
-    handlers and functions called from atomic sites). A call that may
-    block from an atomic point is a warning. *)
+    drop below the entry depth and the rise after it), and each
+    function's entry depth: the largest depth at any call to it, at
+    least 1 for an interrupt handler, 0 for a guarded function. A call
+    that may block from a point whose depth is positive is a
+    warning. *)
 
 module SS : Set.S with type elt = string and type t = Set.Make(String).t
 

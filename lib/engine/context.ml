@@ -39,20 +39,11 @@ type ccounted = {
   crstats : Refsafe.Discharge.stats;
 }
 
-type t = {
-  mutable prog : Kc.Ir.program;
-  jobs : int;
-  g : Graph.t;
-  mutable fps : Fingerprint.table;
-  prefetch_miss : int Atomic.t;
-      (* CFGs built by Par workers outside the graph because the
-         serial prefetch missed them; surfaced in stats, never
-         silent. *)
-}
+type t = { mutable prog : Kc.Ir.program; g : Graph.t; mutable fps : Fingerprint.table }
 
-let create ?(jobs = 1) (prog : Kc.Ir.program) : t =
-  { prog; jobs; g = Graph.create (); fps = Fingerprint.table_of prog;
-    prefetch_miss = Atomic.make 0 }
+(* [jobs] is ignored: kept for perfbench's callers. *)
+let create ?jobs:_ (prog : Kc.Ir.program) : t =
+  { prog; g = Graph.create (); fps = Fingerprint.table_of prog }
 
 let program t = t.prog
 let graph t = t.g
@@ -88,8 +79,8 @@ let blocking_slot : BL.t Graph.slot = Graph.slot ()
 let cfg_slot : Dataflow.Cfg.t Graph.slot = Graph.slot ()
 let handlers_slot : AT.SS.t Graph.slot = Graph.slot ()
 let summaries_slot : Absint.Transfer.summaries Graph.slot = Graph.slot ()
-let summary_slot : Absint.Aval.t Lazy.t Graph.slot = Graph.slot ()
-let discharge_slot : Absint.Discharge.verdict Lazy.t Graph.slot = Graph.slot ()
+let summary_slot : Absint.Aval.t Graph.slot = Graph.slot ()
+let discharge_slot : Absint.Discharge.verdict Graph.slot = Graph.slot ()
 let instrumented_slot : (Kc.Ir.program * Deputy.Dreport.report) Graph.slot = Graph.slot ()
 let deputized_slot : deputized Graph.slot = Graph.slot ()
 let vm_compiled_slot : Vm.Compile.t Graph.slot = Graph.slot ()
@@ -138,15 +129,13 @@ let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
 (* A per-function absint memo ({!Absint.Summary.memo}): one node per
    (artifact, function), keyed on the header digest, the digest of the
    function the solve reads and the callee values it is given
-   ([inputs]). Lookups and stores run on the calling domain; with
-   [jobs > 1] a miss stores its solve suspended, for the pool to
-   force. Serially the solve runs inside the build, so the node is
-   charged its own time. *)
+   ([inputs]). The solve runs inside the build, so the node is charged
+   its own time. *)
 let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
  fun (fd : Kc.Ir.fundec) ~inputs solve ->
   Graph.get t.g slot (key fd.Kc.Ir.fname)
     ~fp:(Digest.string (String.concat "\000" [ t.fps.Fingerprint.t_header; digest fd; inputs ]))
-    (fun () -> if t.jobs <= 1 then Lazy.from_val (solve ()) else Lazy.from_fun solve)
+    solve
 
 (* Interprocedural interval summaries over the base (uninstrumented)
    program, sharing the memoized CFGs: instrumentation only adds
@@ -160,29 +149,20 @@ let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
 let absint_summaries (t : t) : Absint.Transfer.summaries =
   Graph.get t.g summaries_slot Key.summaries ~fp:(program_fingerprint t) (fun () ->
       let iprog, _ = instrumented t in
-      (* Populate the CFG artifacts serially (the graph is
-         single-domain), then fan the summary solve out over an
-         immutable snapshot. A snapshot miss means a function the
-         prefetch could not see; it is built outside the graph but
-         counted, so a missed prefetch surfaces in stats. *)
-      let defined = defined_funcs t in
-      let snapshot = Hashtbl.create (List.length defined) in
+      (* Fetch every defined function's CFG here, so each is an edge
+         of this artifact and an edit that changes one reaches it; the
+         per-function nodes then read them from this table. *)
+      let cfgs = Hashtbl.create 64 in
       List.iter
         (fun (fd : Kc.Ir.fundec) ->
-          Option.iter (Hashtbl.replace snapshot fd.Kc.Ir.fname) (cfg t fd.Kc.Ir.fname))
-        defined;
-      let cfg_of (fd : Kc.Ir.fundec) =
-        match Hashtbl.find_opt snapshot fd.Kc.Ir.fname with
-        | Some c -> c
-        | None ->
-            Atomic.incr t.prefetch_miss;
-            Dataflow.Cfg.build fd
-      in
+          Option.iter (Hashtbl.replace cfgs fd.Kc.Ir.fname) (cfg t fd.Kc.Ir.fname))
+        (defined_funcs t);
+      let cfg_of (fd : Kc.Ir.fundec) = Hashtbl.find cfgs fd.Kc.Ir.fname in
       let memo =
         fn_memo t summary_slot ~key:Key.summary ~digest:(fun (fd : Kc.Ir.fundec) ->
             fn_fingerprint t fd.Kc.Ir.fname)
       in
-      Absint.Summary.compute ~cfg_of ~jobs:t.jobs
+      Absint.Summary.compute ~cfg_of
         ~roots:(Absint.Discharge.residual_roots iprog) ~memo t.prog)
 
 (* The deputized view: absint-discharge a shallow copy of the
@@ -197,14 +177,14 @@ let deputized (t : t) : deputized =
       let iprog, dreport = instrumented t in
       let dprog = Kc.Ir.copy_program iprog in
       let memo = fn_memo t discharge_slot ~key:Key.discharge ~digest:Fingerprint.fn in
-      let dstats = Absint.Discharge.run ~summaries ~jobs:t.jobs ~memo dprog in
+      let dstats = Absint.Discharge.run ~summaries ~memo dprog in
       { dprog; dreport; dstats })
 
 (* Refsafe ownership summaries: flow-insensitive per-function alias
-   facts solved over the Tarjan SCC levels. *)
+   facts solved callees-first over the Tarjan SCCs. *)
 let refsafe_summaries (t : t) : Refsafe.Summary.summaries =
   Graph.get t.g refsafe_summaries_slot Key.refsafe_summaries ~fp:(program_fingerprint t)
-    (fun () -> Refsafe.Summary.compute ~jobs:t.jobs t.prog)
+    (fun () -> Refsafe.Summary.compute t.prog)
 
 (* The CCount view: rc-instrument a shallow copy, then let the refsafe
    discharge strip the counter updates it proves unobservable. *)
@@ -296,19 +276,7 @@ type stat = Graph.stat = {
   seconds : float;
 }
 
-let stats (t : t) : stat list =
-  let base = Graph.stats t.g in
-  let misses = Atomic.get t.prefetch_miss in
-  if misses = 0 then base
-  else
-    base
-    @ [
-        { artifact = "cfg(prefetch-miss)"; builds = misses; hits = 0; invalidations = 0;
-          seconds = 0.0 };
-      ]
-    |> List.sort (fun a b -> String.compare a.artifact b.artifact)
-
-let prefetch_misses (t : t) : int = Atomic.get t.prefetch_miss
+let stats (t : t) : stat list = Graph.stats t.g
 
 (* Contexts are never shared across domains — each Par worker creates
    its own and ships back its [stats] — so aggregation is a plain fold

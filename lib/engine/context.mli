@@ -22,13 +22,12 @@
 type t
 
 val create : ?jobs:int -> Kc.Ir.program -> t
-(** [jobs] (default 1) sizes the {!Par} pool used by stages that can
-    fan out internally (today: {!absint_summaries} solves one SCC
-    level's functions in parallel, and {!deputized} discharges its
-    functions in parallel). The context itself must never be
-    shared across domains — its graph is single-domain; a parallel
-    driver creates one context per worker and aggregates observability
-    with {!merge_counters}. *)
+(** [jobs] is ignored: a context analyses its program on the calling
+    domain. The argument stays only because the benchmark's probes
+    ([perfbench/layers.ml], [perfbench/work.ml]) pass it. The context
+    must never be shared across domains — its graph is single-domain;
+    a parallel driver creates one context per worker and aggregates
+    observability with {!merge_counters}. *)
 
 val program : t -> Kc.Ir.program
 
@@ -186,11 +185,8 @@ type stat = Graph.stat = {
           them *)
 }
 
-(** Stats sorted by artifact name. Includes a ["cfg(prefetch-miss)"]
-    row when a Par worker had to build a CFG outside the graph. *)
+(** Stats sorted by artifact name. *)
 val stats : t -> stat list
-
-val prefetch_misses : t -> int
 
 (** Fold the per-worker stat lists of a parallel run (one context per
     worker) into one list: per-artifact sums, sorted by artifact name —

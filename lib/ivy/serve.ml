@@ -27,8 +27,8 @@
    The wire loop is single-domain (contexts and their graphs are not
    shareable across domains); what a batch of concurrent requests can
    fan out — parsing programs the daemon does not already hold — goes
-   through the existing {!Par} pool. Analyses still parallelize
-   internally via each context's [jobs]. *)
+   through the existing {!Par} pool. Each program is analysed on the
+   wire loop's domain. *)
 
 module J = Jsonx
 module Ctx = Engine.Context
@@ -227,7 +227,7 @@ let handle_check (t : t)
     | None ->
         Result.map
           (fun (pu, p) ->
-            let e = { e_ctxt = Ctx.create ~jobs:t.jobs p; e_src = r.c_digest; e_parsed = pu } in
+            let e = { e_ctxt = Ctx.create p; e_src = r.c_digest; e_parsed = pu } in
             ignore (G.Lru.add t.lru r.c_program e);
             (e, no_update, Kc.Typecheck.reparsed pu, false))
           (prog ())

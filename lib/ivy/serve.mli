@@ -8,7 +8,9 @@ type t
 
 val create : ?capacity:int -> ?jobs:int -> unit -> t
 (** [capacity] (default 8) bounds resident warm programs; [jobs]
-    sizes each context's internal {!Par} fan-out. *)
+    (default 1) sizes the {!Par} pool that parses the programs of one
+    batch ({!handle_batch}). Each program is analysed on the calling
+    domain. *)
 
 val src_digest : (string * string) list -> string
 (** Digest of raw [(path, source)] pairs: a resubmit with the same

@@ -1,11 +1,12 @@
 (** Deterministic fork/join parallelism over OCaml 5 domains.
 
     One small primitive, [map], underpins every parallel path in the
-    tool (fuzz campaign sharding, per-SCC-level absint summary solving,
-    multi-file [ivy check]): items are claimed from a shared counter by
-    a fixed-size pool of worker domains, and results are merged {e in
-    index order}, so the output of [map ~jobs:n f xs] is exactly
-    [List.map f xs] no matter how the scheduler interleaves workers.
+    tool (fuzz campaign sharding, multi-file [ivy check], and the
+    parses of an [ivy serve] batch); one program's analyses never use
+    it. Items are claimed from a shared counter by a fixed-size pool of
+    worker domains, and results are merged {e in index order}, so the
+    output of [map ~jobs:n f xs] is exactly [List.map f xs] no matter
+    how the scheduler interleaves workers.
 
     Workers must not share mutable state that is not their own: [f] is
     given one item and must build anything it memoizes (e.g. an

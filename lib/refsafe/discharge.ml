@@ -363,10 +363,10 @@ let writes_any_candidate cands (lv : I.lval) =
 
 (* Nothing in the window may free an object or run guest code; traps
    merely end the run before any count is read again. *)
-let safe_mid_call summaries prog gid ret target =
+let safe_mid_call summaries gid ret target =
   (match ret with Some lv -> not (g_slot gid lv) | None -> true)
   && (match target with I.Direct "raise_irq" -> false | _ -> true)
-  && (match Summary.callee_info summaries prog target with
+  && (match Summary.callee_info summaries target with
      | Summary.Alloc | Summary.Benign | Summary.Captures _ -> true
      | Summary.Known s ->
          (not s.Summary.may_free)
@@ -374,12 +374,12 @@ let safe_mid_call summaries prog gid ret target =
          && not s.Summary.runs_handlers
      | Summary.Free _ | Summary.Unknown -> false)
 
-let safe_mid_stmt summaries prog gid (s : I.stmt) =
+let safe_mid_stmt summaries gid (s : I.stmt) =
   match s.I.sk with
   | I.Sinstr (I.Iset (lv, _)) -> not (g_slot gid lv)
   | I.Sinstr (I.Irc_update (lv, _)) -> not (g_slot gid lv)
   | I.Sinstr (I.Icheck _ | I.Irc_inc _ | I.Irc_dec _) -> true
-  | I.Sinstr (I.Icall (ret, target, _)) -> safe_mid_call summaries prog gid ret target
+  | I.Sinstr (I.Icall (ret, target, _)) -> safe_mid_call summaries gid ret target
   | _ -> false
 
 let rec iter_blocks f (b : I.block) =
@@ -447,7 +447,7 @@ let compute_windows (summaries : Summary.summaries) (prog : I.program) :
               when ga.I.vid = g.I.vid && gb.I.vid = g.I.vid && Summary.is_null z
                    && Summary.is_null z' ->
                 Some (ret_upd, ret_set, rest)
-            | s :: rest when safe_mid_stmt summaries prog g.I.vid s -> scan_mid rest
+            | s :: rest when safe_mid_stmt summaries g.I.vid s -> scan_mid rest
             | _ -> None
           in
           match scan_mid mid with

@@ -110,7 +110,7 @@ let release_published gid st =
 
 (* Transfer of one instruction. [emit] is invoked (second pass only)
    for imbalances observed at this instruction. *)
-let step (summaries : Summary.summaries) (prog : I.program)
+let step (summaries : Summary.summaries)
     ~(emit : kind -> I.varinfo -> unit) (i : I.instr) (st : L.t) : L.t =
   let kill_roots e st =
     List.fold_left
@@ -149,7 +149,7 @@ let step (summaries : Summary.summaries) (prog : I.program)
          a pointer-typed slot. *)
       if I.is_pointer (Summary.lval_type lv) then kill_roots e st else st
   | I.Icall (ret, target, args) -> (
-      let info = Summary.callee_info summaries prog target in
+      let info = Summary.callee_info summaries target in
       let free_arg st arg =
         List.fold_left
           (fun st u ->
@@ -252,14 +252,13 @@ let refine_edge (n : Cfg.node) (idx : int) (st : L.t) : L.t =
 
 let no_emit _ _ = ()
 
-let check ?cfg_of (summaries : Summary.summaries) (prog : I.program) (fd : I.fundec) :
-    finding list =
+let check ?cfg_of (summaries : Summary.summaries) (fd : I.fundec) : finding list =
   if fd.I.fextern then []
   else if Summary.has_ptr_int_cast fd then []
   else begin
     let cfg = match cfg_of with Some f -> f fd | None -> Cfg.build fd in
     let transfer ?(emit = no_emit) (n : Cfg.node) st =
-      List.fold_left (fun st (i, _loc) -> step summaries prog ~emit i st) st n.Cfg.instrs
+      List.fold_left (fun st (i, _loc) -> step summaries ~emit i st) st n.Cfg.instrs
     in
     let widen_at = Array.make (Cfg.n_nodes cfg) false in
     let r =
@@ -297,7 +296,7 @@ let check ?cfg_of (summaries : Summary.summaries) (prog : I.program) (fd : I.fun
           List.fold_left
             (fun st (i, loc) ->
               last_loc := loc;
-              step summaries prog ~emit:(fun k v -> add k v loc) i st)
+              step summaries ~emit:(fun k v -> add k v loc) i st)
             r.W.before.(n.Cfg.nid) n.Cfg.instrs
         in
         match n.Cfg.term with
@@ -334,4 +333,4 @@ let check ?cfg_of (summaries : Summary.summaries) (prog : I.program) (fd : I.fun
 let check_program ?cfg_of (summaries : Summary.summaries) (prog : I.program) : finding list =
   prog.I.funcs
   |> List.filter (fun fd -> not fd.I.fextern)
-  |> List.concat_map (fun fd -> check ?cfg_of summaries prog fd)
+  |> List.concat_map (fun fd -> check ?cfg_of summaries fd)

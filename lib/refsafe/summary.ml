@@ -9,9 +9,8 @@
    a global pointer slot, and where its return value can come from.
 
    The summaries are solved callees-first over the same Tarjan SCC
-   condensation and bottom-up dependency levels as the absint return
-   summaries ({!Absint.Summary.sccs_of} / [levels_of]); components of
-   one level are independent and solved on a {!Par} pool. Recursive
+   condensation as the absint return summaries
+   ({!Absint.Summary.sccs_of}), one component at a time. Recursive
    components degrade to the conservative all-bets-off summary. *)
 
 module I = Kc.Ir
@@ -127,7 +126,7 @@ type callee =
   | Known of fsum (* defined function with a summary *)
   | Unknown (* anything could happen *)
 
-let callee_info (summaries : summaries) (prog : I.program) (target : I.call_target) : callee =
+let callee_info (summaries : summaries) (target : I.call_target) : callee =
   match target with
   | I.Indirect _ -> Unknown
   | I.Direct f -> (
@@ -138,13 +137,7 @@ let callee_info (summaries : summaries) (prog : I.program) (target : I.call_targ
         | None -> (
             if List.mem f benign_externs then Benign
             else if f = "request_irq" then Captures [ 1 ]
-            else
-              match SM.find_opt f summaries with
-              | Some s -> Known s
-              | None -> (
-                  match I.find_fun prog f with
-                  | Some fd when not fd.I.fextern -> Unknown (* no summary yet *)
-                  | _ -> Unknown)))
+            else match SM.find_opt f summaries with Some s -> Known s | None -> Unknown))
 
 (* ---- shared IR helpers -------------------------------------------- *)
 
@@ -244,8 +237,6 @@ type fana = {
   asrcs : (int, SrcSet.t) Hashtbl.t; (* vid -> may-sources of its value *)
   aescaped : (int, unit) Hashtbl.t; (* vids whose value may escape *)
   afreed : (int, unit) Hashtbl.t; (* vids whose target may be freed *)
-  acopied : (int, unit) Hashtbl.t; (* vids duplicated into another var *)
-  areturned : (int, unit) Hashtbl.t; (* vids that may be returned *)
   mutable aret : SrcSet.t; (* sources of the return value *)
   mutable amay_free : bool;
   mutable awrites_glob : bool;
@@ -279,15 +270,13 @@ let mark_all tbl vs = List.iter (mark tbl) vs
 
 (* One monotone pass over the body; [changed] reports set growth so the
    caller can iterate to a fixpoint (assignment chains q = p; r = q). *)
-let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
+let pass (summaries : summaries) (a : fana) : bool =
   let changed = ref false in
   let card tbl = Hashtbl.length tbl in
   let before =
     ( Hashtbl.fold (fun _ s acc -> acc + SrcSet.cardinal s) a.asrcs 0,
       card a.aescaped,
       card a.afreed,
-      card a.acopied,
-      card a.areturned,
       SrcSet.cardinal a.aret,
       a.amay_free,
       a.awrites_glob,
@@ -317,7 +306,7 @@ let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
     (match target with
     | I.Direct "raise_irq" -> a.aruns_handlers <- true
     | _ -> ());
-    (match callee_info summaries prog target with
+    (match callee_info summaries target with
     | Alloc | Benign -> ()
     | Free idxs ->
         a.amay_free <- true;
@@ -362,7 +351,7 @@ let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
     (* result sources *)
     match ret with
     | Some (I.Lvar v, []) when (not v.I.vglob) && I.is_pointer v.I.vty -> (
-        match callee_info summaries prog target with
+        match callee_info summaries target with
         | Alloc -> add_srcs v (SrcSet.singleton Salloc)
         | Free _ | Benign | Captures _ -> add_srcs v (SrcSet.singleton Sother)
         | Known s ->
@@ -389,11 +378,7 @@ let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
       | I.Sinstr (I.Iset (lv, e)) -> (
           match lv with
           | I.Lvar v, [] when (not v.I.vglob) && I.is_pointer v.I.vty ->
-              add_srcs v (roots_of a e);
-              (match (strip_ptr_casts e).I.e with
-              | I.Elval (I.Lvar u, []) when (not u.I.vglob) && I.is_pointer u.I.vty ->
-                  mark a.acopied u
-              | _ -> ())
+              add_srcs v (roots_of a e)
           | I.Lvar v, [] when not v.I.vglob -> () (* scalar local *)
           | _ ->
               (* store into memory, a global, or an aggregate slot *)
@@ -405,7 +390,6 @@ let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
       | I.Sinstr (I.Icall (ret, target, args)) -> do_call ret target args
       | I.Sinstr (I.Icheck _ | I.Irc_inc _ | I.Irc_dec _ | I.Irc_update _) -> ()
       | I.Sreturn (Some e) ->
-          mark_all a.areturned (var_roots e);
           let r = roots_of a e in
           if not (SrcSet.subset r a.aret) then a.aret <- SrcSet.union a.aret r
       | _ -> ())
@@ -414,8 +398,6 @@ let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
     ( Hashtbl.fold (fun _ s acc -> acc + SrcSet.cardinal s) a.asrcs 0,
       card a.aescaped,
       card a.afreed,
-      card a.acopied,
-      card a.areturned,
       SrcSet.cardinal a.aret,
       a.amay_free,
       a.awrites_glob,
@@ -424,15 +406,13 @@ let pass (summaries : summaries) (prog : I.program) (a : fana) : bool =
   if before <> after then changed := true;
   !changed
 
-let analyze (summaries : summaries) (prog : I.program) (fd : I.fundec) : fana =
+let analyze (summaries : summaries) (fd : I.fundec) : fana =
   let a =
     {
       afd = fd;
       asrcs = Hashtbl.create 32;
       aescaped = Hashtbl.create 16;
       afreed = Hashtbl.create 16;
-      acopied = Hashtbl.create 16;
-      areturned = Hashtbl.create 16;
       aret = SrcSet.empty;
       amay_free = false;
       awrites_glob = false;
@@ -447,13 +427,13 @@ let analyze (summaries : summaries) (prog : I.program) (fd : I.fundec) : fana =
   List.iter
     (fun v -> if v.I.vaddrof then Hashtbl.replace a.aescaped v.I.vid ())
     (fd.I.sformals @ fd.I.slocals);
-  while pass summaries prog a do
+  while pass summaries a do
     ()
   done;
   a
 
-let summarize (summaries : summaries) (prog : I.program) (fd : I.fundec) : fsum =
-  let a = analyze summaries prog fd in
+let summarize (summaries : summaries) (fd : I.fundec) : fsum =
+  let a = analyze summaries fd in
   let param_hits tbl =
     List.filter
       (fun i ->
@@ -474,40 +454,20 @@ let summarize (summaries : summaries) (prog : I.program) (fd : I.fundec) : fsum 
     returns_other = SrcSet.mem Sother a.aret;
   }
 
-(* ---- bottom-up computation over SCC levels ------------------------ *)
+(* ---- bottom-up computation over the SCCs ------------------------- *)
 
-let compute ?(jobs = 1) (prog : I.program) : summaries =
+let compute (prog : I.program) : summaries =
   let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
-  let sccs = Absint.Summary.sccs_of defined in
   List.fold_left
-    (fun summaries level ->
-      (* Components of one level only read strictly-lower summaries, so
-         the pool members never observe each other; the fold re-merges
-         in SCC order, identical to the serial result. *)
-      let solvable, recursive =
-        List.partition
-          (fun scc -> match scc with [ fd ] -> not (Absint.Summary.is_self_recursive fd) | _ -> false)
-          level
-      in
-      let solved =
-        Par.map ~jobs
-          (fun scc ->
-            match scc with
-            | [ fd ] -> (fd.I.fname, summarize summaries prog fd)
-            | _ -> assert false)
-          solvable
-      in
-      let summaries =
-        List.fold_left (fun acc (name, s) -> SM.add name s acc) summaries solved
-      in
-      List.fold_left
-        (fun summaries scc ->
+    (fun summaries scc ->
+      match scc with
+      | [ fd ] when not (Absint.Summary.is_self_recursive fd) ->
+          SM.add fd.I.fname (summarize summaries fd) summaries
+      | _ ->
           List.fold_left
             (fun summaries fd -> SM.add fd.I.fname (conservative_sum fd) summaries)
             summaries scc)
-        summaries recursive)
-    SM.empty
-    (Absint.Summary.levels_of sccs)
+    SM.empty (Absint.Summary.sccs_of defined)
 
 let lookup (s : summaries) name = SM.find_opt name s
 let equal (a : summaries) (b : summaries) = SM.equal ( = ) a b

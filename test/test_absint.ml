@@ -1010,12 +1010,12 @@ let test_shared_memo_keys_domain () =
   let memo (fd : Kc.Ir.fundec) ~inputs solve =
     let key = (fd.Kc.Ir.fname, inputs) in
     match Hashtbl.find_opt cache key with
-    | Some v -> Lazy.from_val v
+    | Some v -> v
     | None ->
         incr solves;
         let v = solve () in
         Hashtbl.replace cache key v;
-        Lazy.from_val v
+        v
   in
   let leaf memo ifaces =
     Absint.Aval.to_string (SM.find "leaf" (Absint.Summary.compute ~ifaces ~memo prog))

@@ -282,6 +282,35 @@ let test_release_wrapper_ends_region body () =
   Alcotest.(check (list (pair string string))) "no warnings" [] (warn_pairs (analyze src));
   Alcotest.(check int64) "f completes" 0L (Vm.Interp.run (Vm.Builtins.boot (parse src)) "f" [])
 
+(* A function is entered at the largest depth any caller holds: one
+   that drops the single lock its caller holds sleeps outside the
+   region, and the VM runs [main] to the end. Called with two locks
+   held, it still sleeps in the region, and the VM traps. *)
+let relock =
+  "long lk;\n\
+   long lk2;\n\
+   int relock(void) { spin_unlock(&lk); msleep(1); spin_lock(&lk); return 0; }\n"
+
+let test_entry_depth_one () =
+  let src = p (relock ^ "int main(void) { spin_lock(&lk); relock(); spin_unlock(&lk); return 0; }\n") in
+  Alcotest.(check bool) "msleep in relock not flagged" false
+    (List.mem ("relock", "msleep") (warn_pairs (analyze src)));
+  Alcotest.(check int64) "main completes" 0L
+    (Vm.Interp.run (Vm.Builtins.boot (parse src)) "main" [])
+
+let test_entry_depth_two () =
+  let src =
+    p
+      (relock
+     ^ "int relock2(void) { spin_lock(&lk2); spin_lock(&lk); relock(); spin_unlock(&lk); \
+        spin_unlock(&lk2); return 0; }\n")
+  in
+  Alcotest.(check bool) "msleep in relock flagged" true
+    (List.mem ("relock", "msleep") (warn_pairs (analyze src)));
+  match Vm.Interp.run (Vm.Builtins.boot (parse src)) "relock2" [] with
+  | v -> Alcotest.failf "expected blocking-in-atomic trap, got %Ld" v
+  | exception Vm.Trap.Trap (Vm.Trap.Blocking_in_atomic, _) -> ()
+
 (* ------------------------------------------------------------------ *)
 (* False positives and runtime checks                                  *)
 (* ------------------------------------------------------------------ *)
@@ -404,6 +433,8 @@ let () =
             (test_release_wrapper_ends_region unlock_wrapper);
           Alcotest.test_case "irq-enable wrapper ends the region" `Quick
             (test_release_wrapper_ends_region enable_wrapper);
+          Alcotest.test_case "entered holding one lock" `Quick test_entry_depth_one;
+          Alcotest.test_case "entered holding two locks" `Quick test_entry_depth_two;
         ] );
       ( "false-positives",
         [

@@ -475,20 +475,15 @@ end
 
 let test_corpus_edit_sequence_warm_equals_cold () =
   let steps = Corpus_edits.steps ~seed:18 ~n:40 in
-  (* A fresh context's view is jobs-invariant (test_par), so one cold
-     view per step serves both warm runs. *)
   let cold = List.map (fun (_, p) -> served_view (Engine.Context.create p)) steps in
-  List.iter
-    (fun jobs ->
-      let ctxt = Engine.Context.create ~jobs (Kc.Typecheck.check_sources (Kernel.Corpus.sources ())) in
-      ignore (served_view ctxt);
-      List.iteri
-        (fun i ((srcs, _), cold) ->
-          let u = Engine.Context.update ctxt (Kc.Typecheck.check_sources srcs) in
-          let msg = Printf.sprintf "jobs %d step %d (%s)" jobs i (String.concat "," u.Engine.Context.u_changed) in
-          check_view msg ~cold (served_view ctxt))
-        (List.combine steps cold))
-    [ 1; 2 ]
+  let ctxt = Engine.Context.create (Kc.Typecheck.check_sources (Kernel.Corpus.sources ())) in
+  ignore (served_view ctxt);
+  List.iteri
+    (fun i ((srcs, _), cold) ->
+      let u = Engine.Context.update ctxt (Kc.Typecheck.check_sources srcs) in
+      let msg = Printf.sprintf "step %d (%s)" i (String.concat "," u.Engine.Context.u_changed) in
+      check_view msg ~cold (served_view ctxt))
+    (List.combine steps cold)
 
 (* Structural equality over everything the program holds: variable
    and function ids, temporaries and locals included. *)
@@ -546,18 +541,15 @@ let test_fuzz_sequence_warm_equals_cold () =
         parse (Gen.Prog.render (Gen.Fuzz.case_program ~seed:22 i)))
   in
   let cold = List.map (fun p -> served_view (Engine.Context.create p)) progs in
+  let ctxt = Engine.Context.create (parse (prog_src base_body)) in
+  ignore (served_view ctxt);
   let updates =
-    List.concat_map
-      (fun jobs ->
-        let ctxt = Engine.Context.create ~jobs (parse (prog_src base_body)) in
-        ignore (served_view ctxt);
-        List.mapi
-          (fun i (p, cold) ->
-            let u = Engine.Context.update ctxt p in
-            check_view (Printf.sprintf "jobs %d case %d" jobs i) ~cold (served_view ctxt);
-            u)
-          (List.combine progs cold))
-      [ 1; 2 ]
+    List.mapi
+      (fun i (p, cold) ->
+        let u = Engine.Context.update ctxt p in
+        check_view (Printf.sprintf "case %d" i) ~cold (served_view ctxt);
+        u)
+      (List.combine progs cold)
   in
   List.iter
     (fun (what, seen) ->

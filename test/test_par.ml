@@ -1,9 +1,9 @@
-(* The parallel engine: Par pool units (ordering, exception choice,
-   serial bypass), SCC level grouping for parallel summary solving, and
-   the end-to-end determinism contract — the same seed or the same
-   program must produce byte-identical output whatever --jobs is. The
-   whole suite must pass on a 1-core host (CI runs it under nproc=1),
-   so nothing here measures speedup, only equivalence. *)
+(* The parallel drivers: Par pool units (ordering, exception choice,
+   serial bypass), the fuzz campaign's determinism contract — the same
+   seed must produce byte-identical output whatever --jobs is — and
+   the stats merge of per-worker contexts. The whole suite must pass on
+   a 1-core host (CI runs it under nproc=1), so nothing here measures
+   speedup, only equivalence. *)
 
 (* ---- Par.map / Par.mapi units ---- *)
 
@@ -88,95 +88,6 @@ let test_exception_drains_pool () =
   | exception Failure m -> Alcotest.(check string) "first failure" "first" m);
   Alcotest.(check int) "all items ran" 16 (Atomic.get count)
 
-(* ---- SCC levels for parallel summaries ---- *)
-
-let parse src = Kc.Typecheck.check_sources [ ("par_test.kc", src) ]
-
-let level_fixture =
-  "int c(int x) { return x + 1; }\n\
-   int d(int x) { return x * 2; }\n\
-   int b(int x) { return c(x) + d(x); }\n\
-   int a(int x) { return b(x) + c(x); }\n\
-   int loner(int x) { return x - 3; }\n"
-
-let test_levels_bottom_up () =
-  let prog = parse level_fixture in
-  let sccs =
-    Absint.Summary.sccs_of
-      (List.filter (fun (fd : Kc.Ir.fundec) -> not fd.Kc.Ir.fextern) prog.Kc.Ir.funcs)
-  in
-  let levels = Absint.Summary.levels_of sccs in
-  let names level =
-    List.sort compare
-      (List.concat_map (List.map (fun (fd : Kc.Ir.fundec) -> fd.Kc.Ir.fname)) level)
-  in
-  Alcotest.(check int) "three levels" 3 (List.length levels);
-  (* c, d and loner have no callees; b needs level 0; a needs b. *)
-  Alcotest.(check (list string)) "level 0" [ "c"; "d"; "loner" ] (names (List.nth levels 0));
-  Alcotest.(check (list string)) "level 1" [ "b" ] (names (List.nth levels 1));
-  Alcotest.(check (list string)) "level 2" [ "a" ] (names (List.nth levels 2))
-
-let test_parallel_summaries_equal_serial () =
-  let prog = parse level_fixture in
-  let serial = Absint.Summary.compute ~jobs:1 prog in
-  let parallel = Absint.Summary.compute ~jobs:4 prog in
-  Absint.Transfer.SM.iter
-    (fun name v ->
-      match Absint.Transfer.SM.find_opt name parallel with
-      | Some v' ->
-          Alcotest.(check string)
-            (name ^ " summary identical")
-            (Absint.Aval.to_string v) (Absint.Aval.to_string v')
-      | None -> Alcotest.failf "parallel summaries miss %s" name)
-    serial;
-  Alcotest.(check int) "same cardinality"
-    (Absint.Transfer.SM.cardinal serial)
-    (Absint.Transfer.SM.cardinal parallel)
-
-let test_corpus_summaries_equal_serial () =
-  let prog = Kernel.Workloads.load () in
-  let serial = Absint.Summary.compute ~jobs:1 prog in
-  let parallel = Absint.Summary.compute ~jobs:4 prog in
-  Alcotest.(check bool) "corpus summaries identical for jobs=1 and jobs=4" true
-    (Absint.Transfer.SM.equal (fun a b -> Absint.Aval.to_string a = Absint.Aval.to_string b)
-       serial parallel)
-
-(* The demand-driven path: only the summaries the residual-check
-   functions read, still identical for jobs=1 and jobs=4. *)
-let test_corpus_demanded_summaries_equal_serial () =
-  let prog = Kernel.Workloads.load () in
-  let dprog = Kc.Ir.copy_program prog in
-  ignore (Deputy.Dreport.deputize dprog);
-  let roots = Absint.Discharge.residual_roots dprog in
-  let serial = Absint.Summary.compute ~jobs:1 ~roots prog in
-  let parallel = Absint.Summary.compute ~jobs:4 ~roots prog in
-  Alcotest.(check bool) "demanded corpus summaries identical for jobs=1 and jobs=4" true
-    (Absint.Transfer.SM.equal Absint.Aval.equal serial parallel)
-
-(* ---- refsafe summaries: parallel = serial ---- *)
-
-let refsafe_fixture =
-  "typedef unsigned long size_t;\n\
-   void * __opt kzalloc(size_t n, int flags) __blocking_if_gfp_wait;\n\
-   void kfree(void * __opt p);\n\
-   long *mk(void) { long *p = kzalloc(16, 0); return p; }\n\
-   void fin(long *p) { kfree(p); }\n\
-   long use(long n) { long *q = mk(); if (q != 0) { q[0] = n; n = q[0]; fin(q); } return n; }\n"
-
-let test_refsafe_summaries_equal_serial () =
-  let prog = parse refsafe_fixture in
-  let serial = Refsafe.Summary.compute ~jobs:1 prog in
-  let parallel = Refsafe.Summary.compute ~jobs:4 prog in
-  Alcotest.(check bool) "fixture refsafe summaries identical for jobs=1 and jobs=4" true
-    (Refsafe.Summary.equal serial parallel)
-
-let test_corpus_refsafe_summaries_equal_serial () =
-  let prog = Kernel.Workloads.load () in
-  let serial = Refsafe.Summary.compute ~jobs:1 prog in
-  let parallel = Refsafe.Summary.compute ~jobs:4 prog in
-  Alcotest.(check bool) "corpus refsafe summaries identical for jobs=1 and jobs=4" true
-    (Refsafe.Summary.equal serial parallel)
-
 (* ---- campaign format v3: the injector stream split ---- *)
 
 let test_format_version () = Alcotest.(check int) "campaign format" 3 Gen.Fuzz.format_version
@@ -227,7 +138,9 @@ let test_fuzz_log_identical_across_jobs () =
   in
   Alcotest.(check (list string)) "log lines identical" (logged 1) (logged 4)
 
-(* ---- end-to-end determinism: ivy check ---- *)
+(* ---- merge_counters ---- *)
+
+let parse src = Kc.Typecheck.check_sources [ ("par_test.kc", src) ]
 
 let check_fixture =
   "void spin_lock(long *l);\n\
@@ -239,24 +152,6 @@ let check_fixture =
    int one(void) { spin_lock(&la); spin_lock(&lb); spin_unlock(&lb); spin_unlock(&la); return 0; }\n\
    int two(void) { spin_lock(&lb); spin_lock(&la); spin_unlock(&la); spin_unlock(&lb); return 0; }\n\
    long masked(int n) { long a[8]; int k = n & 7; a[2] = 1; a[k] = 5; return a[k]; }\n"
-
-let test_check_json_identical_across_jobs () =
-  let render jobs =
-    let ctxt = Engine.Context.create ~jobs (parse check_fixture) in
-    let results = Ivy.Checks.run_all ctxt in
-    let deputy =
-      if List.mem_assoc "absint" results then Some (Engine.Context.deputized ctxt) else None
-    in
-    let ccount =
-      if List.mem_assoc "refsafe" results then Some (Engine.Context.ccount_discharged ctxt)
-      else None
-    in
-    Ivy.Report_fmt.render_diags_json ?deputy ?ccount results
-  in
-  let serial = render 1 in
-  Alcotest.(check string) "check --json byte-identical for jobs=4" serial (render 4)
-
-(* ---- merge_counters ---- *)
 
 let test_merge_counters () =
   let ctxt_stats () =
@@ -305,20 +200,6 @@ let () =
           Alcotest.test_case "lowest-index exception" `Quick test_exception_lowest_index_wins;
           Alcotest.test_case "failure drains pool" `Quick test_exception_drains_pool;
         ] );
-      ( "summaries",
-        [
-          Alcotest.test_case "levels bottom-up" `Quick test_levels_bottom_up;
-          Alcotest.test_case "parallel = serial (fixture)" `Quick
-            test_parallel_summaries_equal_serial;
-          Alcotest.test_case "parallel = serial (corpus)" `Slow
-            test_corpus_summaries_equal_serial;
-          Alcotest.test_case "parallel = serial (corpus, demanded roots)" `Slow
-            test_corpus_demanded_summaries_equal_serial;
-          Alcotest.test_case "refsafe parallel = serial (fixture)" `Quick
-            test_refsafe_summaries_equal_serial;
-          Alcotest.test_case "refsafe parallel = serial (corpus)" `Slow
-            test_corpus_refsafe_summaries_equal_serial;
-        ] );
       ( "format",
         [
           Alcotest.test_case "campaign format v3" `Quick test_format_version;
@@ -329,8 +210,6 @@ let () =
           Alcotest.test_case "fuzz summary jobs-invariant" `Slow
             test_fuzz_summary_identical_across_jobs;
           Alcotest.test_case "fuzz log jobs-invariant" `Slow test_fuzz_log_identical_across_jobs;
-          Alcotest.test_case "check json jobs-invariant" `Quick
-            test_check_json_identical_across_jobs;
           Alcotest.test_case "merge_counters" `Quick test_merge_counters;
         ] );
     ]
