@@ -305,14 +305,12 @@ let run_check ~only files jobs json stats =
         only;
       let per_file =
         match files with
-        | [] | [ _ ] ->
-            (* One program is analysed on this domain; --jobs does
-               nothing here. *)
-            [ check_program ~only ~json ~stats files ]
+        | [] -> [ check_program ~only ~json ~stats [] ]
         | _ ->
-            (* Several inputs shard per file: each worker owns one
-               program and one context (contexts memoize in plain
-               Hashtbls, so they are never shared across domains). *)
+            (* Each file is its own program, sharded per file: each
+               worker owns one program and one context (contexts
+               memoize in plain Hashtbls, so they are never shared
+               across domains). One file runs on this domain. *)
             Par.map ~jobs (fun path -> check_program ~only ~json ~stats [ path ]) files
       in
       let reports = List.map (fun (r, _, _) -> r) per_file in

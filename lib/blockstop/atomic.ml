@@ -108,11 +108,11 @@ let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
      function carries the assert_not_atomic runtime check: the
      assertion says it is never entered in atomic context, so it stays
      at 0; so does an extern, which has no sites. *)
-  let defined = Hashtbl.of_seq (Seq.map (fun (f, _) -> (f, ())) (List.to_seq sites)) in
+  let sites_of = Hashtbl.of_seq (List.to_seq sites) in
   let entry = Hashtbl.create 64 in
   let entry_of f = Option.value ~default:0 (Hashtbl.find_opt entry f) in
   let raise_to g d =
-    let enterable = Hashtbl.mem defined g && not (SS.mem g guarded) in
+    let enterable = Hashtbl.mem sites_of g && not (SS.mem g guarded) in
     enterable && d > entry_of g && (Hashtbl.replace entry g d; true)
   in
   SS.iter (fun h -> ignore (raise_to h 1)) handlers;
