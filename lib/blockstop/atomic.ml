@@ -13,10 +13,11 @@
    positives the paper resolves with runtime checks. At [cap] the count
    is lost, so nothing takes the depth back down there. Each function
    is solved once, as an effect; entered at depth [e], the depth at a
-   point with effect (down, up) is [max 0 (e - down) + up]. A
-   function's entry depth is the largest depth at any call to it, and
-   at least 1 for an irq handler (passed to [request_irq]); it is
-   closed to a fixpoint over the solved call sites. *)
+   point with effect (down, up) is [max 0 (e - down) + up], or [cap]
+   when [e] is. A function's entry depth is the largest depth at any
+   call to it, and [cap] for an irq handler (passed to [request_irq]):
+   interrupt context lasts the whole handler, whatever it unlocks or
+   enables. It is closed to a fixpoint over the solved call sites. *)
 
 module I = Kc.Ir
 module SS = Set.Make (String)
@@ -26,7 +27,6 @@ type warning = {
   w_callee : string;
   w_loc : Kc.Loc.t;
   w_via : Callgraph.via;
-  w_entry_atomic : bool; (* atomic because the whole function is entered atomic *)
   w_witness : string list; (* chain down to a blocking leaf *)
 }
 
@@ -76,16 +76,14 @@ let step ~effect instr s =
       | None -> s)
   | _ -> s
 
-(* The depth at a point of a function entered at depth [entry]. *)
+(* The depth at a point of a function entered at depth [entry]; as in
+   [seq], an entry at [cap] has lost its count and stays there. *)
 let depth entry = function
+  | Some _ when entry >= cap -> cap
   | Some (down, up) -> min cap (max 0 (entry - down) + up)
   | None -> 0
 
-type result = {
-  warnings : warning list;
-  atomic_entry : SS.t; (* functions enterable in atomic context *)
-  handlers : SS.t;
-}
+type result = { warnings : warning list; handlers : SS.t }
 
 let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
   let cg = bl.Blocking.cg and guarded = bl.Blocking.guarded in
@@ -115,7 +113,7 @@ let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
     let enterable = Hashtbl.mem sites_of g && not (SS.mem g guarded) in
     enterable && d > entry_of g && (Hashtbl.replace entry g d; true)
   in
-  SS.iter (fun h -> ignore (raise_to h 1)) handlers;
+  SS.iter (fun h -> ignore (raise_to h cap)) handlers;
   let rec close () =
     let changed =
       List.fold_left
@@ -133,9 +131,8 @@ let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
     if depth (entry_of f) s > 0 && Blocking.call_may_block bl e then
       let callee = e.Callgraph.callee in
       Some { w_in = f; w_callee = callee; w_loc = e.Callgraph.loc; w_via = e.Callgraph.via;
-             w_entry_atomic = depth 0 s = 0; w_witness = Blocking.witness bl callee }
+             w_witness = Blocking.witness bl callee }
     else None
   in
   let warnings = List.concat_map (fun (f, ss) -> List.filter_map (warning f) ss) sites in
-  let atomic_entry = Hashtbl.fold (fun f _ acc -> SS.add f acc) entry SS.empty in
-  { warnings; atomic_entry; handlers }
+  { warnings; handlers }

@@ -3,9 +3,10 @@
     increment it, saturating at [cap]; the unlock / enable calls
     decrement it; a call to a defined function applies its effect, the
     drop below the entry depth and the rise after it), and each
-    function's entry depth: the largest depth at any call to it, at
-    least 1 for an interrupt handler, 0 for a guarded function. A call
-    that may block from a point whose depth is positive is a
+    function's entry depth: the largest depth at any call to it, [cap]
+    for an interrupt handler (interrupt context lasts the whole handler,
+    and an entry at [cap] stays there), 0 for a guarded function. A
+    call that may block from a point whose depth is positive is a
     warning. *)
 
 module SS : Set.S with type elt = string and type t = Set.Make(String).t
@@ -15,18 +16,16 @@ type warning = {
   w_callee : string;
   w_loc : Kc.Loc.t;
   w_via : Callgraph.via;
-  w_entry_atomic : bool;  (** atomic because the whole function is *)
   w_witness : string list;  (** chain to a blocking leaf *)
 }
+
+(** The depth at which the count is lost (4). *)
+val cap : int
 
 (** Functions registered via [request_irq]. *)
 val irq_handlers : Kc.Ir.program -> SS.t
 
-type result = {
-  warnings : warning list;
-  atomic_entry : SS.t;
-  handlers : SS.t;
-}
+type result = { warnings : warning list; handlers : SS.t }
 
 (** [cfg_of] supplies each defined function's CFG (an engine context's
     [Context.cfg]); it defaults to {!Dataflow.Cfg.build}. *)

@@ -311,6 +311,46 @@ let test_entry_depth_two () =
   | v -> Alcotest.failf "expected blocking-in-atomic trap, got %Ld" v
   | exception Vm.Trap.Trap (Vm.Trap.Blocking_in_atomic, _) -> ()
 
+(* Interrupt context lasts the whole handler: an enable before the
+   sleep, here or in a callee, does not leave it, and the VM traps. *)
+let test_handler_stays_atomic body () =
+  let src =
+    p
+      (body
+     ^ "int setup(void) { request_irq(7, handler); return 0; }\n\
+        int go(void) { setup(); return raise_irq(7); }\n")
+  in
+  Alcotest.(check bool) "msleep flagged" true
+    (List.exists (fun (_, c) -> c = "msleep") (warn_pairs (analyze src)));
+  match Vm.Interp.run (Vm.Builtins.boot (parse src)) "go" [] with
+  | v -> Alcotest.failf "expected blocking-in-atomic trap, got %Ld" v
+  | exception Vm.Trap.Trap (Vm.Trap.Blocking_in_atomic, _) -> ()
+
+let handler_enables = "int handler(int irq) { local_irq_enable(); msleep(10); return 0; }\n"
+
+let handler_enables_then_calls =
+  "int nap(void) { msleep(10); return 0; }\n\
+   int handler(int irq) { local_irq_enable(); nap(); return 0; }\n"
+
+(* At [cap] held locks the count is lost: a callee entered there that
+   drops [cap] of them still sleeps in the region, and with one more
+   held the VM traps. *)
+let test_entry_at_cap () =
+  let locks = List.init (Blockstop.Atomic.cap + 1) (Printf.sprintf "lk%d") in
+  let calls fn ls = String.concat " " (List.map (Printf.sprintf "%s(&%s);" fn) ls) in
+  let src =
+    p
+      (String.concat "" (List.map (Printf.sprintf "long %s;\n") locks)
+      ^ Printf.sprintf "int drop(void) { %s msleep(1); return 0; }\n"
+          (calls "spin_unlock" (List.tl locks))
+      ^ Printf.sprintf "int main(void) { %s drop(); return 0; }\n" (calls "spin_lock" locks))
+  in
+  Alcotest.(check bool) "msleep in drop flagged" true
+    (List.mem ("drop", "msleep") (warn_pairs (analyze src)));
+  match Vm.Interp.run (Vm.Builtins.boot (parse src)) "main" [] with
+  | v -> Alcotest.failf "expected blocking-in-atomic trap, got %Ld" v
+  | exception Vm.Trap.Trap (Vm.Trap.Blocking_in_atomic, _) -> ()
+
 (* ------------------------------------------------------------------ *)
 (* False positives and runtime checks                                  *)
 (* ------------------------------------------------------------------ *)
@@ -435,6 +475,11 @@ let () =
             (test_release_wrapper_ends_region enable_wrapper);
           Alcotest.test_case "entered holding one lock" `Quick test_entry_depth_one;
           Alcotest.test_case "entered holding two locks" `Quick test_entry_depth_two;
+          Alcotest.test_case "entered at the cap" `Quick test_entry_at_cap;
+          Alcotest.test_case "handler enables, then sleeps" `Quick
+            (test_handler_stays_atomic handler_enables);
+          Alcotest.test_case "handler enables, then calls a sleeper" `Quick
+            (test_handler_stays_atomic handler_enables_then_calls);
         ] );
       ( "false-positives",
         [
