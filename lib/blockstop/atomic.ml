@@ -17,7 +17,11 @@
    when [e] is. A function's entry depth is the largest depth at any
    call to it, and [cap] for an irq handler (passed to [request_irq]):
    interrupt context lasts the whole handler, whatever it unlocks or
-   enables. It is closed to a fixpoint over the solved call sites. *)
+   enables. It is closed to a fixpoint over the solved call sites. A
+   call blocks in the region only if its callee, entered at the depth
+   of the call, reaches a blocking call at a positive depth: a wrapper
+   that drops the caller's one lock before it sleeps is not flagged at
+   its call site. *)
 
 module I = Kc.Ir
 module SS = Set.Make (String)
@@ -127,8 +131,47 @@ let analyze ?(cfg_of = Dataflow.Cfg.build) (bl : Blocking.t) : result =
     if changed then close ()
   in
   close ();
+  (* Each function's threshold: the least entry depth at which it
+     reaches a blocking call at a positive depth, absent when none
+     does. [depth] is monotone in the entry, so a function entered at
+     or above its threshold blocks in the region and one entered below
+     it does not. A call at depth [d] then blocks when it is a may-wait
+     allocation, its callee is an annotated leaf, or the callee's
+     threshold is at most [d]; a guarded callee never does. Thresholds
+     fall to a fixpoint from "absent". *)
+  let threshold = Hashtbl.create 64 in
+  let blocks_at d (e : Callgraph.edge) =
+    let g = e.Callgraph.callee in
+    d > 0
+    && Blocking.call_may_block bl e
+    && (e.Callgraph.gfp <> Callgraph.No_gfp
+       || Hashtbl.find_opt bl.Blocking.blocking g = Some Blocking.Annotated
+       || match Hashtbl.find_opt threshold g with Some t -> t <= d | None -> false)
+  in
+  let least ss =
+    let rec go e =
+      if e > cap then None
+      else if List.exists (fun (ed, s) -> blocks_at (depth e s) ed) ss then Some e
+      else go (e + 1)
+    in
+    go 0
+  in
+  let rec lower () =
+    let changed =
+      List.fold_left
+        (fun changed (f, ss) ->
+          match least ss with
+          | Some t when Hashtbl.find_opt threshold f <> Some t ->
+              Hashtbl.replace threshold f t;
+              true
+          | _ -> changed)
+        false sites
+    in
+    if changed then lower ()
+  in
+  lower ();
   let warning f ((e : Callgraph.edge), s) =
-    if depth (entry_of f) s > 0 && Blocking.call_may_block bl e then
+    if blocks_at (depth (entry_of f) s) e then
       let callee = e.Callgraph.callee in
       Some { w_in = f; w_callee = callee; w_loc = e.Callgraph.loc; w_via = e.Callgraph.via;
              w_witness = Blocking.witness bl callee }

@@ -6,8 +6,11 @@
     function's entry depth: the largest depth at any call to it, [cap]
     for an interrupt handler (interrupt context lasts the whole handler,
     and an entry at [cap] stays there), 0 for a guarded function. A
-    call that may block from a point whose depth is positive is a
-    warning. *)
+    call from a point whose depth [d] is positive is a warning when it
+    may block at [d]: a may-wait allocation, an annotated blocking
+    callee, or a defined callee whose threshold (the least entry depth
+    at which it reaches a blocking call in the region) is at most [d].
+    Guarded callees never warn. *)
 
 module SS : Set.S with type elt = string and type t = Set.Make(String).t
 

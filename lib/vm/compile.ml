@@ -10,8 +10,8 @@
      structured terminators that still carry their IR condition;
    - phase B (peephole): unconditional-jump chains collapse,
      single-predecessor blocks merge, compare terminators copy onto
-     back edges, constants propagate through register slots, and dead
-     register moves drop to bare fuel burns;
+     back edges, and unreachable blocks are dropped. Phase B moves
+     control flow only; it rewrites no instruction or expression;
    - phase C (codegen): every instruction that has a micro-op form
      ([uop]: sets, bounds and null checks) is described once as a flat
      datum. A block whose items all describe and whose terminator is a
@@ -29,8 +29,7 @@
    placed exactly where the tree-walker places it; the differential
    suite (test/test_vm_compile.ml) holds the fused code to the
    tree-walker. Register slots are charge-free in the cost model,
-   which is what makes register const-prop, dead-move elimination and
-   operand inlining observationally neutral.
+   which is what makes operand inlining observationally neutral.
 
    Compiled programs are cached per [I.program] (physical identity,
    weak — dead fuzz-case programs are collectable) and per function
@@ -372,20 +371,19 @@ let lval_type_c ((host, offs) : I.lval) : I.ty =
 (* Phase A: the mid-level representation and structured lowering.     *)
 (* ------------------------------------------------------------------ *)
 
-(* Mid-level items keep the IR instruction (so the peephole can still
-   pattern-match and rewrite expressions) plus the pseudo-ops the
-   lowering introduces. [Mdeadmove] is an eliminated register move:
-   the write is gone but the instruction's fuel burn remains. *)
+(* Mid-level items keep the IR instruction (so codegen can still
+   pattern-match its expressions) plus the pseudo-ops the lowering
+   introduces. *)
 type mi =
   | Mi of I.instr
   | Mfuel
   | Mscope_enter
   | Mscope_exit of string
   | Mretval of I.exp option
-  | Mdeadmove
 
-(* Terminators stay structured through phase B so conditions can be
-   rewritten and fused; block targets are ids, -1 = return. *)
+(* Terminators stay structured through phase B so compares can be
+   copied onto back edges and fused; block targets are ids, -1 =
+   return. *)
 type mterm =
   | Munset
   | Mgoto of int
@@ -695,231 +693,7 @@ let peep_compact (bs : mblock array) : mblock array =
     arr;
   arr
 
-let reg_of_lval (slots : (int, cslot) Hashtbl.t) ((host, offs) : I.lval) : (int * I.ty) option =
-  match (host, offs) with
-  | I.Lvar v, [] when not v.I.vglob -> (
-      match Hashtbl.find_opt slots v.I.vid with
-      | Some (Sreg i) -> Some (i, v.I.vty)
-      | _ -> None)
-  | _ -> None
-
-(* Compile-time evaluation of an expression whose leaves are all
-   constants. Purely a value oracle for register tracking — the
-   instruction still executes (and charges) at runtime; we only need
-   to know what lands in the register. Pointer-typed operands and
-   trapping cases answer None. Mirrors Treewalk.eval_binop. *)
-let rec sval (e : I.exp) : int64 option =
-  match e.I.e with
-  | I.Econst n -> Some n
-  | I.Ecast (ty, e1) -> Option.map (normf ty) (sval e1)
-  | I.Eunop (op, e1) -> (
-      match sval e1 with
-      | None -> None
-      | Some v -> (
-          match op with
-          | Kc.Ast.Neg -> Some (normf e.I.ety (Int64.neg v))
-          | Kc.Ast.Bitnot -> Some (normf e.I.ety (Int64.lognot v))
-          | Kc.Ast.Lognot -> Some (if v = 0L then 1L else 0L)))
-  | I.Ebinop (op, a, b) -> (
-      match (a.I.ety, b.I.ety) with
-      | I.Tptr _, _ | _, I.Tptr _ -> None
-      | _ -> (
-          match (sval a, sval b) with
-          | Some x, Some y ->
-              let k = aluk_of op ~signed:(Vmstate.is_signed a.I.ety) in
-              if alu_can_trap k && y = 0L then None
-              else
-                let v = alu_eval k x y in
-                Some (if alu_is_bool k then v else normf e.I.ety v)
-          | _ -> None))
-  | _ -> None
-
-(* Per-block constant propagation through register slots. Register
-   reads are charge-free and trap-free, so replacing one with the
-   constant it is known to hold changes nothing observable; it feeds
-   the operand classifier downstream. Facts live within one block:
-   every entry into the block replays its writes, so end-of-block
-   terminator conditions may use them too. *)
-let peep_constprop ~slots ~nregs (b : mblock) : int =
-  let hits = ref 0 in
-  let vals : int64 option array = Array.make (max nregs 1) None in
-  let rec subst_exp (e : I.exp) : I.exp =
-    match e.I.e with
-    | I.Econst _ | I.Estr _ | I.Efun _ | I.Eself_field _ -> e
-    | I.Elval lv -> (
-        match reg_of_lval slots lv with
-        | Some (i, _) -> (
-            match vals.(i) with
-            | Some v ->
-                incr hits;
-                { e with I.e = I.Econst v }
-            | None -> e)
-        | None -> { e with I.e = I.Elval (subst_lval lv) })
-    | I.Eunop (op, e1) -> { e with I.e = I.Eunop (op, subst_exp e1) }
-    | I.Ebinop (op, a, b2) -> { e with I.e = I.Ebinop (op, subst_exp a, subst_exp b2) }
-    | I.Econd (c, a, b2) -> { e with I.e = I.Econd (subst_exp c, subst_exp a, subst_exp b2) }
-    | I.Ecast (ty, e1) -> { e with I.e = I.Ecast (ty, subst_exp e1) }
-    | I.Eaddrof lv -> { e with I.e = I.Eaddrof (subst_lval lv) }
-    | I.Estartof lv -> { e with I.e = I.Estartof (subst_lval lv) }
-  and subst_lval ((host, offs) : I.lval) : I.lval =
-    let host' = match host with I.Lvar _ -> host | I.Lmem e -> I.Lmem (subst_exp e) in
-    let offs' =
-      List.map (function I.Ofield _ as o -> o | I.Oindex e -> I.Oindex (subst_exp e)) offs
-    in
-    (host', offs')
-  in
-  let subst_instr (i : I.instr) : I.instr =
-    match i with
-    | I.Iset (lv, e) -> I.Iset (subst_lval lv, subst_exp e)
-    | I.Icall (ret, tgt, args) ->
-        let ret' = Option.map subst_lval ret in
-        let tgt' =
-          match tgt with I.Direct _ -> tgt | I.Indirect e -> I.Indirect (subst_exp e)
-        in
-        I.Icall (ret', tgt', List.map subst_exp args)
-    | I.Icheck (ck, reason) ->
-        let ck' =
-          match ck with
-          | I.Ck_nonnull e -> I.Ck_nonnull (subst_exp e)
-          | I.Ck_le (a, b2) -> I.Ck_le (subst_exp a, subst_exp b2)
-          | I.Ck_lt (a, b2) -> I.Ck_lt (subst_exp a, subst_exp b2)
-          | I.Ck_nt_next (e, w) -> I.Ck_nt_next (subst_exp e, w)
-          | I.Ck_not_atomic -> ck
-        in
-        I.Icheck (ck', reason)
-    | I.Irc_inc e -> I.Irc_inc (subst_exp e)
-    | I.Irc_dec e -> I.Irc_dec (subst_exp e)
-    | I.Irc_update (lv, e) -> I.Irc_update (subst_lval lv, subst_exp e)
-  in
-  let step (item : mi) : mi =
-    match item with
-    | Mi i ->
-        let i' = subst_instr i in
-        (match i' with
-        | I.Iset (lv, e) -> (
-            match reg_of_lval slots lv with
-            | Some (r, vty) -> vals.(r) <- Option.map (normf vty) (sval e)
-            | None -> ())
-        | I.Icall (Some lv, _, _) -> (
-            match reg_of_lval slots lv with
-            | Some (r, _) -> vals.(r) <- None
-            | None -> ())
-        | _ -> ());
-        Mi i'
-    | Mretval (Some e) -> Mretval (Some (subst_exp e))
-    | other -> other
-  in
-  (* List.map's evaluation order is unspecified; [step] is stateful. *)
-  b.mis <- List.rev (List.fold_left (fun acc it -> step it :: acc) [] b.mis);
-  (b.mt <-
-     (match b.mt with
-     | Mif (c, x, y) -> Mif (subst_exp c, x, y)
-     | Mwhile (c, x, y) -> Mwhile (subst_exp c, x, y)
-     | Mdowhile (c, x, y) -> Mdowhile (subst_exp c, x, y)
-     | Mswitch (c, tbl, d) -> Mswitch (subst_exp c, tbl, d)
-     | t -> t));
-  !hits
-
-(* A register move is removable when a later instruction in the same
-   block overwrites the register with no intervening read: the
-   overwrite dominates every later use, and the move's right-hand side
-   must be charge- and trap-free (constants, register reads, casts of
-   those) so dropping it changes neither cycles nor trap behavior.
-   Only the instruction's fuel burn remains ([Mdeadmove]). *)
-let rec charge_free_rhs slots (e : I.exp) : bool =
-  match e.I.e with
-  | I.Econst _ -> true
-  | I.Elval lv -> reg_of_lval slots lv <> None
-  | I.Ecast (_, e1) -> charge_free_rhs slots e1
-  | _ -> false
-
-let lval_addr_reads slots ((host, offs) : I.lval) (acc : int list ref) go_exp =
-  ignore slots;
-  (match host with I.Lvar _ -> () | I.Lmem e -> go_exp e acc);
-  List.iter (function I.Ofield _ -> () | I.Oindex e -> go_exp e acc) offs
-
-let rec exp_reads slots (e : I.exp) (acc : int list ref) =
-  match e.I.e with
-  | I.Econst _ | I.Estr _ | I.Efun _ | I.Eself_field _ -> ()
-  | I.Elval lv -> (
-      match reg_of_lval slots lv with
-      | Some (i, _) -> acc := i :: !acc
-      | None -> lval_addr_reads slots lv acc (exp_reads slots))
-  | I.Eunop (_, e1) | I.Ecast (_, e1) -> exp_reads slots e1 acc
-  | I.Ebinop (_, a, b) ->
-      exp_reads slots a acc;
-      exp_reads slots b acc
-  | I.Econd (c, a, b) ->
-      exp_reads slots c acc;
-      exp_reads slots a acc;
-      exp_reads slots b acc
-  | I.Eaddrof lv | I.Estartof lv -> lval_addr_reads slots lv acc (exp_reads slots)
-
-let instr_reads slots (i : I.instr) (acc : int list ref) =
-  let lv_dest lv =
-    match reg_of_lval slots lv with
-    | Some _ -> ()
-    | None -> lval_addr_reads slots lv acc (exp_reads slots)
-  in
-  match i with
-  | I.Iset (lv, e) ->
-      exp_reads slots e acc;
-      lv_dest lv
-  | I.Icall (ret, tgt, args) ->
-      List.iter (fun a -> exp_reads slots a acc) args;
-      (match tgt with I.Direct _ -> () | I.Indirect e -> exp_reads slots e acc);
-      (match ret with None -> () | Some lv -> lv_dest lv)
-  | I.Icheck (ck, _) -> (
-      match ck with
-      | I.Ck_nonnull e | I.Ck_nt_next (e, _) -> exp_reads slots e acc
-      | I.Ck_le (a, b) | I.Ck_lt (a, b) ->
-          exp_reads slots a acc;
-          exp_reads slots b acc
-      | I.Ck_not_atomic -> ())
-  | I.Irc_inc e | I.Irc_dec e -> exp_reads slots e acc
-  | I.Irc_update (lv, e) ->
-      exp_reads slots e acc;
-      lv_dest lv
-
-let instr_reg_write slots (i : I.instr) : int option =
-  match i with
-  | I.Iset (lv, _) | I.Icall (Some lv, _, _) -> Option.map fst (reg_of_lval slots lv)
-  | _ -> None
-
-let peep_deadmoves ~slots ~nregs (b : mblock) : int =
-  let kills = ref 0 in
-  (* dead.(r): walking backward, the next forward event on r is an
-     overwrite (no read in between, within this block). *)
-  let dead = Array.make (max nregs 1) false in
-  let keep item =
-    (match item with
-    | Mi i ->
-        (match instr_reg_write slots i with Some w -> dead.(w) <- true | None -> ());
-        let acc = ref [] in
-        instr_reads slots i acc;
-        List.iter (fun r -> dead.(r) <- false) !acc
-    | Mretval (Some e) ->
-        let acc = ref [] in
-        exp_reads slots e acc;
-        List.iter (fun r -> dead.(r) <- false) !acc
-    | _ -> ());
-    item
-  in
-  b.mis <-
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | Mi (I.Iset (lv, e)) -> (
-            match reg_of_lval slots lv with
-            | Some (r, _) when dead.(r) && charge_free_rhs slots e ->
-                incr kills;
-                Mdeadmove :: acc
-            | _ -> keep item :: acc)
-        | _ -> keep item :: acc)
-      [] (List.rev b.mis);
-  !kills
-
-let peephole ~slots ~nregs (bs : mblock array) : mblock array =
+let peephole (bs : mblock array) : mblock array =
   let th1 = peep_thread bs in
   let mg = peep_merge bs in
   let th2 = peep_thread bs in
@@ -928,14 +702,6 @@ let peephole ~slots ~nregs (bs : mblock array) : mblock array =
   ostat_n "peep:jump-thread" (th1 + th2);
   ostat_n "peep:block-merge" mg;
   ostat_n "peep:term-copy" tc;
-  let cp = ref 0 and dm = ref 0 in
-  Array.iter
-    (fun b ->
-      cp := !cp + peep_constprop ~slots ~nregs b;
-      dm := !dm + peep_deadmoves ~slots ~nregs b)
-    bs;
-  ostat_n "peep:const-prop" !cp;
-  ostat_n "peep:dead-move" !dm;
   bs
 
 (* ------------------------------------------------------------------ *)
@@ -1430,7 +1196,7 @@ type uop =
   | Uregset of int * nspec * operand (* dst reg, dst norm *)
   | Ucheck2 of bool * string * operand * operand (* strict, reason *)
   | Ucknonnull of string * operand
-  | Unop (* fuel-only step: dead move, loop-iteration charge *)
+  | Unop (* fuel-only step: the loop-iteration charge *)
   | Utrap of Trap.kind * string
     (* a malformed instruction: describing it trapped, and running it
        raises that trap, as the tree-walker does only when executed *)
@@ -1844,7 +1610,7 @@ and describe_instr ctx (i : I.instr) : uop option =
 and describe_mi ctx (item : mi) : uop option =
   match item with
   | Mi i -> ( try describe_instr ctx i with Trap.Trap (k, m) -> Some (Utrap (k, m)))
-  | Mfuel | Mdeadmove -> Some Unop
+  | Mfuel -> Some Unop
   | Mscope_enter | Mscope_exit _ | Mretval _ -> None
 
 (* Whole-block fusion: when every item of a block describes as a
@@ -2094,7 +1860,6 @@ and codegen_mi ctx (item : mi) (described : uop option) : env -> unit =
         run_uop env u
   | Mi i, None -> compile_instr ctx i
   | Mfuel, _ -> fun env -> Machine.burn_fuel env.m
-  | Mdeadmove, _ -> fun env -> burn env
   | Mscope_enter, _ -> fun env -> Machine.delayed_scope_enter env.m
   | Mscope_exit where, _ -> fun env -> Machine.delayed_scope_exit env.m ~where
   | Mretval None, _ -> fun env -> env.retv <- 0L
@@ -2224,7 +1989,7 @@ and compile_fun (cc : t) (fd : I.fundec) : cfun =
   let mbs = Array.make (max lo.lnb 1) dummy in
   List.iter (fun b -> mbs.(b.mid) <- b) lo.lblocks;
   (* Phase B: peephole. *)
-  let mbs = peephole ~slots ~nregs:!nregs mbs in
+  let mbs = peephole mbs in
   (* Phase C: closure codegen. *)
   let ctx = { cc; slots } in
   let blocks = Array.mapi (fun i mb -> codegen_block ctx ~self:i mb) mbs in

@@ -284,8 +284,9 @@ let test_release_wrapper_ends_region body () =
 
 (* A function is entered at the largest depth any caller holds: one
    that drops the single lock its caller holds sleeps outside the
-   region, and the VM runs [main] to the end. Called with two locks
-   held, it still sleeps in the region, and the VM traps. *)
+   region, so neither the sleep nor the call to it is flagged, and the
+   VM runs [main] to the end. Called with two locks held, it still
+   sleeps in the region, both are flagged, and the VM traps. *)
 let relock =
   "long lk;\n\
    long lk2;\n\
@@ -293,8 +294,9 @@ let relock =
 
 let test_entry_depth_one () =
   let src = p (relock ^ "int main(void) { spin_lock(&lk); relock(); spin_unlock(&lk); return 0; }\n") in
-  Alcotest.(check bool) "msleep in relock not flagged" false
-    (List.mem ("relock", "msleep") (warn_pairs (analyze src)));
+  let ws = warn_pairs (analyze src) in
+  Alcotest.(check bool) "msleep in relock not flagged" false (List.mem ("relock", "msleep") ws);
+  Alcotest.(check bool) "call to relock not flagged" false (List.mem ("main", "relock") ws);
   Alcotest.(check int64) "main completes" 0L
     (Vm.Interp.run (Vm.Builtins.boot (parse src)) "main" [])
 
@@ -305,8 +307,9 @@ let test_entry_depth_two () =
      ^ "int relock2(void) { spin_lock(&lk2); spin_lock(&lk); relock(); spin_unlock(&lk); \
         spin_unlock(&lk2); return 0; }\n")
   in
-  Alcotest.(check bool) "msleep in relock flagged" true
-    (List.mem ("relock", "msleep") (warn_pairs (analyze src)));
+  let ws = warn_pairs (analyze src) in
+  Alcotest.(check bool) "msleep in relock flagged" true (List.mem ("relock", "msleep") ws);
+  Alcotest.(check bool) "call to relock flagged" true (List.mem ("relock2", "relock") ws);
   match Vm.Interp.run (Vm.Builtins.boot (parse src)) "relock2" [] with
   | v -> Alcotest.failf "expected blocking-in-atomic trap, got %Ld" v
   | exception Vm.Trap.Trap (Vm.Trap.Blocking_in_atomic, _) -> ()

@@ -340,8 +340,9 @@ let fused_cases : (string * string) list =
        long main(void) { int i; long s; long t; s = 0; for (i = 0; i < 16; i++) { a[i] = i * \
        5; t = a[i]; b[i] = a[i]; s = s + id(t); } return s + b[15]; }\n" );
     (* [1 + 2] is not a Deputy constant, so the checks on [buf[i]]
-       survive instrumentation; register const-prop then hands them
-       constant operands. The null [__opt] deref fails its check. *)
+       survive instrumentation; the return value keeps the block from
+       fusing whole, so they run as standalone check micro-ops over
+       register operands. The null [__opt] deref fails its check. *)
     ( "const checks, null fails",
       "long buf[8];\n\
        long main(void) { long i; long j; long * __opt p; i = 1 + 2; j = 2 + 4; buf[i] = 4; \
@@ -416,6 +417,38 @@ let test_sites_counted_once () =
   Alcotest.(check int64) "result" 5L r;
   Alcotest.(check int) "spec:addr sites" 2 (site stats "spec:addr")
 
+(* The E2 schedule's cycle count and compile-site table: boot, then
+   every Table 1 entry with argument 3, on the compiled engine over the
+   deputized workloads. Pinned so that a lost fusion or specialization
+   shows here, not only as a missed speed floor in the bench. *)
+let test_e2_sites () =
+  let prog = Kernel.Workloads.load ~fresh:true () in
+  ignore (Deputy.Dreport.deputize ~optimize:true prog);
+  Fun.protect ~finally:Vm.Compile.reset_opt_stats (fun () ->
+      Vm.Compile.reset_opt_stats ();
+      let t = Vm.Builtins.boot ~engine:Vm.Interp.Compiled prog in
+      ignore (Vm.Interp.run t Kernel.Corpus.boot_entry []);
+      List.iter
+        (fun (row : Kernel.Workloads.row) ->
+          ignore (Vm.Interp.run t row.Kernel.Workloads.entry [ 3L ]))
+        Kernel.Workloads.table1;
+      let stats = Vm.Compile.opt_stats () in
+      Alcotest.(check int) "E2 cycles" 6_816_419 t.Vm.Interp.m.Vm.Machine.cost.Vm.Cost.cycles;
+      Alcotest.(check (list (pair string int)))
+        "E2 site table"
+        [
+          ("spec:cmp-branch", 451);
+          ("peep:jump-thread", 447);
+          ("spec:uop", 421);
+          ("peep:term-copy", 345);
+          ("fuse:block", 281);
+          ("spec:addr", 148);
+          ("spec:alu", 121);
+          ("peep:block-merge", 37);
+          ("fuse:block-loop", 20);
+        ]
+        stats)
+
 (* Cached code is revalidated on [fbody] identity alone: deputizing a
    program in place after it ran compiled must retire the stale code,
    so the next compiled run traps on the failing bound check exactly
@@ -487,6 +520,7 @@ let () =
           Alcotest.test_case "standalone uops engage" `Quick test_uop_path_engages;
           Alcotest.test_case "sites counted once" `Quick test_sites_counted_once;
           Alcotest.test_case "body swap recompiles" `Quick test_body_swap_recompiles;
+          Alcotest.test_case "E2 site table" `Quick test_e2_sites;
         ] );
       ( "campaign",
         [ Alcotest.test_case "serial summary byte-identical" `Quick test_fuzz_golden ] );
