@@ -71,31 +71,6 @@ let provable_checks ~ifaces ~summaries (r : Solver.fresult) :
     r.Solver.cfg.Cfg.nodes;
   !removable
 
-let rec filter_block removable (b : I.block) : I.block =
-  List.filter_map (filter_stmt removable) b
-
-and filter_stmt removable (s : I.stmt) : I.stmt option =
-  match s.I.sk with
-  | I.Sinstr (I.Icheck _ as i) when List.memq i removable -> None
-  | I.Sinstr _ | I.Sbreak | I.Scontinue | I.Sreturn _ -> Some s
-  | I.Sif (c, b1, b2) ->
-      Some { s with I.sk = I.Sif (c, filter_block removable b1, filter_block removable b2) }
-  | I.Swhile (c, body, step) ->
-      Some
-        { s with I.sk = I.Swhile (c, filter_block removable body, filter_block removable step) }
-  | I.Sdowhile (body, c) -> Some { s with I.sk = I.Sdowhile (filter_block removable body, c) }
-  | I.Sswitch (e, cases) ->
-      Some
-        {
-          s with
-          I.sk =
-            I.Sswitch
-              (e, List.map (fun c -> { c with I.cbody = filter_block removable c.I.cbody }) cases);
-        }
-  | I.Sblock b1 -> Some { s with I.sk = I.Sblock (filter_block removable b1) }
-  | I.Sdelayed b1 -> Some { s with I.sk = I.Sdelayed (filter_block removable b1) }
-  | I.Strusted b1 -> Some { s with I.sk = I.Strusted (filter_block removable b1) }
-
 (* A proof verdict for one function, independent of its IR values: the
    ordinals (among the body's checks, in {!Kc.Ir.iter_instrs} order) of
    the checks proved, with how, plus the function's counters. A
@@ -147,7 +122,7 @@ let apply (fd : I.fundec) (v : verdict) : unit =
            (fun n i -> if List.mem_assoc n v.proved_at then [ i ] else [])
            (checks_of fd.I.fbody))
     in
-    fd.I.fbody <- filter_block removable fd.I.fbody
+    fd.I.fbody <- I.remove_instrs removable fd.I.fbody
   end
 
 (* The defined functions that still hold a check: the only ones whose

@@ -38,10 +38,6 @@ type ifaces = { zone : bool }
 let no_ifaces = { zone = true }
 let interval_only = { zone = false }
 
-(* Allocators yielding non-null chunks, kept in sync with the list the
-   Facts-based optimizer trusts (Deputy.Optimize). *)
-let allocators = [ "kmalloc"; "kzalloc"; "kmem_cache_alloc"; "vmalloc"; "alloc_pages" ]
-
 let is_signed = function I.Tint (_, A.Signed) -> true | _ -> false
 
 let ty_range : I.ty -> Interval.t = function
@@ -581,7 +577,7 @@ let instr ?(ifaces = no_ifaces) (summaries : summaries) (env : Env.t) (i : I.ins
           let ret =
             match SM.find_opt f summaries with
             | Some a -> degrade v.I.vty (norm_aval v.I.vty a)
-            | None -> if List.mem f allocators then Aval.nonnull else of_ty v.I.vty
+            | None -> if List.mem f I.allocators then Aval.nonnull else of_ty v.I.vty
           in
           Env.set v.I.vid ret (zone_kill v env)
       | I.Icall (Some (I.Lvar v, []), _, _) when Deputy.Facts.stable v ->

@@ -22,7 +22,6 @@ val no_ifaces : ifaces
 val interval_only : ifaces
 (** Zone off: the interval×nullness domain alone. *)
 
-val allocators : string list
 val ty_range : Kc.Ir.ty -> Interval.t
 val of_ty : Kc.Ir.ty -> Aval.t
 

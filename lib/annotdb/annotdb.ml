@@ -127,13 +127,6 @@ let load (path : string) : t =
 
 module I = Kc.Ir
 
-(* Population iterates Hashtbls; visit them in name order so the fact
-   list (and therefore [query] order and the TSV export) is identical
-   across insertion histories and OCaml versions. *)
-let sorted_bindings (tbl : (string, 'a) Hashtbl.t) : (string * 'a) list =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 (* Hand-written annotations present in the source. *)
 let add_source_annotations (db : t) (prog : I.program) : unit =
   let annots_of_ty subject (ty : I.ty) =
@@ -150,7 +143,7 @@ let add_source_annotations (db : t) (prog : I.program) : unit =
       List.iter
         (fun (f : I.fieldinfo) -> annots_of_ty (Field (c.I.cname, f.I.fname)) f.I.fty)
         c.I.cfields)
-    (sorted_bindings prog.I.comps);
+    (Kc.Pretty.sorted_bindings prog.I.comps);
   List.iter
     (fun (name, (fd : I.fundec)) ->
       List.iter
@@ -175,7 +168,7 @@ let add_source_annotations (db : t) (prog : I.program) : unit =
               add db { subject = Func name; kind = "releases"; payload = l; provenance = Manual }
           | Kc.Ast.Ftrusted | Kc.Ast.Fframe_hint _ -> ())
         fd.I.fannots)
-    (sorted_bindings prog.I.fun_by_name)
+    (Kc.Pretty.sorted_bindings prog.I.fun_by_name)
 
 (* Facts inferred by the analyses (the paper's "other properties were
    inferred by our tools"). *)

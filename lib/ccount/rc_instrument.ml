@@ -47,8 +47,6 @@ type ctx = {
   mutable fresh_allocs : int list;
 }
 
-let allocators = [ "kmalloc"; "kzalloc"; "kmem_cache_alloc"; "vmalloc"; "alloc_pages" ]
-
 let fresh_temp ctx (ty : I.ty) : I.varinfo =
   incr ctx.temp_ctr;
   let v =
@@ -72,21 +70,6 @@ let tracked_slot ((host, offs) : I.lval) : bool =
   | I.Lvar v, [] -> v.I.vglob || v.I.vaddrof
   | _ -> true
 
-let lval_type (lv : I.lval) : I.ty =
-  let host, offs = lv in
-  let base =
-    match host with
-    | I.Lvar v -> v.I.vty
-    | I.Lmem e -> ( match e.I.ety with I.Tptr (t, _) -> t | t -> t)
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | I.Ofield f, _ -> f.I.fty
-      | I.Oindex _, I.Tarray (t, _) -> t
-      | I.Oindex _, t -> t)
-    base offs
-
 (* Offset paths of every pointer slot inside a type. *)
 let rec pointer_paths (prog : I.program) (ty : I.ty) : I.offset list list =
   match ty with
@@ -108,14 +91,6 @@ let rec pointer_paths (prog : I.program) (ty : I.ty) : I.offset list list =
       else []
   | I.Tvoid | I.Tint _ | I.Tfun _ -> []
 
-let strip_ptr_casts (e : I.exp) : I.exp =
-  let rec go e =
-    match e.I.e with
-    | I.Ecast (I.Tptr _, inner) when I.is_pointer inner.I.ety -> go inner
-    | _ -> e
-  in
-  go e
-
 let comp_tag_of_ptr (ty : I.ty) : string option =
   match ty with I.Tptr (I.Tcomp tag, _) -> Some tag | _ -> None
 
@@ -131,12 +106,12 @@ let rc_set_type_stmt ctx loc (lv : I.lval) tag : I.stmt =
     (I.Icall
        ( None,
          I.Direct "__rc_set_type",
-         [ I.mk_exp (I.Elval lv) (lval_type lv); I.const_int (Int64.of_int tid) ] ))
+         [ I.mk_exp (I.Elval lv) (I.lval_type lv); I.const_int (Int64.of_int tid) ] ))
 
 let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
   match instr with
   | I.Iset (lv, e) -> (
-      let ty = lval_type lv in
+      let ty = I.lval_type lv in
       match ty with
       | I.Tptr _ ->
           let stmts =
@@ -150,7 +125,7 @@ let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
             end
           in
           (* Allocation-site RTTI: p = cast of a fresh allocation. *)
-          let src = strip_ptr_casts e in
+          let src = I.strip_ptr_casts e in
           let rtti =
             match (src.I.e, comp_tag_of_ptr ty) with
             | I.Elval (I.Lvar v, []), Some tag
@@ -171,7 +146,7 @@ let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
                   (fun path ->
                     let dst_slot = (fst lv, snd lv @ path) in
                     let src_slot = (fst src_lv, snd src_lv @ path) in
-                    let slot_ty = lval_type dst_slot in
+                    let slot_ty = I.lval_type dst_slot in
                     mk_instr loc
                       (I.Irc_update (dst_slot, I.mk_exp (I.Elval src_slot) slot_ty)))
                   (pointer_paths ctx.prog (I.Tcomp tag))
@@ -186,7 +161,7 @@ let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
       let target, args =
         match (target, args) with
         | I.Direct ("memset" as name), dst :: _ | I.Direct ("memcpy" as name), dst :: _ -> (
-            match comp_tag_of_ptr (strip_ptr_casts dst).I.ety with
+            match comp_tag_of_ptr (I.strip_ptr_casts dst).I.ety with
             | Some tag when Typeinfo.pointer_offsets ctx.info tag <> [] ->
                 ctx.stats.memops_retyped <- ctx.stats.memops_retyped + 1;
                 let tid = Typeinfo.type_id ctx.info tag in
@@ -195,13 +170,13 @@ let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
             | _ -> (target, args))
         | _ -> (target, args)
       in
-      let is_alloc = match target with I.Direct n -> List.mem n allocators | _ -> false in
+      let is_alloc = match target with I.Direct n -> List.mem n I.allocators | _ -> false in
       match ret with
-      | Some lv when I.is_pointer (lval_type lv) ->
+      | Some lv when I.is_pointer (I.lval_type lv) ->
           if tracked_slot lv then begin
             (* Route through a temporary so the write protocol applies. *)
             ctx.stats.ptr_writes_instrumented <- ctx.stats.ptr_writes_instrumented + 1;
-            let tmp = fresh_temp ctx (lval_type lv) in
+            let tmp = fresh_temp ctx (I.lval_type lv) in
             let tmp_lv = (I.Lvar tmp, []) in
             let tmp_exp = I.mk_exp (I.Elval tmp_lv) tmp.I.vty in
             let stmts =
@@ -213,7 +188,7 @@ let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
             in
             (* RTTI when the destination is a typed struct pointer. *)
             let rtti =
-              match comp_tag_of_ptr (lval_type lv) with
+              match comp_tag_of_ptr (I.lval_type lv) with
               | Some tag when is_alloc && Typeinfo.pointer_offsets ctx.info tag <> [] ->
                   [ rc_set_type_stmt ctx loc lv tag ]
               | _ -> []
@@ -232,7 +207,7 @@ let instr_stmts ctx loc (instr : I.instr) : I.stmt list =
                 ()
             | _ -> ());
             let rtti =
-              match (lv, comp_tag_of_ptr (lval_type lv)) with
+              match (lv, comp_tag_of_ptr (I.lval_type lv)) with
               | (I.Lvar _, []), Some tag
                 when is_alloc && Typeinfo.pointer_offsets ctx.info tag <> [] ->
                   [ rc_set_type_stmt ctx loc lv tag ]

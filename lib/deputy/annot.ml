@@ -131,13 +131,6 @@ let rec const_fold (e : I.exp) : int64 option =
   | I.Eunop (Kc.Ast.Neg, inner) -> Option.map Int64.neg (const_fold inner)
   | _ -> None
 
-(* Strip pointer-to-pointer casts to find the expression a pointer
-   value actually came from. *)
-let rec strip_ptr_casts (e : I.exp) : I.exp =
-  match e.I.e with
-  | I.Ecast (I.Tptr _, inner) when I.is_pointer inner.I.ety -> strip_ptr_casts inner
-  | _ -> e
-
 (* Decompose a pointer expression into (base, element index). Pointer
    arithmetic accumulates into the index; anything else is a base. *)
 let rec split_base (p : I.exp) : I.exp * I.exp =

@@ -31,9 +31,6 @@ val strip_widening : Kc.Ir.exp -> Kc.Ir.exp
     conversion casts). *)
 val const_fold : Kc.Ir.exp -> int64 option
 
-(** Strip pointer-to-pointer casts to find a value's origin. *)
-val strip_ptr_casts : Kc.Ir.exp -> Kc.Ir.exp
-
 (** Decompose a pointer expression into (base, element index),
     flattening pointer arithmetic. *)
 val split_base : Kc.Ir.exp -> Kc.Ir.exp * Kc.Ir.exp

@@ -21,25 +21,18 @@ type report = {
   functions : int;
 }
 
-(* Visit Hashtbls in name order: the totals are commutative today, but
-   report code must stay byte-stable across insertion order and OCaml
-   versions (serial and parallel runs are diffed against each other). *)
-let sorted_bindings (tbl : (string, 'a) Hashtbl.t) : (string * 'a) list =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let count_type_annotations (prog : I.program) : int =
   let n = ref 0 in
   List.iter
     (fun (_, (c : I.compinfo)) ->
       List.iter (fun (f : I.fieldinfo) -> n := !n + Annot.count_annotations f.I.fty) c.I.cfields)
-    (sorted_bindings prog.I.comps);
+    (Kc.Pretty.sorted_bindings prog.I.comps);
   List.iter (fun ((v : I.varinfo), _) -> n := !n + Annot.count_annotations v.I.vty) prog.I.globals;
   List.iter
     (fun (_, (fd : I.fundec)) ->
       List.iter (fun (v : I.varinfo) -> n := !n + Annot.count_annotations v.I.vty) fd.I.sformals;
       n := !n + List.length fd.I.fannots)
-    (sorted_bindings prog.I.fun_by_name);
+    (Kc.Pretty.sorted_bindings prog.I.fun_by_name);
   List.iter
     (fun (fd : I.fundec) ->
       List.iter

@@ -64,22 +64,6 @@ type ctx = {
 
 let mk_check ctx ck reason : I.stmt = { I.sk = I.Sinstr (I.Icheck (ck, reason)); sloc = !(ctx.loc) }
 
-(* The type of an lvalue, via the same rules as the type checker. *)
-let lval_type (lv : I.lval) : I.ty =
-  let host, offs = lv in
-  let base =
-    match host with
-    | I.Lvar v -> v.I.vty
-    | I.Lmem e -> ( match e.I.ety with I.Tptr (t, _) -> t | t -> t)
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | I.Ofield f, _ -> f.I.fty
-      | I.Oindex _, I.Tarray (t, _) -> t
-      | I.Oindex _, t -> t)
-    base offs
-
 (* Try to instantiate a count expression at a use of [ptr_exp]. A
    count mentioning sibling fields needs the struct base, which we
    recover syntactically when the pointer is read straight out of a
@@ -325,7 +309,7 @@ let flow_checks ctx ~(dst_ty : I.ty) ~(dst_base : I.lval option) (src : I.exp) :
                  result) blesses the destination's count — the VM's
                  allocation map backs it, and the operation is counted
                  like Deputy's allocator trust. *)
-              let origin = Annot.strip_ptr_casts src in
+              let origin = I.strip_ptr_casts src in
               let from_void =
                 match origin.I.ety with I.Tptr (I.Tvoid, _) -> true | _ -> false
               in
@@ -475,7 +459,7 @@ let nt_advance_check ctx (lv : I.lval) (e : I.exp) : I.stmt list =
 let checks_of_instr ctx (instr : I.instr) : I.stmt list =
   match instr with
   | I.Iset (lv, e) ->
-      let dst_ty = lval_type lv in
+      let dst_ty = I.lval_type lv in
       let dst_base =
         match List.rev (snd lv) with
         | I.Ofield _ :: rev_rest -> Some (fst lv, List.rev rev_rest)

@@ -153,8 +153,6 @@ let join_flow a b =
   | Term, x | x, Term -> x
   | Fall f1, Fall f2 -> Fall (Facts.join f1 f2)
 
-let allocators = [ "kmalloc"; "kzalloc"; "kmem_cache_alloc"; "vmalloc"; "alloc_pages" ]
-
 let rec opt_block stats (facts : Facts.t) (b : I.block) : I.block * flow =
   let rec go facts acc = function
     | [] -> (List.rev acc, Fall facts)
@@ -187,7 +185,7 @@ and opt_stmt stats (facts : Facts.t) (s : I.stmt) : I.stmt list * flow =
         match ret with
         | Some (I.Lvar v, []) when Facts.stable v ->
             let facts = Facts.kill_var v.I.vid facts in
-            let is_alloc = match target with I.Direct n -> List.mem n allocators | _ -> false in
+            let is_alloc = match target with I.Direct n -> List.mem n I.allocators | _ -> false in
             if is_alloc then Facts.add_nonnull v.I.vid facts else facts
         | _ -> facts
       in

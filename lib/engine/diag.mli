@@ -30,6 +30,10 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+(** A string's JSON form without the surrounding quotes: escapes the
+    double quote, the backslash and every control character. *)
+val json_escape : string -> string
+
 (** One JSON object; [list_to_json] wraps a sorted list in an array. *)
 val to_json : t -> string
 

@@ -21,20 +21,7 @@ exception Parse_error of string
 (* Rendering                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let quote (s : string) : string = "\"" ^ Engine.Diag.json_escape s ^ "\""
 
 let render_num (f : float) : string =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
@@ -45,12 +32,10 @@ let rec render (j : t) : string =
   | Null -> "null"
   | Bool b -> if b then "true" else "false"
   | Num f -> render_num f
-  | Str s -> "\"" ^ escape s ^ "\""
+  | Str s -> quote s
   | List l -> "[" ^ String.concat "," (List.map render l) ^ "]"
   | Obj kvs ->
-      "{"
-      ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ render v) kvs)
-      ^ "}"
+      "{" ^ String.concat "," (List.map (fun (k, v) -> quote k ^ ":" ^ render v) kvs) ^ "}"
   | Raw s -> s
 
 (* ------------------------------------------------------------------ *)

@@ -202,6 +202,27 @@ let rec eq_erased a b =
 
 let annots_of = function Tptr (_, a) -> a | _ -> no_annots
 
+(* The static type of an lvalue, by the type checker's rules. A
+   non-pointer host or an index into a non-array keeps its type; the
+   VM's [Vmstate.lval_type] traps on such ill-typed IR instead. *)
+let lval_type ((host, offs) : lval) : ty =
+  let base =
+    match host with Lvar v -> v.vty | Lmem e -> ( match e.ety with Tptr (t, _) -> t | t -> t)
+  in
+  List.fold_left
+    (fun ty off ->
+      match (off, ty) with Ofield f, _ -> f.fty | Oindex _, Tarray (t, _) -> t | Oindex _, t -> t)
+    base offs
+
+(* Strip pointer-to-pointer casts to find the expression a pointer
+   value actually came from. *)
+let rec strip_ptr_casts (e : exp) : exp =
+  match e.e with Ecast (Tptr _, inner) when is_pointer inner.ety -> strip_ptr_casts inner | _ -> e
+
+(* The externs that return a fresh chunk. Absint, Deputy's optimizer,
+   refsafe and CCount all treat a call to one as a non-null allocation. *)
+let allocators = [ "kmalloc"; "kzalloc"; "kmem_cache_alloc"; "vmalloc"; "alloc_pages" ]
+
 let rec type_to_string = function
   | Tvoid -> "void"
   | Tint (Ast.Ichar, Ast.Unsigned) -> "char"
@@ -249,6 +270,24 @@ let rec iter_stmts f (b : block) =
 (* Iterate over every instruction of a block. *)
 let iter_instrs f b =
   iter_stmts (fun s -> match s.sk with Sinstr i -> f i | _ -> ()) b
+
+(* [b] without the statements whose instruction is physically one of
+   [removable] (the analyses drop proved checks and updates this way). *)
+let rec remove_instrs removable (b : block) : block = List.filter_map (remove_stmt removable) b
+
+and remove_stmt removable (s : stmt) : stmt option =
+  let sub = remove_instrs removable in
+  match s.sk with
+  | Sinstr i when List.memq i removable -> None
+  | Sinstr _ | Sbreak | Scontinue | Sreturn _ -> Some s
+  | Sif (c, b1, b2) -> Some { s with sk = Sif (c, sub b1, sub b2) }
+  | Swhile (c, body, step) -> Some { s with sk = Swhile (c, sub body, sub step) }
+  | Sdowhile (body, c) -> Some { s with sk = Sdowhile (sub body, c) }
+  | Sswitch (e, cases) ->
+      Some { s with sk = Sswitch (e, List.map (fun c -> { c with cbody = sub c.cbody }) cases) }
+  | Sblock b1 -> Some { s with sk = Sblock (sub b1) }
+  | Sdelayed b1 -> Some { s with sk = Sdelayed (sub b1) }
+  | Strusted b1 -> Some { s with sk = Strusted (sub b1) }
 
 (* Iterate over all expressions appearing directly in an instruction. *)
 let exps_of_instr = function

@@ -72,3 +72,21 @@ let field_offset (prog : Ir.program) (fi : Ir.fieldinfo) : int =
 let elem_size prog = function
   | Ir.Tptr (t, _) | Ir.Tarray (t, _) -> size_of prog t
   | ty -> raise (Layout_error ("elem_size of non-pointer " ^ Ir.type_to_string ty))
+
+(* A function's frame: each formal, then each local, in declaration
+   order. A variable lives in memory when its address is taken or it
+   is a struct or array; it gets the next offset aligned for its type.
+   Every other variable lives in a register ([None]). The byte count
+   is the end of the last memory slot, unrounded. *)
+let frame (prog : Ir.program) (fd : Ir.fundec) : (Ir.varinfo * int option) list * int =
+  let in_memory (v : Ir.varinfo) =
+    v.Ir.vaddrof || match v.Ir.vty with Ir.Tcomp _ | Ir.Tarray _ -> true | _ -> false
+  in
+  let slot off v =
+    if in_memory v then
+      let at = round_up off (align_of prog v.Ir.vty) in
+      (at + size_of prog v.Ir.vty, (v, Some at))
+    else (off, (v, None))
+  in
+  let bytes, slots = List.fold_left_map slot 0 (fd.Ir.sformals @ fd.Ir.slocals) in
+  (slots, bytes)

@@ -15,3 +15,10 @@ val field_offset : Ir.program -> Ir.fieldinfo -> int
 
 (** Size of the pointed-to / element type of a pointer or array. *)
 val elem_size : Ir.program -> Ir.ty -> int
+
+(** A function's frame: each formal, then each local, in declaration
+    order, with its byte offset if it lives in memory (address taken,
+    struct or array) or [None] if it lives in a register; and the byte
+    count of the memory slots, unrounded. Both VM engines and
+    stackcheck lay frames out with this one function. *)
+val frame : Ir.program -> Ir.fundec -> (Ir.varinfo * int option) list * int

@@ -10,6 +10,11 @@
     re-parses with {!Typecheck.check_sources}. *)
 val print_program : ?erase:bool -> Ir.program -> string
 
+(** A table's bindings in name order: Hashtbl iteration order depends
+    on insertion history and the OCaml version, so code whose output
+    must be byte-stable visits tables through this. *)
+val sorted_bindings : (string, 'a) Hashtbl.t -> (string * 'a) list
+
 (** One-off rendering helpers for diagnostics and tests. *)
 
 val exp_to_string : Ir.exp -> string

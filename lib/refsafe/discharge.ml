@@ -182,7 +182,7 @@ type scan = {
    between live classes. Cleared per function: vids are only unique
    within one. *)
 let is_alloc_val sc (e : I.exp) =
-  match (Summary.strip_ptr_casts e).I.e with
+  match (I.strip_ptr_casts e).I.e with
   | I.Elval (I.Lvar v, []) -> Hashtbl.mem sc.allocs v.I.vid
   | _ -> false
 
@@ -225,10 +225,10 @@ and scan_lval sc ((host, offs) : I.lval) : unit =
   (match host with I.Lmem e -> scan_exp sc e | I.Lvar _ -> ());
   List.iter (function I.Oindex e -> scan_exp sc e | I.Ofield _ -> ()) offs
 
-let stripped_pointee (e : I.exp) : I.ty option = pointee (Summary.strip_ptr_casts e).I.ety
+let stripped_pointee (e : I.exp) : I.ty option = pointee (I.strip_ptr_casts e).I.ety
 
 let known_extern f =
-  List.mem f Summary.allocators
+  List.mem f I.allocators
   || Summary.free_extern f <> None
   || List.mem f Summary.benign_externs
   || f = "request_irq"
@@ -291,8 +291,8 @@ let scan_instr sc (prog : I.program) (i : I.instr) : unit =
                 fd.I.sformals;
               (match (ret, pointee fd.I.fret) with
               | Some lv, Some tr -> (
-                  match pointee (Summary.lval_type lv) with
-                  | Some ts when not (List.mem f Summary.allocators) -> union sc.uf ts tr
+                  match pointee (I.lval_type lv) with
+                  | Some ts when not (List.mem f I.allocators) -> union sc.uf ts tr
                   | _ -> ())
               | _ -> ())
           | _ ->
@@ -307,7 +307,7 @@ let scan_instr sc (prog : I.program) (i : I.instr) : unit =
                 args;
               (match ret with
               | Some lv -> (
-                  match pointee (Summary.lval_type lv) with
+                  match pointee (I.lval_type lv) with
                   | Some t -> sc.marks <- Deep t :: sc.marks
                   | None -> ())
               | None -> ()))
@@ -322,7 +322,7 @@ let scan_instr sc (prog : I.program) (i : I.instr) : unit =
             args;
           (match ret with
           | Some lv -> (
-              match pointee (Summary.lval_type lv) with
+              match pointee (I.lval_type lv) with
               | Some t -> sc.marks <- Deep t :: sc.marks
               | None -> ())
           | None -> ()))
@@ -333,7 +333,7 @@ let scan_fundec sc (prog : I.program) (fd : I.fundec) : unit =
     (fun s ->
       match s.I.sk with
       | I.Sinstr (I.Icall (Some (I.Lvar v, []), I.Direct f, _))
-        when List.mem f Summary.allocators && not v.I.vglob ->
+        when List.mem f I.allocators && not v.I.vglob ->
           Hashtbl.replace sc.allocs v.I.vid ()
       | _ -> ())
     fd.I.fbody;
@@ -474,33 +474,6 @@ let window_removable (cands : (int, gwin) Hashtbl.t) : I.instr list =
       if List.for_all (fun w -> List.memq w gw.acc) gw.writes then gw.upds @ acc else acc)
     cands []
 
-(* ---- removal ------------------------------------------------------ *)
-
-let rec filter_block removable (b : I.block) : I.block =
-  List.filter_map (filter_stmt removable) b
-
-and filter_stmt removable (s : I.stmt) : I.stmt option =
-  match s.I.sk with
-  | I.Sinstr (I.Irc_update _ as i) when List.memq i removable -> None
-  | I.Sinstr _ | I.Sbreak | I.Scontinue | I.Sreturn _ -> Some s
-  | I.Sif (c, b1, b2) ->
-      Some { s with I.sk = I.Sif (c, filter_block removable b1, filter_block removable b2) }
-  | I.Swhile (c, body, step) ->
-      Some
-        { s with I.sk = I.Swhile (c, filter_block removable body, filter_block removable step) }
-  | I.Sdowhile (body, c) -> Some { s with I.sk = I.Sdowhile (filter_block removable body, c) }
-  | I.Sswitch (e, cases) ->
-      Some
-        {
-          s with
-          I.sk =
-            I.Sswitch
-              (e, List.map (fun c -> { c with I.cbody = filter_block removable c.I.cbody }) cases);
-        }
-  | I.Sblock b1 -> Some { s with I.sk = I.Sblock (filter_block removable b1) }
-  | I.Sdelayed b1 -> Some { s with I.sk = I.Sdelayed (filter_block removable b1) }
-  | I.Strusted b1 -> Some { s with I.sk = I.Strusted (filter_block removable b1) }
-
 (* Discharge an already ccount-instrumented program, in place. *)
 let run ?summaries (prog : I.program) : stats =
   let summaries = match summaries with Some s -> s | None -> Summary.compute prog in
@@ -533,7 +506,7 @@ let run ?summaries (prog : I.program) : stats =
                     stats.stack_host <- stats.stack_host + 1;
                     removable := i :: !removable
                 | _ -> (
-                    match pointee (Summary.lval_type lv) with
+                    match pointee (I.lval_type lv) with
                     | Some t when (not sc.forged) && not (class_freed sc.uf t) ->
                         stats.never_freed <- stats.never_freed + 1;
                         removable := i :: !removable
@@ -544,7 +517,7 @@ let run ?summaries (prog : I.program) : stats =
                         end))
             | _ -> ())
           fd.I.fbody;
-        if !removable <> [] then fd.I.fbody <- filter_block !removable fd.I.fbody
+        if !removable <> [] then fd.I.fbody <- I.remove_instrs !removable fd.I.fbody
       end)
     prog.I.funcs;
   stats

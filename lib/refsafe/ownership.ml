@@ -85,7 +85,7 @@ let tracked (v : I.varinfo) =
 (* The tracked variable an expression directly denotes, casts
    stripped. *)
 let direct_var (e : I.exp) : I.varinfo option =
-  match (Summary.strip_ptr_casts e).I.e with
+  match (I.strip_ptr_casts e).I.e with
   | I.Elval (I.Lvar v, []) when tracked v -> Some v
   | _ -> None
 
@@ -147,7 +147,7 @@ let step (summaries : Summary.summaries)
          function doesn't mediate — and since functions with ptr<->int
          casts are skipped wholesale, a pointer value can only land in
          a pointer-typed slot. *)
-      if I.is_pointer (Summary.lval_type lv) then kill_roots e st else st
+      if I.is_pointer (I.lval_type lv) then kill_roots e st else st
   | I.Icall (ret, target, args) -> (
       let info = Summary.callee_info summaries target in
       let free_arg st arg =
@@ -218,7 +218,7 @@ let step (summaries : Summary.summaries)
    means [v] is non-null.  Handles the idiomatic guards
    `if (p)`, `if (!p)`, `if (p != 0)`, `if (p == 0)` through casts. *)
 let rec cond_var (c : I.exp) : (I.varinfo * bool) option =
-  match (Summary.strip_ptr_casts c).I.e with
+  match (I.strip_ptr_casts c).I.e with
   | I.Elval (I.Lvar v, []) when tracked v -> Some (v, true)
   | I.Eunop (Kc.Ast.Lognot, e1) ->
       Option.map (fun (v, nn) -> (v, not nn)) (cond_var e1)

@@ -61,8 +61,6 @@ let conservative_sum (fd : I.fundec) : fsum =
 
 (* ---- the VM's extern surface -------------------------------------- *)
 
-let allocators = [ "kmalloc"; "kzalloc"; "kmem_cache_alloc"; "vmalloc"; "alloc_pages" ]
-
 (* Free-family externs: index of the formal whose target is released. *)
 let free_extern = function
   | "kfree" | "vfree" | "free_pages" -> Some [ 0 ]
@@ -130,7 +128,7 @@ let callee_info (summaries : summaries) (target : I.call_target) : callee =
   match target with
   | I.Indirect _ -> Unknown
   | I.Direct f -> (
-      if List.mem f allocators then Alloc
+      if List.mem f I.allocators then Alloc
       else
         match free_extern f with
         | Some idxs -> Free idxs
@@ -140,30 +138,6 @@ let callee_info (summaries : summaries) (target : I.call_target) : callee =
             else match SM.find_opt f summaries with Some s -> Known s | None -> Unknown))
 
 (* ---- shared IR helpers -------------------------------------------- *)
-
-(* Static type of a slot (mirrors Ccount.Rc_instrument.lval_type). *)
-let lval_type (lv : I.lval) : I.ty =
-  let host, offs = lv in
-  let base =
-    match host with
-    | I.Lvar v -> v.I.vty
-    | I.Lmem e -> ( match e.I.ety with I.Tptr (t, _) -> t | t -> t)
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | I.Ofield f, _ -> f.I.fty
-      | I.Oindex _, I.Tarray (t, _) -> t
-      | I.Oindex _, t -> t)
-    base offs
-
-let strip_ptr_casts (e : I.exp) : I.exp =
-  let rec go e =
-    match e.I.e with
-    | I.Ecast (I.Tptr _, inner) when I.is_pointer inner.I.ety -> go inner
-    | _ -> e
-  in
-  go e
 
 let rec is_null (e : I.exp) : bool =
   match e.I.e with
@@ -368,7 +342,7 @@ let pass (summaries : summaries) (a : fana) : bool =
             add_srcs v srcs
         | Unknown -> add_srcs v (SrcSet.singleton Sother))
     | Some ((I.Lvar g, _) as lv) when g.I.vglob ->
-        if I.is_pointer (lval_type lv) then a.awrites_glob <- true
+        if I.is_pointer (I.lval_type lv) then a.awrites_glob <- true
     | _ -> ()
   in
   I.iter_stmts
@@ -385,7 +359,7 @@ let pass (summaries : summaries) (a : fana) : bool =
               mark_all a.aescaped (var_roots e);
               (match fst lv with
               | I.Lvar g when g.I.vglob ->
-                  if I.is_pointer (lval_type lv) then a.awrites_glob <- true
+                  if I.is_pointer (I.lval_type lv) then a.awrites_glob <- true
               | _ -> ()))
       | I.Sinstr (I.Icall (ret, target, args)) -> do_call ret target args
       | I.Sinstr (I.Icheck _ | I.Irc_inc _ | I.Irc_dec _ | I.Irc_update _) -> ()

@@ -5,12 +5,13 @@
    every possible chain of function calls stays within its allotted
    4 or 8 kB of stack space."
 
-   Frame sizes come from the same layout rules the VM uses (memory-
-   resident locals plus a fixed bookkeeping overhead, plus any
-   [__frame_hint] annotation). The call graph is BlockStop's (sound
-   for function pointers). Recursive cycles have unbounded static
-   depth; the paper's answer — runtime checks on the recursive entry —
-   is what [needs_runtime_check] reports. *)
+   A frame's size is its memory-resident locals as {!Kc.Layout.frame}
+   lays them out (the bytes both VM engines use), plus a fixed
+   bookkeeping overhead, plus any [__frame_hint] annotation. Unlike
+   [Machine.push_frame] it does not round to 16 bytes. The call graph
+   is BlockStop's (sound for function pointers). Recursive cycles have
+   unbounded static depth; the paper's answer — runtime checks on the
+   recursive entry — is what [needs_runtime_check] reports. *)
 
 module I = Kc.Ir
 module SM = Map.Make (String)
@@ -20,26 +21,12 @@ module SS = Set.Make (String)
 let frame_overhead = 32
 
 let frame_size (prog : I.program) (fd : I.fundec) : int =
-  let needs_memory (v : I.varinfo) =
-    v.I.vaddrof || match v.I.vty with I.Tcomp _ | I.Tarray _ -> true | _ -> false
-  in
-  let locals =
-    List.fold_left
-      (fun acc v ->
-        if needs_memory v then begin
-          let a = Kc.Layout.align_of prog v.I.vty in
-          ((acc + a - 1) / a * a) + Kc.Layout.size_of prog v.I.vty
-        end
-        else acc)
-      0
-      (fd.I.sformals @ fd.I.slocals)
-  in
   let hint =
     List.fold_left
       (fun acc a -> match a with Kc.Ast.Fframe_hint n -> acc + n | _ -> acc)
       0 fd.I.fannots
   in
-  frame_overhead + locals + hint
+  frame_overhead + snd (Kc.Layout.frame prog fd) + hint
 
 type result = {
   frames : int SM.t; (* per-function frame bytes *)

@@ -35,7 +35,7 @@ let is_user_ty (ty : I.ty) : bool =
 
 (* User-ness of a value, looking through pointer casts to its origin
    (a cast must not launder the address space). *)
-let is_user_exp (e : I.exp) : bool = is_user_ty (Deputy.Annot.strip_ptr_casts e).I.ety
+let is_user_exp (e : I.exp) : bool = is_user_ty (I.strip_ptr_casts e).I.ety
 
 let is_null (e : I.exp) : bool = Deputy.Annot.const_fold e = Some 0L
 
@@ -87,27 +87,12 @@ let check_flow ctx loc ~(dst_user : bool) (src : I.exp) ~what =
     end
   end
 
-let lval_type (lv : I.lval) : I.ty =
-  let host, offs = lv in
-  let base =
-    match host with
-    | I.Lvar v -> v.I.vty
-    | I.Lmem e -> ( match e.I.ety with I.Tptr (t, _) -> t | t -> t)
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | I.Ofield f, _ -> f.I.fty
-      | I.Oindex _, I.Tarray (t, _) -> t
-      | I.Oindex _, t -> t)
-    base offs
-
 let check_instr ctx loc (instr : I.instr) =
   match instr with
   | I.Iset (lv, e) ->
       check_lval_deref ctx loc lv;
       check_deref ctx loc e;
-      check_flow ctx loc ~dst_user:(is_user_ty (lval_type lv)) e
+      check_flow ctx loc ~dst_user:(is_user_ty (I.lval_type lv)) e
         ~what:(Kc.Pretty.lval_to_string lv)
   | I.Icall (ret, target, args) -> (
       List.iter (check_deref ctx loc) args;

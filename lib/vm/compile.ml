@@ -349,24 +349,6 @@ let arr_mem (v : int64) (a : int64 array) =
   let rec go i = i < n && (Array.unsafe_get a i = v || go (i + 1)) in
   go 0
 
-(* Compile-time type of an lvalue, mirroring Treewalk.lval_type. *)
-let lval_type_c ((host, offs) : I.lval) : I.ty =
-  let base =
-    match host with
-    | I.Lvar v -> v.I.vty
-    | I.Lmem e -> (
-        match e.I.ety with
-        | I.Tptr (ty, _) -> ty
-        | _ -> Trap.trap Trap.Panic "deref of non-pointer in lval")
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | I.Ofield f, _ -> f.I.fty
-      | I.Oindex _, I.Tarray (elt, _) -> elt
-      | I.Oindex _, _ -> Trap.trap Trap.Panic "index of non-array in lval")
-    base offs
-
 (* ------------------------------------------------------------------ *)
 (* Phase A: the mid-level representation and structured lowering.     *)
 (* ------------------------------------------------------------------ *)
@@ -1401,7 +1383,7 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
   | I.Iset (lv, e) -> (
       (* Struct assignment, a block copy between lvalues: every other
          [Iset] describes as a micro-op ([describe_set]). *)
-      let ty = lval_type_c lv in
+      let ty = Vmstate.lval_type lv in
       match e.I.e with
       | I.Elval src_lv ->
           let cdst = caddr_of ctx lv in
@@ -1522,7 +1504,7 @@ and compile_instr_inner ctx (instr : I.instr) : env -> unit =
    compile-time trap from a malformed source wins, as in the generic
    cexp-then-cwrite order. *)
 and describe_set ctx (lv : I.lval) (e : I.exp) : uop option =
-  match lval_type_c lv with
+  match Vmstate.lval_type lv with
   | I.Tcomp _ -> None
   | _ -> (
       (* An ALU operand that is itself a memory read folds into the
@@ -1941,30 +1923,17 @@ and codegen_term ctx (t : mterm) : env -> int =
 and compile_fun (cc : t) (fd : I.fundec) : cfun =
   cc.compiles <- cc.compiles + 1;
   let prog = cc.prog in
-  (* Slot assignment mirrors the tree-walker's frame layout exactly:
-     same needs_memory predicate, same iteration order and alignment,
-     so stack addresses are bit-identical. *)
-  let needs_memory (v : I.varinfo) =
-    v.I.vaddrof || match v.I.vty with I.Tcomp _ | I.Tarray _ -> true | _ -> false
-  in
-  let vars = fd.I.sformals @ fd.I.slocals in
+  let layout, frame_bytes = Kc.Layout.frame prog fd in
   let slots = Hashtbl.create 16 in
-  let off = ref 0 in
   let nregs = ref 0 in
   List.iter
-    (fun (v : I.varinfo) ->
-      if needs_memory v then begin
-        let a = Kc.Layout.align_of prog v.I.vty in
-        off := (!off + a - 1) / a * a;
-        Hashtbl.replace slots v.I.vid (Sstk !off);
-        off := !off + Kc.Layout.size_of prog v.I.vty
-      end
-      else begin
-        Hashtbl.replace slots v.I.vid (Sreg !nregs);
-        incr nregs
-      end)
-    vars;
-  let frame_bytes = !off in
+    (fun ((v : I.varinfo), off) ->
+      match off with
+      | Some o -> Hashtbl.replace slots v.I.vid (Sstk o)
+      | None ->
+          Hashtbl.replace slots v.I.vid (Sreg !nregs);
+          incr nregs)
+    layout;
   let binders =
     Array.of_list
       (List.map

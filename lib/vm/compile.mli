@@ -5,8 +5,7 @@
     register/stack slots, global addresses and field offsets constant
     folded, callees resolved to direct references — and executes that
     with an int-indexed block dispatch loop. The compiler collapses
-    jump chains, merges single-predecessor blocks, constant-propagates
-    through register slots and drops dead register moves. It then
+    jump chains and merges single-predecessor blocks. It then
     describes sets and bounds/null checks as flat micro-ops: a block
     made only of those compiles to one closure (a tight loop spins
     inside it), and elsewhere each one runs as a single micro-op
@@ -15,7 +14,8 @@
 
     Strictly observationally equivalent to {!Treewalk}: identical trap
     kinds and messages, results, cycle counts, fuel burns, rodata
-    interning order and stack addresses. Only wall-clock time differs.
+    interning order and stack addresses (both engines lay frames out
+    with {!Kc.Layout.frame}). Only wall-clock time differs.
     The differential suite holds the fused code to the tree-walker.
 
     Compiled programs are cached per [Kc.Ir.program] (physical

@@ -36,26 +36,7 @@ let var_slot (t : S.t) (frame : frame option) (v : I.varinfo) : slot =
         | Some s -> s
         | None -> Trap.trap Trap.Panic "unbound local %s" v.I.vname)
 
-let rec lval_type (t : S.t) (lv : I.lval) : I.ty =
-  ignore t;
-  let host, offs = lv in
-  let base =
-    match host with
-    | I.Lvar v -> v.I.vty
-    | I.Lmem e -> (
-        match e.I.ety with
-        | I.Tptr (ty, _) -> ty
-        | _ -> Trap.trap Trap.Panic "deref of non-pointer in lval")
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | I.Ofield f, _ -> f.I.fty
-      | I.Oindex _, I.Tarray (elt, _) -> elt
-      | I.Oindex _, _ -> Trap.trap Trap.Panic "index of non-array in lval")
-    base offs
-
-and place_of_lval (t : S.t) frame ((host, offs) : I.lval) : place * I.ty =
+let rec place_of_lval (t : S.t) frame ((host, offs) : I.lval) : place * I.ty =
   let base_place, base_ty =
     match host with
     | I.Lvar v -> (
@@ -211,7 +192,7 @@ and exec_instr (t : S.t) frame (instr : I.instr) : unit =
   Machine.burn_fuel t.S.m;
   match instr with
   | I.Iset (lv, e) -> (
-      let ty = lval_type t lv in
+      let ty = S.lval_type lv in
       match ty with
       | I.Tcomp _ -> (
           (* Struct assignment: block copy between lvalues. *)
@@ -389,33 +370,14 @@ and call_function (t : S.t) (fd : I.fundec) argv : int64 =
       Trap.trap Trap.Stack_overflow_trap "call depth > 2000 in %s" fd.I.fname;
     if t.S.call_depth > t.S.max_call_depth then t.S.max_call_depth <- t.S.call_depth;
     (* Lay out the frame: memory-resident locals get stack slots. *)
-    let needs_memory (v : I.varinfo) =
-      v.I.vaddrof || match v.I.vty with I.Tcomp _ | I.Tarray _ -> true | _ -> false
-    in
-    let vars = fd.I.sformals @ fd.I.slocals in
-    let frame_bytes =
-      List.fold_left
-        (fun acc v ->
-          if needs_memory v then begin
-            let a = Kc.Layout.align_of t.S.prog v.I.vty in
-            (((acc + a - 1) / a * a) + Kc.Layout.size_of t.S.prog v.I.vty)
-          end
-          else acc)
-        0 vars
-    in
+    let layout, frame_bytes = Kc.Layout.frame t.S.prog fd in
     let base = Machine.push_frame t.S.m (max 16 frame_bytes) in
     let slots = Hashtbl.create 16 in
-    let off = ref 0 in
     List.iter
-      (fun (v : I.varinfo) ->
-        if needs_memory v then begin
-          let a = Kc.Layout.align_of t.S.prog v.I.vty in
-          off := (!off + a - 1) / a * a;
-          Hashtbl.replace slots v.I.vid (Stack (base + !off));
-          off := !off + Kc.Layout.size_of t.S.prog v.I.vty
-        end
-        else Hashtbl.replace slots v.I.vid (Reg (ref 0L)))
-      vars;
+      (fun ((v : I.varinfo), off) ->
+        Hashtbl.replace slots v.I.vid
+          (match off with Some o -> Stack (base + o) | None -> Reg (ref 0L)))
+      layout;
     let frame = { func = fd; slots; base } in
     (* Bind arguments (missing args of variadic-tolerant stubs are 0). *)
     List.iteri

@@ -61,6 +61,26 @@ let width_of prog (ty : I.ty) : int =
 (* Setup: globals, strings, function ids.                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The type of an lvalue, as {!Kc.Ir.lval_type}, but a deref of a
+   non-pointer or an index of a non-array traps: both engines run only
+   well-typed IR. *)
+let lval_type ((host, offs) : I.lval) : I.ty =
+  let base =
+    match host with
+    | I.Lvar v -> v.I.vty
+    | I.Lmem e -> (
+        match e.I.ety with
+        | I.Tptr (ty, _) -> ty
+        | _ -> Trap.trap Trap.Panic "deref of non-pointer in lval")
+  in
+  List.fold_left
+    (fun ty off ->
+      match (off, ty) with
+      | I.Ofield f, _ -> f.I.fty
+      | I.Oindex _, I.Tarray (elt, _) -> elt
+      | I.Oindex _, _ -> Trap.trap Trap.Panic "index of non-array in lval")
+    base offs
+
 let intern_string t s : int =
   match Hashtbl.find_opt t.strings s with
   | Some addr -> addr

@@ -35,6 +35,10 @@ val is_signed : Kc.Ir.ty -> bool
 (** Width in bytes of a scalar load/store of this type. *)
 val width_of : Kc.Ir.program -> Kc.Ir.ty -> int
 
+(** The static type of an lvalue; traps [Panic] on a deref of a
+    non-pointer or an index of a non-array. *)
+val lval_type : Kc.Ir.lval -> Kc.Ir.ty
+
 (** Deterministic global placement: vid -> address table and the final
     static break. Pure function of the program (traps on a static
     region overflow), shared by {!create} and the compiled engine. *)

@@ -121,8 +121,8 @@ let test_frame_sizes () =
   in
   let r = stackcheck prog in
   let frame f = Stackcheck.SM.find f r.Stackcheck.frames in
-  Alcotest.(check bool) "array counted in frame" true (frame "leafy" >= 256);
-  Alcotest.(check bool) "scalar-only frame is small" true (frame "tiny" < 64)
+  Alcotest.(check int) "array + overhead" 288 (frame "leafy");
+  Alcotest.(check int) "register-only frame is the overhead" 32 (frame "tiny")
 
 let test_depth_accumulates () =
   let prog =

@@ -1,4 +1,6 @@
-(* A fence on process-wide mutable state in lib/.
+(* Two fences on the source text of lib/.
+
+   The first is on process-wide mutable state.
 
    Scans every lib/**/*.ml for a structure-level value binding (at the
    top of a file or of a [struct ... end]) whose right-hand side
@@ -13,7 +15,11 @@
 
    Every match must be in [allowed] below, and every entry of
    [allowed] must still match, so the allowlist is exactly the state
-   DESIGN.md's "Process-wide state" section justifies. *)
+   DESIGN.md's "Process-wide state" section justifies.
+
+   The second is on copied IR and layout rules: each name in [owners]
+   may be defined at structure level only in the files listed for it,
+   and must be defined in each of them. *)
 
 let allowed =
   [
@@ -35,6 +41,23 @@ let allowed =
       "parsed corpus memo; the benchmark opts out with ~fresh:true" );
     ("kernel/workloads.ml", "load_lock", "guards load_memo");
   ]
+
+(* Each rule's one owner. [lval_type] has two: the IR's, and the VM's,
+   which traps on ill-typed IR. *)
+let owners =
+  [
+    ("lval_type", [ "kc/ir.ml"; "vm/vmstate.ml" ]);
+    ("strip_ptr_casts", [ "kc/ir.ml" ]);
+    ("allocators", [ "kc/ir.ml" ]);
+    ("remove_instrs", [ "kc/ir.ml" ]);
+    ("sorted_bindings", [ "kc/pretty.ml" ]);
+    ("json_escape", [ "engine/diag.ml" ]);
+  ]
+
+(* A JSON string escaper writes control characters as [\u%04x]
+   whatever it is called: only its owner may hold that format. *)
+let json_control_escape = {|"\\u%04x"|}
+let json_escaper_owner = "engine/diag.ml"
 
 (* ---- source text ---------------------------------------------------- *)
 
@@ -272,6 +295,35 @@ let matches (src : string) : string list =
       | _ -> None)
     (items lines)
 
+(* The names a file binds with [let] (and the [and]s of a [let rec])
+   at the top level or of a [struct ... end], values and functions
+   alike. *)
+let defined_names (src : string) : string list =
+  let lines = String.split_on_char '\n' (blank_comments_and_strings src) in
+  let levels = ref [ 0 ] and in_let = ref false in
+  let keyword w = List.mem w [ ""; "let"; "and"; "rec" ] || starts_with ~prefix:"let[" w in
+  List.concat_map
+    (fun l ->
+      let k = indent l and t = String.trim l in
+      (match !levels with
+      | top :: (_ :: _ as rest) when k < top && starts_with ~prefix:"end" t -> levels := rest
+      | _ -> ());
+      let at_top = t <> "" && k = List.hd !levels in
+      if at_top then
+        in_let := List.exists (fun p -> starts_with ~prefix:p t) [ "let "; "let[" ]
+                  || (!in_let && starts_with ~prefix:"and " t);
+      if ends_with ~suffix:"struct" t then levels := (k + 2) :: !levels;
+      if not (at_top && !in_let) then []
+      else
+        match List.filter (fun w -> not (keyword w)) (String.split_on_char ' ' t) with
+        | w :: _ when w.[0] >= 'a' && w.[0] <= 'z' ->
+            let rec stop i =
+              if i < String.length w && is_ident_char w.[i] then stop (i + 1) else i
+            in
+            [ String.sub w 0 (stop 0) ]
+        | _ -> [])
+    lines
+
 let rec ml_files root rel : string list =
   let dir = if rel = "" then root else Filename.concat root rel in
   Array.to_list (Sys.readdir dir)
@@ -308,6 +360,34 @@ let test_allowlist_exact () =
   if stale <> [] then
     Alcotest.failf "allowlisted but no longer present (drop them here and in DESIGN.md): %s"
       (String.concat ", " (List.map pp stale))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec from i = i + m <= n && (String.sub s i m = sub || from (i + 1)) in
+  from 0
+
+let test_one_owner () =
+  let files =
+    List.map (fun rel -> (rel, read_file (Filename.concat lib_root rel))) (ml_files lib_root "")
+  in
+  let where p = List.filter_map (fun (rel, src) -> if p src then Some rel else None) files in
+  let list l = "[" ^ String.concat "; " l ^ "]" in
+  let copies what at owners =
+    if at = owners then []
+    else [ Printf.sprintf "%s in %s, owned by %s" what (list at) (list owners) ]
+  in
+  let wrong =
+    List.concat_map
+      (fun (name, owners) ->
+        copies name (where (fun src -> List.mem name (defined_names src))) owners)
+      owners
+    @ copies "JSON string escapers"
+        (where (fun src -> contains src json_control_escape))
+        [ json_escaper_owner ]
+  in
+  if wrong <> [] then
+    Alcotest.failf "a rule with one owner has copies (call the owner's): %s"
+      (String.concat ", " wrong)
 
 (* The scanner itself: what it must and must not match. *)
 let test_scanner () =
@@ -347,6 +427,26 @@ let test_scanner () =
         let[@inline] w env = ref env\n\
         let () = ignore (ref 0)\n")
 
+let test_defined_names () =
+  Alcotest.(check (list string)) "names"
+    [ "a"; "f"; "g"; "h"; "inner"; "letters" ]
+    (defined_names
+       "let a = 1\n\
+        type t = A\n\
+        and u = B\n\
+        let rec f x = g x\n\
+        and g x = x\n\
+        let[@inline] h x =\n\
+       \  let local = x in\n\
+       \  local\n\
+        (* let commented = 0 *)\n\
+        module M = struct\n\
+       \  let inner = 0\n\
+        end\n\
+        let () = ()\n\
+        let _ = 0\n\
+        let letters = \"let quoted = 0\"\n")
+
 let () =
   Alcotest.run "globals"
     [
@@ -355,5 +455,7 @@ let () =
           Alcotest.test_case "scanner" `Quick test_scanner;
           Alcotest.test_case "process-wide state is exactly the allowlist" `Quick
             test_allowlist_exact;
+          Alcotest.test_case "defined names" `Quick test_defined_names;
+          Alcotest.test_case "each IR and layout rule has one owner" `Quick test_one_owner;
         ] );
     ]

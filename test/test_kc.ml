@@ -726,6 +726,31 @@ let test_scalar_sizes () =
   Alcotest.(check int) "long" 8 (size Kc.Ir.long_type);
   Alcotest.(check int) "ptr" 8 (size (Kc.Ir.Tptr (Kc.Ir.int_type, Kc.Ir.no_annots)))
 
+(* One frame mixing every case: a register char formal, an
+   address-taken int formal, a struct and an array local (memory), and
+   scalar locals (registers). *)
+let test_frame () =
+  let prog =
+    parse_program
+      "struct pair { char tag; long v; };\n\
+       int mixed(char c, int n) {\n\
+      \  int *pn = &n;\n\
+      \  struct pair p;\n\
+      \  long k = 7;\n\
+      \  char buf[3];\n\
+      \  p.v = *pn + c;\n\
+      \  buf[0] = c;\n\
+      \  return p.v + k + buf[0];\n\
+       }"
+  in
+  let fd = match Kc.Ir.find_fun prog "mixed" with Some f -> f | None -> assert false in
+  let slots, bytes = Kc.Layout.frame prog fd in
+  Alcotest.(check (list (pair string (option int))))
+    "formals then locals, in declaration order"
+    [ ("c", None); ("n", Some 0); ("pn", None); ("p", Some 8); ("k", None); ("buf", Some 24) ]
+    (List.map (fun ((v : Kc.Ir.varinfo), off) -> (v.Kc.Ir.vname, off)) slots);
+  Alcotest.(check int) "bytes end at the last slot, unrounded" 27 bytes
+
 (* ------------------------------------------------------------------ *)
 (* Elaboration shape                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -825,6 +850,7 @@ let () =
         [
           Alcotest.test_case "structs" `Quick test_layout;
           Alcotest.test_case "scalars" `Quick test_scalar_sizes;
+          Alcotest.test_case "frame" `Quick test_frame;
         ] );
       ( "elaboration",
         [
