@@ -262,7 +262,7 @@ let serve () =
            ("params", J.Obj [ ("program", J.Str "bench"); ("files", J.List (List.map file srcs)) ]);
          ])
   in
-  let t = Ivy.Serve.create ~capacity:4 ~jobs:1 () in
+  let t = Ivy.Serve.create ~capacity:4 () in
   let check srcs =
     let (resp, _), s = timed (fun () -> Ivy.Serve.handle_line t (req srcs)) in
     (Option.value ~default:J.Null (J.member "result" (J.parse resp)), s *. 1e3)

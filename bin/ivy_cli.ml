@@ -90,9 +90,9 @@ let jobs_t =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains (default: the host's recommended domain count) for work that splits \
-           into independent programs: several FILE arguments to check, fuzz cases, and the \
-           parses of a serve batch. One program is always analysed on one domain. Output is \
-           byte-identical for every value of $(docv).")
+           into independent programs: several FILE arguments to check, and fuzz cases. One \
+           program is always analysed on one domain. Output is byte-identical for every value \
+           of $(docv).")
 
 (* ---- boot ---- *)
 
@@ -398,8 +398,8 @@ let serve_cmd =
       & info [ "capacity" ] ~docv:"N"
           ~doc:"Warm programs kept resident (least recently used evicted beyond $(docv)).")
   in
-  let run socket watch poll_ms capacity jobs =
-    let t = Ivy.Serve.create ~capacity ~jobs () in
+  let run socket watch poll_ms capacity =
+    let t = Ivy.Serve.create ~capacity () in
     Ivy.Serve.run ~socket ?watch ~poll_ms ~log:(fun s -> Printf.eprintf "%s\n%!" s) t
   in
   Cmd.v
@@ -409,7 +409,7 @@ let serve_cmd =
           invalidate, shutdown) over a Unix socket, one warm artifact graph per program. A \
           re-check of an unchanged program is pure cache hits; an edit rebuilds only the \
           artifacts downstream of the changed functions.")
-    Term.(const run $ socket_t $ watch_t $ poll_t $ capacity_t $ jobs_t)
+    Term.(const run $ socket_t $ watch_t $ poll_t $ capacity_t)
 
 let rpc_cmd =
   let module J = Ivy.Jsonx in

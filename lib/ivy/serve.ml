@@ -25,10 +25,13 @@
    response and leaves its program's entry as it was.
 
    The wire loop is single-domain (contexts and their graphs are not
-   shareable across domains); what a batch of concurrent requests can
-   fan out — parsing programs the daemon does not already hold — goes
-   through the existing {!Par} pool. Each program is analysed on the
-   wire loop's domain. *)
+   shareable across domains) and answers each complete request line
+   as it reads it. Client sockets are non-blocking: a response goes
+   into its client's output queue and is written as the socket
+   accepts it, so a client that never reads stalls only itself; one
+   that leaves more than [max_queued] bytes unread is dropped. A
+   request line longer than [max_line] bytes gets an error and its
+   client is closed. *)
 
 module J = Jsonx
 module Ctx = Engine.Context
@@ -42,12 +45,11 @@ type entry = {
 
 type t = {
   lru : entry G.Lru.t;
-  jobs : int;
   mutable requests : int;
 }
 
-let create ?(capacity = 8) ?(jobs = 1) () : t =
-  { lru = G.Lru.create ~capacity; jobs; requests = 0 }
+(* [jobs] is ignored: kept for perfbench's callers. *)
+let create ?(capacity = 8) ?jobs:_ () : t = { lru = G.Lru.create ~capacity; requests = 0 }
 
 let src_digest (sources : (string * string) list) : string =
   Digest.to_hex
@@ -199,20 +201,14 @@ let no_update : Ctx.update =
     u_dropped = 0;
   }
 
-(* [parsed] carries this batch's pre-parsed programs, keyed by source
-   digest (see [handle_batch]); a digest not in the table is parsed
-   here, serially. *)
-let handle_check (t : t)
-    ~(parsed : (string, (Kc.Typecheck.parsed * Kc.Ir.program, int * string) result) Hashtbl.t)
-    (r : check_req) : (J.t, int * string) result =
-  let found = G.Lru.find t.lru r.c_program in
-  let prog () =
-    match Hashtbl.find_opt parsed r.c_digest with
-    | Some res -> res
-    | None -> parse_sources ?prev:(Option.map (fun e -> e.e_parsed) found) r.c_sources
-  in
+(* Parse [r]'s sources with its program's last parse as [prev] (not
+   at all when the digest is unchanged), swap them in and run the
+   analyses. The results come back beside the response body, so
+   [--watch] counts diagnostics without re-reading the JSON. *)
+let handle_check (t : t) (r : check_req) :
+    (bool * (string * Engine.Diag.t list) list * J.t, int * string) result =
   let entry =
-    match found with
+    match G.Lru.find t.lru r.c_program with
     | Some e when String.equal e.e_src r.c_digest ->
         (* Byte-identical resubmit: no parse, no fingerprinting. *)
         Ok (e, no_update, 0, true)
@@ -223,34 +219,33 @@ let handle_check (t : t)
             e.e_src <- r.c_digest;
             e.e_parsed <- pu;
             (e, u, Kc.Typecheck.reparsed pu, false))
-          (prog ())
+          (parse_sources ~prev:e.e_parsed r.c_sources)
     | None ->
         Result.map
           (fun (pu, p) ->
             let e = { e_ctxt = Ctx.create p; e_src = r.c_digest; e_parsed = pu } in
             ignore (G.Lru.add t.lru r.c_program e);
             (e, no_update, Kc.Typecheck.reparsed pu, false))
-          (prog ())
+          (parse_sources r.c_sources)
   in
-  match entry with
-  | Error e -> Error e
-  | Ok (e, update, reparsed, reused_source) -> (
+  Result.map
+    (fun (e, update, reparsed, reused_source) ->
       let before = Ctx.stats e.e_ctxt in
-      match Checks.run_all ~only:r.c_only e.e_ctxt with
-      | exception Checks.Unknown_analysis n ->
-          Error (e_unknown_analysis, "unknown analysis " ^ n)
-      | results ->
-          let delta = G.delta ~before (Ctx.stats e.e_ctxt) in
-          Ok
-            (J.Obj
-               [
-                 ("program", J.Str r.c_program);
-                 ("warm", J.Bool (G.total_builds delta = 0));
-                 ("reused_source", J.Bool reused_source);
-                 ("update", update_json update ~reparsed);
-                 ("report", J.Raw (String.trim (Report_fmt.render_diags_json results)));
-                 ("stats", J.Raw (String.trim (Report_fmt.render_stats_json delta)));
-               ]))
+      let results = Checks.run_all ~only:r.c_only e.e_ctxt in
+      let delta = G.delta ~before (Ctx.stats e.e_ctxt) in
+      let warm = G.total_builds delta = 0 in
+      ( warm,
+        results,
+        J.Obj
+          [
+            ("program", J.Str r.c_program);
+            ("warm", J.Bool warm);
+            ("reused_source", J.Bool reused_source);
+            ("update", update_json update ~reparsed);
+            ("report", J.Raw (String.trim (Report_fmt.render_diags_json results)));
+            ("stats", J.Raw (String.trim (Report_fmt.render_stats_json delta)));
+          ] ))
+    entry
 
 let handle_stats (t : t) : J.t =
   let programs =
@@ -286,8 +281,6 @@ let handle_invalidate (t : t) ~program ~artifact ~param : (J.t, int * string) re
       in
       Ok (J.Obj [ ("program", J.Str program); ("dropped", J.Num (float_of_int dropped)) ])
 
-let render_ok id body = J.render (J.Obj [ ("id", id); ("result", body) ])
-
 let render_error id code msg =
   J.render
     (J.Obj
@@ -296,63 +289,20 @@ let render_error id code msg =
          ("error", J.Obj [ ("code", J.Num (float_of_int code)); ("message", J.Str msg) ]);
        ])
 
-(* One batch of request lines (everything a poll round drained, in
-   arrival order). The parse work of check requests the daemon cannot
-   serve warm — distinct source digests only, each reusing the units
-   of its program's last parse — fans out over the Par pool;
-   everything touching contexts stays on this domain. *)
-let handle_batch (t : t) (lines : string list) : string list * bool =
-  let decoded = List.map decode_line lines in
-  let needs_parse =
-    List.filter_map
-      (fun d ->
-        match d.d_req with
-        | Ok (Check r) -> (
-            match G.Lru.find t.lru r.c_program with
-            | Some e when String.equal e.e_src r.c_digest -> None
-            | found -> Some (r.c_digest, (Option.map (fun e -> e.e_parsed) found, r.c_sources)))
-        | _ -> None)
-      decoded
-  in
-  let distinct =
-    List.fold_left
-      (fun acc (d, srcs) -> if List.mem_assoc d acc then acc else (d, srcs) :: acc)
-      [] needs_parse
-    |> List.rev
-  in
-  let parsed = Hashtbl.create (List.length distinct) in
-  List.iter
-    (fun (d, res) -> Hashtbl.replace parsed d res)
-    (Par.map ~jobs:t.jobs (fun (d, (prev, srcs)) -> (d, parse_sources ?prev srcs)) distinct);
-  let shutdown = ref false in
-  let responses =
-    List.map
-      (fun d ->
-        t.requests <- t.requests + 1;
-        match d.d_req with
-        | Error (code, msg) -> render_error d.d_id code msg
-        | Ok (Check r) -> (
-            match handle_check t ~parsed r with
-            | Ok body -> render_ok d.d_id body
-            | Error (code, msg) -> render_error d.d_id code msg)
-        | Ok Stats -> render_ok d.d_id (handle_stats t)
-        | Ok (Invalidate { i_program; i_artifact; i_param }) -> (
-            match
-              handle_invalidate t ~program:i_program ~artifact:i_artifact ~param:i_param
-            with
-            | Ok body -> render_ok d.d_id body
-            | Error (code, msg) -> render_error d.d_id code msg)
-        | Ok Shutdown ->
-            shutdown := true;
-            render_ok d.d_id (J.Str "bye"))
-      decoded
-  in
-  (responses, !shutdown)
-
 let handle_line (t : t) (line : string) : string * bool =
-  match handle_batch t [ line ] with
-  | [ resp ], sd -> (resp, sd)
-  | _ -> assert false
+  let d = decode_line line in
+  t.requests <- t.requests + 1;
+  let reply = function
+    | Ok body -> J.render (J.Obj [ ("id", d.d_id); ("result", body) ])
+    | Error (code, msg) -> render_error d.d_id code msg
+  in
+  match d.d_req with
+  | Error e -> (reply (Error e), false)
+  | Ok (Check r) -> (reply (Result.map (fun (_, _, body) -> body) (handle_check t r)), false)
+  | Ok Stats -> (reply (Ok (handle_stats t)), false)
+  | Ok (Invalidate { i_program; i_artifact; i_param }) ->
+      (reply (handle_invalidate t ~program:i_program ~artifact:i_artifact ~param:i_param), false)
+  | Ok Shutdown -> (reply (Ok (J.Str "bye")), true)
 
 (* ------------------------------------------------------------------ *)
 (* --watch: poll a directory of .kc files                             *)
@@ -378,111 +328,163 @@ let watch_sources (dir : string) : (string * string) list =
    one-line summary (the daemon's stdout is the watch report). *)
 let watch_poll (t : t) ~(log : string -> unit) (dir : string) (last : string ref) : unit =
   let sources = watch_sources dir in
-  if sources = [] then ()
-  else
-    let digest = src_digest sources in
-    if String.equal digest !last then ()
-    else begin
-      last := digest;
-      let program = "watch:" ^ dir in
-      let parsed = Hashtbl.create 1 in
-      match
-        handle_check t ~parsed
-          { c_program = program; c_sources = sources; c_digest = digest; c_only = [] }
-      with
-      | Error (_, msg) -> log (Printf.sprintf "[watch] %s: %s" dir msg)
-      | Ok body ->
-          let warm = match J.member "warm" body with Some (J.Bool b) -> b | _ -> false in
-          let diags =
-            match J.member "report" body with
-            | Some (J.Raw s) -> (
-                match J.member "diagnostics" (J.parse s) with
-                | Some (J.List l) -> List.length l
-                | _ -> 0)
-            | _ -> 0
-          in
-          log
-            (Printf.sprintf "[watch] %s: %d diagnostics (%s)" dir diags
-               (if warm then "all artifacts warm" else "rebuilt"))
-    end
+  let digest = src_digest sources in
+  if sources <> [] && not (String.equal digest !last) then begin
+    last := digest;
+    match
+      handle_check t
+        { c_program = "watch:" ^ dir; c_sources = sources; c_digest = digest; c_only = [] }
+    with
+    | Error (_, msg) -> log (Printf.sprintf "[watch] %s: %s" dir msg)
+    | Ok (warm, results, _) ->
+        log
+          (Printf.sprintf "[watch] %s: %d diagnostics (%s)" dir
+             (List.length (List.concat_map snd results))
+             (if warm then "all artifacts warm" else "rebuilt"))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Socket loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type client = { fd : Unix.file_descr; buf : Buffer.t }
+(* The longest request line read; a longer one is answered with an
+   error and its client closed. *)
+let max_line = 16 lsl 20
 
-(* Pull complete lines off a client's input buffer. *)
-let drain_lines (c : client) : string list =
-  let s = Buffer.contents c.buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf (String.sub s (last + 1) (String.length s - last - 1));
-      String.sub s 0 last |> String.split_on_char '\n'
-      |> List.filter (fun l -> String.trim l <> "")
+(* Unread response bytes a client may leave queued and still be sent
+   another response; one more request drops it. *)
+let max_queued = 4 lsl 20
+
+type client = {
+  fd : Unix.file_descr;
+  inbuf : Buffer.t; (* the current line's bytes before its newline *)
+  out : string Queue.t; (* responses not yet fully written *)
+  mutable out_off : int; (* bytes of [Queue.peek out] already written *)
+  mutable queued : int; (* unwritten bytes in [out] *)
+}
+
+(* Append [chunk]'s first [n] bytes to [c]'s input and return the
+   lines they complete, in order; only the new bytes are scanned. The
+   flag is set when the line in progress passes [max_line]. *)
+let feed (c : client) (chunk : Bytes.t) (n : int) : string list * bool =
+  let rec newline i = if i >= n || Bytes.get chunk i = '\n' then i else newline (i + 1) in
+  let rec go start acc =
+    match newline start with
+    | i when i < n ->
+        if Buffer.length c.inbuf + (i - start) > max_line then (List.rev acc, true)
+        else begin
+          Buffer.add_subbytes c.inbuf chunk start (i - start);
+          let line = Buffer.contents c.inbuf in
+          Buffer.reset c.inbuf;
+          go (i + 1) (if String.trim line = "" then acc else line :: acc)
+        end
+    | _ ->
+        Buffer.add_subbytes c.inbuf chunk start (n - start);
+        (List.rev acc, Buffer.length c.inbuf > max_line)
+  in
+  go 0 []
 
 let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : unit =
   (* A client that disconnects before its response is written must not
      kill the daemon: with SIGPIPE ignored the write fails with EPIPE,
-     and the Unix_error handler below closes only that client. *)
+     and only that client is closed. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX socket);
   Unix.listen srv 16;
+  Unix.set_nonblock srv;
   log (Printf.sprintf "ivy serve: listening on %s" socket);
   let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 8 in
   let stop = ref false in
   let watch_last = ref "" in
-  let close_client fd =
-    Hashtbl.remove clients fd;
-    try Unix.close fd with Unix.Unix_error _ -> ()
+  let close_client c =
+    Hashtbl.remove clients c.fd;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  in
+  (* Write what the socket takes now; the rest waits for writability. *)
+  let rec flush c =
+    match Queue.peek_opt c.out with
+    | None -> ()
+    | Some s -> (
+        let len = String.length s - c.out_off in
+        match Unix.write_substring c.fd s c.out_off len with
+        | n when n = len ->
+            ignore (Queue.pop c.out);
+            c.out_off <- 0;
+            c.queued <- c.queued - n;
+            flush c
+        | n ->
+            c.out_off <- c.out_off + n;
+            c.queued <- c.queued - n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+        | exception Unix.Unix_error _ -> close_client c)
+  in
+  let send c resp =
+    if c.queued > max_queued then close_client c
+    else begin
+      Queue.add (resp ^ "\n") c.out;
+      c.queued <- c.queued + String.length resp + 1;
+      flush c
+    end
+  in
+  let chunk = Bytes.create 65536 in
+  let read c =
+    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    | 0 -> close_client c
+    | n ->
+        let lines, over = feed c chunk n in
+        List.iter
+          (fun line ->
+            (* A dropped client's remaining lines, and any line after a
+               shutdown, go unanswered. *)
+            if Hashtbl.mem clients c.fd && not !stop then begin
+              let resp, sd = handle_line t line in
+              if sd then stop := true;
+              send c resp
+            end)
+          lines;
+        if over && Hashtbl.mem clients c.fd then begin
+          send c
+            (render_error J.Null e_invalid
+               (Printf.sprintf "request line longer than %d bytes" max_line));
+          close_client c
+        end
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | exception Unix.Unix_error _ -> close_client c
   in
   (* First watch poll runs immediately so a pre-populated directory is
      analyzed at startup, not on first edit. *)
   (match watch with Some dir -> watch_poll t ~log dir watch_last | None -> ());
   while not !stop do
-    let fds = srv :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
+    let readers = srv :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
+    let writers =
+      Hashtbl.fold (fun fd c acc -> if Queue.is_empty c.out then acc else fd :: acc) clients []
+    in
     let timeout = if watch = None then -1.0 else float_of_int poll_ms /. 1000.0 in
-    let ready, _, _ =
-      try Unix.select fds [] [] timeout
+    let readable, writable, _ =
+      try Unix.select readers writers [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    (* Accept new connections, then drain every readable client; one
-       poll round's complete lines form one batch. *)
-    let batch = ref [] in
+    List.iter (fun fd -> Option.iter flush (Hashtbl.find_opt clients fd)) writable;
     List.iter
       (fun fd ->
         if fd == srv then begin
           match Unix.accept srv with
-          | c, _ -> Hashtbl.replace clients c { fd = c; buf = Buffer.create 256 }
+          | c, _ ->
+              Unix.set_nonblock c;
+              Hashtbl.replace clients c
+                {
+                  fd = c;
+                  inbuf = Buffer.create 256;
+                  out = Queue.create ();
+                  out_off = 0;
+                  queued = 0;
+                }
           | exception Unix.Unix_error _ -> ()
         end
-        else
-          match Hashtbl.find_opt clients fd with
-          | None -> ()
-          | Some c -> (
-              let chunk = Bytes.create 65536 in
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> close_client fd
-              | n ->
-                  Buffer.add_subbytes c.buf chunk 0 n;
-                  List.iter (fun line -> batch := (c, line) :: !batch) (drain_lines c)
-              | exception Unix.Unix_error _ -> close_client fd))
-      ready;
-    let batch = List.rev !batch in
-    if batch <> [] then begin
-      let responses, sd = handle_batch t (List.map snd batch) in
-      List.iter2
-        (fun (c, _) resp ->
-          let line = Bytes.of_string (resp ^ "\n") in
-          try ignore (Unix.write c.fd line 0 (Bytes.length line))
-          with Unix.Unix_error _ -> close_client c.fd)
-        batch responses;
-      if sd then stop := true
-    end;
+        else Option.iter read (Hashtbl.find_opt clients fd))
+      readable;
     match watch with Some dir when not !stop -> watch_poll t ~log dir watch_last | _ -> ()
   done;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;

@@ -7,9 +7,8 @@
 type t
 
 val create : ?capacity:int -> ?jobs:int -> unit -> t
-(** [capacity] (default 8) bounds resident warm programs; [jobs]
-    (default 1) sizes the {!Par} pool that parses the programs of one
-    batch ({!handle_batch}). Each program is analysed on the calling
+(** [capacity] (default 8) bounds resident warm programs. [jobs] is
+    ignored: every request is parsed and analysed on the calling
     domain. *)
 
 val src_digest : (string * string) list -> string
@@ -21,15 +20,15 @@ val handle_line : t -> string -> string * bool
     [true] means the request asked for shutdown. Exposed for tests —
     the socket loop is {!run}. *)
 
-val handle_batch : t -> string list -> string list * bool
-(** One poll round's worth of requests, in arrival order; parsing of
-    programs the daemon cannot serve warm fans out over {!Par}. *)
-
 val run : socket:string -> ?watch:string -> ?poll_ms:int -> ?log:(string -> unit) -> t -> unit
 (** Bind [socket], serve until a [shutdown] request. With [watch], the
     directory's [.kc] files are re-checked (as program
     ["watch:<dir>"]) whenever their contents change, polled every
-    [poll_ms] (default 500) milliseconds; summaries go to [log]. *)
+    [poll_ms] (default 500) milliseconds; summaries go to [log].
+    Each complete request line is answered as it is read. A client
+    that does not read its responses is dropped once too many bytes
+    wait for it, and a request line over the line cap gets an error
+    response and closes its client (DESIGN.md §14.3). *)
 
 val request : socket:string -> string -> string
 (** Client side: send one request line, return the response line. *)

@@ -202,7 +202,8 @@ let rec eq_erased a b =
 
 let annots_of = function Tptr (_, a) -> a | _ -> no_annots
 
-(* The static type of an lvalue, by the type checker's rules. A
+(* The static type of an lvalue, by the type checker's rules; the
+   elaborator types the lvalues it builds, all well-typed, with it. A
    non-pointer host or an index into a non-array keeps its type; the
    VM's [Vmstate.lval_type] traps on such ill-typed IR instead. *)
 let lval_type ((host, offs) : lval) : ty =

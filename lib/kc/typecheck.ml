@@ -225,8 +225,7 @@ let cast_to ty (e : Ir.exp) : Ir.exp =
   if Ir.eq_erased ty e.Ir.ety then e else Ir.mk_exp (Ir.Ecast (ty, e)) ty
 
 (* Implicit conversion of [e] to [ty]; raises on incompatible types. *)
-let convert env loc (ty : Ir.ty) (e : Ir.exp) : Ir.exp =
-  ignore env;
+let convert loc (ty : Ir.ty) (e : Ir.exp) : Ir.exp =
   match (ty, e.Ir.ety) with
   | Ir.Tint _, Ir.Tint _ -> cast_to ty e
   | Ir.Tptr _, _ when is_null_const e -> cast_to ty e
@@ -288,26 +287,7 @@ let fresh_temp env loc (ty : Ir.ty) : Ir.varinfo =
       f.Ir.slocals <- v :: f.Ir.slocals;
       v
 
-let rec type_of_lval env loc ((host, offs) : Ir.lval) : Ir.ty =
-  ignore env;
-  let base =
-    match host with
-    | Ir.Lvar v -> v.Ir.vty
-    | Ir.Lmem e -> (
-        match e.Ir.ety with
-        | Ir.Tptr (t, _) -> t
-        | t -> err loc "dereference of non-pointer %s" (Ir.type_to_string t))
-  in
-  List.fold_left
-    (fun ty off ->
-      match (off, ty) with
-      | Ir.Ofield f, Ir.Tcomp _ -> f.Ir.fty
-      | Ir.Ofield f, _ -> err loc "field %s access on non-struct" f.Ir.fname
-      | Ir.Oindex _, Ir.Tarray (t, _) -> t
-      | Ir.Oindex _, t -> err loc "index on non-array %s" (Ir.type_to_string t))
-    base offs
-
-and find_field env loc tag fname : Ir.fieldinfo =
+let rec find_field env loc tag fname : Ir.fieldinfo =
   try Ir.field_find env.prog tag fname
   with Invalid_argument _ -> err loc "struct %s has no field %s" tag fname
 
@@ -343,7 +323,7 @@ and elab_lval env acc (e : Ast.expr) : Ir.lval =
       | t -> err loc "cannot dereference %s" (Ir.type_to_string t))
   | Ast.Eindex (arr, idx) -> (
       let i = elab_exp env acc idx in
-      let i = convert env loc Ir.long_type i in
+      let i = convert loc Ir.long_type i in
       (* Array lvalue: extend the offset path. Pointer: pointer
          arithmetic then Lmem. *)
       match classify_array_or_ptr env acc arr with
@@ -353,7 +333,7 @@ and elab_lval env acc (e : Ast.expr) : Ir.lval =
           (Ir.Lmem (Ir.mk_exp (Ir.Ebinop (Ast.Add, p, i)) p.Ir.ety), []))
   | Ast.Efield (e1, fname) -> (
       let lv = elab_lval env acc e1 in
-      match type_of_lval env loc lv with
+      match Ir.lval_type lv with
       | Ir.Tcomp tag ->
           let f = find_field env loc tag fname in
           (fst lv, snd lv @ [ Ir.Ofield f ])
@@ -374,9 +354,9 @@ and classify_array_or_ptr env acc (e : Ast.expr) =
   match e.Ast.e with
   | Ast.Eident _ | Ast.Efield (_, _) | Ast.Earrow (_, _) | Ast.Ederef _ | Ast.Eindex (_, _) -> (
       let lv = elab_lval env acc e in
-      match type_of_lval env loc lv with
+      match Ir.lval_type lv with
       | Ir.Tarray _ -> `Array lv
-      | Ir.Tptr _ -> `Ptr (Ir.mk_exp (Ir.Elval lv) (type_of_lval env loc lv))
+      | Ir.Tptr _ as t -> `Ptr (Ir.mk_exp (Ir.Elval lv) t)
       | t -> err loc "cannot index %s" (Ir.type_to_string t))
   | _ -> (
       let p = elab_exp env acc e in
@@ -412,12 +392,12 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
           match v.Ir.ety with
           | Ir.Tarray (elt, n) ->
               let lv = match v.Ir.e with Ir.Elval lv -> lv | _ -> assert false in
-              decay_array env lv elt n
+              decay_array lv elt n
           | _ -> v)
       | _ -> (
           let lv = elab_lval env acc e in
-          match type_of_lval env loc lv with
-          | Ir.Tarray (elt, n) -> decay_array env lv elt n
+          match Ir.lval_type lv with
+          | Ir.Tarray (elt, n) -> decay_array lv elt n
           | ty -> Ir.mk_exp (Ir.Elval lv) ty))
   | Ast.Eunop (op, e1) -> (
       let v = elab_exp env acc e1 in
@@ -433,28 +413,28 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
   | Ast.Ebinop (op, e1, e2) -> elab_binop env acc loc op e1 e2
   | Ast.Eassign (lhs, rhs) ->
       let lv = elab_lval env acc lhs in
-      let ty = type_of_lval env loc lv in
+      let ty = Ir.lval_type lv in
       (* The store writes [sizeof] the lvalue's type: none through [void *]. *)
       ignore (size_of env loc ty);
-      let v = convert env loc ty (elab_exp env acc rhs) in
+      let v = convert loc ty (elab_exp env acc rhs) in
       emit acc loc (Ir.Iset (lv, v));
       Ir.mk_exp (Ir.Elval lv) ty
   | Ast.Eassign_op (op, lhs, rhs) ->
       let lv = elab_lval env acc lhs in
-      let ty = type_of_lval env loc lv in
+      let ty = Ir.lval_type lv in
       let cur = Ir.mk_exp (Ir.Elval lv) ty in
       let rhs' = elab_exp env acc rhs in
       let result = apply_binop env loc op cur rhs' in
-      emit acc loc (Ir.Iset (lv, convert env loc ty result));
+      emit acc loc (Ir.Iset (lv, convert loc ty result));
       Ir.mk_exp (Ir.Elval lv) ty
   | Ast.Eincr (is_incr, is_prefix, e1) ->
       let lv = elab_lval env acc e1 in
-      let ty = type_of_lval env loc lv in
+      let ty = Ir.lval_type lv in
       let cur = Ir.mk_exp (Ir.Elval lv) ty in
       let op = if is_incr then Ast.Add else Ast.Sub in
       if is_prefix then begin
         let next = apply_binop env loc op cur Ir.one in
-        emit acc loc (Ir.Iset (lv, convert env loc ty next));
+        emit acc loc (Ir.Iset (lv, convert loc ty next));
         Ir.mk_exp (Ir.Elval lv) ty
       end
       else begin
@@ -462,7 +442,7 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
         emit acc loc (Ir.Iset ((Ir.Lvar t, []), cur));
         let old = Ir.mk_exp (Ir.Elval (Ir.Lvar t, [])) ty in
         let next = apply_binop env loc op old Ir.one in
-        emit acc loc (Ir.Iset (lv, convert env loc ty next));
+        emit acc loc (Ir.Iset (lv, convert loc ty next));
         old
       end
   | Ast.Ecall (f, args) -> (
@@ -478,13 +458,13 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
       | _ ->
           let lv = elab_lval env acc e1 in
           mark_addrof lv;
-          let ty = type_of_lval env loc lv in
+          let ty = Ir.lval_type lv in
           Ir.mk_exp (Ir.Eaddrof lv)
             (Ir.Tptr (ty, { Ir.no_annots with Ir.a_count = Some Ir.one })))
   | Ast.Ecast (t, e1) ->
       let ty = resolve_type env loc t in
       let v = elab_exp env acc e1 in
-      explicit_cast env loc ty v
+      explicit_cast loc ty v
   | Ast.Esizeof_type t ->
       let ty = resolve_type env loc t in
       Ir.const_int ~ty:Ir.ulong_type (Int64.of_int (size_of env loc ty))
@@ -507,11 +487,10 @@ and elab_exp env acc (e : Ast.expr) : Ir.exp =
         else if Ir.is_pointer av.Ir.ety then av.Ir.ety
         else bv.Ir.ety
       in
-      Ir.mk_exp (Ir.Econd (cv, convert env loc ty av, convert env loc ty bv)) ty
+      Ir.mk_exp (Ir.Econd (cv, convert loc ty av, convert loc ty bv)) ty
 
-and decay_array env lv elt n =
+and decay_array lv elt n =
   mark_addrof lv;
-  ignore env;
   let a = { Ir.no_annots with Ir.a_count = Some (Ir.const_int (Int64.of_int n)) } in
   Ir.mk_exp (Ir.Estartof lv) (Ir.Tptr (elt, a))
 
@@ -520,8 +499,7 @@ and mark_addrof (host, _) =
 
 (* Explicit casts are permissive: any scalar-to-scalar conversion is
    accepted; Deputy later decides which casts need trust. *)
-and explicit_cast env loc ty v =
-  ignore env;
+and explicit_cast loc ty v =
   match (ty, v.Ir.ety) with
   | (Ir.Tint _ | Ir.Tptr _), (Ir.Tint _ | Ir.Tptr _) -> cast_to ty v
   | Ir.Tvoid, _ -> v
@@ -533,10 +511,10 @@ and apply_binop env loc op (a : Ir.exp) (b : Ir.exp) : Ir.exp =
       match (a.Ir.ety, b.Ir.ety) with
       | Ir.Tptr _, Ir.Tint _ ->
           require_step env loc a;
-          Ir.mk_exp (Ir.Ebinop (op, a, convert env loc Ir.long_type b)) a.Ir.ety
+          Ir.mk_exp (Ir.Ebinop (op, a, convert loc Ir.long_type b)) a.Ir.ety
       | Ir.Tint _, Ir.Tptr _ when op = Ast.Add ->
           require_step env loc b;
-          Ir.mk_exp (Ir.Ebinop (op, b, convert env loc Ir.long_type a)) b.Ir.ety
+          Ir.mk_exp (Ir.Ebinop (op, b, convert loc Ir.long_type a)) b.Ir.ety
       | Ir.Tptr _, Ir.Tptr _ when op = Ast.Sub ->
           require_step env loc a;
           require_step env loc b;
@@ -557,7 +535,7 @@ and apply_binop env loc op (a : Ir.exp) (b : Ir.exp) : Ir.exp =
       in
       let b' =
         match op with
-        | Ast.Shl | Ast.Shr -> convert env loc Ir.int_type b
+        | Ast.Shl | Ast.Shr -> convert loc Ir.int_type b
         | _ -> cast_to ty b
       in
       Ir.mk_exp (Ir.Ebinop (op, cast_to ty a, b')) ty
@@ -622,7 +600,7 @@ and elab_call env acc loc (f : Ast.expr) (args : Ast.expr list) : Ir.exp option 
     List.mapi
       (fun i a ->
         let v = elab_exp env acc a in
-        if i < n_params then convert env loc (List.nth param_tys i) v else v)
+        if i < n_params then convert loc (List.nth param_tys i) v else v)
       args
   in
   match ret_ty with
@@ -679,7 +657,7 @@ and elab_stmt env (s : Ast.stmt) : Ir.stmt list =
       | None -> []
       | Some ie ->
           let acc = ref [] in
-          let value = convert env loc ty (elab_exp env acc ie) in
+          let value = convert loc ty (elab_exp env acc ie) in
           emit acc loc (Ir.Iset ((Ir.Lvar v, []), value));
           List.rev !acc)
   | Ast.Sif (c, b1, b2) ->
@@ -745,7 +723,7 @@ and elab_stmt env (s : Ast.stmt) : Ir.stmt list =
       | Some _, Ir.Tvoid -> err loc "return with a value in void function %s" fn.Ir.fname
       | Some e1, ret ->
           let acc = ref [] in
-          let v = convert env loc ret (elab_exp env acc e1) in
+          let v = convert loc ret (elab_exp env acc e1) in
           List.rev_append !acc [ mk (Ir.Sreturn (Some v)) ])
   | Ast.Sblock b -> [ mk (Ir.Sblock (elab_block env b)) ]
   | Ast.Sdelayed_free b -> [ mk (Ir.Sdelayed (elab_block env b)) ]
@@ -774,7 +752,7 @@ let rec elab_init env loc (ty : Ir.ty) (i : Ast.init) : Ir.ginit =
       let acc = ref [] in
       let v = elab_exp env acc e in
       if !acc <> [] then err loc "global initializer must not contain calls";
-      Ir.Gi_exp (convert env loc ty v)
+      Ir.Gi_exp (convert loc ty v)
   | Ast.Ilist items, Ir.Tarray (elt, n) ->
       if List.length items > n then err loc "too many initializers for array";
       Ir.Gi_list (List.map (elab_init env loc elt) items)

@@ -1,7 +1,8 @@
 (* Tests for the serve daemon's JSON framing and request handling,
    exercised in-process through [Serve.handle_line] — no socket needed
-   to pin down the protocol — plus the socket loop's survival of a
-   client that hangs up early, against a forked [Serve.run]. *)
+   to pin down the protocol — plus, against a forked [Serve.run], the
+   socket loop's survival of clients that hang up early, never read or
+   send an over-cap line, and the --watch poll. *)
 
 module J = Ivy.Jsonx
 
@@ -156,9 +157,12 @@ let test_serve_cold_then_warm () =
     (result_bool [ "reused_source" ] r2);
   Alcotest.(check bool) "reports byte-identical" true
     (get [ "result"; "report" ] r1 = get [ "result"; "report" ] r2);
-  match get [ "result"; "stats"; "totals"; "builds" ] r2 with
+  (match get [ "result"; "stats"; "totals"; "builds" ] r2 with
   | Some (J.Num n) -> Alcotest.(check int) "zero builds on warm check" 0 (int_of_float n)
-  | _ -> Alcotest.fail "stats.totals.builds missing"
+  | _ -> Alcotest.fail "stats.totals.builds missing");
+  Alcotest.(check string) "src_digest is deterministic"
+    (Ivy.Serve.src_digest [ ("a", "x") ])
+    (Ivy.Serve.src_digest [ ("a", "x") ])
 
 let test_serve_edit_rebuilds () =
   let t = Ivy.Serve.create () in
@@ -253,29 +257,6 @@ let test_serve_shutdown () =
     (Option.bind (get [ "result" ] (J.parse resp)) J.to_string_opt);
   let _, sd' = Ivy.Serve.handle_line t (check_request src_v1) in
   Alcotest.(check bool) "check does not set the flag" false sd'
-
-let test_serve_batch () =
-  let t = Ivy.Serve.create () in
-  (* Two checks of the same new program in one batch: the batch
-     pre-parses each distinct digest once and both succeed. *)
-  let responses, sd =
-    Ivy.Serve.handle_batch t
-      [ check_request ~id:1 src_v1; check_request ~id:2 src_v1; {|{"id":3,"method":"stats"}|} ]
-  in
-  Alcotest.(check int) "three responses in order" 3 (List.length responses);
-  Alcotest.(check bool) "no shutdown" false sd;
-  let parsed = List.map J.parse responses in
-  (match parsed with
-  | [ r1; r2; s ] ->
-      Alcotest.(check (option bool)) "first is cold" (Some false)
-        (result_bool [ "warm" ] r1);
-      Alcotest.(check (option bool)) "second (same digest) is warm" (Some true)
-        (result_bool [ "warm" ] r2);
-      Alcotest.(check bool) "stats last" true (get [ "result"; "requests" ] s <> None)
-  | _ -> Alcotest.fail "expected three responses");
-  Alcotest.(check string) "src_digest is deterministic"
-    (Ivy.Serve.src_digest [ ("a", "x") ])
-    (Ivy.Serve.src_digest [ ("a", "x") ])
 
 (* ------------------------------------------------------------------ *)
 (* Mutational frontend fuzz                                           *)
@@ -408,45 +389,244 @@ let test_serve_rejects_unsound_programs () =
 (* Socket loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Connect to [socket], retrying while the daemon starts. *)
+let connect socket =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> fd
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.01;
+        go (tries - 1)
+  in
+  go 500
+
+(* A reader of [fd]'s lines: each call returns the next line, without
+   its newline, within [timeout] seconds; [None] on timeout, end of
+   file or a socket error. Bytes past the line wait for the next call. *)
+let line_reader fd : ?timeout:float -> unit -> string option =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  fun ?(timeout = 10.0) () ->
+    let deadline = Unix.gettimeofday () +. timeout in
+    let rec go () =
+      match String.index_opt (Buffer.contents buf) '\n' with
+      | Some i ->
+          let s = Buffer.contents buf in
+          Buffer.clear buf;
+          Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
+          Some (String.sub s 0 i)
+      | None -> (
+          let left = deadline -. Unix.gettimeofday () in
+          if left <= 0.0 then None
+          else
+            match Unix.select [ fd ] [] [] left with
+            | [], _, _ -> None
+            | _ -> (
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | 0 -> None
+                | n ->
+                    Buffer.add_subbytes buf chunk 0 n;
+                    go ()))
+    in
+    try go () with Unix.Unix_error _ -> None
+
+(* One request on a fresh connection, answered within [timeout]. *)
+let rpc_within ?timeout socket line : J.t option =
+  match connect socket with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let payload = line ^ "\n" in
+          match Unix.write_substring fd payload 0 (String.length payload) with
+          | exception Unix.Unix_error _ -> None
+          | _ -> Option.map J.parse (line_reader fd ?timeout ()))
+
+(* The daemon forked on a fresh socket, polling [watch] every 50 ms
+   when given. [k] runs against it; afterwards the daemon is asked to
+   shut down and killed if it does not answer. Returns whether the
+   shutdown was acknowledged and how the daemon exited. *)
+let with_daemon ?watch ?log name (k : string -> unit) : bool * Unix.process_status =
+  let socket = Printf.sprintf "ivy-%s-%d.sock" name (Unix.getpid ()) in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+      (try Ivy.Serve.run ~socket ?watch ~poll_ms:50 ?log (Ivy.Serve.create ())
+       with _ -> Unix._exit 2);
+      Unix._exit 0
+  | pid ->
+      let outcome = try Ok (k socket) with e -> Error e in
+      let bye = rpc_within socket {|{"id":99,"method":"shutdown"}|} in
+      if bye = None then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      let _, status = Unix.waitpid [] pid in
+      (try Unix.unlink socket with Unix.Unix_error _ -> ());
+      (match outcome with Ok () -> () | Error e -> raise e);
+      (Option.bind (Option.bind bye (get [ "result" ])) J.to_string_opt = Some "bye", status)
+
+let check_daemon_exit (bye, status) =
+  Alcotest.(check bool) "shutdown acknowledged" true bye;
+  Alcotest.(check bool) "daemon exited cleanly" true (status = Unix.WEXITED 0)
+
 (* A client that sends a check and closes its socket before the answer
    arrives costs the daemon that client only: the response write must
    fail with EPIPE instead of killing the process with SIGPIPE, and
    the daemon must go on answering others. *)
 let test_serve_survives_early_disconnect () =
-  let socket = Printf.sprintf "ivy-early-close-%d.sock" (Unix.getpid ()) in
-  flush_all ();
-  match Unix.fork () with
-  | 0 ->
-      (try Ivy.Serve.run ~socket (Ivy.Serve.create ()) with _ -> Unix._exit 2);
-      Unix._exit 0
-  | pid ->
-      let rec connect tries =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (Unix.ADDR_UNIX socket) with
-        | () -> fd
-        | exception Unix.Unix_error _ when tries > 0 ->
-            Unix.close fd;
-            Unix.sleepf 0.01;
-            connect (tries - 1)
-      in
-      let fd = connect 500 in
-      let line = Bytes.of_string (check_request src_v1 ^ "\n") in
-      ignore (Unix.write fd line 0 (Bytes.length line));
+  with_daemon "early-close" (fun socket ->
+      let fd = connect socket in
+      let line = check_request src_v1 ^ "\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
       Unix.close fd;
-      let rpc line =
-        match Ivy.Serve.request ~socket line with
+      let stats =
+        match Ivy.Serve.request ~socket {|{"id":2,"method":"stats"}|} with
         | r -> Some (J.parse r)
         | exception Unix.Unix_error _ -> None
       in
-      let stats = rpc {|{"id":2,"method":"stats"}|} in
-      let bye = rpc {|{"id":3,"method":"shutdown"}|} in
-      if bye = None then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      let _, status = Unix.waitpid [] pid in
       Alcotest.(check bool) "stats answered after the early close" true
-        (Option.bind stats (get [ "result"; "requests" ]) <> None);
-      Alcotest.(check (option string)) "shutdown acknowledged" (Some "bye")
-        (Option.bind (Option.bind bye (get [ "result" ])) J.to_string_opt);
-      Alcotest.(check bool) "daemon exited cleanly" true (status = Unix.WEXITED 0)
+        (Option.bind stats (get [ "result"; "requests" ]) <> None))
+  |> check_daemon_exit
+
+let corpus_check id =
+  Printf.sprintf {|{"id":%d,"method":"check","params":{"program":"corpus","corpus":true}}|} id
+
+let stats_answered socket =
+  Option.bind (rpc_within socket {|{"id":1000,"method":"stats"}|}) (get [ "result"; "requests" ])
+  <> None
+
+(* A client that sends 40 corpus checks (~25 KB of response each) and
+   reads nothing must not stall the daemon: with blocking writes it sat
+   in [write] once the socket buffer filled, and another client's
+   [stats] went unanswered. *)
+let test_serve_slow_reader () =
+  with_daemon "slow-reader" (fun socket ->
+      let hog = connect socket in
+      let lines = String.concat "" (List.init 40 (fun i -> corpus_check (i + 1) ^ "\n")) in
+      ignore (Unix.write_substring hog lines 0 (String.length lines));
+      let answered = stats_answered socket in
+      Unix.close hog;
+      Alcotest.(check bool) "stats answered while a client does not read" true answered)
+  |> check_daemon_exit
+
+(* A client that leaves more than the output cap unread is dropped:
+   it gets what was already written, then end of file, and far fewer
+   than the 300 responses it asked for. *)
+let test_serve_drops_unread_client () =
+  with_daemon "unread" (fun socket ->
+      let hog = connect socket in
+      let n = 300 in
+      let lines = String.concat "" (List.init n (fun i -> corpus_check (i + 1) ^ "\n")) in
+      ignore (Unix.write_substring hog lines 0 (String.length lines));
+      Alcotest.(check bool) "stats answered" true (stats_answered socket);
+      let next = line_reader hog in
+      let rec count k = match next () with Some _ -> count (k + 1) | None -> k in
+      let got = count 0 in
+      Unix.close hog;
+      Alcotest.(check bool) (Printf.sprintf "dropped after %d of %d responses" got n) true
+        (got > 0 && got < n))
+  |> check_daemon_exit
+
+(* A request line with no newline in sight is cut off at the line cap
+   (16 MiB): the client gets a -32600 error and end of file, and the
+   daemon goes on answering others. *)
+let test_serve_line_cap () =
+  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_pipe) @@ fun () ->
+  with_daemon "line-cap" (fun socket ->
+      let big = connect socket in
+      let payload = Bytes.make ((16 lsl 20) + 1) 'x' in
+      (try ignore (Unix.write big payload 0 (Bytes.length payload))
+       with Unix.Unix_error _ -> ());
+      let next = line_reader big in
+      let resp = next () in
+      let eof = next () = None in
+      Unix.close big;
+      Alcotest.(check (option int)) "over-cap line: invalid request" (Some (-32600))
+        (Option.bind (Option.map J.parse resp) error_code);
+      Alcotest.(check bool) "and the client is closed" true eof;
+      Alcotest.(check bool) "stats answered after the over-cap line" true
+        (stats_answered socket))
+  |> check_daemon_exit
+
+(* --watch re-checks a directory when its bytes change: the first poll
+   rebuilds and counts the same diagnostics a check request reports, a
+   poll with unchanged bytes logs nothing, and a comment-only touch is
+   warm. *)
+let test_serve_watch () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "ivy-watch-%d" (Unix.getpid ()))
+  in
+  let file = Filename.concat dir "a.kc" in
+  let log_path = dir ^ ".log" in
+  (* Written aside and renamed in, so no poll sees a half-written file. *)
+  let write path s =
+    Out_channel.with_open_bin (path ^ ".tmp") (fun oc -> output_string oc s);
+    Sys.rename (path ^ ".tmp") path
+  in
+  let log_lines () =
+    match In_channel.with_open_bin log_path In_channel.input_all with
+    | s -> List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+    | exception Sys_error _ -> []
+  in
+  let wait_for what pred =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let rec go () =
+      match List.find_opt pred (log_lines ()) with
+      | Some l -> l
+      | None when Unix.gettimeofday () > deadline -> Alcotest.failf "no %s logged" what
+      | None ->
+          Unix.sleepf 0.02;
+          go ()
+    in
+    go ()
+  in
+  let src =
+    preamble
+    ^ "long the_lock;\n\
+       int start_kernel(void) {\n\
+       \  spin_lock(&the_lock);\n\
+       \  schedule();\n\
+       \  spin_unlock(&the_lock);\n\
+       \  return 0;\n\
+       }\n"
+  in
+  let expected =
+    let r, _ = respond (Ivy.Serve.create ()) (sources_request ~id:1 ~program:"w" [ (file, src) ]) in
+    match get [ "result"; "report"; "diagnostics" ] r with
+    | Some (J.List l) -> List.length l
+    | _ -> Alcotest.fail "report.diagnostics missing"
+  in
+  Alcotest.(check bool) "the watched source has findings" true (expected > 0);
+  Unix.mkdir dir 0o755;
+  write file src;
+  let log s =
+    Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644 log_path (fun oc ->
+        output_string oc (s ^ "\n"))
+  in
+  let prefix = Printf.sprintf "[watch] %s: " dir in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ file; log_path ];
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      with_daemon ~watch:dir ~log "watch" (fun _ ->
+          let first = wait_for "first poll" (String.starts_with ~prefix) in
+          Alcotest.(check string) "first poll rebuilds"
+            (Printf.sprintf "%s%d diagnostics (rebuilt)" prefix expected)
+            first;
+          let before = log_lines () in
+          write file src;
+          Unix.sleepf 0.3;
+          Alcotest.(check (list string)) "unchanged bytes log nothing" before (log_lines ());
+          write file (src ^ "/* touched */\n");
+          let warm =
+            wait_for "touch poll" (fun l -> String.starts_with ~prefix l && not (List.mem l before))
+          in
+          Alcotest.(check string) "a comment-only touch is warm"
+            (Printf.sprintf "%s%d diagnostics (all artifacts warm)" prefix expected)
+            warm)
+      |> check_daemon_exit)
 
 let () =
   Alcotest.run "serve"
@@ -467,7 +647,6 @@ let () =
           Alcotest.test_case "stats and invalidate" `Quick test_serve_stats_and_invalidate;
           Alcotest.test_case "protocol errors" `Quick test_serve_errors;
           Alcotest.test_case "shutdown" `Quick test_serve_shutdown;
-          Alcotest.test_case "batch" `Quick test_serve_batch;
           Alcotest.test_case "mutated sources: located frontend errors" `Quick
             test_serve_frontend_mutants;
           Alcotest.test_case "reparses only changed units" `Quick
@@ -478,5 +657,11 @@ let () =
             test_serve_rejects_unsound_programs;
           Alcotest.test_case "survives an early disconnect" `Quick
             test_serve_survives_early_disconnect;
+          Alcotest.test_case "a client that never reads stalls only itself" `Quick
+            test_serve_slow_reader;
+          Alcotest.test_case "drops a client past the output cap" `Quick
+            test_serve_drops_unread_client;
+          Alcotest.test_case "cuts off an over-cap request line" `Quick test_serve_line_cap;
+          Alcotest.test_case "watch polls by content" `Quick test_serve_watch;
         ] );
     ]
