@@ -70,19 +70,24 @@ type gate = {
 let floor_in path () = Floor (read_bound path)
 let ceiling_in path () = Ceiling (read_bound path)
 
-(* Deputize [prog] in place with the Facts optimizer, as the absint
-   and E2 gates see the corpus. *)
-let deputize prog =
-  ignore (Deputy.Dreport.deputize ~optimize:true prog);
-  prog
+(* The corpus instrumented by Deputy and Facts-optimized, as the
+   engine context serves it to [ivy check], [ivy boot -m deputy] and
+   the fuzz oracle. *)
+let instrumented () =
+  fst (Engine.Context.instrumented (Engine.Context.create (Kernel.Workloads.load ~fresh:true ())))
 
 (* ------------------------------------------------------------------ *)
 (* absint, absint-wall                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The verdict is the deputized view's, as [ivy check] and the fuzz
+   oracle see it: the context owns the discharge. *)
 let absint () =
   let module D = Absint.Discharge in
-  let st = D.run (deputize (Kernel.Workloads.load ~fresh:true ())) in
+  let st =
+    (Engine.Context.deputized (Engine.Context.create (Kernel.Workloads.load ~fresh:true ())))
+      .Engine.Context.dstats
+  in
   {
     value = D.rate st;
     detail =
@@ -96,9 +101,9 @@ let absint () =
 let absint_wall_runs = 7
 
 let absint_wall () =
-  let base = Kernel.Workloads.load ~fresh:true () in
+  let iprog = instrumented () in
   let time_run ifaces =
-    let prog = deputize (Kc.Ir.copy_program base) in
+    let prog = Kc.Ir.copy_program iprog in
     Gc.full_major ();
     snd (timed (fun () -> Absint.Discharge.run ?ifaces prog))
   in
@@ -134,7 +139,7 @@ let e2_cycles ~engine prog =
    run on each engine is the warmup (the compiled one pays the compile
    there) and yields the cycle counts, which must agree exactly. *)
 let vm () =
-  let prog = deputize (Kernel.Workloads.load ~fresh:true ()) in
+  let prog = instrumented () in
   let c_tree = e2_cycles ~engine:Vm.Interp.Tree prog in
   let c_comp = e2_cycles ~engine:Vm.Interp.Compiled prog in
   let best engine = best_of 3 (fun () -> ignore (e2_cycles ~engine prog)) in
@@ -192,7 +197,8 @@ let refsafe_src =
 let refsafe_iters = 200
 
 (* Boot one interpreter per arm and run the loop; returns the cycles
-   and the free census. *)
+   and the free census. The gated arm boots the context's CCount view,
+   the program the fuzz oracle judges. *)
 let refsafe_arm arm =
   let prog = Kc.Typecheck.check_sources [ ("refsafe_bench.kc", refsafe_src) ] in
   let t =
@@ -204,7 +210,9 @@ let refsafe_arm arm =
         Vm.Builtins.install t;
         t
     | `Ccount -> fst (Ccount.Creport.ccount_boot prog)
-    | `Gated -> fst (Ccount.Creport.ccount_boot ~refsafe:true prog)
+    | `Gated ->
+        (Ivy.Pipeline.of_context (Engine.Context.create prog) (Ivy.Pipeline.Ccount_refsafe Vm.Cost.Up))
+          .Ivy.Pipeline.interp
   in
   ignore (Vm.Interp.run t "bench" [ Int64.of_int refsafe_iters ]);
   (t.Vm.Interp.m.Vm.Machine.cost.Vm.Cost.cycles, Vm.Machine.free_census t.Vm.Interp.m)

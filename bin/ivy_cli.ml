@@ -150,8 +150,8 @@ let run_cmd =
 let deputy_cmd =
   let run files =
     handle_frontend_errors (fun () ->
-        let prog = load_files files ~fixed_frees:true in
-        let report = Deputy.Dreport.deputize prog in
+        let ctxt = Engine.Context.create (load_files files ~fixed_frees:true) in
+        let report = snd (Engine.Context.instrumented ctxt) in
         Format.printf "%a@." Deputy.Dreport.pp report;
         List.iter
           (fun (msg, loc) -> Printf.printf "static error: %s at %s\n" msg (Kc.Loc.to_string loc))
@@ -192,14 +192,11 @@ let ccount_cmd =
         let r = Ivy.Pipeline.booted ~fixed_frees:(not unfixed) mode in
         ignore (Ivy.Pipeline.run_entry r "wl_idle" 50);
         ignore (Ivy.Pipeline.run_entry r "wl_ssh_copy" 100);
-        (match r.Ivy.Pipeline.ccount_report with
-        | Some cr ->
-            Format.printf "%a@." Ccount.Creport.pp cr;
-            if stats then
-              Option.iter
-                (fun rs -> print_string (Refsafe.Discharge.render_stats rs))
-                cr.Ccount.Creport.refsafe
-        | None -> ());
+        Option.iter (Format.printf "%a@." Ccount.Creport.pp) r.Ivy.Pipeline.ccount_report;
+        if stats then
+          Option.iter
+            (fun rs -> print_string (Refsafe.Discharge.render_stats rs))
+            r.Ivy.Pipeline.refsafe_stats;
         Format.printf "%a@." Ccount.Creport.pp_census (Ivy.Pipeline.free_census r))
   in
   Cmd.v

@@ -5,9 +5,10 @@ module I = Kc.Ir
 type report = {
   instr : Rc_instrument.stats;
   types_described : int; (* tags with pointer slots: the "32 types" census *)
-  refsafe : Refsafe.Discharge.stats option;
-      (* set when the refsafe gate discharged updates before boot *)
 }
+
+let report_of instr info =
+  { instr; types_described = List.length (Typeinfo.tags_with_pointers info) }
 
 (* Machine configuration for a CCount run: shadow counters active,
    allocations zeroed, bad frees leak (soundness-preserving).
@@ -33,21 +34,10 @@ let boot_instrumented ?(profile = Vm.Cost.Up) ?(overflow_check = false) ?engine 
   Typeinfo.register_with info m;
   t
 
-(* Instrument [prog] in place and boot a CCount-enabled interpreter.
-   With [~refsafe:true] the static refcount analysis first discharges
-   provably unobservable [Irc_update]s (see {!Refsafe.Discharge}), so
-   the booted machine carries strictly less counter-maintenance work
-   while reporting the same census. *)
-let ccount_boot ?profile ?overflow_check ?(refsafe = false) ?engine (prog : I.program) :
-    Vm.Interp.t * report =
+(* Instrument [prog] in place and boot a CCount-enabled interpreter. *)
+let ccount_boot ?profile ?overflow_check ?engine (prog : I.program) : Vm.Interp.t * report =
   let stats, info = Rc_instrument.instrument_program prog in
-  let rstats = if refsafe then Some (Refsafe.Discharge.run prog) else None in
-  ( boot_instrumented ?profile ?overflow_check ?engine ~info prog,
-    {
-      instr = stats;
-      types_described = List.length (Typeinfo.tags_with_pointers info);
-      refsafe = rstats;
-    } )
+  (boot_instrumented ?profile ?overflow_check ?engine ~info prog, report_of stats info)
 
 let pp_census fmt (c : Vm.Machine.free_census) =
   Format.fprintf fmt "frees: %d total, %d good (%.1f%%), %d bad" c.Vm.Machine.total_frees

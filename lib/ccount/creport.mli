@@ -1,11 +1,18 @@
-(** CCount pipeline driver and free census (paper §2.2, E2/E3). *)
+(** CCount pipeline driver and free census (paper §2.2, E2/E3).
+
+    This module instruments and boots; it never discharges. The
+    refsafe-thinned CCount program has one builder,
+    {!Engine.Context.ccount_discharged}, and [Ivy.Pipeline] boots it
+    with {!boot_instrumented}. *)
 
 type report = {
   instr : Rc_instrument.stats;
   types_described : int;  (** tags with pointer slots (the "32 types" census) *)
-  refsafe : Refsafe.Discharge.stats option;
-      (** set when the refsafe gate discharged updates before boot *)
 }
+
+(** The report of an instrumentation pass: its counters and the RTTI
+    it built. *)
+val report_of : Rc_instrument.stats -> Typeinfo.t -> report
 
 (** Machine configuration for a CCount run: shadow counters on,
     allocations zeroed, bad frees leak (soundness-preserving). *)
@@ -21,13 +28,10 @@ val boot_instrumented :
   Kc.Ir.program ->
   Vm.Interp.t
 
-(** Instrument [prog] in place, then {!boot_instrumented} it.
-    [~refsafe:true] first runs the static refcount analysis and strips
-    the [Irc_update]s it proves unobservable. *)
+(** Instrument [prog] in place, then {!boot_instrumented} it. *)
 val ccount_boot :
   ?profile:Vm.Cost.profile ->
   ?overflow_check:bool ->
-  ?refsafe:bool ->
   ?engine:Vm.Interp.engine ->
   Kc.Ir.program ->
   Vm.Interp.t * report

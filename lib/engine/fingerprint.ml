@@ -149,17 +149,12 @@ and ser_exp b (e : I.exp) =
       chr b 'l';
       ser_lval b lv
   | I.Eunop (op, e1) ->
-      add b (match op with Kc.Ast.Neg -> "u-" | Kc.Ast.Lognot -> "u!" | Kc.Ast.Bitnot -> "u~");
+      chr b 'u';
+      add b (Kc.Ast.unop_to_string op);
       ser_exp b e1
   | I.Ebinop (op, e1, e2) ->
       chr b 'b';
-      add b
-        (match op with
-        | Kc.Ast.Add -> "+" | Kc.Ast.Sub -> "-" | Kc.Ast.Mul -> "*" | Kc.Ast.Div -> "/"
-        | Kc.Ast.Mod -> "%" | Kc.Ast.Shl -> "<<" | Kc.Ast.Shr -> ">>" | Kc.Ast.Lt -> "<"
-        | Kc.Ast.Gt -> ">" | Kc.Ast.Le -> "<=" | Kc.Ast.Ge -> ">=" | Kc.Ast.Eq -> "=="
-        | Kc.Ast.Ne -> "!=" | Kc.Ast.Bitand -> "&" | Kc.Ast.Bitor -> "|"
-        | Kc.Ast.Bitxor -> "^" | Kc.Ast.Logand -> "&&" | Kc.Ast.Logor -> "||");
+      add b (Kc.Ast.binop_to_string op);
       chr b '(';
       ser_exp b e1;
       chr b ',';

@@ -79,30 +79,27 @@ let run_main (interp : Vm.Interp.t) : outcome =
   | v -> Completed v
   | exception Vm.Trap.Trap (k, m) -> Trapped (k, m)
 
-(* Run [main] under CCount; return its outcome and the free census's
-   bad-free count. *)
-let run_counted (interp : Vm.Interp.t) : outcome * int =
-  let o = run_main interp in
-  (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
-
-(* Every run executes a program the case's context serves, so the
-   verdict judges exactly what [ivy check] reports on. Execution never
-   mutates a program, so the runs share those programs with the static
-   side. The one program no getter serves is the full CCount view
-   (the context serves it already thinned by refsafe): that run
-   instruments a shallow copy of the base program. *)
+(* Every run boots, through [Ivy.Pipeline.of_context], a program the
+   case's context serves, so the verdict judges exactly what [ivy check]
+   reports on and what [ivy boot] runs. Execution never mutates a
+   program, so the runs share those programs with the static side. The
+   one program no getter serves is the full CCount view (the context
+   serves it already thinned by refsafe): that run instruments a
+   shallow copy of the base program. *)
 let dynamic ctxt : run_results =
-  let module C = Engine.Context in
-  let base = run_main (Vm.Builtins.boot (C.program ctxt)) in
-  let deputy = run_main (Vm.Builtins.boot (fst (C.instrumented ctxt))) in
-  let deputy_absint = run_main (Vm.Builtins.boot (C.deputized ctxt).C.dprog) in
-  let ccount, bad_frees =
-    run_counted (fst (Ccount.Creport.ccount_boot (Kc.Ir.copy_program (C.program ctxt))))
+  let module P = Ivy.Pipeline in
+  let outcome mode = run_main (P.of_context ctxt mode).P.interp in
+  (* [main]'s outcome under CCount and the free census's bad-free count. *)
+  let counted mode =
+    let r = P.of_context ctxt mode in
+    let o = run_main r.P.interp in
+    (o, (P.free_census r).Vm.Machine.bad)
   in
-  let ccount_refsafe, rs_bad_frees =
-    let c = C.ccount_discharged ctxt in
-    run_counted (Ccount.Creport.boot_instrumented ~info:c.C.cinfo c.C.cprog)
-  in
+  let base = outcome P.Base in
+  let deputy = outcome P.Deputy in
+  let deputy_absint = outcome P.Deputy_absint in
+  let ccount, bad_frees = counted (P.Ccount Vm.Cost.Up) in
+  let ccount_refsafe, rs_bad_frees = counted (P.Ccount_refsafe Vm.Cost.Up) in
   { base; deputy; deputy_absint; ccount; bad_frees; ccount_refsafe; rs_bad_frees }
 
 (* ---- detection rules (soundness) ---------------------------------- *)

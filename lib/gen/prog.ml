@@ -65,8 +65,6 @@ let fault_kind_of_block = function
   | F_put_on_error_path -> Some Fault.Put_on_error_path
   | _ -> None
 
-let is_fault_block b = fault_kind_of_block b <> None
-
 (* ---- global usage census ------------------------------------------ *)
 
 type uses = {

@@ -77,7 +77,6 @@ val fname : int -> string
 (** [fname fid] = ["f<fid>_"]. *)
 
 val opname : int -> string
-val is_fault_block : block -> bool
 val fault_kind_of_block : block -> Fault.kind option
 
 val render : t -> string

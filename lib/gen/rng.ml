@@ -38,7 +38,6 @@ let range t lo hi =
   lo + int t (hi - lo + 1)
 
 let bool t = Int64.logand (next64 t) 1L = 1L
-let chance t k n = int t n < k
 
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"

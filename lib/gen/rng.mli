@@ -30,8 +30,5 @@ val range : t -> int -> int -> int
 
 val bool : t -> bool
 
-val chance : t -> int -> int -> bool
-(** [chance t k n] is true with probability k/n. *)
-
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. *)

@@ -41,9 +41,12 @@ type e1 = {
   deputy : Deputy.Dreport.report;
 }
 
+(* The Deputy report of the context's instrumented view: the census
+   counts the program [ivy check] and the Deputy runs use. *)
+let deputy_report prog = snd (Engine.Context.instrumented (Engine.Context.create prog))
+
 let e1_census () : e1 =
-  let prog = Kernel.Corpus.load () in
-  let report = Deputy.Dreport.deputize prog in
+  let report = deputy_report (Kernel.Corpus.load ()) in
   {
     lines = Kernel.Corpus.line_count ();
     annotations = report.Deputy.Dreport.annotations;
@@ -201,18 +204,8 @@ let a2_leak_ablation () : a2 =
   let src = Kernel.Workloads.sources ~fixed_frees:false () in
   let run ~leak =
     let prog = Kc.Typecheck.check_sources src in
-    let stats, info = Ccount.Rc_instrument.instrument_program prog in
-    ignore stats;
-    let config =
-      {
-        Vm.Machine.rc_check = true;
-        zero_alloc = true;
-        leak_on_bad_free = leak;
-        rc_overflow_check = false;
-        profile = Vm.Cost.Up;
-        fuel = Vm.Machine.default_config.Vm.Machine.fuel;
-      }
-    in
+    let _, info = Ccount.Rc_instrument.instrument_program prog in
+    let config = { (Ccount.Creport.config ()) with Vm.Machine.leak_on_bad_free = leak } in
     let m = Vm.Machine.create ~config () in
     let t = Vm.Interp.create prog m in
     Vm.Builtins.install t;
@@ -363,8 +356,7 @@ let e5_driver_subset () : e5 =
           [ "include/"; "lib/"; "mm/"; "drivers/" ])
       (Kernel.Corpus.sources ())
   in
-  let prog = Kc.Typecheck.check_sources sources in
-  let report = Deputy.Dreport.deputize prog in
+  let report = deputy_report (Kc.Typecheck.check_sources sources) in
   let lines =
     List.fold_left (fun acc (_, s) -> acc + List.length (String.split_on_char '\n' s)) 0 sources
   in

@@ -1,9 +1,15 @@
-(* The Ivy pipeline: load the corpus (+ workloads), apply an
-   instrumentation mode, boot the VM, run entry points, and measure
-   deterministic cycle counts.
+(* The Ivy pipeline: load the corpus and workloads, build one engine
+   context over them, boot the program view a mode names, run entry
+   points, and measure deterministic cycle counts.
 
-   This is the library's main entry point for downstream users: a
-   one-stop API over the frontend, the analyses and the VM. *)
+   Every discharged view has one builder, Engine.Context: Deputy,
+   Deputy_absint and Ccount_refsafe boot the programs the context
+   serves, the same ones `ivy check` reports on and the fuzz oracle
+   judges. The modes no context artifact serves (full CCount, the
+   unoptimized Deputy ablation and the BlockStop guards) instrument a
+   shallow copy of the context's base program. *)
+
+module C = Engine.Context
 
 type mode =
   | Base (* no instrumentation *)
@@ -21,6 +27,7 @@ type run = {
   deputy_report : Deputy.Dreport.report option;
   absint_stats : Absint.Discharge.stats option;
   ccount_report : Ccount.Creport.report option;
+  refsafe_stats : Refsafe.Discharge.stats option;
 }
 
 let mode_to_string = function
@@ -34,82 +41,45 @@ let mode_to_string = function
   | Ccount_refsafe Vm.Cost.Smp_p4 -> "ccount-refsafe-smp"
   | Blockstop_guarded -> "blockstop-guarded"
 
-(* Build a fresh program + VM in the given mode. [workloads] appends
-   the benchmark unit; [fixed_frees] picks the corpus variant. *)
-let prepare ?(workloads = true) ?(fixed_frees = true) (mode : mode) : run =
-  let load () =
-    if workloads then Kernel.Workloads.load ~fixed_frees ~fresh:true ()
-    else Kernel.Corpus.load ~fixed_frees ()
+let make ?deputy_report ?absint_stats ?ccount_report ?refsafe_stats mode prog interp =
+  { mode; prog; interp; deputy_report; absint_stats; ccount_report; refsafe_stats }
+
+(* The view [mode] names, on a fresh machine. *)
+let of_context (ctxt : C.t) (mode : mode) : run =
+  let copy () = Kc.Ir.copy_program (C.program ctxt) in
+  let plain ?deputy_report ?absint_stats prog =
+    make ?deputy_report ?absint_stats mode prog (Vm.Builtins.boot prog)
   in
   match mode with
-  | Base ->
-      let prog = load () in
-      let interp = Vm.Builtins.boot prog in
-      { mode; prog; interp; deputy_report = None; absint_stats = None; ccount_report = None }
+  | Base -> plain (C.program ctxt)
   | Deputy ->
-      let prog = load () in
-      let report = Deputy.Dreport.deputize ~optimize:true prog in
-      let interp = Vm.Builtins.boot prog in
-      {
-        mode;
-        prog;
-        interp;
-        deputy_report = Some report;
-        absint_stats = None;
-        ccount_report = None;
-      }
+      let prog, deputy_report = C.instrumented ctxt in
+      plain ~deputy_report prog
   | Deputy_unoptimized ->
-      let prog = load () in
-      let report = Deputy.Dreport.deputize ~optimize:false prog in
-      let interp = Vm.Builtins.boot prog in
-      {
-        mode;
-        prog;
-        interp;
-        deputy_report = Some report;
-        absint_stats = None;
-        ccount_report = None;
-      }
+      let prog = copy () in
+      plain ~deputy_report:(Deputy.Dreport.deputize ~optimize:false prog) prog
   | Deputy_absint ->
-      let prog = load () in
-      let report = Deputy.Dreport.deputize ~optimize:true prog in
-      let stats = Absint.Discharge.run prog in
-      let interp = Vm.Builtins.boot prog in
-      {
-        mode;
-        prog;
-        interp;
-        deputy_report = Some report;
-        absint_stats = Some stats;
-        ccount_report = None;
-      }
+      let d = C.deputized ctxt in
+      plain ~deputy_report:d.C.dreport ~absint_stats:d.C.dstats d.C.dprog
   | Ccount profile ->
-      let prog = load () in
-      let interp, report = Ccount.Creport.ccount_boot ~profile prog in
-      {
-        mode;
-        prog;
-        interp;
-        deputy_report = None;
-        absint_stats = None;
-        ccount_report = Some report;
-      }
+      let prog = copy () in
+      let interp, ccount_report = Ccount.Creport.ccount_boot ~profile prog in
+      make ~ccount_report mode prog interp
   | Ccount_refsafe profile ->
-      let prog = load () in
-      let interp, report = Ccount.Creport.ccount_boot ~profile ~refsafe:true prog in
-      {
-        mode;
-        prog;
-        interp;
-        deputy_report = None;
-        absint_stats = None;
-        ccount_report = Some report;
-      }
+      let c = C.ccount_discharged ctxt in
+      make
+        ~ccount_report:(Ccount.Creport.report_of c.C.cinstr c.C.cinfo)
+        ~refsafe_stats:c.C.crstats mode c.C.cprog
+        (Ccount.Creport.boot_instrumented ~profile ~info:c.C.cinfo c.C.cprog)
   | Blockstop_guarded ->
-      let prog = load () in
+      let prog = copy () in
       ignore (Blockstop.Bcheck.guard_functions prog Kernel.Corpus.blockstop_guards);
-      let interp = Vm.Builtins.boot prog in
-      { mode; prog; interp; deputy_report = None; absint_stats = None; ccount_report = None }
+      plain prog
+
+(* Build a fresh program + VM in the given mode. [fixed_frees] picks
+   the corpus variant. *)
+let prepare ?(fixed_frees = true) (mode : mode) : run =
+  of_context (C.create (Kernel.Workloads.load ~fixed_frees ~fresh:true ())) mode
 
 (* Boot the kernel. *)
 let boot (r : run) : unit = ignore (Vm.Interp.run r.interp Kernel.Corpus.boot_entry [])
@@ -125,7 +95,7 @@ let run_entry (r : run) (entry : string) (arg : int) : int64 * int =
 let free_census (r : run) : Vm.Machine.free_census = Vm.Machine.free_census r.interp.Vm.Interp.m
 
 (* Convenience: fresh run, booted. *)
-let booted ?workloads ?fixed_frees mode : run =
-  let r = prepare ?workloads ?fixed_frees mode in
+let booted ?fixed_frees mode : run =
+  let r = prepare ?fixed_frees mode in
   boot r;
   r

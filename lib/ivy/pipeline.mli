@@ -1,7 +1,15 @@
-(** The Ivy pipeline: load the mini-kernel corpus (plus, optionally,
-    the benchmark workloads), apply one of the instrumentation modes,
-    boot it on the VM and run entry points under the deterministic
-    cycle cost model.
+(** The Ivy pipeline: load the mini-kernel corpus and the benchmark
+    workloads, build one {!Engine.Context} over them, boot the program
+    view an instrumentation mode names on the VM and run entry points
+    under the deterministic cycle cost model.
+
+    Each discharged view has one builder, the context: [Deputy],
+    [Deputy_absint] and [Ccount_refsafe] boot the programs it serves
+    ({!Engine.Context.instrumented}, {!Engine.Context.deputized},
+    {!Engine.Context.ccount_discharged}), the same ones [ivy check]
+    reports on and the fuzz oracle judges. [Ccount],
+    [Deputy_unoptimized] and [Blockstop_guarded] instrument a shallow
+    copy of the context's base program.
 
     This is the main entry point for downstream users:
 
@@ -32,14 +40,21 @@ type run = {
   deputy_report : Deputy.Dreport.report option;  (** present in Deputy modes *)
   absint_stats : Absint.Discharge.stats option;  (** present in Deputy_absint mode *)
   ccount_report : Ccount.Creport.report option;  (** present in Ccount modes *)
+  refsafe_stats : Refsafe.Discharge.stats option;  (** present in Ccount_refsafe modes *)
 }
 
 val mode_to_string : mode -> string
 
-(** Build a fresh program + VM in the given mode. [workloads] (default
-    true) appends the benchmark unit; [fixed_frees] (default true)
-    selects the corpus variant after the paper's free fixes. *)
-val prepare : ?workloads:bool -> ?fixed_frees:bool -> mode -> run
+(** [of_context ctxt mode] boots [mode]'s view of [ctxt]'s program on
+    a fresh machine, without running any entry point. The views the
+    context serves are shared, not copied: execution never mutates a
+    program. *)
+val of_context : Engine.Context.t -> mode -> run
+
+(** {!of_context} on a fresh context over the corpus and workloads.
+    [fixed_frees] (default true) selects the corpus variant after the
+    paper's free fixes. *)
+val prepare : ?fixed_frees:bool -> mode -> run
 
 (** Run [start_kernel]. *)
 val boot : run -> unit
@@ -55,4 +70,4 @@ val run_entry : run -> string -> int -> int64 * int
 val free_census : run -> Vm.Machine.free_census
 
 (** [prepare] followed by [boot]. *)
-val booted : ?workloads:bool -> ?fixed_frees:bool -> mode -> run
+val booted : ?fixed_frees:bool -> mode -> run

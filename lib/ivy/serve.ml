@@ -453,15 +453,26 @@ let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : uni
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_client c
   in
-  (* First watch poll runs immediately so a pre-populated directory is
-     analyzed at startup, not on first edit. *)
-  (match watch with Some dir -> watch_poll t ~log dir watch_last | None -> ());
+  (* The directory is polled once per [poll_ms], not on every wakeup: a
+     request does not re-read it. The first poll is due at once, so a
+     pre-populated directory is analyzed at startup, not on first edit. *)
+  let next_poll = ref 0.0 in
+  let poll_if_due () =
+    match watch with
+    | Some dir when (not !stop) && Unix.gettimeofday () >= !next_poll ->
+        watch_poll t ~log dir watch_last;
+        next_poll := Unix.gettimeofday () +. (float_of_int poll_ms /. 1000.0)
+    | _ -> ()
+  in
+  poll_if_due ();
   while not !stop do
     let readers = srv :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
     let writers =
       Hashtbl.fold (fun fd c acc -> if Queue.is_empty c.out then acc else fd :: acc) clients []
     in
-    let timeout = if watch = None then -1.0 else float_of_int poll_ms /. 1000.0 in
+    let timeout =
+      if watch = None then -1.0 else Float.max 0.0 (!next_poll -. Unix.gettimeofday ())
+    in
     let readable, writable, _ =
       try Unix.select readers writers [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -485,7 +496,7 @@ let run ~(socket : string) ?watch ?(poll_ms = 500) ?(log = ignore) (t : t) : uni
         end
         else Option.iter read (Hashtbl.find_opt clients fd))
       readable;
-    match watch with Some dir when not !stop -> watch_poll t ~log dir watch_last | _ -> ()
+    poll_if_due ()
   done;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;
   (try Unix.close srv with Unix.Unix_error _ -> ());

@@ -23,8 +23,9 @@ val handle_line : t -> string -> string * bool
 val run : socket:string -> ?watch:string -> ?poll_ms:int -> ?log:(string -> unit) -> t -> unit
 (** Bind [socket], serve until a [shutdown] request. With [watch], the
     directory's [.kc] files are re-checked (as program
-    ["watch:<dir>"]) whenever their contents change, polled every
-    [poll_ms] (default 500) milliseconds; summaries go to [log].
+    ["watch:<dir>"]) whenever their contents change, polled once every
+    [poll_ms] (default 500) milliseconds whatever the request traffic;
+    summaries go to [log].
     Each complete request line is answered as it is read. A client
     that does not read its responses is dropped once too many bytes
     wait for it, and a request line over the line cap gets an error

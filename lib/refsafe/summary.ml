@@ -42,7 +42,6 @@ let bottom_sum =
   }
 
 let ptr_formal_idxs (fd : I.fundec) : int list =
-  List.filteri (fun _ v -> I.is_pointer v.I.vty) fd.I.sformals |> ignore;
   List.mapi (fun i v -> (i, v)) fd.I.sformals
   |> List.filter_map (fun (i, v) -> if I.is_pointer v.I.vty then Some i else None)
 

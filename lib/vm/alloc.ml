@@ -103,6 +103,3 @@ let pages_alloc t ~pages : int =
   (* Page allocations are aligned by construction: round brk. *)
   t.brk <- (t.brk + 4095) / 4096 * 4096;
   alloc t ~size ~zero:true
-
-let live_blocks t =
-  Hashtbl.fold (fun _ b acc -> if b.state = Live then b :: acc else acc) t.blocks []

@@ -38,5 +38,3 @@ val leak : t -> int -> unit
 
 (** Page-aligned allocation of [pages] 4 kB pages. *)
 val pages_alloc : t -> pages:int -> int
-
-val live_blocks : t -> block list

@@ -2016,7 +2016,4 @@ let install (st : Vmstate.t) : unit =
   let cc = of_program st.Vmstate.prog in
   st.Vmstate.run_fn <- Some (fun st fd argv -> call cc st fd argv)
 
-let compiled_functions (cc : t) : int =
-  Array.fold_left (fun acc c -> match c with Some _ -> acc + 1 | None -> acc) 0 cc.cfuns
-
 let compilations (cc : t) : int = cc.compiles

@@ -39,9 +39,6 @@ val call : t -> Vmstate.t -> Kc.Ir.fundec -> int64 list -> int64
 (** Call a function through the compiled engine. Extern fundecs
     dispatch to the builtin table by name, as in {!Treewalk}. *)
 
-val compiled_functions : t -> int
-(** Number of functions currently holding compiled code. *)
-
 val compilations : t -> int
 (** Total function compilations performed (recompiles included). *)
 

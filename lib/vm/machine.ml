@@ -139,21 +139,6 @@ let drop_outgoing_refs m addr size =
         end)
       (ptr_slots m addr size)
 
-let rc_write m ~slot_addr ~(new_target : int64) =
-  (* CCount pointer-write protocol: increment before decrement so a
-     transitory zero refcount is never observed. *)
-  if m.config.rc_check then begin
-    if new_target <> 0L then begin
-      Mem.rc_inc m.mem new_target;
-      Cost.op_rc m.cost
-    end;
-    let old = Mem.load m.mem ~addr:slot_addr ~width:8 ~signed:false in
-    if old <> 0L then begin
-      Mem.rc_dec m.mem old;
-      Cost.op_rc m.cost
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Allocation API used by builtins.                                   *)
 (* ------------------------------------------------------------------ *)

@@ -70,10 +70,6 @@ val ptr_slots : t -> int -> int -> int list
     when it is freed or cleared). *)
 val drop_outgoing_refs : t -> int -> int -> unit
 
-(** The pointer-write protocol for a memory slot: increment the new
-    target's count, then decrement the old target's. *)
-val rc_write : t -> slot_addr:int -> new_target:int64 -> unit
-
 (** {2 Allocation API} *)
 
 val kmalloc : t -> size:int -> int

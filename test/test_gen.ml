@@ -265,7 +265,9 @@ module Ref_oracle = struct
     in
     let ccount_refsafe, rs_bad_frees =
       let p = parse ~name src in
-      let interp, _report = Ccount.Creport.ccount_boot ~refsafe:true p in
+      let _, info = Ccount.Rc_instrument.instrument_program p in
+      ignore (Refsafe.Discharge.run p);
+      let interp = Ccount.Creport.boot_instrumented ~info p in
       let o = run_main interp in
       (o, (Vm.Machine.free_census interp.Vm.Interp.m).Vm.Machine.bad)
     in

@@ -1,4 +1,4 @@
-(* Two fences on the source text of lib/.
+(* Three fences on the source text of lib/ (and bin/ for the third).
 
    The first is on process-wide mutable state.
 
@@ -19,7 +19,13 @@
 
    The second is on copied IR and layout rules: each name in [owners]
    may be defined at structure level only in the files listed for it,
-   and must be defined in each of them. *)
+   and must be defined in each of them.
+
+   The third is on discharge call sites: each discharged program view
+   has one builder, the engine context, so in lib/ and bin/ only
+   [discharge_builder] may run [Absint.Discharge.run] or
+   [Refsafe.Discharge.run] (or name either module whole, as an alias
+   or an [open] would). *)
 
 let allowed =
   [
@@ -58,6 +64,8 @@ let owners =
    whatever it is called: only its owner may hold that format. *)
 let json_control_escape = {|"\\u%04x"|}
 let json_escaper_owner = "engine/diag.ml"
+
+let discharge_builder = "lib/engine/context.ml"
 
 (* ---- source text ---------------------------------------------------- *)
 
@@ -336,7 +344,8 @@ let rec ml_files root rel : string list =
 
 (* dune runs the test from _build/default/test; [dune exec] from the
    repository root. *)
-let lib_root = if Sys.file_exists "../lib" then "../lib" else "lib"
+let repo_root = if Sys.file_exists "../lib" then ".." else "."
+let lib_root = Filename.concat repo_root "lib"
 
 (* (file relative to lib/, binding name) of every match. *)
 let found () =
@@ -389,6 +398,57 @@ let test_one_owner () =
     Alcotest.failf "a rule with one owner has copies (call the owner's): %s"
       (String.concat ", " wrong)
 
+(* Every [i] where [sub] starts in [s]. *)
+let occurrences s sub =
+  let n = String.length s and m = String.length sub in
+  List.filter (fun i -> String.sub s i m = sub) (List.init (max 0 (n - m + 1)) Fun.id)
+
+(* Does [src] (comments and strings blanked) run a discharge: call a
+   [Discharge.run], or name [Absint.Discharge]/[Refsafe.Discharge]
+   other than as a path prefix? *)
+let runs_discharge (src : string) : bool =
+  let s = blank_comments_and_strings src in
+  let n = String.length s in
+  let ends_token j = j >= n || not (is_ident_char s.[j]) in
+  List.exists
+    (fun i -> (i = 0 || not (is_ident_char s.[i - 1])) && ends_token (i + 13))
+    (occurrences s "Discharge.run")
+  || List.exists
+       (fun m ->
+         List.exists
+           (fun i ->
+             let j = i + String.length m in
+             ends_token j && (j >= n || s.[j] <> '.'))
+           (occurrences s m))
+       [ "Absint.Discharge"; "Refsafe.Discharge" ]
+
+let test_one_discharge_builder () =
+  let callers =
+    List.concat_map
+      (fun dir ->
+        List.filter_map
+          (fun rel ->
+            let path = Filename.concat dir rel in
+            if runs_discharge (read_file (Filename.concat repo_root path)) then Some path
+            else None)
+          (ml_files (Filename.concat repo_root dir) ""))
+      [ "lib"; "bin" ]
+  in
+  let others =
+    List.filter
+      (fun f ->
+        f <> discharge_builder
+        && not (List.mem f [ "lib/absint/discharge.ml"; "lib/refsafe/discharge.ml" ]))
+      callers
+  in
+  if others <> [] then
+    Alcotest.failf
+      "a discharge runs outside %s: %s (boot the view Engine.Context serves, e.g. through \
+       Ivy.Pipeline.of_context)"
+      discharge_builder (String.concat ", " others);
+  if not (List.mem discharge_builder callers) then
+    Alcotest.failf "%s no longer runs a discharge: update the fence" discharge_builder
+
 (* The scanner itself: what it must and must not match. *)
 let test_scanner () =
   Alcotest.(check (list string)) "matches"
@@ -427,6 +487,21 @@ let test_scanner () =
         let[@inline] w env = ref env\n\
         let () = ignore (ref 0)\n")
 
+let test_discharge_scanner () =
+  List.iter
+    (fun src -> Alcotest.(check bool) src true (runs_discharge src))
+    [ "let s = Absint.Discharge.run p";
+      "ignore (R.Discharge.run ~summaries prog)";
+      "let module D = Absint.Discharge in D.rate";
+      "open Refsafe.Discharge" ];
+  List.iter
+    (fun src -> Alcotest.(check bool) src false (runs_discharge src))
+    [ "let r = st.Absint.Discharge.fstats";
+      "(* Absint.Discharge.run p *)";
+      "let msg = \"Refsafe.Discharge.run\"";
+      "Refsafe.Discharge.render_stats st";
+      "Discharge.runs" ]
+
 let test_defined_names () =
   Alcotest.(check (list string)) "names"
     [ "a"; "f"; "g"; "h"; "inner"; "letters" ]
@@ -457,5 +532,8 @@ let () =
             test_allowlist_exact;
           Alcotest.test_case "defined names" `Quick test_defined_names;
           Alcotest.test_case "each IR and layout rule has one owner" `Quick test_one_owner;
+          Alcotest.test_case "discharge scanner" `Quick test_discharge_scanner;
+          Alcotest.test_case "only the engine context runs a discharge" `Quick
+            test_one_discharge_builder;
         ] );
     ]

@@ -278,22 +278,33 @@ let test_discharge_forging_disables_r2 () =
 
 type obs = { res : int64; bad : int; total : int }
 
+(* Boot [prog] under CCount. The gated arm boots the engine context's
+   CCount view, the program [ivy ccount --refsafe] and the fuzz oracle
+   run; the plain arm instruments [prog] itself. Returns the booted
+   program and the gated arm's discharge stats. *)
+let ccount_run ~refsafe prog =
+  let mode = if refsafe then Ivy.Pipeline.Ccount_refsafe Vm.Cost.Up else Ivy.Pipeline.Ccount Vm.Cost.Up in
+  Ivy.Pipeline.of_context (Engine.Context.create prog) mode
+
 let observe ~refsafe src =
-  let prog = parse src in
-  let t, report = Ccount.Creport.ccount_boot ~refsafe prog in
+  let r = ccount_run ~refsafe (parse src) in
+  let t = r.Ivy.Pipeline.interp in
   let res = Vm.Interp.run t "main" [] in
   let c = Vm.Machine.free_census t.Vm.Interp.m in
-  (report, { res; bad = c.Vm.Machine.bad; total = c.Vm.Machine.total_frees })
+  (r, { res; bad = c.Vm.Machine.bad; total = c.Vm.Machine.total_frees })
+
+let gated_stats (r : Ivy.Pipeline.run) =
+  match r.Ivy.Pipeline.refsafe_stats with
+  | None -> Alcotest.fail "gated run carries discharge stats"
+  | Some st -> st
 
 let agree name src =
   let _, plain = observe ~refsafe:false src in
-  let report, gated = observe ~refsafe:true src in
+  let r, gated = observe ~refsafe:true src in
   Alcotest.(check int64) (name ^ ": result agrees") plain.res gated.res;
   Alcotest.(check int) (name ^ ": bad frees agree") plain.bad gated.bad;
   Alcotest.(check int) (name ^ ": total frees agree") plain.total gated.total;
-  match report.Ccount.Creport.refsafe with
-  | None -> Alcotest.fail "gated run carries discharge stats"
-  | Some st -> st
+  gated_stats r
 
 let test_differential_clean_shapes () =
   let src =
@@ -335,23 +346,14 @@ let test_differential_bad_free_census_preserved () =
 (* ------------------------------------------------------------------ *)
 
 let corpus_obs ~refsafe (gp : Gen.Prog.t) =
-  let src = Gen.Prog.render gp in
-  let prog = parse src in
-  let t, report = Ccount.Creport.ccount_boot ~refsafe prog in
-  let res = Vm.Interp.run t "main" [] in
-  let c = Vm.Machine.free_census t.Vm.Interp.m in
-  let remaining = count_updates prog in
-  (report, { res; bad = c.Vm.Machine.bad; total = c.Vm.Machine.total_frees }, remaining)
+  let r, obs = observe ~refsafe (Gen.Prog.render gp) in
+  (r, obs, count_updates r.Ivy.Pipeline.prog)
 
 let check_seed_agreement seed =
   let gp = Gen.Generate.clean seed in
   let _, plain, kept_plain = corpus_obs ~refsafe:false gp in
-  let report, gated, kept_gated = corpus_obs ~refsafe:true gp in
-  let st =
-    match report.Ccount.Creport.refsafe with
-    | Some st -> st
-    | None -> Alcotest.fail "no discharge stats"
-  in
+  let r, gated, kept_gated = corpus_obs ~refsafe:true gp in
+  let st = gated_stats r in
   if plain.res <> gated.res || plain.bad <> gated.bad || plain.total <> gated.total then
     Alcotest.failf "seed %d: gated run diverges (res %Ld/%Ld bad %d/%d total %d/%d)" seed
       plain.res gated.res plain.bad gated.bad plain.total gated.total;

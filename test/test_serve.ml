@@ -444,16 +444,17 @@ let rpc_within ?timeout socket line : J.t option =
           | exception Unix.Unix_error _ -> None
           | _ -> Option.map J.parse (line_reader fd ?timeout ()))
 
-(* The daemon forked on a fresh socket, polling [watch] every 50 ms
-   when given. [k] runs against it; afterwards the daemon is asked to
-   shut down and killed if it does not answer. Returns whether the
-   shutdown was acknowledged and how the daemon exited. *)
-let with_daemon ?watch ?log name (k : string -> unit) : bool * Unix.process_status =
+(* The daemon forked on a fresh socket, polling [watch] every [poll_ms]
+   (default 50) when given. [k] runs against it; afterwards the daemon
+   is asked to shut down and killed if it does not answer. Returns
+   whether the shutdown was acknowledged and how the daemon exited. *)
+let with_daemon ?watch ?(poll_ms = 50) ?log name (k : string -> unit) :
+    bool * Unix.process_status =
   let socket = Printf.sprintf "ivy-%s-%d.sock" name (Unix.getpid ()) in
   flush_all ();
   match Unix.fork () with
   | 0 ->
-      (try Ivy.Serve.run ~socket ?watch ~poll_ms:50 ?log (Ivy.Serve.create ())
+      (try Ivy.Serve.run ~socket ?watch ~poll_ms ?log (Ivy.Serve.create ())
        with _ -> Unix._exit 2);
       Unix._exit 0
   | pid ->
@@ -549,20 +550,31 @@ let test_serve_line_cap () =
         (stats_answered socket))
   |> check_daemon_exit
 
-(* --watch re-checks a directory when its bytes change: the first poll
-   rebuilds and counts the same diagnostics a check request reports, a
-   poll with unchanged bytes logs nothing, and a comment-only touch is
-   warm. *)
-let test_serve_watch () =
+(* A watched directory holding one file, and the log the daemon
+   appends to. *)
+type watch_dir = {
+  dir : string;
+  file : string; (* a.kc, the one watched source *)
+  write : string -> unit; (* replace [file]'s bytes *)
+  log : string -> unit; (* the daemon's log sink *)
+  log_lines : unit -> string list;
+  wait_for : string -> (string -> bool) -> string; (* the first log line [pred] holds for *)
+  prefix : string; (* every watch summary line starts with it *)
+}
+
+(* [k] runs on a fresh watched directory holding [src] as a.kc; the
+   directory and the log are removed after. *)
+let with_watch_dir name src k =
   let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "ivy-watch-%d" (Unix.getpid ()))
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ivy-%s-%d" name (Unix.getpid ()))
   in
   let file = Filename.concat dir "a.kc" in
   let log_path = dir ^ ".log" in
   (* Written aside and renamed in, so no poll sees a half-written file. *)
-  let write path s =
-    Out_channel.with_open_bin (path ^ ".tmp") (fun oc -> output_string oc s);
-    Sys.rename (path ^ ".tmp") path
+  let write s =
+    Out_channel.with_open_bin (file ^ ".tmp") (fun oc -> output_string oc s);
+    Sys.rename (file ^ ".tmp") file
   in
   let log_lines () =
     match In_channel.with_open_bin log_path In_channel.input_all with
@@ -581,52 +593,76 @@ let test_serve_watch () =
     in
     go ()
   in
-  let src =
-    preamble
-    ^ "long the_lock;\n\
-       int start_kernel(void) {\n\
-       \  spin_lock(&the_lock);\n\
-       \  schedule();\n\
-       \  spin_unlock(&the_lock);\n\
-       \  return 0;\n\
-       }\n"
-  in
-  let expected =
-    let r, _ = respond (Ivy.Serve.create ()) (sources_request ~id:1 ~program:"w" [ (file, src) ]) in
-    match get [ "result"; "report"; "diagnostics" ] r with
-    | Some (J.List l) -> List.length l
-    | _ -> Alcotest.fail "report.diagnostics missing"
-  in
-  Alcotest.(check bool) "the watched source has findings" true (expected > 0);
-  Unix.mkdir dir 0o755;
-  write file src;
   let log s =
     Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644 log_path (fun oc ->
         output_string oc (s ^ "\n"))
   in
-  let prefix = Printf.sprintf "[watch] %s: " dir in
+  Unix.mkdir dir 0o755;
+  write src;
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ file; log_path ];
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () ->
-      with_daemon ~watch:dir ~log "watch" (fun _ ->
-          let first = wait_for "first poll" (String.starts_with ~prefix) in
-          Alcotest.(check string) "first poll rebuilds"
-            (Printf.sprintf "%s%d diagnostics (rebuilt)" prefix expected)
-            first;
-          let before = log_lines () in
-          write file src;
-          Unix.sleepf 0.3;
-          Alcotest.(check (list string)) "unchanged bytes log nothing" before (log_lines ());
-          write file (src ^ "/* touched */\n");
-          let warm =
-            wait_for "touch poll" (fun l -> String.starts_with ~prefix l && not (List.mem l before))
-          in
-          Alcotest.(check string) "a comment-only touch is warm"
-            (Printf.sprintf "%s%d diagnostics (all artifacts warm)" prefix expected)
-            warm)
-      |> check_daemon_exit)
+      k { dir; file; write; log; log_lines; wait_for; prefix = Printf.sprintf "[watch] %s: " dir })
+
+let watch_src =
+  preamble
+  ^ "long the_lock;\n\
+     int start_kernel(void) {\n\
+     \  spin_lock(&the_lock);\n\
+     \  schedule();\n\
+     \  spin_unlock(&the_lock);\n\
+     \  return 0;\n\
+     }\n"
+
+(* --watch re-checks a directory when its bytes change: the first poll
+   rebuilds and counts the same diagnostics a check request reports, a
+   poll with unchanged bytes logs nothing, and a comment-only touch is
+   warm. *)
+let test_serve_watch () =
+  with_watch_dir "watch" watch_src @@ fun w ->
+  let expected =
+    let r, _ =
+      respond (Ivy.Serve.create ()) (sources_request ~id:1 ~program:"w" [ (w.file, watch_src) ])
+    in
+    match get [ "result"; "report"; "diagnostics" ] r with
+    | Some (J.List l) -> List.length l
+    | _ -> Alcotest.fail "report.diagnostics missing"
+  in
+  Alcotest.(check bool) "the watched source has findings" true (expected > 0);
+  with_daemon ~watch:w.dir ~log:w.log "watch" (fun _ ->
+      let first = w.wait_for "first poll" (String.starts_with ~prefix:w.prefix) in
+      Alcotest.(check string) "first poll rebuilds"
+        (Printf.sprintf "%s%d diagnostics (rebuilt)" w.prefix expected)
+        first;
+      let before = w.log_lines () in
+      w.write watch_src;
+      Unix.sleepf 0.3;
+      Alcotest.(check (list string)) "unchanged bytes log nothing" before (w.log_lines ());
+      w.write (watch_src ^ "/* touched */\n");
+      let warm =
+        w.wait_for "touch poll" (fun l ->
+            String.starts_with ~prefix:w.prefix l && not (List.mem l before))
+      in
+      Alcotest.(check string) "a comment-only touch is warm"
+        (Printf.sprintf "%s%d diagnostics (all artifacts warm)" w.prefix expected)
+        warm)
+  |> check_daemon_exit
+
+(* Requests do not trigger a poll: with the next poll 100 s away, an
+   edit followed by two requests (the second is read only after the
+   loop has finished with the first) leaves the one startup poll line. *)
+let test_serve_watch_polls_on_deadline () =
+  with_watch_dir "watch-deadline" watch_src @@ fun w ->
+  with_daemon ~watch:w.dir ~poll_ms:100_000 ~log:w.log "watch-deadline" (fun socket ->
+      ignore (w.wait_for "first poll" (String.starts_with ~prefix:w.prefix));
+      w.write (watch_src ^ "/* edited */\n");
+      Alcotest.(check bool) "stats answered" true (stats_answered socket);
+      Alcotest.(check bool) "stats answered again" true (stats_answered socket);
+      Alcotest.(check int) "one poll logged" 1
+        (List.length (List.filter (String.starts_with ~prefix:w.prefix) (w.log_lines ()))))
+  |> check_daemon_exit
 
 let () =
   Alcotest.run "serve"
@@ -663,5 +699,7 @@ let () =
             test_serve_drops_unread_client;
           Alcotest.test_case "cuts off an over-cap request line" `Quick test_serve_line_cap;
           Alcotest.test_case "watch polls by content" `Quick test_serve_watch;
+          Alcotest.test_case "watch polls on its deadline, not per request" `Quick
+            test_serve_watch_polls_on_deadline;
         ] );
     ]
