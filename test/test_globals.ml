@@ -410,9 +410,10 @@ let runs_discharge (src : string) : bool =
   let s = blank_comments_and_strings src in
   let n = String.length s in
   let ends_token j = j >= n || not (is_ident_char s.[j]) in
+  let call = "Discharge.run" in
   List.exists
-    (fun i -> (i = 0 || not (is_ident_char s.[i - 1])) && ends_token (i + 13))
-    (occurrences s "Discharge.run")
+    (fun i -> (i = 0 || not (is_ident_char s.[i - 1])) && ends_token (i + String.length call))
+    (occurrences s call)
   || List.exists
        (fun m ->
          List.exists

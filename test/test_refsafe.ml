@@ -278,16 +278,15 @@ let test_discharge_forging_disables_r2 () =
 
 type obs = { res : int64; bad : int; total : int }
 
-(* Boot [prog] under CCount. The gated arm boots the engine context's
+(* Boot [src] under CCount and run [main]. Both arms boot through
+   [Ivy.Pipeline.of_context]: the gated arm is the engine context's
    CCount view, the program [ivy ccount --refsafe] and the fuzz oracle
-   run; the plain arm instruments [prog] itself. Returns the booted
-   program and the gated arm's discharge stats. *)
-let ccount_run ~refsafe prog =
-  let mode = if refsafe then Ivy.Pipeline.Ccount_refsafe Vm.Cost.Up else Ivy.Pipeline.Ccount Vm.Cost.Up in
-  Ivy.Pipeline.of_context (Engine.Context.create prog) mode
-
+   run, and the plain arm instruments a copy of the base program. *)
 let observe ~refsafe src =
-  let r = ccount_run ~refsafe (parse src) in
+  let mode =
+    if refsafe then Ivy.Pipeline.Ccount_refsafe Vm.Cost.Up else Ivy.Pipeline.Ccount Vm.Cost.Up
+  in
+  let r = Ivy.Pipeline.of_context (Engine.Context.create (parse src)) mode in
   let t = r.Ivy.Pipeline.interp in
   let res = Vm.Interp.run t "main" [] in
   let c = Vm.Machine.free_census t.Vm.Interp.m in
