@@ -13,9 +13,9 @@
    refsafe      share of CCount's cycle overhead the refsafe gate
                 removes, free census unchanged (floor:
                 bench/refsafe_floor.txt)
-   serve        share of the per-function absint nodes a one-function
-                edit rebuilds, resubmit and touch warm, edit not warm
-                (ceiling: 10%)
+   serve        share of the per-function absint and refsafe nodes a
+                one-function edit rebuilds, resubmit warm, touch
+                unchanged with zero builds, edit not warm (ceiling: 10%)
 
    Run with:  dune exec bench/main.exe -- [GATE...] [--json]
 
@@ -254,10 +254,11 @@ let replace_first s ~sub ~by =
 
 (* The daemon's request handler, run in-process on the corpus: a cold
    check, a byte-identical resubmit (warm), a comment-only touch
-   (re-parsed, nothing rebuilt, warm) and a one-function body edit
-   (not warm). The edit must rebuild few of the per-function
-   absint-summary/absint-discharge nodes, counted from each response's
-   stats delta, so the gate is deterministic. *)
+   (re-parsed, cut off at the AST: an unchanged update and zero
+   builds) and a one-function body edit (not warm). The edit must
+   rebuild few of the per-function absint-summary/absint-discharge/
+   refsafe-summary/refsafe-findings nodes, counted from each
+   response's stats delta, so the gate is deterministic. *)
 let serve () =
   let module J = Ivy.Jsonx in
   let req srcs =
@@ -280,13 +281,18 @@ let serve () =
     | k :: ks -> Option.bind (J.member k j) (fun j -> path j ks)
   in
   let warm r = path r [ "warm" ] = Some (J.Bool true) in
-  let absint_builds r =
+  let builds r nodes =
     List.fold_left
       (fun acc node ->
         match path r [ "stats"; "artifacts"; node; "builds" ] with
         | Some (J.Num n) -> acc + int_of_float n
         | _ -> acc)
-      0 [ "absint-summary"; "absint-discharge" ]
+      0 nodes
+  in
+  let absint_nodes = [ "absint-summary"; "absint-discharge" ] in
+  let refsafe_nodes = [ "refsafe-summary"; "refsafe-findings" ] in
+  let total_builds r =
+    match path r [ "stats"; "totals"; "builds" ] with Some (J.Num n) -> int_of_float n | _ -> -1
   in
   let sources = Kernel.Corpus.sources () in
   let touched = List.map (fun (p, s) -> (p, s ^ "\n// bench touch\n")) sources in
@@ -302,19 +308,26 @@ let serve () =
   let r_warm, t_warm = check sources in
   let r_touch, t_touch = check touched in
   let r_edit, t_edit = check (edit touched) in
-  let cold = absint_builds r_cold and edit = absint_builds r_edit in
+  let cold = builds r_cold (absint_nodes @ refsafe_nodes)
+  and edit = builds r_edit (absint_nodes @ refsafe_nodes) in
   let expect ok what = if ok then [] else [ what ] in
   {
     value = pct edit cold;
     detail =
       Printf.sprintf
-        "absint nodes rebuilt %d of %d; cold %.2f ms, resubmit %.2f ms, touch %.2f ms, edit %.2f ms"
-        edit cold t_cold t_warm t_touch t_edit;
+        "per-function nodes rebuilt %d of %d (absint %d of %d, refsafe %d of %d); cold %.2f ms, \
+         resubmit %.2f ms, touch %.2f ms, edit %.2f ms"
+        edit cold (builds r_edit absint_nodes) (builds r_cold absint_nodes)
+        (builds r_edit refsafe_nodes) (builds r_cold refsafe_nodes) t_cold t_warm t_touch t_edit;
     broken =
       expect (warm r_warm) "an identical resubmit was not warm"
-      @ expect (warm r_touch) "a comment-only touch was not warm"
+      @ expect
+          (path r_touch [ "update"; "unchanged" ] = Some (J.Bool true) && total_builds r_touch = 0)
+          "a comment-only touch was not answered unchanged with zero builds"
       @ expect (not (warm r_edit)) "a body edit reported warm (stale artifacts served)"
-      @ expect (cold > 0) "the cold check built no absint node";
+      @ expect
+          (builds r_cold absint_nodes > 0 && builds r_cold refsafe_nodes > 0)
+          "the cold check built no absint or no refsafe node";
   }
 
 (* ------------------------------------------------------------------ *)

@@ -7,10 +7,11 @@
    inputs through other getters inside the build, where the graph
    records each fetch as an edge. The graph decides hit vs rebuild and
    owns the build/hit/invalidation counters. Per-function CFGs key on
-   their function's digest; the per-function absint nodes on the
-   header digest, a function digest and the callee values their solve
-   is given; every whole-program artifact on the program digest, so
-   none depends on a hand-kept projection of what its analysis reads.
+   their function's digest; the per-function absint and refsafe nodes
+   on the header digest, a function digest and the callee values their
+   solve is given; every whole-program artifact on the program digest,
+   so none depends on a hand-kept projection of what its analysis
+   reads.
    [update] re-fingerprints a newly parsed version of the program,
    swaps it in, and push-invalidates exactly the per-function
    artifacts whose digest changed — the whole-program artifacts notice
@@ -67,6 +68,8 @@ module Key = struct
   let vm_compiled = Graph.key "vm-compiled"
   let irq_handlers = Graph.key "irq-handlers"
   let refsafe_summaries = Graph.key "refsafe-summaries"
+  let refsafe_summary fname = Graph.key ~param:fname "refsafe-summary"
+  let refsafe_findings fname = Graph.key ~param:fname "refsafe-findings"
   let ccount_discharged = Graph.key "ccount-discharged"
   let check name = Graph.key (Printf.sprintf "check(%s)" name)
 end
@@ -84,7 +87,10 @@ let discharge_slot : Absint.Discharge.verdict Graph.slot = Graph.slot ()
 let instrumented_slot : (Kc.Ir.program * Deputy.Dreport.report) Graph.slot = Graph.slot ()
 let deputized_slot : deputized Graph.slot = Graph.slot ()
 let vm_compiled_slot : Vm.Compile.t Graph.slot = Graph.slot ()
-let refsafe_summaries_slot : Refsafe.Summary.summaries Graph.slot = Graph.slot ()
+let refsafe_summaries_slot : (Refsafe.Summary.summaries * string Refsafe.Summary.SM.t) Graph.slot =
+  Graph.slot ()
+let refsafe_summary_slot : Refsafe.Summary.fsum Graph.slot = Graph.slot ()
+let refsafe_findings_slot : Refsafe.Ownership.finding list Graph.slot = Graph.slot ()
 let ccounted_slot : ccounted Graph.slot = Graph.slot ()
 
 let pointsto ?(mode = P.Type_based) (t : t) : P.t =
@@ -126,16 +132,21 @@ let instrumented (t : t) : Kc.Ir.program * Deputy.Dreport.report =
       let iprog = Kc.Ir.copy_program t.prog in
       (iprog, Deputy.Dreport.deputize iprog))
 
+(* The key of a per-function node: the header digest, the digest of
+   the function its solve reads and the callee values it is given
+   ([inputs]). *)
+let node_fp (t : t) ~digest ~inputs =
+  Digest.string (String.concat "\000" [ t.fps.Fingerprint.t_header; digest; inputs ])
+
 (* A per-function absint memo ({!Absint.Summary.memo}): one node per
-   (artifact, function), keyed on the header digest, the digest of the
-   function the solve reads and the callee values it is given
-   ([inputs]). The solve runs inside the build, so the node is charged
-   its own time. *)
+   (artifact, function), keyed by [node_fp]. The solve runs inside the
+   build, so the node is charged its own time. *)
 let fn_memo (t : t) slot ~key ~digest : 'a Absint.Summary.memo =
  fun (fd : Kc.Ir.fundec) ~inputs solve ->
-  Graph.get t.g slot (key fd.Kc.Ir.fname)
-    ~fp:(Digest.string (String.concat "\000" [ t.fps.Fingerprint.t_header; digest fd; inputs ]))
-    solve
+  Graph.get t.g slot (key fd.Kc.Ir.fname) ~fp:(node_fp t ~digest:(digest fd) ~inputs) solve
+
+(* The base function's digest, for the nodes that solve over it. *)
+let base_digest (t : t) (fd : Kc.Ir.fundec) = fn_fingerprint t fd.Kc.Ir.fname
 
 (* Interprocedural interval summaries over the base (uninstrumented)
    program, sharing the memoized CFGs: instrumentation only adds
@@ -158,10 +169,7 @@ let absint_summaries (t : t) : Absint.Transfer.summaries =
           Option.iter (Hashtbl.replace cfgs fd.Kc.Ir.fname) (cfg t fd.Kc.Ir.fname))
         (defined_funcs t);
       let cfg_of (fd : Kc.Ir.fundec) = Hashtbl.find cfgs fd.Kc.Ir.fname in
-      let memo =
-        fn_memo t summary_slot ~key:Key.summary ~digest:(fun (fd : Kc.Ir.fundec) ->
-            fn_fingerprint t fd.Kc.Ir.fname)
-      in
+      let memo = fn_memo t summary_slot ~key:Key.summary ~digest:(base_digest t) in
       Absint.Summary.compute ~cfg_of
         ~roots:(Absint.Discharge.residual_roots iprog) ~memo t.prog)
 
@@ -181,10 +189,47 @@ let deputized (t : t) : deputized =
       { dprog; dreport; dstats })
 
 (* Refsafe ownership summaries: flow-insensitive per-function alias
-   facts solved callees-first over the Tarjan SCCs. *)
-let refsafe_summaries (t : t) : Refsafe.Summary.summaries =
+   facts solved callees-first over the Tarjan SCCs. Each function's
+   summary is its own [refsafe-summary] node, keyed like an absint
+   summary on its direct callees' values ({!Refsafe.Summary.inputs}),
+   so an edit that leaves a summary unchanged leaves its callers'
+   nodes warm. This artifact only assembles them, and keeps each
+   node's key for the findings nodes. *)
+let refsafe_solved (t : t) : Refsafe.Summary.summaries * string Refsafe.Summary.SM.t =
   Graph.get t.g refsafe_summaries_slot Key.refsafe_summaries ~fp:(program_fingerprint t)
-    (fun () -> Refsafe.Summary.compute t.prog)
+    (fun () ->
+      let keys = ref Refsafe.Summary.SM.empty in
+      let memo (fd : Kc.Ir.fundec) ~inputs solve =
+        let fp = node_fp t ~digest:(base_digest t fd) ~inputs in
+        keys := Refsafe.Summary.SM.add fd.Kc.Ir.fname fp !keys;
+        Graph.get t.g refsafe_summary_slot (Key.refsafe_summary fd.Kc.Ir.fname) ~fp solve
+      in
+      let summaries = Refsafe.Summary.compute ~memo t.prog in
+      (summaries, !keys))
+
+let refsafe_summaries (t : t) : Refsafe.Summary.summaries = fst (refsafe_solved t)
+
+(* The ownership checker's findings, one [refsafe-findings] node per
+   defined function with the key of its summary node (a recursive
+   function has none, so its key is rendered here). The checker reads
+   the summary map only at direct calls, as the summary solve does, so
+   the key covers every entry it reads and it is given the whole map.
+   Each node fetches its function's CFG inside its build: invalidating
+   that CFG drops the node and every report read from it. *)
+let refsafe_findings (t : t) : Refsafe.Ownership.finding list =
+  let summaries, keys = refsafe_solved t in
+  List.concat_map
+    (fun (fd : Kc.Ir.fundec) ->
+      let fname = fd.Kc.Ir.fname in
+      let fp =
+        match Refsafe.Summary.SM.find_opt fname keys with
+        | Some fp -> fp
+        | None ->
+            node_fp t ~digest:(base_digest t fd) ~inputs:(snd (Refsafe.Summary.inputs summaries fd))
+      in
+      Graph.get t.g refsafe_findings_slot (Key.refsafe_findings fname) ~fp (fun () ->
+          Refsafe.Ownership.check ~cfg_of:(fun fd -> Option.get (cfg t fd.Kc.Ir.fname)) summaries fd))
+    (defined_funcs t)
 
 (* The CCount view: rc-instrument a shallow copy, then let the refsafe
    discharge strip the counter updates it proves unobservable. *)
@@ -234,11 +279,12 @@ let update (t : t) (prog : Kc.Ir.program) : update =
     (* Per-function artifacts whose content hash changed (or that no
        longer exist) are push-invalidated along the recorded edges:
        cfg(f) -> absint-summaries -> deputized(absint) -> check(absint),
-       and cfg(f) -> check(refsafe). Whole-program artifacts re-key
-       themselves on next access via their own input hash. The
-       per-function absint nodes read no other node and carry their
-       inputs in their key: an edited function's nodes are re-keyed on
-       next access, a removed function's dropped. *)
+       and cfg(f) -> refsafe-findings(f) -> check(refsafe).
+       Whole-program artifacts re-key themselves on next access via
+       their own input hash. The other per-function nodes read no other
+       node and carry their inputs in their key: an edited function's
+       nodes are re-keyed on next access, a removed function's
+       dropped. *)
     let drop acc k = acc + Graph.invalidate t.g k in
     let dropped =
       List.fold_left
@@ -248,7 +294,9 @@ let update (t : t) (prog : Kc.Ir.program) : update =
     in
     let dropped =
       List.fold_left
-        (fun acc f -> drop (drop acc (Key.summary f)) (Key.discharge f))
+        (fun acc f ->
+          List.fold_left drop acc
+            [ Key.summary f; Key.discharge f; Key.refsafe_summary f; Key.refsafe_findings f ])
         dropped d.Fingerprint.d_removed
     in
     {

@@ -63,6 +63,13 @@ module Key : sig
   val vm_compiled : Graph.key
   val irq_handlers : Graph.key
   val refsafe_summaries : Graph.key
+
+  val refsafe_summary : string -> Graph.key
+  (** [refsafe-summary(f)]: one function's ownership summary. *)
+
+  val refsafe_findings : string -> Graph.key
+  (** [refsafe-findings(f)]: one function's ownership findings. *)
+
   val ccount_discharged : Graph.key
   val check : string -> Graph.key
 end
@@ -133,8 +140,23 @@ type ccounted = {
   crstats : Refsafe.Discharge.stats;  (** refsafe discharge counters *)
 }
 
-(** Refsafe ownership summaries ({!Refsafe.Summary}) (cached). *)
+(** Refsafe ownership summaries ({!Refsafe.Summary}). Keyed on the
+    program digest, it only assembles: each non-recursive function's
+    summary is its own [Key.refsafe_summary] node, keyed on the header
+    digest, the function's digest and its direct callees' summary
+    values, and solved over exactly those ({!Refsafe.Summary.inputs}).
+    An edit that leaves a summary's value unchanged leaves its
+    callers' nodes warm (early cutoff). *)
 val refsafe_summaries : t -> Refsafe.Summary.summaries
+
+(** The ownership checker's findings ({!Refsafe.Ownership.check}) over
+    every defined function, in program order. Not an artifact itself:
+    each function's findings are a [Key.refsafe_findings] node, keyed
+    like its summary node, and fetch that function's CFG inside their
+    build. Called inside another artifact's build (the refsafe
+    check's), it records an edge to {!refsafe_summaries} and to every
+    findings node. *)
+val refsafe_findings : t -> Refsafe.Ownership.finding list
 
 (** The memoized CCount view (cached; reads
     [Key.refsafe_summaries]). *)

@@ -8,7 +8,10 @@
      statement locations included — an in-place body edit changes only
      that function's digest, while an edit that shifts later functions
      down a line changes theirs too (their cached CFGs carry statement
-     locations, so reusing them would report stale lines);
+     locations, so reusing them would report stale lines). Each global
+     the function names is marked when its address is taken anywhere
+     in the program: a cached CFG holds the global's variable record,
+     and refsafe's ownership checker reads that flag from it;
    - whole program ([table_of].t_program): the header (structs, enums,
      globals) plus every function digest in program order — the input
      hash of every whole-program artifact. No artifact keys on a
@@ -193,7 +196,7 @@ and ser_exp b (e : I.exp) =
 and ser_lval b ((host, offs) : I.lval) =
   (match host with
   | I.Lvar v ->
-      add b (if v.I.vglob then "G:" else "V:");
+      add b (if not v.I.vglob then "V:" else if v.I.vaddrof then "G&:" else "G:");
       add b v.I.vname
   | I.Lmem e ->
       add b "M:";

@@ -249,16 +249,13 @@ let refsafe : Engine.Analysis.t =
       | Refsafe.Ownership.Leak -> "release or publish the allocation before returning"
 
     let run ctxt =
-      let summaries = Context.refsafe_summaries ctxt in
-      let prog = Context.program ctxt in
-      let findings = Refsafe.Ownership.check_program ~cfg_of:(cfg_of ctxt) summaries prog in
       let warnings =
         List.map
           (fun (f : Refsafe.Ownership.finding) ->
             Diag.make ~analysis:name ~loc:f.Refsafe.Ownership.floc
               ~fix_hint:(fix_hint_of f.Refsafe.Ownership.fkind)
               f.Refsafe.Ownership.fmsg)
-          findings
+          (Context.refsafe_findings ctxt)
       in
       (* The CCount-discharge census rides along as an Info line, like
          absint's: silent when the program has nothing instrumented. *)

@@ -18,7 +18,10 @@
    byte-identical sources skips parsing entirely, and otherwise only
    the units whose bytes (or typedef names in scope) changed are lexed
    and parsed again ({!Kc.Typecheck.parse_units} with the entry's last
-   parse as [prev]). Every [check] response carries [warm] (no
+   parse as [prev]). When every unit's AST then equals the last
+   parse's, as after a comment-only touch, the request skips
+   elaboration and fingerprinting and answers with the unchanged
+   update. Every [check] response carries [warm] (no
    artifact was built), the units [reparsed] and the per-request stats
    delta, so clients and the CI smoke job can assert incrementality
    rather than trust it. A request whose frontend fails gets an error
@@ -166,17 +169,24 @@ let frontend_msg = function
 
 (* The frontend never takes the daemon down: an exception that is not a
    located frontend error is answered as an internal error. *)
-let parse_sources ?prev (sources : (string * string) list) :
-    (Kc.Typecheck.parsed * Kc.Ir.program, int * string) result =
-  match
-    let parsed = Kc.Typecheck.parse_units ?prev sources in
-    (parsed, Kc.Typecheck.check_units parsed)
-  with
+let frontend (f : unit -> 'a) : ('a, int * string) result =
+  match f () with
   | r -> Ok r
   | exception e -> (
       match frontend_msg e with
       | Some m -> Error (e_frontend, m)
       | None -> Error (e_internal, "internal error: " ^ Printexc.to_string e))
+
+(* Parse [sources] with [prev] as the last parse, then elaborate
+   unless every unit's AST equals [prev]'s (a comment-only touch):
+   [check_units] reads nothing but the ASTs, so it would rebuild the
+   program already served, and [None] says so. *)
+let reparse ~prev (sources : (string * string) list) :
+    (Kc.Typecheck.parsed * Kc.Ir.program option, int * string) result =
+  frontend (fun () ->
+      let parsed = Kc.Typecheck.parse_units ~prev sources in
+      if Kc.Typecheck.same_asts prev parsed then (parsed, None)
+      else (parsed, Some (Kc.Typecheck.check_units parsed)))
 
 let update_json (u : Ctx.update) ~reparsed : J.t =
   let names l = J.List (List.map (fun f -> J.Str f) l) in
@@ -203,8 +213,11 @@ let no_update : Ctx.update =
 
 (* Parse [r]'s sources with its program's last parse as [prev] (not
    at all when the digest is unchanged), swap them in and run the
-   analyses. The results come back beside the response body, so
-   [--watch] counts diagnostics without re-reading the JSON. *)
+   analyses. When every AST equals the last parse's, nothing is
+   elaborated, fingerprinted or swapped: the new parse and digest are
+   stored and the update is the unchanged one. The results come back
+   beside the response body, so [--watch] counts diagnostics without
+   re-reading the JSON. *)
 let handle_check (t : t) (r : check_req) :
     (bool * (string * Engine.Diag.t list) list * J.t, int * string) result =
   let entry =
@@ -215,18 +228,20 @@ let handle_check (t : t) (r : check_req) :
     | Some e ->
         Result.map
           (fun (pu, p) ->
-            let u = Ctx.update e.e_ctxt p in
+            let u = Option.fold ~none:no_update ~some:(Ctx.update e.e_ctxt) p in
             e.e_src <- r.c_digest;
             e.e_parsed <- pu;
             (e, u, Kc.Typecheck.reparsed pu, false))
-          (parse_sources ~prev:e.e_parsed r.c_sources)
+          (reparse ~prev:e.e_parsed r.c_sources)
     | None ->
         Result.map
           (fun (pu, p) ->
             let e = { e_ctxt = Ctx.create p; e_src = r.c_digest; e_parsed = pu } in
             ignore (G.Lru.add t.lru r.c_program e);
             (e, no_update, Kc.Typecheck.reparsed pu, false))
-          (parse_sources r.c_sources)
+          (frontend (fun () ->
+               let pu = Kc.Typecheck.parse_units r.c_sources in
+               (pu, Kc.Typecheck.check_units pu)))
   in
   Result.map
     (fun (e, update, reparsed, reused_source) ->

@@ -1036,6 +1036,12 @@ let parse_units ?prev (sources : (string * string) list) : parsed =
   in
   { p_units = List.rev units; p_reparsed = reparsed }
 
+(* Units pairwise equal ([==] first, then structural [=]: the AST is
+   immutable). [check_units] reads nothing but the ASTs, so equal
+   units elaborate to equal programs. *)
+let same_asts (a : parsed) (b : parsed) : bool =
+  List.equal (fun u v -> u.p_ast == v.p_ast || u.p_ast = v.p_ast) a.p_units b.p_units
+
 (* Type-check parsed units into a single program. Pass B conses
    globals and functions; they are put in program order once here. *)
 let check_units (p : parsed) : Ir.program =

@@ -23,6 +23,11 @@ val parse_units : ?prev:parsed -> (string * string) list -> parsed
     reused from [prev]). *)
 val reparsed : parsed -> int
 
+(** Do both parses hold the same units, in order, each AST equal to
+    its counterpart's? Then {!check_units} elaborates them to the same
+    program, since it reads nothing but the ASTs. *)
+val same_asts : parsed -> parsed -> bool
+
 (** Check parsed units into one program. *)
 val check_units : parsed -> Ir.program
 

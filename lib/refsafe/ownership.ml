@@ -329,8 +329,3 @@ let check ?cfg_of (summaries : Summary.summaries) (fd : I.fundec) : finding list
     |> List.sort_uniq (fun a b ->
            compare (a.fmsg, a.floc, a.fkind) (b.fmsg, b.floc, b.fkind))
   end
-
-let check_program ?cfg_of (summaries : Summary.summaries) (prog : I.program) : finding list =
-  prog.I.funcs
-  |> List.filter (fun fd -> not fd.I.fextern)
-  |> List.concat_map (fun fd -> check ?cfg_of summaries fd)

@@ -429,13 +429,57 @@ let summarize (summaries : summaries) (fd : I.fundec) : fsum =
 
 (* ---- bottom-up computation over the SCCs ------------------------- *)
 
-let compute (prog : I.program) : summaries =
+let render_idxs b idxs =
+  Buffer.add_char b '[';
+  List.iter (fun i -> Buffer.add_string b (string_of_int i); Buffer.add_char b ',') idxs;
+  Buffer.add_char b ']'
+
+(* Every field of [s], in declaration order. *)
+let render_sum b (s : fsum) =
+  let flag v = Buffer.add_char b (if v then 't' else 'f') in
+  flag s.may_free;
+  flag s.writes_glob_ptr;
+  flag s.runs_handlers;
+  render_idxs b s.escaping_params;
+  render_idxs b s.freed_params;
+  flag s.returns_alloc;
+  render_idxs b s.returns_param;
+  flag s.returns_other
+
+(* What [summarize] and [Ownership.check] read of the summary map: a
+   summary is looked up only through [callee_info] at a direct call,
+   so the map restricted to [fd]'s direct callees gives the same
+   result. The key renders those values callee by callee; an absent
+   callee renders differently from a present one, since
+   [callee_info] then answers [Unknown]. *)
+let inputs (summaries : summaries) (fd : I.fundec) : summaries * string =
+  let b = Buffer.create 64 in
+  let sums =
+    List.fold_left
+      (fun sums callee ->
+        Buffer.add_char b ';';
+        Buffer.add_string b callee;
+        match SM.find_opt callee summaries with
+        | Some s ->
+            Buffer.add_char b '=';
+            render_sum b s;
+            SM.add callee s sums
+        | None -> sums)
+      SM.empty (Absint.Summary.direct_callees fd)
+  in
+  (sums, Buffer.contents b)
+
+(* Each non-recursive function is summarized over its [inputs] and
+   goes through [memo] (default: always solve); a recursive component
+   takes the conservative summary unsolved. *)
+let compute ?(memo = Absint.Summary.no_memo) (prog : I.program) : summaries =
   let defined = List.filter (fun fd -> not fd.I.fextern) prog.I.funcs in
   List.fold_left
     (fun summaries scc ->
       match scc with
       | [ fd ] when not (Absint.Summary.is_self_recursive fd) ->
-          SM.add fd.I.fname (summarize summaries fd) summaries
+          let callees, inputs = inputs summaries fd in
+          SM.add fd.I.fname (memo fd ~inputs (fun () -> summarize callees fd)) summaries
       | _ ->
           List.fold_left
             (fun summaries fd -> SM.add fd.I.fname (conservative_sum fd) summaries)

@@ -2,8 +2,9 @@
    buffer (a [Printf.sprintf] per location, int type, constant, field
    and case), kept as the reference the streaming one in
    [Engine.Fingerprint] must match byte for byte: every digest the
-   artifact graph keys on has to stay what it was. Shared by the
-   incremental and serve tests. *)
+   artifact graph keys on has to stay what it was. The one format
+   change since, the [G&:] mark on an address-taken global, is made in
+   both. Shared by the incremental and serve tests. *)
 module I = Kc.Ir
 
 let add = Buffer.add_string
@@ -102,7 +103,7 @@ and ser_exp b (e : I.exp) =
 and ser_lval b ((host, offs) : I.lval) =
   (match host with
   | I.Lvar v ->
-      add b (if v.I.vglob then "G:" else "V:");
+      add b (if not v.I.vglob then "V:" else if v.I.vaddrof then "G&:" else "G:");
       add b v.I.vname
   | I.Lmem e ->
       add b "M:";

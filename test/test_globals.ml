@@ -1,4 +1,4 @@
-(* Three fences on the source text of lib/ (and bin/ for the third).
+(* Four fences on the source text of lib/ (and bin/ for the last two).
 
    The first is on process-wide mutable state.
 
@@ -25,7 +25,14 @@
    has one builder, the engine context, so in lib/ and bin/ only
    [discharge_builder] may run [Absint.Discharge.run] or
    [Refsafe.Discharge.run] (or name either module whole, as an alias
-   or an [open] would). *)
+   or an [open] would).
+
+   The fourth is on refsafe solving: the context is also the single
+   owner of the per-function refsafe nodes, so outside lib/refsafe/
+   (whose summary-less discharge path solves its own) only
+   [discharge_builder] may call [Refsafe.Summary.compute] or
+   [Refsafe.Ownership.check] (or name [Refsafe], [Refsafe.Summary] or
+   [Refsafe.Ownership] whole). *)
 
 let allowed =
   [
@@ -403,17 +410,19 @@ let occurrences s sub =
   let n = String.length s and m = String.length sub in
   List.filter (fun i -> String.sub s i m = sub) (List.init (max 0 (n - m + 1)) Fun.id)
 
-(* Does [src] (comments and strings blanked) run a discharge: call a
-   [Discharge.run], or name [Absint.Discharge]/[Refsafe.Discharge]
-   other than as a path prefix? *)
-let runs_discharge (src : string) : bool =
+(* Does [src] (comments and strings blanked) call one of [calls] (a
+   whole token at its end, whatever path precedes it) or name one of
+   [modules] other than as a path prefix? *)
+let uses ~calls ~modules (src : string) : bool =
   let s = blank_comments_and_strings src in
   let n = String.length s in
   let ends_token j = j >= n || not (is_ident_char s.[j]) in
-  let call = "Discharge.run" in
   List.exists
-    (fun i -> (i = 0 || not (is_ident_char s.[i - 1])) && ends_token (i + String.length call))
-    (occurrences s call)
+    (fun call ->
+      List.exists
+        (fun i -> (i = 0 || not (is_ident_char s.[i - 1])) && ends_token (i + String.length call))
+        (occurrences s call))
+    calls
   || List.exists
        (fun m ->
          List.exists
@@ -421,34 +430,47 @@ let runs_discharge (src : string) : bool =
              let j = i + String.length m in
              ends_token j && (j >= n || s.[j] <> '.'))
            (occurrences s m))
-       [ "Absint.Discharge"; "Refsafe.Discharge" ]
+       modules
+
+let runs_discharge =
+  uses ~calls:[ "Discharge.run" ] ~modules:[ "Absint.Discharge"; "Refsafe.Discharge" ]
+
+let solves_refsafe =
+  uses
+    ~calls:[ "Refsafe.Summary.compute"; "Ownership.check" ]
+    ~modules:[ "Refsafe"; "Refsafe.Summary"; "Refsafe.Ownership" ]
+
+(* The lib/ and bin/ files whose source satisfies [p]. *)
+let files_where p =
+  List.concat_map
+    (fun dir ->
+      List.filter_map
+        (fun rel ->
+          let path = Filename.concat dir rel in
+          if p (read_file (Filename.concat repo_root path)) then Some path else None)
+        (ml_files (Filename.concat repo_root dir) ""))
+    [ "lib"; "bin" ]
+
+(* Only [discharge_builder] among [callers], less [exempt]; and it
+   among them. *)
+let only_the_builder ~what ~hint ~exempt callers =
+  let others = List.filter (fun f -> f <> discharge_builder && not (exempt f)) callers in
+  if others <> [] then
+    Alcotest.failf "%s outside %s: %s (%s)" what discharge_builder (String.concat ", " others) hint;
+  if not (List.mem discharge_builder callers) then
+    Alcotest.failf "%s no longer holds %s: update the fence" discharge_builder what
 
 let test_one_discharge_builder () =
-  let callers =
-    List.concat_map
-      (fun dir ->
-        List.filter_map
-          (fun rel ->
-            let path = Filename.concat dir rel in
-            if runs_discharge (read_file (Filename.concat repo_root path)) then Some path
-            else None)
-          (ml_files (Filename.concat repo_root dir) ""))
-      [ "lib"; "bin" ]
-  in
-  let others =
-    List.filter
-      (fun f ->
-        f <> discharge_builder
-        && not (List.mem f [ "lib/absint/discharge.ml"; "lib/refsafe/discharge.ml" ]))
-      callers
-  in
-  if others <> [] then
-    Alcotest.failf
-      "a discharge runs outside %s: %s (boot the view Engine.Context serves, e.g. through \
-       Ivy.Pipeline.of_context)"
-      discharge_builder (String.concat ", " others);
-  if not (List.mem discharge_builder callers) then
-    Alcotest.failf "%s no longer runs a discharge: update the fence" discharge_builder
+  only_the_builder ~what:"a discharge runs"
+    ~hint:"boot the view Engine.Context serves, e.g. through Ivy.Pipeline.of_context"
+    ~exempt:(fun f -> List.mem f [ "lib/absint/discharge.ml"; "lib/refsafe/discharge.ml" ])
+    (files_where runs_discharge)
+
+let test_one_refsafe_solver () =
+  only_the_builder ~what:"refsafe is solved"
+    ~hint:"read Engine.Context.refsafe_summaries or refsafe_findings"
+    ~exempt:(fun f -> String.starts_with ~prefix:"lib/refsafe/" f)
+    (files_where solves_refsafe)
 
 (* The scanner itself: what it must and must not match. *)
 let test_scanner () =
@@ -503,6 +525,24 @@ let test_discharge_scanner () =
       "Refsafe.Discharge.render_stats st";
       "Discharge.runs" ]
 
+let test_refsafe_scanner () =
+  List.iter
+    (fun src -> Alcotest.(check bool) src true (solves_refsafe src))
+    [ "let s = Refsafe.Summary.compute ~memo prog";
+      "R.Ownership.check ~cfg_of callees fd";
+      "let module S = Refsafe.Summary in S.compute p";
+      "module R = Refsafe";
+      "open Refsafe.Ownership" ];
+  List.iter
+    (fun src -> Alcotest.(check bool) src false (solves_refsafe src))
+    [ "let s = Absint.Summary.compute ~memo prog";
+      "(s : Refsafe.Summary.fsum)";
+      "Refsafe.Ownership.Double_put";
+      "(* Refsafe.Summary.compute p *)";
+      "Refsafe.Ownership.check_program";
+      "Refsafe.Summary.computed";
+      "MyRefsafe.x" ]
+
 let test_defined_names () =
   Alcotest.(check (list string)) "names"
     [ "a"; "f"; "g"; "h"; "inner"; "letters" ]
@@ -536,5 +576,8 @@ let () =
           Alcotest.test_case "discharge scanner" `Quick test_discharge_scanner;
           Alcotest.test_case "only the engine context runs a discharge" `Quick
             test_one_discharge_builder;
+          Alcotest.test_case "refsafe scanner" `Quick test_refsafe_scanner;
+          Alcotest.test_case "only the engine context solves refsafe" `Quick
+            test_one_refsafe_solver;
         ] );
     ]

@@ -353,6 +353,83 @@ let test_callee_annotation_edit_matches_cold () =
   Alcotest.(check (pair int int)) "count 8: count flow stays" (0, 1) (proved_in ctxt "use");
   check_matches_cold "annotation edit" ctxt (count_src 8)
 
+(* The per-function refsafe nodes. [caller]'s source never changes: its
+   summary and findings nodes must be re-keyed by [put]'s summary, or
+   the double put that [put]'s new [kfree] makes would be missed. *)
+let put_src put_body =
+  preamble
+  ^ "void put(long *p) {" ^ put_body ^ "}\n\
+     int caller(void) {\n\
+     \  long *p = kmalloc(8, 0);\n\
+     \  if (!p) return -12;\n\
+     \  put(p);\n\
+     \  kfree(p);\n\
+     \  return 0;\n\
+     }\n"
+
+let refsafe_msgs ctxt =
+  List.filter_map
+    (fun (d : Engine.Diag.t) ->
+      if d.Engine.Diag.analysis = "refsafe" && d.Engine.Diag.severity <> Engine.Diag.Info then
+        Some d.Engine.Diag.message
+      else None)
+    (Ivy.Checks.diags (Ivy.Checks.run_all ctxt))
+
+let test_callee_refsafe_summary_edit_matches_cold () =
+  let ctxt = Engine.Context.create (parse (put_src " ")) in
+  Alcotest.(check (list string)) "cold: no finding" [] (refsafe_msgs ctxt);
+  let freeing = " kfree(p); " in
+  let u = Engine.Context.update ctxt (parse (put_src freeing)) in
+  Alcotest.(check (list string)) "only put changed" [ "put" ] u.Engine.Context.u_changed;
+  let _, delta = delta_of ctxt (fun () -> served_view ctxt) in
+  Alcotest.(check int) "put's and caller's summaries rebuilt" 2
+    (builds_of delta "refsafe-summary");
+  Alcotest.(check int) "put's and caller's findings rebuilt" 2
+    (builds_of delta "refsafe-findings");
+  Alcotest.(check (list string)) "warm: caller's double put" [ "caller: double put of p" ]
+    (refsafe_msgs ctxt);
+  check_matches_cold "put frees" ctxt (put_src freeing);
+  (* A body edit that leaves put's summary as it was rebuilds put's
+     own nodes only: caller's are served warm. *)
+  let same_summary = " long d = 1; kfree(p); " in
+  ignore (Engine.Context.update ctxt (parse (put_src same_summary)));
+  let _, delta = delta_of ctxt (fun () -> served_view ctxt) in
+  Alcotest.(check int) "only put's summary rebuilt" 1 (builds_of delta "refsafe-summary");
+  Alcotest.(check int) "only put's findings rebuilt" 1 (builds_of delta "refsafe-findings");
+  Alcotest.(check int) "caller's nodes served warm" 2
+    (hits_of delta "refsafe-summary" + hits_of delta "refsafe-findings");
+  check_matches_cold "same summary" ctxt (put_src same_summary);
+  ignore (Engine.Context.update ctxt (parse (put_src " ")));
+  Alcotest.(check (list string)) "revert: no finding" [] (refsafe_msgs ctxt);
+  check_matches_cold "revert" ctxt (put_src " ")
+
+(* Whether a global's address is taken is read by the ownership
+   checker from the global's record in [pub]'s cached CFG, and is set
+   by whichever function takes it. [pub]'s digest marks the flag, so
+   an edit of [other] alone that takes the address changes [pub]'s
+   digest too, and its CFG and findings are rebuilt. *)
+let slot_src other_body =
+  preamble
+  ^ "long *slot;\n\
+     int pub(void) {\n\
+     \  long *p = kmalloc(8, 0);\n\
+     \  if (!p) return -12;\n\
+     \  slot = p;\n\
+     \  kfree(p);\n\
+     \  return 0;\n\
+     }\n\
+     int other(void) {" ^ other_body ^ "return 0; }\n"
+
+let test_address_taken_global_edit_matches_cold () =
+  let ctxt = Engine.Context.create (parse (slot_src " ")) in
+  Alcotest.(check int) "cold: put on error path" 1 (List.length (refsafe_msgs ctxt));
+  let taken = " long **q = &slot; " in
+  let u = Engine.Context.update ctxt (parse (slot_src taken)) in
+  Alcotest.(check (list string)) "pub's digest moves with other's" [ "pub"; "other" ]
+    u.Engine.Context.u_changed;
+  Alcotest.(check (list string)) "warm: slot no longer tracked" [] (refsafe_msgs ctxt);
+  check_matches_cold "address taken" ctxt (slot_src taken)
+
 (* ------------------------------------------------------------------ *)
 (* Seeded warm = cold sequence over the kernel corpus                 *)
 (* ------------------------------------------------------------------ *)
@@ -802,6 +879,10 @@ let () =
             test_callee_return_edit_is_sound;
           Alcotest.test_case "callee annotation edit equals cold" `Quick
             test_callee_annotation_edit_matches_cold;
+          Alcotest.test_case "callee refsafe summary edit equals cold" `Quick
+            test_callee_refsafe_summary_edit_matches_cold;
+          Alcotest.test_case "address-taken global edit equals cold" `Quick
+            test_address_taken_global_edit_matches_cold;
           Alcotest.test_case "corpus edit sequence: warm equals cold" `Quick
             test_corpus_edit_sequence_warm_equals_cold;
           Alcotest.test_case "parse reuse equals a fresh parse" `Quick

@@ -504,6 +504,47 @@ let test_typecheck_alloc () =
     Alcotest.failf "type checking the corpus took %.1f minor words per token (fence: 14)"
       per_token
 
+(* [Typecheck.same_asts] is the serve daemon's cutoff: it may hold only
+   where elaborating the new parse would give the program the previous
+   parse gave. *)
+let test_same_asts () =
+  let a = ("a.kc", "typedef long T;\nT width(void);\n") in
+  let b = ("b.kc", "T twice(T x) { return x * 2; }\nint thrice(int x) { return x * 3; }\n") in
+  let base = Kc.Typecheck.parse_units [ a; b ] in
+  let same msg expect srcs =
+    Alcotest.(check bool) msg expect
+      (Kc.Typecheck.same_asts base (Kc.Typecheck.parse_units ~prev:base srcs))
+  in
+  same "the same bytes" true [ a; b ];
+  same "a comment after the last function" true [ a; (fst b, snd b ^ "/* touched */\n") ];
+  same "a comment above a function moves it" false [ a; (fst b, "/* moved */\n" ^ snd b) ];
+  same "a comment before a statement moves its column" false
+    [ a; (fst b, "T twice(T x) { /* c */ return x * 2; }\nint thrice(int x) { return x * 3; }\n") ];
+  same "a dropped unit" false [ a ];
+  (* A typedef redefined in an earlier unit: the later unit is reused
+     as it is, yet it elaborates to another program. *)
+  let redefined =
+    Kc.Typecheck.parse_units ~prev:base [ ("a.kc", "typedef int T;\nT width(void);\n"); b ]
+  in
+  Alcotest.(check int) "the later unit is reused" 1 (Kc.Typecheck.reparsed redefined);
+  Alcotest.(check bool) "a redefined typedef is not the same" false
+    (Kc.Typecheck.same_asts base redefined);
+  let ret parsed =
+    (Option.get (Kc.Ir.find_fun (Kc.Typecheck.check_units parsed) "twice")).Kc.Ir.fret
+  in
+  Alcotest.(check bool) "and twice's return type moves" false (ret base = ret redefined);
+  (* A typedef renamed in an earlier unit: the later unit is parsed
+     again under the new names in scope, and the earlier unit's AST
+     differs. *)
+  let plain = ("b.kc", "int thrice(int x) { return x * 3; }\n") in
+  let base = Kc.Typecheck.parse_units [ a; plain ] in
+  let renamed =
+    Kc.Typecheck.parse_units ~prev:base [ ("a.kc", "typedef long S;\nS width(void);\n"); plain ]
+  in
+  Alcotest.(check int) "both units parsed again" 2 (Kc.Typecheck.reparsed renamed);
+  Alcotest.(check bool) "a renamed typedef is not the same" false
+    (Kc.Typecheck.same_asts base renamed)
+
 (* ------------------------------------------------------------------ *)
 (* Parser + typechecker acceptance                                    *)
 (* ------------------------------------------------------------------ *)
@@ -860,5 +901,6 @@ let () =
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "erasure" `Quick test_erasure;
           Alcotest.test_case "allocation fence" `Quick test_typecheck_alloc;
+          Alcotest.test_case "same ASTs: the serve cutoff" `Quick test_same_asts;
         ] );
     ]

@@ -340,6 +340,56 @@ let test_serve_reparses_changed_units () =
   Alcotest.(check (option int)) "a byte-identical resubmit parses nothing" (Some 0)
     (reparsed (send 3 touched))
 
+(* The AST cutoff: a request whose every AST equals the last parse's
+   is answered without elaboration. At every step of a daemon sequence
+   the report equals a cold daemon's on the same sources. *)
+let test_serve_ast_cutoff_equals_cold () =
+  let t = Ivy.Serve.create () in
+  let a = ("a.kc", "typedef long T;\nT width(void);\n") in
+  let b_src body = "T twice(T x) { return " ^ body ^ "; }\nint thrice(int x) { return x * 3; }\n" in
+  let b body = ("b.kc", b_src body ^ "/* touched */\n") in
+  let moved = ("b.kc", "/* moved */\n" ^ snd (b "x * 2")) in
+  let id = ref 0 in
+  let step msg srcs =
+    incr id;
+    let r = fst (respond t (sources_request ~id:!id ~program:"cut" srcs)) in
+    let cold = fst (respond (Ivy.Serve.create ()) (sources_request ~id:!id ~program:"cut" srcs)) in
+    Alcotest.(check bool) (msg ^ ": report equals cold") true
+      (get [ "result"; "report" ] r <> None
+      && get [ "result"; "report" ] r = get [ "result"; "report" ] cold);
+    r
+  in
+  let changed r =
+    match get [ "result"; "update"; "changed" ] r with
+    | Some (J.List l) -> List.filter_map J.to_string_opt l
+    | _ -> [ "<missing>" ]
+  in
+  let builds r = Option.bind (get [ "result"; "stats"; "totals"; "builds" ] r) J.to_int_opt in
+  ignore (step "cold" [ a; ("b.kc", b_src "x * 2") ]);
+  let r = step "touch" [ a; b "x * 2" ] in
+  Alcotest.(check (option bool)) "touch: unchanged" (Some true)
+    (result_bool [ "update"; "unchanged" ] r);
+  Alcotest.(check (option int)) "touch: zero builds" (Some 0) (builds r);
+  let r = step "body edit of the touched unit" [ a; b "x + x" ] in
+  Alcotest.(check (option bool)) "edit: not warm" (Some false) (result_bool [ "warm" ] r);
+  Alcotest.(check (list string)) "edit: twice changed" [ "twice" ] (changed r);
+  let r = step "revert" [ a; b "x * 2" ] in
+  Alcotest.(check (list string)) "revert: twice changed" [ "twice" ] (changed r);
+  let r = step "resubmit" [ a; b "x * 2" ] in
+  Alcotest.(check (option bool)) "resubmit: reused source" (Some true)
+    (result_bool [ "reused_source" ] r);
+  Alcotest.(check (option bool)) "resubmit: warm" (Some true) (result_bool [ "warm" ] r);
+  (* A comment above a function shifts every line below it: not cut off. *)
+  let r = step "comment above" [ a; moved ] in
+  Alcotest.(check (list string)) "comment above: moved functions changed" [ "twice"; "thrice" ]
+    (changed r);
+  (* An earlier unit's typedef change re-elaborates the later unit,
+     whose AST is reused as it is. *)
+  let r = step "typedef change" [ ("a.kc", "typedef int T;\nT width(void);\n"); moved ] in
+  Alcotest.(check (option int)) "typedef change: one unit reparsed" (Some 1)
+    (Option.bind (get [ "result"; "update"; "reparsed" ] r) J.to_int_opt);
+  Alcotest.(check (list string)) "typedef change: twice changed" [ "twice" ] (changed r)
+
 (* The frontend cannot take the daemon down. A call in a global
    initializer used to raise [Invalid_argument] out of [handle_line];
    it is a located type error now, as is [sizeof(void)], which used to
@@ -687,6 +737,8 @@ let () =
             test_serve_frontend_mutants;
           Alcotest.test_case "reparses only changed units" `Quick
             test_serve_reparses_changed_units;
+          Alcotest.test_case "AST cutoff: every step equals cold" `Quick
+            test_serve_ast_cutoff_equals_cold;
           Alcotest.test_case "survives frontend exceptions" `Quick
             test_serve_survives_frontend_exceptions;
           Alcotest.test_case "rejects void arithmetic and prototype conflicts" `Quick
